@@ -92,13 +92,3 @@ class ResultCache:
                 except OSError:
                     pass
         return removed
-
-
-def cache_get_put(cache: ResultCache, key: str, value):
-    """Return the stored value for key, writing value first on a miss."""
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    value = json.loads(_dump(value))
-    cache.put(key, value)
-    return value

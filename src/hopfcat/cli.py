@@ -25,16 +25,14 @@ from .fusion import (centralizer, double_irreps, enumerate_subcats,
                      fusion_table, smatrix, subcat_from_triple)
 from .groups import (Group, center_subgroup, normal_subgroups,
                      parse_group_spec, subgroup_generated)
-from .hopf import QTAlgebra, build_double
+from .hopf import DOUBLE_DIM_BOUND, QTAlgebra, build_double
 from .verify import summarize, verify_identities
-
-DEFAULT_MAX_DIM = 400
 
 
 @dataclass
 class RunConfig:
     group_spec: str = ""
-    max_algebra_dim: int = DEFAULT_MAX_DIM
+    max_algebra_dim: int = DOUBLE_DIM_BOUND
     cache_dir: Path = field(default_factory=default_cache_dir)
     output_format: str = "text"
     suite: str = "full"
@@ -55,7 +53,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="group spec: a catalog name, perm:..., or cayley:...")
     common.add_argument("--format", default="text",
                         choices=("text", "json", "dot"))
-    common.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
+    common.add_argument("--max-dim", type=int, default=DOUBLE_DIM_BOUND,
                         metavar="N", help="largest algebra dimension to build")
     common.add_argument("--cache", default=None, metavar="DIR",
                         help="cache directory (HOPFCAT_CACHE overrides the default)")

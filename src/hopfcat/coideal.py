@@ -14,16 +14,18 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .cyclo import CycloNumber, ONE, ZERO
-from .errors import (InternalMismatch, InvariantViolation, NoIntegral,
-                     PreconditionViolated)
+from .cyclo import CycloNumber, ONE
+from .errors import (InternalMismatch, NoIntegral, PreconditionViolated,
+                     require)
 from .groups import (Group, Subgroup, commutator_subgroup, commute_elementwise,
                      exponent_tables, normal_subgroups, quotient_group,
                      subgroup_generated)
-from .hopf import (QTAlgebra, Subspace, apply_antipode, counit_value,
-                   delta_of, drinfeld_map, func_harpoon_left, is_left_coideal,
-                   mul_rows, pair_eval)
-from .linalg import Echelon, Row, intersect, nullspace, row_addmul, row_scale
+from .hopf import (QTAlgebra, Subspace, adjoint, apply_antipode, convolve,
+                   counit_value, drinfeld_map, func_harpoon_left,
+                   is_left_coideal, leg_slices, mul_rows, pair_eval,
+                   right_adjoint)
+from .linalg import (Echelon, Row, acc, intersect, nullspace, row_addmul,
+                     row_scale)
 
 
 @dataclass(frozen=True)
@@ -172,26 +174,17 @@ class CoidealSubalgebra:
 
 
 def _verify_coideal(A: QTAlgebra, space: Subspace) -> None:
-    _req(space.contains(A.unit_row), "coideal misses the unit")
+    require(space.contains(A.unit_row), "coideal misses the unit")
     rows = space.rows
     for a in rows:
         for b in rows:
-            _req(space.contains(mul_rows(A, a, b)),
-                 "coideal is not closed under the product")
-    _req(is_left_coideal(A, space), "subspace is not a left coideal")
+            require(space.contains(mul_rows(A, a, b)),
+                    "coideal is not closed under the product")
+    require(is_left_coideal(A, space), "subspace is not a left coideal")
     for row in rows:
         for x in range(A.dim):
-            adj: Row = {}
-            for xi, xj in A.delta[x]:
-                part = mul_rows(A, mul_rows(A, A.basis(xi), row),
-                                A.basis(A.s_idx[xj]))
-                adj = row_addmul(adj, part, ONE)
-            _req(space.contains(adj), "coideal is not stable under the adjoint action")
-
-
-def _req(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvariantViolation(msg)
+            require(space.contains(adjoint(A, x, row)),
+                    "coideal is not stable under the adjoint action")
 
 
 def coideal_integral(A: QTAlgebra, space: Subspace) -> Row:
@@ -205,12 +198,7 @@ def coideal_integral(A: QTAlgebra, space: Subspace) -> Row:
             prod = mul_rows(A, ell, cand)
             diff = row_addmul(prod, cand, -epsl)
             for slot, c in diff.items():
-                row = eqs.setdefault((li, slot), {})
-                w = row.get(ci, ZERO) + c
-                if w:
-                    row[ci] = w
-                else:
-                    row.pop(ci, None)
+                acc(eqs.setdefault((li, slot), {}), ci, c)
     combos = nullspace(list(eqs.values()), d)
     best = None
     for combo in combos:
@@ -223,10 +211,10 @@ def coideal_integral(A: QTAlgebra, space: Subspace) -> Row:
             break
     if best is None or len(combos) != 1:
         raise NoIntegral("coideal has no unique normalizable integral")
-    _req(mul_rows(A, best, best) == best, "coideal integral is not idempotent")
+    require(mul_rows(A, best, best) == best, "coideal integral is not idempotent")
     for ell in rows:
-        _req(mul_rows(A, ell, best) == row_scale(best, counit_value(A, ell)),
-             "coideal integral is not a left integral")
+        require(mul_rows(A, ell, best) == row_scale(best, counit_value(A, ell)),
+                "coideal integral is not a left integral")
     return best
 
 
@@ -262,8 +250,8 @@ def build_coideal(A: QTAlgebra, M: Subgroup, H: Subgroup,
                 row[A.pair_index(G.mul(m, s), h)] = v
             rows.append(row)
     space = Subspace(rows, A.dim)
-    _req(space.dim == len(H.members) * len(cosets),
-         "twisted sums are not linearly independent")
+    require(space.dim == len(H.members) * len(cosets),
+            "twisted sums are not linearly independent")
     return _wrap(A, space, M.members, H.members, bc)
 
 
@@ -322,10 +310,9 @@ def enumerate_coideals(A: QTAlgebra) -> list[CoidealSubalgebra]:
 def coideal_from_space(A: QTAlgebra, space: Subspace) -> CoidealSubalgebra:
     """Wrap a subspace as a verified coideal, reusing a catalog entry when
     the same space was already enumerated."""
-    if "coideals" in A._cache or A.kind in ("double", "group"):
-        for L in enumerate_coideals(A):
-            if L.dim == space.dim and L.space == space:
-                return L
+    for L in enumerate_coideals(A):
+        if L.dim == space.dim and L.space == space:
+            return L
     return _wrap(A, space)
 
 
@@ -353,7 +340,7 @@ def coideal_product(A: QTAlgebra, L1: CoidealSubalgebra,
     space = Subspace(_span_product(A, L1, L2).rows(), A.dim)
     if space.dim < A.dim:
         sym = Subspace(_span_product(A, L1, L2, reverse=True).rows(), A.dim)
-        _req(space == sym, "coideal product is not symmetric")
+        require(space == sym, "coideal product is not symmetric")
     return coideal_from_space(A, space)
 
 
@@ -381,13 +368,8 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Subspace:
     for ell in L.space.rows:
         epsl = counit_value(A, ell)
         for k in range(A.dim):
-            prod = mul_rows(A, A.basis(k), ell)
-            row = dict(prod)
-            w = row.get(k, ZERO) - epsl
-            if w:
-                row[k] = w
-            else:
-                row.pop(k, None)
+            row = mul_rows(A, A.basis(k), ell)
+            acc(row, k, -epsl)
             if row:
                 eqs.append(row)
     direct = Subspace(nullspace(eqs, A.dim), A.dim)
@@ -395,8 +377,8 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Subspace:
                         for k in range(A.dim)], A.dim)
     if direct != shifted:
         raise InternalMismatch("two descriptions of (A//L)* disagree")
-    _req(A.dim % L.dim == 0 and direct.dim == A.dim // L.dim,
-         "(A//L)* has the wrong dimension")
+    require(A.dim % L.dim == 0 and direct.dim == A.dim // L.dim,
+            "(A//L)* has the wrong dimension")
     cache[ck] = direct
     return direct
 
@@ -413,7 +395,7 @@ def augmentation_ideal(A: QTAlgebra, L: CoidealSubalgebra) -> Subspace:
     one_minus = row_addmul(A.unit_row, L.integral, -ONE)
     rows = [mul_rows(A, A.basis(k), one_minus) for k in range(A.dim)]
     space = Subspace(rows, A.dim)
-    _req(space.dim == A.dim - A.dim // L.dim, "A L+ has the wrong dimension")
+    require(space.dim == A.dim - A.dim // L.dim, "A L+ has the wrong dimension")
     return space
 
 
@@ -425,18 +407,7 @@ def recover_from_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Subspace:
         f1 = pair_eval(f, A.unit_row)
         for k in range(A.dim):
             g = {k: ONE}
-            conv: Row = {}
-            for m in range(A.dim):
-                acc = None
-                for i, j in A.delta[m]:
-                    if i != k:
-                        continue
-                    fj = f.get(j)
-                    if fj:
-                        acc = fj if acc is None else acc + fj
-                if acc:
-                    conv[m] = acc
-            row = row_addmul(conv, g, -f1)
+            row = row_addmul(convolve(A, g, f), g, -f1)
             if row:
                 constraints.append(row)
     return Subspace(nullspace(constraints, A.dim), A.dim)
@@ -449,37 +420,12 @@ def is_normal_hopf_subalgebra(A: QTAlgebra, L: CoidealSubalgebra) -> bool:
     for row in space.rows:
         if not space.contains(apply_antipode(A, row)):
             return False
-        left_slices: dict[int, Row] = {}
-        right_slices: dict[int, Row] = {}
-        for (i, j), c in delta_of(A, row).items():
-            sl = left_slices.setdefault(i, {})
-            w = sl.get(j, ZERO) + c
-            if w:
-                sl[j] = w
-            else:
-                sl.pop(j, None)
-            sr = right_slices.setdefault(j, {})
-            w = sr.get(i, ZERO) + c
-            if w:
-                sr[i] = w
-            else:
-                sr.pop(i, None)
-        for sl in left_slices.values():
-            if sl and not space.contains(sl):
-                return False
-        for sr in right_slices.values():
-            if sr and not space.contains(sr):
-                return False
+        left, right = leg_slices(A, row)
+        if not all(space.contains(sl) for sl in left + right):
+            return False
         for x in range(A.dim):
-            adj: Row = {}
-            radj: Row = {}
-            for xi, xj in A.delta[x]:
-                part = mul_rows(A, mul_rows(A, A.basis(xi), row),
-                                A.basis(A.s_idx[xj]))
-                adj = row_addmul(adj, part, ONE)
-                part = mul_rows(A, mul_rows(A, A.basis(A.s_idx[xi]), row),
-                                A.basis(xj))
-                radj = row_addmul(radj, part, ONE)
+            adj = adjoint(A, x, row)
+            radj = right_adjoint(A, x, row)
             if not (space.contains(adj) and space.contains(radj)):
                 return False
     return True

@@ -23,12 +23,13 @@ from .coideal import (Bicharacter, CoidealSubalgebra, bichar_label,
 from .cyclo import CycloNumber, ONE, ZERO
 from .errors import (InternalMismatch, InvariantViolation,
                      MethodPreconditionViolated, NonIntegerMultiplicity,
-                     NotClosed, OracleMismatch, PreconditionViolated)
-from .groups import Subgroup, centralizer_subgroup, normal_subgroups
+                     NotClosed, OracleMismatch, PreconditionViolated, require)
+from .groups import (Subgroup, centralizer_subgroup, commute_elementwise,
+                     normal_subgroups)
 from .hopf import (QTAlgebra, Subspace, all_classes, char_ring_idempotents,
                    convolve, drinfeld_map, dual_character, integrals,
                    pair_eval)
-from .linalg import Row, nullspace, row_scale
+from .linalg import Echelon, Row, acc, intersect, nullspace, row_scale
 from .reps import Matrix, mat_mul, matrix_irrep
 
 S_BOUND_TOL = 1e-9
@@ -76,11 +77,6 @@ class SimpleObject:
         return f"Simple({self.label()}, dim={self.dim})"
 
 
-def _req(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvariantViolation(msg)
-
-
 def _zero_matrix(m: Matrix | None) -> bool:
     return m is None or all(not v for row in m for v in row)
 
@@ -94,7 +90,7 @@ def _verify_module(A: QTAlgebra, s: SimpleObject) -> None:
     d = s.dim
     ident = _identity(d)
     acted = s.act(A.unit_row)
-    _req(tuple(tuple(r) for r in acted) == ident, "unit does not act as identity")
+    require(tuple(tuple(r) for r in acted) == ident, "unit does not act as identity")
     for k in range(A.dim):
         mk = s.matrices.get(k)
         for l in range(A.dim):
@@ -102,13 +98,13 @@ def _verify_module(A: QTAlgebra, s: SimpleObject) -> None:
             t = A.prod_idx[k][l]
             mt = s.matrices.get(t) if t >= 0 else None
             if mk is None or ml is None:
-                _req(_zero_matrix(mt), "module action is not multiplicative")
+                require(_zero_matrix(mt), "module action is not multiplicative")
             else:
                 prod = mat_mul(mk, ml)
                 if mt is None:
-                    _req(_zero_matrix(prod), "module action is not multiplicative")
+                    require(_zero_matrix(prod), "module action is not multiplicative")
                 else:
-                    _req(prod == mt, "module action is not multiplicative")
+                    require(prod == mt, "module action is not multiplicative")
 
 
 def _induced_simples(A: QTAlgebra, ci: int, a: int,
@@ -190,7 +186,7 @@ def _frobenius_check(A: QTAlgebra, s: SimpleObject, reps: list[int],
             y = G.conj(G.inv[t], g)
             if y in members:
                 rhs = rhs + ctab.value_at(s.rep_index, pos[y])
-        _req(lhs == corder * rhs, "induced character mismatch")
+        require(lhs == corder * rhs, "induced character mismatch")
 
 
 def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
@@ -216,8 +212,8 @@ def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
             simples.append(s)
     else:
         raise PreconditionViolated("no simple module catalog for this kind")
-    _req(sum(s.dim * s.dim for s in simples) == A.dim,
-         "squared dimensions of the simples do not sum to dim A")
+    require(sum(s.dim * s.dim for s in simples) == A.dim,
+            "squared dimensions of the simples do not sum to dim A")
     lam, _ = integrals(A)
     pairs = _integral_pairs(A, lam)
     for i, si in enumerate(simples):
@@ -225,7 +221,7 @@ def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
         for j, sj in enumerate(simples):
             got = _pair_form(pairs, dchar, sj.character)
             want = ONE if i == j else ZERO
-            _req(got == want, "simple characters are not orthonormal")
+            require(got == want, "simple characters are not orthonormal")
     A._cache["simples"] = simples
     return simples
 
@@ -266,7 +262,7 @@ def dual_index(A: QTAlgebra) -> list[int]:
     for s in simples:
         d = dual_character(A, s.character)
         matches = [j for j, t in enumerate(simples) if t.character == d]
-        _req(len(matches) == 1, "dual character matches no unique simple")
+        require(len(matches) == 1, "dual character matches no unique simple")
         out.append(matches[0])
     return out
 
@@ -287,18 +283,7 @@ def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
     for i in range(r):
         row_i = []
         for j in range(r):
-            conv: Row = {}
-            for m in range(A.dim):
-                acc = None
-                for l, rr in A.delta[m]:
-                    fl = simples[i].character.get(l)
-                    if not fl:
-                        continue
-                    gr = simples[j].character.get(rr)
-                    if gr:
-                        acc = fl * gr if acc is None else acc + fl * gr
-                if acc:
-                    conv[m] = acc
+            conv = convolve(A, simples[i].character, simples[j].character)
             row_j = []
             for k in range(r):
                 v = _pair_form(pairs, conv,
@@ -309,11 +294,11 @@ def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
                 if q.denominator != 1 or q < 0:
                     raise NonIntegerMultiplicity(f"N[{i}][{j}][{k}] = {q}")
                 row_j.append(int(q))
-            _req(row_j[0] == (1 if dual[i] == j else 0),
-                 "multiplicity of the unit violates duality")
-            _req(sum(n * simples[k].dim for k, n in enumerate(row_j))
-                 == simples[i].dim * simples[j].dim,
-                 "fusion multiplicities do not account for the dimension")
+            require(row_j[0] == (1 if dual[i] == j else 0),
+                    "multiplicity of the unit violates duality")
+            require(sum(n * simples[k].dim for k, n in enumerate(row_j))
+                    == simples[i].dim * simples[j].dim,
+                    "fusion multiplicities do not account for the dimension")
             row_i.append(row_j)
         table.append(row_i)
     A._cache["fusion"] = table
@@ -411,17 +396,16 @@ def smatrix(A: QTAlgebra) -> SMatrix:
                                "neither index convention")
 
     for j in range(r):
-        _req(entries[0][j] == CycloNumber.rational(simples[j].dim),
-             "first S-matrix row is not the dimension vector")
+        require(entries[0][j] == CycloNumber.rational(simples[j].dim),
+                "first S-matrix row is not the dimension vector")
     for i in range(r):
         for j in range(r):
-            _req(entries[i][j] == entries[j][i], "S-matrix is not symmetric")
+            require(entries[i][j] == entries[j][i], "S-matrix is not symmetric")
             z = entries[i][j].to_complex()
             bound = simples[i].dim * simples[j].dim
-            _req(abs(z) <= bound + S_BOUND_TOL,
-                 "S-matrix entry exceeds the dimension bound")
+            require(abs(z) <= bound + S_BOUND_TOL,
+                    "S-matrix entry exceeds the dimension bound")
 
-    from .linalg import Echelon
     ech = Echelon(r)
     for row in entries:
         ech.insert({k: v for k, v in enumerate(row) if v})
@@ -520,7 +504,7 @@ def subcat_from_triple(A: QTAlgebra, M: Subgroup, H: Subgroup,
             sel.append(s.index)
     sub = _mk_subcat(A, sel, M.members, H.members, bc)
     want = len(M.members) * (A.group.n // len(H.members))
-    _req(sub.fpdim == want, "S(M,H,lambda) has the wrong dimension")
+    require(sub.fpdim == want, "S(M,H,lambda) has the wrong dimension")
     L = build_coideal(A, M, H, bc.inverse())
     quot = quotient_irreps(A, L)
     if quot.indices != sub.indices:
@@ -539,13 +523,13 @@ def quotient_irreps(A: QTAlgebra, L: CoidealSubalgebra) -> FusionSubcat:
         if not v.is_rational():
             raise InvariantViolation("integral has irrational trace")
         q = v.rational_value()
-        _req(q.denominator == 1 and 0 <= q <= s.dim,
-             "invariant count out of range")
+        require(q.denominator == 1 and 0 <= q <= s.dim,
+                "invariant count out of range")
         if q == s.dim:
             sel.append(s.index)
     sub = _mk_subcat(A, sel, coideal=L)
-    _req(A.dim % L.dim == 0 and sub.fpdim == A.dim // L.dim,
-         "quotient category has the wrong dimension")
+    require(A.dim % L.dim == 0 and sub.fpdim == A.dim // L.dim,
+            "quotient category has the wrong dimension")
     return sub
 
 
@@ -561,11 +545,7 @@ def quotient_integral(A: QTAlgebra, L: CoidealSubalgebra) -> Row:
     for i in quotient_irreps(A, L).indices:
         c = scale * CycloNumber.rational(simples[i].dim)
         for k, v in simples[i].character.items():
-            acc = lam.get(k, ZERO) + c * v
-            if acc:
-                lam[k] = acc
-            else:
-                lam.pop(k, None)
+            acc(lam, k, c * v)
     if pair_eval(lam, A.unit_row) != ONE:
         raise InvariantViolation("quotient integral is not normalized")
     dual = quotient_dual(A, L)
@@ -588,7 +568,6 @@ def enumerate_subcats(A: QTAlgebra) -> list[FusionSubcat]:
     found: dict[tuple[int, ...], FusionSubcat] = {}
     if A.kind == "double":
         normals = normal_subgroups(G)
-        from .groups import commute_elementwise
         for M in normals:
             for H in normals:
                 if not commute_elementwise(M, H):
@@ -712,20 +691,10 @@ def left_kernel(A: QTAlgebra, s: SimpleObject) -> Subspace:
                 for q in range(d):
                     v = m[p][q]
                     if v:
-                        row = eqs.setdefault((l, p, q), {})
-                        w = row.get(k, ZERO) + v
-                        if w:
-                            row[k] = w
-                        else:
-                            row.pop(k, None)
+                        acc(eqs.setdefault((l, p, q), {}), k, v)
     for k in range(A.dim):
         for p in range(d):
-            row = eqs.setdefault((k, p, p), {})
-            w = row.get(k, ZERO) - ONE
-            if w:
-                row[k] = w
-            else:
-                row.pop(k, None)
+            acc(eqs.setdefault((k, p, p), {}), k, -ONE)
     return Subspace(nullspace(list(eqs.values()), A.dim), A.dim)
 
 
@@ -749,5 +718,4 @@ def generated_subcategory(A: QTAlgebra, indices) -> FusionSubcat:
 
 
 def _meet(A: QTAlgebra, x: Subspace, y: Subspace) -> Subspace:
-    from .linalg import intersect
     return Subspace(intersect(x.rows, y.rows, A.dim), A.dim)

@@ -7,10 +7,11 @@ whose tensor terms all carry coefficient one, and permute the basis
 under the antipode.  Every Hopf and R-matrix axiom therefore reduces
 to integer table scans, cheap enough to run at construction time.
 
-Elements live in the algebra A, functionals in its dual A*; both are
-sparse dicts from basis index to cyclotomic coefficient.  The Drinfeld
+Elements of A and functionals in its dual A* are both plain sparse
+rows, dicts from basis index to cyclotomic coefficient.  The Drinfeld
 map phi_R(f) = f(Q^1)Q^2 built from the monodromy Q = R21*R is the
-bridge between the two sides.
+bridge between the two sides; it and its companion maps are fixed
+(src, dst, coeff) tables applied with linalg.apply_pairs.
 """
 
 from __future__ import annotations
@@ -22,20 +23,15 @@ from fractions import Fraction
 
 from .cyclo import CycloNumber, ONE, ZERO, as_cyclo
 from .errors import (BoundExceeded, InconsistentCharacters,
-                     InvariantViolation, NoIntegral, NotFactorizable)
+                     InvariantViolation, NoIntegral, NotFactorizable, require)
 from .groups import Group
-from .linalg import (Echelon, Row, nullspace, row_addmul, row_scale, rref,
+from .linalg import (Echelon, Row, acc, apply_pairs, row_addmul, row_scale,
                      solve_linear, subspace_key)
 
 DOUBLE_DIM_BOUND = 144
 _ASSOC_BUDGET = 3_000_000
 _SAMPLE_TRIPLES = 200_000
 _SAMPLE_PAIRS = 20_000
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvariantViolation(msg)
 
 
 class Subspace:
@@ -61,9 +57,6 @@ class Subspace:
 
     def contains(self, row: Row) -> bool:
         return self._ech.contains(row)
-
-    def coords(self, row: Row):
-        return self._ech.coords(row)
 
     def key(self) -> tuple:
         return subspace_key(self.rows, self.ncols, assume_rref=True)
@@ -112,9 +105,6 @@ class QTAlgebra:
     def pair_index(self, g: int, h: int) -> int:
         return g * self.group.n + h
 
-    def pair_of(self, k: int) -> tuple[int, int]:
-        return divmod(k, self.group.n)
-
     def basis(self, k: int) -> Row:
         return {k: ONE}
 
@@ -160,58 +150,6 @@ class QTAlgebra:
         return f"QTAlgebra({self.name}, dim={self.dim})"
 
 
-@dataclass
-class AlgebraElement:
-    parent: QTAlgebra
-    coeffs: Row
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.parent, row_addmul(self.coeffs, other.coeffs, ONE))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.parent, row_addmul(self.coeffs, other.coeffs, -ONE))
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return AlgebraElement(self.parent,
-                                  mul_rows(self.parent, self.coeffs, other.coeffs))
-        return AlgebraElement(self.parent, row_scale(self.coeffs, as_cyclo(other)))
-
-    __rmul__ = __mul__
-
-    def antipode(self) -> "AlgebraElement":
-        return AlgebraElement(self.parent, apply_antipode(self.parent, self.coeffs))
-
-    def counit(self) -> CycloNumber:
-        return counit_value(self.parent, self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AlgebraElement) and self.parent is other.parent
-                and self.coeffs == other.coeffs)
-
-    __hash__ = None
-
-
-@dataclass
-class Functional:
-    parent: QTAlgebra
-    coeffs: Row
-
-    def __call__(self, elem) -> CycloNumber:
-        row = elem.coeffs if isinstance(elem, AlgebraElement) else elem
-        return pair_eval(self.coeffs, row)
-
-    def __mul__(self, other: "Functional") -> "Functional":
-        return Functional(self.parent,
-                          convolve(self.parent, self.coeffs, other.coeffs))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Functional) and self.parent is other.parent
-                and self.coeffs == other.coeffs)
-
-    __hash__ = None
-
-
 # --- elementary operations ---------------------------------------------
 
 
@@ -228,6 +166,7 @@ def pair_eval(f: Row, a: Row) -> CycloNumber:
 
 
 def mul_rows(A: QTAlgebra, a: Row, b: Row) -> Row:
+    # hot kernel: kept inline, as a call to acc per term costs a few percent
     out: Row = {}
     prod = A.prod_idx
     for i, ai in a.items():
@@ -266,12 +205,7 @@ def delta_of(A: QTAlgebra, a: Row) -> dict[tuple[int, int], CycloNumber]:
     out: dict[tuple[int, int], CycloNumber] = {}
     for k, v in a.items():
         for t in A.delta[k]:
-            w = out.get(t)
-            s = v if w is None else w + v
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
+            acc(out, t, v)
     return out
 
 
@@ -281,33 +215,39 @@ def harpoon_left(A: QTAlgebra, a: Row, f: Row) -> Row:
     for k, v in a.items():
         for i, j in A.delta[k]:
             fi = f.get(i)
-            if not fi:
-                continue
-            c = v * fi
-            w = out.get(j)
-            s = c if w is None else w + c
-            if s:
-                out[j] = s
-            else:
-                out.pop(j, None)
+            if fi:
+                acc(out, j, v * fi)
     return out
 
 
-def harpoon_right(A: QTAlgebra, f: Row, a: Row) -> Row:
-    """f -> a = a_1 f(a_2)."""
+def leg_slices(A: QTAlgebra, a: Row) -> tuple[list[Row], list[Row]]:
+    """Delta(a) cut along each leg: the l_i in sum_i e_i x l_i and the r_j
+    in sum_j r_j x e_j."""
+    left: dict[int, Row] = {}
+    right: dict[int, Row] = {}
+    # delta_of has one nonzero entry per (i, j), so nothing sums here
+    for (i, j), c in delta_of(A, a).items():
+        left.setdefault(i, {})[j] = c
+        right.setdefault(j, {})[i] = c
+    return list(left.values()), list(right.values())
+
+
+def adjoint(A: QTAlgebra, x: int, a: Row) -> Row:
+    """x_1 a S(x_2), the left adjoint action of the basis element x."""
+    return _sandwich(A, [(i, A.s_idx[j]) for i, j in A.delta[x]], a)
+
+
+def right_adjoint(A: QTAlgebra, x: int, a: Row) -> Row:
+    """S(x_1) a x_2, the right adjoint action of the basis element x."""
+    return _sandwich(A, [(A.s_idx[i], j) for i, j in A.delta[x]], a)
+
+
+def _sandwich(A: QTAlgebra, pairs: list[tuple[int, int]], a: Row) -> Row:
+    """The sum of e_l a e_r over the (l, r) index pairs."""
     out: Row = {}
-    for k, v in a.items():
-        for i, j in A.delta[k]:
-            fj = f.get(j)
-            if not fj:
-                continue
-            c = v * fj
-            w = out.get(i)
-            s = c if w is None else w + c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
+    for l, r in pairs:
+        part = mul_rows(A, mul_rows(A, A.basis(l), a), A.basis(r))
+        out = row_addmul(out, part, ONE)
     return out
 
 
@@ -332,28 +272,9 @@ def func_harpoon_left(A: QTAlgebra, x: Row, f: Row) -> Row:
     return out
 
 
-def func_harpoon_right(A: QTAlgebra, f: Row, x: Row) -> Row:
-    """f <- x, the functional a |-> f(x a)."""
-    out: Row = {}
-    prod = A.prod_idx
-    for k in range(A.dim):
-        acc = None
-        for m, xm in x.items():
-            t = prod[m][k]
-            if t < 0:
-                continue
-            ft = f.get(t)
-            if not ft:
-                continue
-            c = xm * ft
-            acc = c if acc is None else acc + c
-        if acc:
-            out[k] = acc
-    return out
-
-
 def convolve(A: QTAlgebra, f: Row, g: Row) -> Row:
     """f * g in A*, dual to the coproduct of A."""
+    # hot kernel: kept inline, as a call to acc per term costs a few percent
     out: Row = {}
     for k, terms in enumerate(A.delta):
         acc = None
@@ -462,14 +383,14 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
     prod = A.prod_idx
     rnd = random.Random(seed)
 
-    _require(sorted(A.s_idx) == list(range(dim)), "antipode is not a bijection")
+    require(sorted(A.s_idx) == list(range(dim)), "antipode is not a bijection")
     for row in prod:
-        _require(all(-1 <= k < dim for k in row), "product table out of range")
+        require(all(-1 <= k < dim for k in row), "product table out of range")
 
     # unit
     for x in range(dim):
-        _require(mul_rows(A, A.unit_row, A.basis(x)) == A.basis(x), "unit fails on the left")
-        _require(mul_rows(A, A.basis(x), A.unit_row) == A.basis(x), "unit fails on the right")
+        require(mul_rows(A, A.unit_row, A.basis(x)) == A.basis(x), "unit fails on the left")
+        require(mul_rows(A, A.basis(x), A.unit_row) == A.basis(x), "unit fails on the right")
 
     # associativity on basis triples
     if dim ** 3 <= _ASSOC_BUDGET:
@@ -483,16 +404,16 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
         left = -1 if k < 0 else prod[k][l]
         m = prod[j][l]
         right = -1 if m < 0 else prod[i][m]
-        _require(left == right, f"associativity fails at ({i},{j},{l})")
+        require(left == right, f"associativity fails at ({i},{j},{l})")
 
     # counit is an algebra map
     eps = A.counit
     for i in range(dim):
         for j in range(dim):
             k = prod[i][j]
-            _require((0 if k < 0 else eps[k]) == eps[i] * eps[j],
-                     "counit is not multiplicative")
-    _require(counit_value(A, A.unit_row) == ONE, "counit of 1 is not 1")
+            require((0 if k < 0 else eps[k]) == eps[i] * eps[j],
+                    "counit is not multiplicative")
+    require(counit_value(A, A.unit_row) == ONE, "counit of 1 is not 1")
 
     # counit and coassociativity axioms
     for k in range(dim):
@@ -500,12 +421,12 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
         right: Row = {}
         for i, j in A.delta[k]:
             if eps[i]:
-                left[j] = left.get(j, ZERO) + ONE
+                acc(left, j, ONE)
             if eps[j]:
-                right[i] = right.get(i, ZERO) + ONE
+                acc(right, i, ONE)
         want = {k: ONE}
-        _require({m: v for m, v in left.items() if v} == want, "left counit axiom fails")
-        _require({m: v for m, v in right.items() if v} == want, "right counit axiom fails")
+        require(left == want, "left counit axiom fails")
+        require(right == want, "right counit axiom fails")
         lhs: Counter = Counter()
         rhs: Counter = Counter()
         for i, j in A.delta[k]:
@@ -513,7 +434,7 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
                 lhs[(a, b, j)] += 1
             for a, b in A.delta[j]:
                 rhs[(i, a, b)] += 1
-        _require(lhs == rhs, f"coassociativity fails at {k}")
+        require(lhs == rhs, f"coassociativity fails at {k}")
 
     # coproduct is an algebra map
     max_delta = max(len(t) for t in A.delta)
@@ -535,42 +456,34 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
                 got[(u, v)] += 1
         k = prod[x][y]
         want = Counter() if k < 0 else Counter(A.delta[k])
-        _require(got == want, f"coproduct not multiplicative at ({x},{y})")
+        require(got == want, f"coproduct not multiplicative at ({x},{y})")
     got_unit: Counter = Counter()
     for k in A.unit_row:
         got_unit.update(A.delta[k])
-    _require(got_unit == _tensor_square(A, A.unit_row), "coproduct of 1 is not 1 x 1")
+    require(got_unit == _tensor_square(A, A.unit_row), "coproduct of 1 is not 1 x 1")
 
     # antipode
     s = A.s_idx
     for i in range(dim):
         for j in range(dim):
             k = prod[i][j]
-            _require((-1 if k < 0 else s[k]) == prod[s[j]][s[i]],
-                     "antipode is not an antihomomorphism")
-    _require(apply_antipode(A, A.unit_row) == A.unit_row, "antipode moves 1")
-    _require(all(eps[s[k]] == eps[k] for k in range(dim)), "counit not antipode-invariant")
+            require((-1 if k < 0 else s[k]) == prod[s[j]][s[i]],
+                    "antipode is not an antihomomorphism")
+    require(apply_antipode(A, A.unit_row) == A.unit_row, "antipode moves 1")
+    require(all(eps[s[k]] == eps[k] for k in range(dim)), "counit not antipode-invariant")
     for k in range(dim):
         acc_l: Row = {}
         acc_r: Row = {}
         for i, j in A.delta[k]:
             u = prod[s[i]][j]
             if u >= 0:
-                w = acc_l.get(u, ZERO) + ONE
-                if w:
-                    acc_l[u] = w
-                else:
-                    acc_l.pop(u, None)
+                acc(acc_l, u, ONE)
             v = prod[i][s[j]]
             if v >= 0:
-                w = acc_r.get(v, ZERO) + ONE
-                if w:
-                    acc_r[v] = w
-                else:
-                    acc_r.pop(v, None)
+                acc(acc_r, v, ONE)
         want = {m: ONE for m in A.unit_row} if eps[k] else {}
-        _require(acc_l == want, f"left antipode axiom fails at {k}")
-        _require(acc_r == want, f"right antipode axiom fails at {k}")
+        require(acc_l == want, f"left antipode axiom fails at {k}")
+        require(acc_r == want, f"right antipode axiom fails at {k}")
 
     # R-matrix axioms
     r = A.r_terms
@@ -584,7 +497,7 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
     for i, j in r:
         for a, b in A.delta[i]:
             rhs_d1[(a, b, j)] += 1
-    _require(lhs13_23 == rhs_d1, "(Delta x id)(R) != R13 R23")
+    require(lhs13_23 == rhs_d1, "(Delta x id)(R) != R13 R23")
 
     lhs13_12: Counter = Counter()
     for i1, j1 in r:   # R13
@@ -596,7 +509,7 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
     for i, j in r:
         for a, b in A.delta[j]:
             rhs_d2[(i, a, b)] += 1
-    _require(lhs13_12 == rhs_d2, "(id x Delta)(R) != R13 R12")
+    require(lhs13_12 == rhs_d2, "(id x Delta)(R) != R13 R12")
 
     for x in range(dim):
         lhs: Counter = Counter()
@@ -611,7 +524,7 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
                 v = prod[j][b]
                 if u >= 0 and v >= 0:
                     rhs[(u, v)] += 1
-        _require(lhs == rhs, f"R does not intertwine the coproducts at {x}")
+        require(lhs == rhs, f"R does not intertwine the coproducts at {x}")
 
     rinv = [(s[i], j) for i, j in r]
     prod_rr: Counter = Counter()
@@ -621,7 +534,7 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
             v = prod[j1][j2]
             if u >= 0 and v >= 0:
                 prod_rr[(u, v)] += 1
-    _require(prod_rr == _tensor_square(A, A.unit_row), "(S x id)(R) is not inverse to R")
+    require(prod_rr == _tensor_square(A, A.unit_row), "(S x id)(R) is not inverse to R")
 
 
 # --- integrals ----------------------------------------------------------
@@ -632,16 +545,13 @@ def integrals(A: QTAlgebra) -> tuple[Row, Row]:
     if "integrals" in A._cache:
         return A._cache["integrals"]
     n = A.group.n
+    frac = as_cyclo(Fraction(1, n))
     if A.kind == "double":
-        frac = as_cyclo(Fraction(1, n))
         lam = {A.pair_index(0, h): frac for h in range(n)}
         t = {A.pair_index(g, 0): frac for g in range(n)}
-    elif A.kind == "group":
-        frac = as_cyclo(Fraction(1, n))
+    else:  # "group", the only other kind; _check_integrals confirms both
         lam = {g: frac for g in range(n)}
         t = {0: ONE}
-    else:
-        lam, t = _solve_integrals(A)
     _check_integrals(A, lam, t)
     A._cache["integrals"] = (lam, t)
     return lam, t
@@ -663,78 +573,29 @@ def _check_integrals(A: QTAlgebra, lam: Row, t: Row) -> None:
         for i, j in A.delta[x]:
             ti = t.get(i)
             if ti:
-                left[j] = left.get(j, ZERO) + ti
+                acc(left, j, ti)
             tj = t.get(j)
             if tj:
-                right[i] = right.get(i, ZERO) + tj
+                acc(right, i, tj)
         want_f = row_scale(A.unit_row, tx)
-        if {k: v for k, v in left.items() if v} != want_f:
+        if left != want_f:
             raise NoIntegral(f"t is not a left cointegral (basis {x})")
-        if {k: v for k, v in right.items() if v} != want_f:
+        if right != want_f:
             raise NoIntegral(f"t is not a right cointegral (basis {x})")
     dim_inv = as_cyclo(Fraction(1, A.dim))
     if pair_eval(t, lam) != dim_inv:
         raise NoIntegral("t(Lambda) != 1/dim")
 
 
-def _solve_integrals(A: QTAlgebra) -> tuple[Row, Row]:
-    """Linear-solve fallback for algebras without a closed-form integral."""
-    dim = A.dim
-    eqs: dict[tuple[int, int], Row] = {}
-
-    def add(key: tuple[int, int], col: int, c: CycloNumber) -> None:
-        row = eqs.setdefault(key, {})
-        w = row.get(col, ZERO) + c
-        if w:
-            row[col] = w
-        else:
-            row.pop(col, None)
-
-    for x in range(dim):
-        epsx = as_cyclo(1 if A.counit[x] else 0)
-        for m in range(dim):
-            k = A.prod_idx[x][m]
-            if k >= 0:
-                add((2 * x, k), m, ONE)
-            add((2 * x, m), m, -epsx)
-            k = A.prod_idx[m][x]
-            if k >= 0:
-                add((2 * x + 1, k), m, ONE)
-            add((2 * x + 1, m), m, -epsx)
-    sol = nullspace(list(eqs.values()), dim)
-    lam = None
-    for v in sol:
-        if counit_value(A, v):
-            lam = row_scale(v, counit_value(A, v).inverse())
-            break
-    if lam is None:
-        raise NoIntegral("no normalizable two-sided integral in A")
-
-    eqs = {}
-    for x in range(dim):
-        for i, j in A.delta[x]:
-            add((2 * x, j), i, ONE)
-            add((2 * x + 1, i), j, ONE)
-        for slot, c in A.unit_row.items():
-            add((2 * x, slot), x, -c)
-            add((2 * x + 1, slot), x, -c)
-    sol = nullspace(list(eqs.values()), dim)
-    t = None
-    for v in sol:
-        nv = pair_eval(v, A.unit_row)
-        if nv:
-            t = row_scale(v, nv.inverse())
-            break
-    if t is None:
-        raise NoIntegral("no normalizable two-sided cointegral in A*")
-    return lam, t
-
-
 # --- Drinfeld map -------------------------------------------------------
 
 
 class DrinfeldMap:
-    """phi_R(f) = f(Q^1)Q^2 and its companions, for Q = R21 R."""
+    """phi_R(f) = f(Q^1)Q^2 and its companions, for Q = R21 R.
+
+    Each map is a fixed (src, dst, coeff) table built here once; the
+    reversed maps have tables of their own rather than a direction flag.
+    """
 
     def __init__(self, A: QTAlgebra):
         self.algebra = A
@@ -748,73 +609,34 @@ class DrinfeldMap:
                 b = prod[i1][j2]
                 if b < 0:
                     continue
-                w = q.get((a, b), ZERO) + ONE
-                if w:
-                    q[(a, b)] = w
-                else:
-                    q.pop((a, b), None)
+                acc(q, (a, b), ONE)
         self.q_terms = q
         if A.kind == "double":
             G = A.group
             want = {(A.pair_index(g, h), A.pair_index(G.conj(g, h), g)): ONE
                     for g in range(G.n) for h in range(G.n)}
-            _require(q == want, "monodromy of the double has unexpected terms")
+            require(q == want, "monodromy of the double has unexpected terms")
+        self._phi = [(a, b, c) for (a, b), c in q.items()]
+        self._rphi = [(b, a, c) for (a, b), c in q.items()]
+        self._f_r = [(i, j, ONE) for i, j in A.r_terms]
+        self._f_r21 = [(j, i, ONE) for i, j in A.r_terms]
         self._matrix: list[Row] | None = None
         self._rank: int | None = None
 
     def phi(self, f: Row) -> Row:
-        out: Row = {}
-        for (a, b), c in self.q_terms.items():
-            fa = f.get(a)
-            if not fa:
-                continue
-            w = out.get(b, ZERO) + c * fa
-            if w:
-                out[b] = w
-            else:
-                out.pop(b, None)
-        return out
+        return apply_pairs(self._phi, f)
 
     def rphi(self, f: Row) -> Row:
-        out: Row = {}
-        for (a, b), c in self.q_terms.items():
-            fb = f.get(b)
-            if not fb:
-                continue
-            w = out.get(a, ZERO) + c * fb
-            if w:
-                out[a] = w
-            else:
-                out.pop(a, None)
-        return out
+        """f(Q^2) Q^1."""
+        return apply_pairs(self._rphi, f)
 
     def f_r(self, f: Row) -> Row:
         """p(R^1) R^2."""
-        out: Row = {}
-        for i, j in self.algebra.r_terms:
-            fi = f.get(i)
-            if not fi:
-                continue
-            w = out.get(j, ZERO) + fi
-            if w:
-                out[j] = w
-            else:
-                out.pop(j, None)
-        return out
+        return apply_pairs(self._f_r, f)
 
     def f_r21(self, f: Row) -> Row:
         """p(R^2) R^1."""
-        out: Row = {}
-        for i, j in self.algebra.r_terms:
-            fj = f.get(j)
-            if not fj:
-                continue
-            w = out.get(i, ZERO) + fj
-            if w:
-                out[i] = w
-            else:
-                out.pop(i, None)
-        return out
+        return apply_pairs(self._f_r21, f)
 
     def matrix_rows(self) -> list[Row]:
         """Row i of the matrix of phi over the dual basis."""
@@ -931,13 +753,13 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
     total: Row = {}
     for j, fj in enumerate(F):
         total = row_addmul(total, fj, ONE)
-        _require(span.contains(fj), f"F_{j} is outside the character ring")
+        require(span.contains(fj), f"F_{j} is outside the character ring")
         for i, fi in enumerate(F):
             want = fj if i == j else {}
-            _require(convolve(A, fi, fj) == want,
-                     f"F_{i}, F_{j} are not orthogonal idempotents")
-    _require(total == eps_f, "character ring idempotents do not sum to eps")
-    _require(F[0] == t, "F_0 is not the integral of A*")
+            require(convolve(A, fi, fj) == want,
+                    f"F_{i}, F_{j} are not orthogonal idempotents")
+    require(total == eps_f, "character ring idempotents do not sum to eps")
+    require(F[0] == t, "F_0 is not the integral of A*")
 
     degrees = [pair_eval(chi, A.unit_row) for chi in chars]
     partition: list[list[int]] = []
@@ -950,14 +772,14 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
             c = pair_eval(chars[s], image) / degrees[s]
             if c == ZERO:
                 continue
-            _require(c == ONE, f"phi(F_{j}) has a non-idempotent coefficient")
+            require(c == ONE, f"phi(F_{j}) has a non-idempotent coefficient")
             block.append(s)
             rebuilt = row_addmul(rebuilt, E[s], ONE)
-        _require(rebuilt == image, f"phi(F_{j}) is not a sum of central idempotents")
-        _require(not (set(block) & seen), "partition blocks overlap")
+        require(rebuilt == image, f"phi(F_{j}) is not a sum of central idempotents")
+        require(not (set(block) & seen), "partition blocks overlap")
         seen.update(block)
         partition.append(block)
-    _require(len(seen) == r, "partition blocks do not cover all simples")
+    require(len(seen) == r, "partition blocks do not cover all simples")
     j_of = [-1] * r
     for j, block in enumerate(partition):
         for s in block:
@@ -972,18 +794,14 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
             for m, jj in by_left[k]:
                 c = fj.get(jj)
                 if c:
-                    w = row.get(m, ZERO) + c
-                    if w:
-                        row[m] = w
-                    else:
-                        row.pop(m, None)
+                    acc(row, m, c)
             ech.insert(row)
         size = ech.rank
-        _require(size > 0 and A.dim % size == 0,
-                 f"dim(A* F_{j}) = {size} does not divide {A.dim}")
+        require(size > 0 and A.dim % size == 0,
+                f"dim(A* F_{j}) = {size} does not divide {A.dim}")
         nj = A.dim // size
-        _require(pair_eval(fj, lam) == as_cyclo(Fraction(1, nj)),
-                 f"F_{j}(Lambda) != 1/{nj}")
+        require(pair_eval(fj, lam) == as_cyclo(Fraction(1, nj)),
+                f"F_{j}(Lambda) != 1/{nj}")
         n_values.append(nj)
     return CharRing(F, E, partition, j_of, n_values)
 
@@ -1006,18 +824,14 @@ def conjugacy_class(A: QTAlgebra, j: int, ring: CharRing) -> ConjClass:
         for m, i in by_right[k]:
             c = fj.get(i)
             if c:
-                w = u.get(m, ZERO) + c
-                if w:
-                    u[m] = w
-                else:
-                    u.pop(m, None)
+                acc(u, m, c)
         rows.append(harpoon_left(A, lam, u))
     space = Subspace(rows, A.dim)
     class_sum = row_scale(harpoon_left(A, lam, fj), as_cyclo(A.dim))
-    _require(space.contains(class_sum), "class sum is outside its class span")
+    require(space.contains(class_sum), "class sum is outside its class span")
     nj = ring.n_values[j]
-    _require(counit_value(A, class_sum) == as_cyclo(Fraction(A.dim, nj)),
-             f"eps(C_{j}) != dim/n_{j}")
+    require(counit_value(A, class_sum) == as_cyclo(Fraction(A.dim, nj)),
+            f"eps(C_{j}) != dim/n_{j}")
     return ConjClass(space, class_sum)
 
 
@@ -1030,8 +844,8 @@ def all_classes(A: QTAlgebra, ring: CharRing) -> list[ConjClass]:
             total += cls.space.dim
             for row in cls.space.rows:
                 ech.insert(row)
-        _require(total == A.dim and ech.rank == A.dim,
-                 "conjugacy classes do not decompose the algebra")
+        require(total == A.dim and ech.rank == A.dim,
+                "conjugacy classes do not decompose the algebra")
         A._cache["classes"] = classes
     return A._cache["classes"]
 
@@ -1039,17 +853,9 @@ def all_classes(A: QTAlgebra, ring: CharRing) -> list[ConjClass]:
 def is_left_coideal(A: QTAlgebra, space: Subspace) -> bool:
     """Delta(L) <= A x L, checked slice by slice on the left leg."""
     for row in space.rows:
-        slices: dict[int, Row] = {}
-        for (i, j), c in delta_of(A, row).items():
-            sl = slices.setdefault(i, {})
-            w = sl.get(j, ZERO) + c
-            if w:
-                sl[j] = w
-            else:
-                sl.pop(j, None)
-        for sl in slices.values():
-            if sl and not space.contains(sl):
-                return False
+        left, _ = leg_slices(A, row)
+        if not all(space.contains(sl) for sl in left):
+            return False
     return True
 
 
@@ -1060,12 +866,12 @@ def compute_K_A(A: QTAlgebra) -> Subspace:
         return A._cache["K_A"]
     dm = drinfeld_map(A)
     space = Subspace(_columns(dm.matrix_rows(), A.dim), A.dim)
-    _require(space.contains(A.unit_row), "K_A misses the unit")
+    require(space.contains(A.unit_row), "K_A misses the unit")
     for a in space.rows:
         for b in space.rows:
-            _require(space.contains(mul_rows(A, a, b)), "K_A is not closed under product")
-        _require(space.contains(apply_antipode(A, a)), "K_A is not antipode-stable")
-    _require(is_left_coideal(A, space), "K_A is not a left coideal")
+            require(space.contains(mul_rows(A, a, b)), "K_A is not closed under product")
+        require(space.contains(apply_antipode(A, a)), "K_A is not antipode-stable")
+    require(is_left_coideal(A, space), "K_A is not a left coideal")
     A._cache["K_A"] = space
     return space
 
@@ -1097,19 +903,19 @@ def verify_quasitriangular(A: QTAlgebra, chars: list[Row], ring: CharRing,
         img = dm.phi(chi)
         for x in range(A.dim):
             ex = A.basis(x)
-            _require(mul_rows(A, img, ex) == mul_rows(A, ex, img),
-                     "phi of a character is not central")
+            require(mul_rows(A, img, ex) == mul_rows(A, ex, img),
+                    "phi of a character is not central")
         for f in randoms:
-            _require(dm.phi(convolve(A, chi, f)) == mul_rows(A, img, dm.phi(f)),
-                     "phi is not multiplicative against the character ring")
-        _require(dm.rphi(chi) == img, "the two Drinfeld maps differ on a character")
+            require(dm.phi(convolve(A, chi, f)) == mul_rows(A, img, dm.phi(f)),
+                    "phi is not multiplicative against the character ring")
+        require(dm.rphi(chi) == img, "the two Drinfeld maps differ on a character")
 
     # rphi = S o phi o S* on the whole dual
     for k in range(A.dim):
         f = {k: ONE}
         fs = {A.s_idx[m]: c for m, c in f.items()}
-        _require(dm.rphi(f) == apply_antipode(A, dm.phi(fs)),
-                 "rphi != S phi S* on the dual basis")
+        require(dm.rphi(f) == apply_antipode(A, dm.phi(fs)),
+                "rphi != S phi S* on the dual basis")
 
     # phi is the convolution of the two half maps
     prod_pairs: list[list[tuple[int, int]]] = [[] for _ in range(A.dim)]
@@ -1119,18 +925,18 @@ def verify_quasitriangular(A: QTAlgebra, chars: list[Row], ring: CharRing,
             if k >= 0:
                 prod_pairs[k].append((i, j))
     for k in range(A.dim):
-        acc: Row = {}
+        got: Row = {}
         for i, j in prod_pairs[k]:
             part = mul_rows(A, dm.f_r21({i: ONE}), dm.f_r({j: ONE}))
-            acc = row_addmul(acc, part, ONE)
-        _require(acc == dm.phi({k: ONE}), "phi != f_R21 * f_R")
+            got = row_addmul(got, part, ONE)
+        require(got == dm.phi({k: ONE}), "phi != f_R21 * f_R")
 
     # the image of the dual integral matches block 0 of the partition
     img_t = dm.phi(t)
     want: Row = {}
     for s in ring.partition[0]:
         want = row_addmul(want, ring.central[s], ONE)
-    _require(img_t == want, "phi(t) is not the sum of block-0 idempotents")
+    require(img_t == want, "phi(t) is not the sum of block-0 idempotents")
 
     # class spans are stable under both double-sided actions
     classes = all_classes(A, ring)
@@ -1138,14 +944,9 @@ def verify_quasitriangular(A: QTAlgebra, chars: list[Row], ring: CharRing,
         space = cls.space
         for row in space.rows:
             for x in range(A.dim):
-                adj: Row = {}
-                for xi, xj in A.delta[x]:
-                    part = mul_rows(A, mul_rows(A, A.basis(xi), row),
-                                    A.basis(A.s_idx[xj]))
-                    adj = row_addmul(adj, part, ONE)
-                _require(space.contains(adj),
-                         "class span is not stable under the adjoint action")
+                require(space.contains(adjoint(A, x, row)),
+                        "class span is not stable under the adjoint action")
             for k in range(A.dim):
                 shifted = harpoon_left(A, row, {A.s_idx[k]: ONE})
-                _require(space.contains(shifted),
-                         "class span is not stable under dual translation")
+                require(space.contains(shifted),
+                        "class span is not stable under dual translation")

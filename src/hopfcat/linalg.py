@@ -4,15 +4,44 @@ Vectors are dicts mapping column index to a nonzero CycloNumber.  The
 workhorse is an incremental reduced row echelon form: since RREF of a
 subspace is unique, two subspaces are equal iff their echelon rows are
 equal, which gives cheap canonical keys for deduplication.
+
+Sparse accumulation goes through two helpers: acc adds one term into a
+row, and apply_pairs applies a fixed (src, dst, coeff) table to a vector.
+The hot kernels are the only exception: row_addmul (under Echelon),
+hopf.mul_rows and hopf.convolve keep their loops inline, because a call
+per term costs measurably there.  Accumulation order is part of the
+output, since the stored order of a CycloNumber depends on its chain of
+adds.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .cyclo import CycloNumber, ZERO, ONE, as_cyclo
+from .cyclo import CycloNumber, ZERO, ONE
 
 Row = dict[int, CycloNumber]
+
+
+def acc(row: dict, k, c: CycloNumber) -> None:
+    """row[k] += c in place, dropping the key on an exact zero."""
+    w = row.get(k)
+    s = c if w is None else w + c
+    if s:
+        row[k] = s
+    else:
+        row.pop(k, None)
+
+
+def apply_pairs(table, vec: Row) -> Row:
+    """Sum of c * vec[src] at index dst over the (src, dst, c) table
+    entries, accumulated in table order."""
+    out: Row = {}
+    for src, dst, c in table:
+        v = vec.get(src)
+        if v:
+            acc(out, dst, c * v)
+    return out
 
 
 def row_scale(row: Row, c: CycloNumber) -> Row:
@@ -23,6 +52,7 @@ def row_scale(row: Row, c: CycloNumber) -> Row:
 
 def row_addmul(row: Row, other: Row, c: CycloNumber) -> Row:
     """row + c*other, dropping exact zeros."""
+    # hot kernel: kept inline, as a call to acc per term costs a few percent
     if not c:
         return dict(row)
     out = dict(row)

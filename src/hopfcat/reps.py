@@ -18,7 +18,7 @@ from .cyclo import CycloNumber, ONE, as_cyclo
 from .errors import InvariantViolation, NoSplittingPair
 from .groups import (Group, Subgroup, commutator_subgroup, exponent_tables,
                      quotient_group, subgroup_generated)
-from .linalg import Echelon, Row
+from .linalg import Echelon, Row, acc
 
 Matrix = tuple[tuple[CycloNumber, ...], ...]
 
@@ -69,14 +69,7 @@ def _mul_in_group_algebra(G: Group, a: Row, b: Row) -> Row:
     out: Row = {}
     for x, ax in a.items():
         for y, by in b.items():
-            z = G.mul(x, y)
-            c = ax * by
-            w = out.get(z)
-            s = c if w is None else w + c
-            if s:
-                out[z] = s
-            else:
-                out.pop(z, None)
+            acc(out, G.mul(x, y), ax * by)
     return out
 
 

@@ -16,7 +16,7 @@ from .coideal import (CoidealSubalgebra, augmentation_ideal,
                       coideal_from_space, coideal_intersect, coideal_product,
                       dual_coideal, enumerate_coideals,
                       is_normal_hopf_subalgebra, quotient_dual)
-from .cyclo import CycloNumber, ONE, ZERO
+from .cyclo import CycloNumber, ONE
 from .errors import InvariantViolation
 from .fusion import (centralizer, char_ring, enumerate_subcats, left_kernel,
                      quotient_integral, quotient_irreps, simple_objects,
@@ -24,7 +24,8 @@ from .fusion import (centralizer, char_ring, enumerate_subcats, left_kernel,
 from .hopf import (QTAlgebra, Subspace, all_classes, compute_K_A, convolve,
                    drinfeld_map, integrals, mul_rows, pair_eval,
                    verify_quasitriangular)
-from .linalg import Echelon, Row, intersect, nullspace, row_addmul, row_scale
+from .linalg import (Echelon, Row, acc, intersect, nullspace, row_addmul,
+                     row_scale)
 
 # Monodromy fixed-point checks build vectors in A (x) A and are the one
 # place where work grows with dim^2 * |Q|; past this bound they are skipped.
@@ -249,10 +250,10 @@ def _check_dual_blocks(ctx: _Context) -> list[CheckResult]:
         ok1 = Subspace(span.rows(), A.dim) == Ls.space
         in_l = ctx.blocks_in(L)
         ok2 = in_l == {jof[i] for i in ctx.idx_of(Ls)}
-        acc: Row = {}
+        csum: Row = {}
         for j in in_l:
-            acc = row_addmul(acc, ctx.classes[j].class_sum, ONE)
-        ok3 = row_scale(acc, CycloNumber.rational(Fraction(1, L.dim))) == L.integral
+            csum = row_addmul(csum, ctx.classes[j].class_sum, ONE)
+        ok3 = row_scale(csum, CycloNumber.rational(Fraction(1, L.dim))) == L.integral
         esum: Row = {}
         for i in ctx.idx_of(L):
             esum = row_addmul(esum, ctx.ring.central[i], ONE)
@@ -480,20 +481,10 @@ def _coinvariants(ctx: _Context, aug: Echelon, side: str) -> Subspace:
         for l, r in A.delta[k]:
             slot, other = (l, r) if side == "left" else (r, l)
             for m, c in red[other].items():
-                row = eqs.setdefault((slot, m), {})
-                acc = row.get(k, ZERO) + c
-                if acc:
-                    row[k] = acc
-                else:
-                    row.pop(k, None)
+                acc(eqs.setdefault((slot, m), {}), k, c)
     for slot in range(A.dim):
         for m, c in red_unit.items():
-            row = eqs.setdefault((slot, m), {})
-            acc = row.get(slot, ZERO) - c
-            if acc:
-                row[slot] = acc
-            else:
-                row.pop(slot, None)
+            acc(eqs.setdefault((slot, m), {}), slot, -c)
     return Subspace(nullspace([r for r in eqs.values() if r], A.dim), A.dim)
 
 
@@ -554,11 +545,7 @@ def _q_fixes(ctx: _Context, L: CoidealSubalgebra,
         for i, x in ra.items():
             cx = c * x
             for j, y in rb.items():
-                acc = got.get((i, j), ZERO) + cx * y
-                if acc:
-                    got[(i, j)] = acc
-                else:
-                    got.pop((i, j), None)
+                acc(got, (i, j), cx * y)
     want = {(i, j): x * y for i, x in L.integral.items()
             for j, y in M.integral.items()}
     return got == want

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +147,29 @@ def test_data_command_bound_exceeded(tmp_path, capsys):
                         "--max-dim", "10", "--cache", str(tmp_path))
     assert code == 3
     assert "error" in err
+    # the default bound is the library's: D(Z13) has dimension 169 > 144
+    code, _, err = _run(capsys, "double", "smatrix", "--group", "Z13",
+                        "--cache", str(tmp_path))
+    assert code == 3
+    assert "error" in err
+
+
+def test_benchmark_tracer_binds(tmp_path, capsys):
+    """perfbench/worker.py wraps library functions by name and arity; a
+    rename must fail here rather than as failed benchmark operations."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    tracer = worker.Tracer(time_builds=True)
+    tracer.start()
+    try:
+        code = run(["chartab", "--group", "S3", "--cache", str(tmp_path)])
+    finally:
+        trace = tracer.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert trace["counts"]["cache.misses"] >= 1
 
 
 def test_unknown_group_usage_error(tmp_path, capsys):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from hopfcat.cyclo import CycloNumber
 from hopfcat.linalg import (
     Echelon,
+    acc,
+    apply_pairs,
     intersect,
     kron_rows,
     nullspace,
@@ -39,6 +41,27 @@ def test_row_ops():
     assert row_scale(a, CycloNumber.rational(0)) == {}
     b = row_addmul(a, _row((2, -3), (5, 1)), ONE)
     assert b == _row((0, 1), (5, 1))
+
+    row = _row((0, 1))
+    acc(row, 3, CycloNumber.rational(2))  # new key
+    assert row == _row((0, 1), (3, 2))
+    acc(row, 0, CycloNumber.rational(4))  # existing key
+    assert row == _row((0, 5), (3, 2))
+    acc(row, 3, CycloNumber.rational(-2))  # exact cancellation
+    assert row == _row((0, 5)) and 3 not in row
+    acc(row, 7, CycloNumber.zeta(3))
+    acc(row, 7, CycloNumber.zeta(3, 2))
+    assert row[7] == CycloNumber.rational(-1)
+    acc(row, 7, ONE)  # zeta3 + zeta3^2 + 1 = 0
+    assert row == _row((0, 5))
+
+    # the table of [[1, 0, 2], [0, 0, 0], [3, -1, 0]], rows dst, columns src
+    two, three = CycloNumber.rational(2), CycloNumber.rational(3)
+    table = [(0, 0, ONE), (2, 0, two), (0, 2, three), (1, 2, -ONE)]
+    assert apply_pairs(table, _row((0, 1), (1, 3), (2, 5))) == \
+        _row((0, 11))  # dst 2 cancels: 3*1 - 1*3 = 0
+    assert apply_pairs(table, _row((1, 2))) == _row((2, -2))
+    assert apply_pairs(table, {}) == {}
 
 
 def test_echelon_insert_reduce_contains():
