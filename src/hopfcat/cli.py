@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .cache import ResultCache, cache_key, default_cache_dir
 from .chartab import character_table
-from .coideal import (build_coideal, enumerate_invariant_bicharacters,
-                      enumerate_coideals)
+from .coideal import coideal_triples, enumerate_coideals, triple_coideal
 from .cyclo import CycloNumber, fmt_cyclo
 from .errors import (BoundExceeded, HopfcatError, ParseError,
                      PreconditionViolated, MethodPreconditionViolated)
@@ -145,7 +144,9 @@ def parse_triple(G: Group, text: str):
         return out
     M = subgroup_generated(G, gens(vals["M"]))
     H = subgroup_generated(G, gens(vals["H"]))
-    bichars = enumerate_invariant_bicharacters(G, M, H)
+    # empty unless M and H are normal and commute elementwise
+    bichars = [bc for N, K, bc in coideal_triples(G)
+               if (N.members, K.members) == (M.members, H.members)]
     if vals["B"] == "triv":
         index = 0
     else:
@@ -390,7 +391,7 @@ def _cmd_coideals(cfg: RunConfig, args) -> int:
     with_integral = args.action == "integral"
     if args.triple:
         M, H, bc = parse_triple(A.group, args.triple)
-        chosen = [build_coideal(A, M, H, bc)]
+        chosen = [triple_coideal(A, M, H, bc)]
     else:
         chosen = enumerate_coideals(A)
     payload = [_coideal_payload(L, with_integral) for L in chosen]

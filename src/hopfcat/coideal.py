@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cyclo import CycloNumber, ONE
@@ -22,8 +23,8 @@ from .groups import (Group, Subgroup, commutator_subgroup, commute_elementwise,
                      subgroup_generated)
 from .hopf import (QTAlgebra, Subspace, adjoint, apply_antipode, convolve,
                    counit_value, drinfeld_map, func_harpoon_left,
-                   is_left_coideal, leg_slices, mul_rows, pair_eval,
-                   right_adjoint)
+                   is_left_coideal, leg_slices, memo, memoized, mul_rows,
+                   pair_eval, right_adjoint)
 from .linalg import (Echelon, Row, acc, intersect, nullspace, row_addmul,
                      row_scale)
 
@@ -225,9 +226,30 @@ def _wrap(A: QTAlgebra, space: Subspace, mspec=None, hspec=None,
     return CoidealSubalgebra(A, space, lam, mspec, hspec, bichar)
 
 
+def coideal_triples(
+        G: Group) -> Iterator[tuple[Subgroup, Subgroup, Bicharacter]]:
+    """(M, H, lambda) for normal, elementwise-commuting M and H and each
+    G-invariant bicharacter lambda on M x H, in the canonical order."""
+    normals = normal_subgroups(G)
+    for M in normals:
+        for H in normals:
+            if commute_elementwise(M, H):
+                for bc in enumerate_invariant_bicharacters(G, M, H):
+                    yield M, H, bc
+
+
+def triple_coideal(A: QTAlgebra, M: Subgroup, H: Subgroup,
+                   bc: Bicharacter) -> CoidealSubalgebra:
+    """C(M, H, lambda), built and verified once per algebra."""
+    key = (triple_coideal, tuple(sorted(M.members)),
+           tuple(sorted(H.members)), bc.key())
+    return memo(A, key, lambda: build_coideal(A, M, H, bc))
+
+
 def build_coideal(A: QTAlgebra, M: Subgroup, H: Subgroup,
                   bc: Bicharacter) -> CoidealSubalgebra:
-    """C(M, H, lambda) inside the double of kG."""
+    """C(M, H, lambda) inside the double of kG, built and verified anew;
+    triple_coideal is the cached route."""
     if A.kind != "double":
         raise PreconditionViolated("triple coideals live in a double")
     G = A.group
@@ -281,30 +303,21 @@ def group_coideal(A: QTAlgebra, N: Subgroup) -> CoidealSubalgebra:
     return _wrap(A, space, mspec=N.members)
 
 
+@memoized
 def enumerate_coideals(A: QTAlgebra) -> list[CoidealSubalgebra]:
     """All left normal coideal subalgebras, deduplicated and sorted."""
-    if "coideals" in A._cache:
-        return A._cache["coideals"]
-    G = A.group
     found: dict[tuple, CoidealSubalgebra] = {}
     if A.kind == "double":
-        normals = normal_subgroups(G)
-        for M in normals:
-            for H in normals:
-                if not commute_elementwise(M, H):
-                    continue
-                for bc in enumerate_invariant_bicharacters(G, M, H):
-                    L = build_coideal(A, M, H, bc)
-                    found.setdefault(L.key(), L)
+        for M, H, bc in coideal_triples(A.group):
+            L = triple_coideal(A, M, H, bc)
+            found.setdefault(L.key(), L)
     elif A.kind == "group":
-        for N in normal_subgroups(G):
+        for N in normal_subgroups(A.group):
             L = group_coideal(A, N)
             found.setdefault(L.key(), L)
     else:
         raise PreconditionViolated("no coideal catalog for this algebra kind")
-    out = sorted(found.values(), key=lambda L: (L.dim, L.key()))
-    A._cache["coideals"] = out
-    return out
+    return sorted(found.values(), key=lambda L: (L.dim, L.key()))
 
 
 def coideal_from_space(A: QTAlgebra, space: Subspace) -> CoidealSubalgebra:
@@ -360,27 +373,24 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Subspace:
     Computed two ways: as the solution space of f(a l) = eps(l) f(a)
     and as the translate Lambda_L -> A*; the two must agree.
     """
-    cache = A._cache.setdefault("quotient_dual", {})
-    ck = L.key()
-    if ck in cache:
-        return cache[ck]
-    eqs: list[Row] = []
-    for ell in L.space.rows:
-        epsl = counit_value(A, ell)
-        for k in range(A.dim):
-            row = mul_rows(A, A.basis(k), ell)
-            acc(row, k, -epsl)
-            if row:
-                eqs.append(row)
-    direct = Subspace(nullspace(eqs, A.dim), A.dim)
-    shifted = Subspace([func_harpoon_left(A, L.integral, {k: ONE})
-                        for k in range(A.dim)], A.dim)
-    if direct != shifted:
-        raise InternalMismatch("two descriptions of (A//L)* disagree")
-    require(A.dim % L.dim == 0 and direct.dim == A.dim // L.dim,
-            "(A//L)* has the wrong dimension")
-    cache[ck] = direct
-    return direct
+    def build() -> Subspace:
+        eqs: list[Row] = []
+        for ell in L.space.rows:
+            epsl = counit_value(A, ell)
+            for k in range(A.dim):
+                row = mul_rows(A, A.basis(k), ell)
+                acc(row, k, -epsl)
+                if row:
+                    eqs.append(row)
+        direct = Subspace(nullspace(eqs, A.dim), A.dim)
+        shifted = Subspace([func_harpoon_left(A, L.integral, {k: ONE})
+                            for k in range(A.dim)], A.dim)
+        if direct != shifted:
+            raise InternalMismatch("two descriptions of (A//L)* disagree")
+        require(A.dim % L.dim == 0 and direct.dim == A.dim // L.dim,
+                "(A//L)* has the wrong dimension")
+        return direct
+    return memo(A, (quotient_dual, L.key()), build)
 
 
 def dual_coideal(A: QTAlgebra, L: CoidealSubalgebra) -> CoidealSubalgebra:

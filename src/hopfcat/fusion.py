@@ -17,18 +17,16 @@ from fractions import Fraction
 
 from .chartab import CharacterTable, character_table
 from .coideal import (Bicharacter, CoidealSubalgebra, bichar_label,
-                      build_coideal, coideal_from_space, dual_coideal,
-                      enumerate_invariant_bicharacters, group_coideal,
-                      quotient_dual)
+                      coideal_from_space, coideal_triples, dual_coideal,
+                      group_coideal, quotient_dual, triple_coideal)
 from .cyclo import CycloNumber, ONE, ZERO
 from .errors import (InternalMismatch, InvariantViolation,
                      MethodPreconditionViolated, NonIntegerMultiplicity,
                      NotClosed, OracleMismatch, PreconditionViolated, require)
-from .groups import (Subgroup, centralizer_subgroup, commute_elementwise,
-                     normal_subgroups)
+from .groups import Subgroup, centralizer_subgroup, normal_subgroups
 from .hopf import (QTAlgebra, Subspace, all_classes, char_ring_idempotents,
                    convolve, drinfeld_map, dual_character, integrals,
-                   pair_eval)
+                   memoized, pair_eval)
 from .linalg import Echelon, Row, acc, intersect, nullspace, row_scale
 from .reps import Matrix, mat_mul, matrix_irrep
 
@@ -189,10 +187,9 @@ def _frobenius_check(A: QTAlgebra, s: SimpleObject, reps: list[int],
         require(lhs == corder * rhs, "induced character mismatch")
 
 
+@memoized
 def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
     """The simple modules in a fixed canonical order."""
-    if "simples" in A._cache:
-        return A._cache["simples"]
     G = A.group
     simples: list[SimpleObject] = []
     if A.kind == "double":
@@ -214,15 +211,13 @@ def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
         raise PreconditionViolated("no simple module catalog for this kind")
     require(sum(s.dim * s.dim for s in simples) == A.dim,
             "squared dimensions of the simples do not sum to dim A")
-    lam, _ = integrals(A)
-    pairs = _integral_pairs(A, lam)
+    pairs = _integral_pairs(A)
     for i, si in enumerate(simples):
         dchar = dual_character(A, si.character)
         for j, sj in enumerate(simples):
             got = _pair_form(pairs, dchar, sj.character)
             want = ONE if i == j else ZERO
             require(got == want, "simple characters are not orthonormal")
-    A._cache["simples"] = simples
     return simples
 
 
@@ -232,15 +227,11 @@ def double_irreps(A: QTAlgebra) -> list[SimpleObject]:
     return simple_objects(A)
 
 
-def _integral_pairs(A: QTAlgebra, lam: Row) -> list[tuple[int, int, CycloNumber]]:
+@memoized
+def _integral_pairs(A: QTAlgebra) -> list[tuple[int, int, CycloNumber]]:
     """Terms of Delta(Lambda), for evaluating (f * g)(Lambda) quickly."""
-    if "integral_pairs" not in A._cache:
-        out = []
-        for m, c in lam.items():
-            for l, r in A.delta[m]:
-                out.append((l, r, c))
-        A._cache["integral_pairs"] = out
-    return A._cache["integral_pairs"]
+    lam, _ = integrals(A)
+    return [(l, r, c) for m, c in lam.items() for l, r in A.delta[m]]
 
 
 def _pair_form(pairs, f: Row, g: Row) -> CycloNumber:
@@ -255,6 +246,7 @@ def _pair_form(pairs, f: Row, g: Row) -> CycloNumber:
     return acc
 
 
+@memoized
 def dual_index(A: QTAlgebra) -> list[int]:
     """i -> index of the dual simple."""
     simples = simple_objects(A)
@@ -270,14 +262,13 @@ def dual_index(A: QTAlgebra) -> list[int]:
 # --- fusion multiplicities -----------------------------------------------
 
 
+@memoized
 def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
     """N[i][j][k], the multiplicity of the k-th simple in V_i x V_j."""
-    if "fusion" in A._cache:
-        return A._cache["fusion"]
     simples = simple_objects(A)
     dual = dual_index(A)
-    lam, _ = integrals(A)
-    pairs = _integral_pairs(A, lam)
+    pairs = _integral_pairs(A)
+    duals = [dual_character(A, s.character) for s in simples]
     r = len(simples)
     table: list[list[list[int]]] = []
     for i in range(r):
@@ -286,8 +277,7 @@ def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
             conv = convolve(A, simples[i].character, simples[j].character)
             row_j = []
             for k in range(r):
-                v = _pair_form(pairs, conv,
-                               dual_character(A, simples[k].character))
+                v = _pair_form(pairs, conv, duals[k])
                 if not v.is_rational():
                     raise NonIntegerMultiplicity(f"N[{i}][{j}][{k}] = {v}")
                 q = v.rational_value()
@@ -301,7 +291,6 @@ def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
                     "fusion multiplicities do not account for the dimension")
             row_i.append(row_j)
         table.append(row_i)
-    A._cache["fusion"] = table
     return table
 
 
@@ -337,11 +326,10 @@ def _kron(a: Matrix, b: Matrix) -> list[list[CycloNumber]]:
     return out
 
 
+@memoized
 def smatrix(A: QTAlgebra) -> SMatrix:
     """s_ij = (chi_i x chi_j)(Q), cross-checked against a trace over the
     tensor product module and against the Drinfeld-map form."""
-    if "smatrix" in A._cache:
-        return A._cache["smatrix"]
     simples = simple_objects(A)
     dual = dual_index(A)
     dm = drinfeld_map(A)
@@ -382,8 +370,8 @@ def smatrix(A: QTAlgebra) -> SMatrix:
                 raise InternalMismatch(
                     f"s[{i}][{j}]: character and trace routes disagree")
 
-    phi_entries = [[pair_eval(simples[i].character,
-                              dm.phi(dual_character(A, simples[j].character)))
+    images = [dm.phi(dual_character(A, s.character)) for s in simples]
+    phi_entries = [[pair_eval(simples[i].character, images[j])
                     for j in range(r)] for i in range(r)]
     if all(phi_entries[i][j] == entries[i][j]
            for i in range(r) for j in range(r)):
@@ -409,9 +397,7 @@ def smatrix(A: QTAlgebra) -> SMatrix:
     ech = Echelon(r)
     for row in entries:
         ech.insert({k: v for k, v in enumerate(row) if v})
-    sm = SMatrix(simples, entries, dual, ech.rank, phi_relation)
-    A._cache["smatrix"] = sm
-    return sm
+    return SMatrix(simples, entries, dual, ech.rank, phi_relation)
 
 
 # --- subcategories --------------------------------------------------------
@@ -505,7 +491,7 @@ def subcat_from_triple(A: QTAlgebra, M: Subgroup, H: Subgroup,
     sub = _mk_subcat(A, sel, M.members, H.members, bc)
     want = len(M.members) * (A.group.n // len(H.members))
     require(sub.fpdim == want, "S(M,H,lambda) has the wrong dimension")
-    L = build_coideal(A, M, H, bc.inverse())
+    L = triple_coideal(A, M, H, bc.inverse())
     quot = quotient_irreps(A, L)
     if quot.indices != sub.indices:
         raise InternalMismatch("quotient by C(M,H,1/lambda) is not "
@@ -559,24 +545,17 @@ def quotient_integral(A: QTAlgebra, L: CoidealSubalgebra) -> Row:
     return lam
 
 
+@memoized
 def enumerate_subcats(A: QTAlgebra) -> list[FusionSubcat]:
     """All fusion subcategories, via the parameterized description,
     cross-checked against brute-force closure enumeration."""
-    if "subcats" in A._cache:
-        return A._cache["subcats"]
-    G = A.group
     found: dict[tuple[int, ...], FusionSubcat] = {}
     if A.kind == "double":
-        normals = normal_subgroups(G)
-        for M in normals:
-            for H in normals:
-                if not commute_elementwise(M, H):
-                    continue
-                for bc in enumerate_invariant_bicharacters(G, M, H):
-                    sub = subcat_from_triple(A, M, H, bc)
-                    found.setdefault(sub.indices, sub)
+        for M, H, bc in coideal_triples(A.group):
+            sub = subcat_from_triple(A, M, H, bc)
+            found.setdefault(sub.indices, sub)
     elif A.kind == "group":
-        for N in normal_subgroups(G):
+        for N in normal_subgroups(A.group):
             L = group_coideal(A, N)
             sub = quotient_irreps(A, L)
             sub.mspec = N.members
@@ -604,9 +583,7 @@ def enumerate_subcats(A: QTAlgebra) -> list[FusionSubcat]:
             "parameterized and brute-force subcategory enumerations differ: "
             f"{sorted(brute)} vs {sorted(found)}")
 
-    out = sorted(found.values(), key=lambda d: (d.fpdim, d.indices))
-    A._cache["subcats"] = out
-    return out
+    return sorted(found.values(), key=lambda d: (d.fpdim, d.indices))
 
 
 # --- centralizers ---------------------------------------------------------
@@ -670,11 +647,9 @@ def centralizer(A: QTAlgebra, D: FusionSubcat, method: str) -> FusionSubcat:
     raise PreconditionViolated(f"unknown centralizer method {method!r}")
 
 
+@memoized
 def char_ring(A: QTAlgebra):
-    if "char_ring" not in A._cache:
-        chars = [s.character for s in simple_objects(A)]
-        A._cache["char_ring"] = char_ring_idempotents(A, chars)
-    return A._cache["char_ring"]
+    return char_ring_idempotents(A, [s.character for s in simple_objects(A)])
 
 
 def left_kernel(A: QTAlgebra, s: SimpleObject) -> Subspace:

@@ -459,12 +459,21 @@ def parse_group_spec(spec: str) -> Group:
             raise ParseError(f"cannot read cayley table file: {e}", 7)
         except json.JSONDecodeError as e:
             raise ParseError(f"cayley table file is not valid JSON: {e}", 7)
-        table = obj["table"] if isinstance(obj, dict) else obj
+        table = obj.get("table") if isinstance(obj, dict) else obj
         name = obj.get("name", "") if isinstance(obj, dict) else ""
+        n = len(table) if isinstance(table, list) else 0
+        if not n or not all(isinstance(row, list) and len(row) == n
+                            and all(type(v) is int for v in row)
+                            for row in table):
+            raise ParseError("cayley table must be a non-empty square list "
+                             "of integer rows", 7)
         return Group(table, name=name or "cayley")
     m = _RE_ZAB.match(spec)
     if m:
-        return _product_cyclic(int(m.group(1)), int(m.group(2)))
+        a, b = int(m.group(1)), int(m.group(2))
+        if a < 1 or b < 1:
+            raise ParseError("cyclic orders must be >= 1", 1)
+        return _product_cyclic(a, b)
     m = _RE_ZN.match(spec)
     if m:
         n = int(m.group(1))

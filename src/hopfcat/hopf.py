@@ -12,10 +12,15 @@ rows, dicts from basis index to cyclotomic coefficient.  The Drinfeld
 map phi_R(f) = f(Q^1)Q^2 built from the monodromy Q = R21*R is the
 bridge between the two sides; it and its companion maps are fixed
 (src, dst, coeff) tables applied with linalg.apply_pairs.
+
+Whatever is built from an algebra is built once per algebra, through one
+helper: `memo` keeps it in the algebra's `_cache`, keyed on the function
+that builds it, and `memoized` wraps the one-argument constructions.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -32,6 +37,21 @@ DOUBLE_DIM_BOUND = 144
 _ASSOC_BUDGET = 3_000_000
 _SAMPLE_TRIPLES = 200_000
 _SAMPLE_PAIRS = 20_000
+
+
+def memo(A: QTAlgebra, key, build):
+    """A._cache[key], calling build() on first use."""
+    if key not in A._cache:
+        A._cache[key] = build()
+    return A._cache[key]
+
+
+def memoized(fn):
+    """fn(A) built once per algebra, keyed on fn."""
+    @functools.wraps(fn)
+    def once(A):
+        return memo(A, fn, lambda: fn(A))
+    return once
 
 
 class Subspace:
@@ -81,7 +101,8 @@ class QTAlgebra:
     product vanishes.  delta[k] lists the (i, j) tensor terms of
     Delta(e_k), all with coefficient one.  s_idx is the antipode as a
     basis permutation and r_terms lists the coefficient-one tensor
-    terms of R.
+    terms of R.  What is built from the algebra is kept in `_cache`,
+    which only `memo` reads or writes, so it is built once.
     """
 
     def __init__(self, name: str, kind: str, group: Group,
@@ -108,25 +129,23 @@ class QTAlgebra:
     def basis(self, k: int) -> Row:
         return {k: ONE}
 
+    @memoized
     def delta_by_left(self) -> list[list[tuple[int, int]]]:
         """For each left index i: the (k, j) with (i, j) a term of delta[k]."""
-        if "by_left" not in self._cache:
-            out: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
-            for k, terms in enumerate(self.delta):
-                for i, j in terms:
-                    out[i].append((k, j))
-            self._cache["by_left"] = out
-        return self._cache["by_left"]
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
+        for k, terms in enumerate(self.delta):
+            for i, j in terms:
+                out[i].append((k, j))
+        return out
 
+    @memoized
     def delta_by_right(self) -> list[list[tuple[int, int]]]:
         """For each right index j: the (k, i) with (i, j) a term of delta[k]."""
-        if "by_right" not in self._cache:
-            out: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
-            for k, terms in enumerate(self.delta):
-                for i, j in terms:
-                    out[j].append((k, i))
-            self._cache["by_right"] = out
-        return self._cache["by_right"]
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
+        for k, terms in enumerate(self.delta):
+            for i, j in terms:
+                out[j].append((k, i))
+        return out
 
     def to_json(self) -> dict:
         """Sparse structure dump: product triplets, coproduct and R terms."""
@@ -540,10 +559,9 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
 # --- integrals ----------------------------------------------------------
 
 
+@memoized
 def integrals(A: QTAlgebra) -> tuple[Row, Row]:
     """(Lambda, t): the idempotent integral of A and of A*."""
-    if "integrals" in A._cache:
-        return A._cache["integrals"]
     n = A.group.n
     frac = as_cyclo(Fraction(1, n))
     if A.kind == "double":
@@ -553,7 +571,6 @@ def integrals(A: QTAlgebra) -> tuple[Row, Row]:
         lam = {g: frac for g in range(n)}
         t = {0: ONE}
     _check_integrals(A, lam, t)
-    A._cache["integrals"] = (lam, t)
     return lam, t
 
 
@@ -620,8 +637,6 @@ class DrinfeldMap:
         self._rphi = [(b, a, c) for (a, b), c in q.items()]
         self._f_r = [(i, j, ONE) for i, j in A.r_terms]
         self._f_r21 = [(j, i, ONE) for i, j in A.r_terms]
-        self._matrix: list[Row] | None = None
-        self._rank: int | None = None
 
     def phi(self, f: Row) -> Row:
         return apply_pairs(self._phi, f)
@@ -640,23 +655,23 @@ class DrinfeldMap:
 
     def matrix_rows(self) -> list[Row]:
         """Row i of the matrix of phi over the dual basis."""
-        if self._matrix is None:
+        def build() -> list[Row]:
             dim = self.algebra.dim
             rows: list[Row] = [{} for _ in range(dim)]
             for k in range(dim):
                 for i, c in self.phi({k: ONE}).items():
                     rows[i][k] = c
-            self._matrix = rows
-        return self._matrix
+            return rows
+        return memo(self.algebra, DrinfeldMap.matrix_rows, build)
 
     @property
     def rank(self) -> int:
-        if self._rank is None:
+        def build() -> int:
             ech = Echelon(self.algebra.dim)
             for r in self.matrix_rows():
                 ech.insert(r)
-            self._rank = ech.rank
-        return self._rank
+            return ech.rank
+        return memo(self.algebra, DrinfeldMap.rank, build)
 
     @property
     def is_factorizable(self) -> bool:
@@ -669,10 +684,9 @@ class DrinfeldMap:
         return solve_linear(self.matrix_rows(), dim, rhs)
 
 
+@memoized
 def drinfeld_map(A: QTAlgebra) -> DrinfeldMap:
-    if "drinfeld" not in A._cache:
-        A._cache["drinfeld"] = DrinfeldMap(A)
-    return A._cache["drinfeld"]
+    return DrinfeldMap(A)
 
 
 # --- idempotents, conjugacy classes, K_A --------------------------------
@@ -836,8 +850,9 @@ def conjugacy_class(A: QTAlgebra, j: int, ring: CharRing) -> ConjClass:
 
 
 def all_classes(A: QTAlgebra, ring: CharRing) -> list[ConjClass]:
-    if "classes" not in A._cache:
-        classes = [conjugacy_class(A, j, ring) for j in range(len(ring.idempotents))]
+    def build() -> list[ConjClass]:
+        classes = [conjugacy_class(A, j, ring)
+                   for j in range(len(ring.idempotents))]
         ech = Echelon(A.dim)
         total = 0
         for cls in classes:
@@ -846,8 +861,8 @@ def all_classes(A: QTAlgebra, ring: CharRing) -> list[ConjClass]:
                 ech.insert(row)
         require(total == A.dim and ech.rank == A.dim,
                 "conjugacy classes do not decompose the algebra")
-        A._cache["classes"] = classes
-    return A._cache["classes"]
+        return classes
+    return memo(A, all_classes, build)
 
 
 def is_left_coideal(A: QTAlgebra, space: Subspace) -> bool:
@@ -859,11 +874,10 @@ def is_left_coideal(A: QTAlgebra, space: Subspace) -> bool:
     return True
 
 
+@memoized
 def compute_K_A(A: QTAlgebra) -> Subspace:
     """The image of the Drinfeld map, verified to be an S-stable coideal
     subalgebra."""
-    if "K_A" in A._cache:
-        return A._cache["K_A"]
     dm = drinfeld_map(A)
     space = Subspace(_columns(dm.matrix_rows(), A.dim), A.dim)
     require(space.contains(A.unit_row), "K_A misses the unit")
@@ -872,7 +886,6 @@ def compute_K_A(A: QTAlgebra) -> Subspace:
             require(space.contains(mul_rows(A, a, b)), "K_A is not closed under product")
         require(space.contains(apply_antipode(A, a)), "K_A is not antipode-stable")
     require(is_left_coideal(A, space), "K_A is not a left coideal")
-    A._cache["K_A"] = space
     return space
 
 

@@ -22,7 +22,7 @@ from .fusion import (centralizer, char_ring, enumerate_subcats, left_kernel,
                      quotient_integral, quotient_irreps, simple_objects,
                      smatrix)
 from .hopf import (QTAlgebra, Subspace, all_classes, compute_K_A, convolve,
-                   drinfeld_map, integrals, mul_rows, pair_eval,
+                   drinfeld_map, integrals, memo, mul_rows, pair_eval,
                    verify_quasitriangular)
 from .linalg import (Echelon, Row, acc, intersect, nullspace, row_addmul,
                      row_scale)
@@ -71,9 +71,6 @@ class _Context:
             if L.key() not in self.idx:
                 self.idx[L.key()] = quotient_irreps(A, L).indices
         self.Lstar = {L.key(): dual_coideal(A, L) for L in self.cos}
-        self._lker: list[Subspace] | None = None
-        self._blocks_in: dict[tuple, set[int]] = {}
-        self._normal: dict[tuple, bool] = {}
 
     def fpdim_of(self, indices) -> int:
         return sum(self.dims[i] ** 2 for i in indices)
@@ -98,24 +95,18 @@ class _Context:
         return best.indices
 
     def lker(self, i: int) -> Subspace:
-        if self._lker is None:
-            self._lker = [left_kernel(self.A, s) for s in self.simples]
-        return self._lker[i]
+        return memo(self.A, (left_kernel, i),
+                    lambda: left_kernel(self.A, self.simples[i]))
 
     def blocks_in(self, L: CoidealSubalgebra) -> set[int]:
         """Blocks j with C^j contained in L."""
-        key = L.key()
-        if key not in self._blocks_in:
-            self._blocks_in[key] = {
-                j for j, cls in enumerate(self.classes)
-                if all(L.space.contains(row) for row in cls.space.rows)}
-        return self._blocks_in[key]
+        return memo(self.A, (_Context.blocks_in, L.key()), lambda: {
+            j for j, cls in enumerate(self.classes)
+            if all(L.space.contains(row) for row in cls.space.rows)})
 
     def is_normal(self, L: CoidealSubalgebra) -> bool:
-        key = L.key()
-        if key not in self._normal:
-            self._normal[key] = is_normal_hopf_subalgebra(self.A, L)
-        return self._normal[key]
+        return memo(self.A, (is_normal_hopf_subalgebra, L.key()),
+                    lambda: is_normal_hopf_subalgebra(self.A, L))
 
     def nondegenerate(self, indices) -> bool:
         return set(indices) & set(self.cent[tuple(indices)].indices) == {0}

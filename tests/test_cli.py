@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hopfcat import build_double, enumerate_coideals, enumerate_subcats
 from hopfcat.cli import RunConfig, parse_triple, run
 from hopfcat.errors import ParseError
 from hopfcat.groups import parse_group_spec
@@ -154,14 +155,18 @@ def test_data_command_bound_exceeded(tmp_path, capsys):
     assert "error" in err
 
 
-def test_benchmark_tracer_binds(tmp_path, capsys):
-    """perfbench/worker.py wraps library functions by name and arity; a
-    rename must fail here rather than as failed benchmark operations."""
+def _benchmark_worker():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
     spec = importlib.util.spec_from_file_location("perfbench_worker", path)
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
-    tracer = worker.Tracer(time_builds=True)
+    return worker
+
+
+def test_benchmark_tracer_binds(tmp_path, capsys):
+    """perfbench/worker.py wraps library functions by name and arity; a
+    rename must fail here rather than as failed benchmark operations."""
+    tracer = _benchmark_worker().Tracer(time_builds=True)
     tracer.start()
     try:
         code = run(["chartab", "--group", "S3", "--cache", str(tmp_path)])
@@ -172,11 +177,32 @@ def test_benchmark_tracer_binds(tmp_path, capsys):
     assert trace["counts"]["cache.misses"] >= 1
 
 
+def test_coideals_built_once():
+    """enumerate_subcats pairs each S(M,H,lambda) with C(M,H,1/lambda);
+    that coideal comes from the per-algebra memo, not a second build.
+    No other test builds D(Z5), so its memo starts empty."""
+    A = build_double(parse_group_spec("Z5"))
+    tracer = _benchmark_worker().Tracer(time_builds=False)
+    tracer.start()
+    try:
+        coideals = enumerate_coideals(A)
+        enumerate_subcats(A)
+    finally:
+        trace = tracer.stop()
+    assert trace["counts"]["coideal.build_coideal_calls"] == len(coideals) == 8
+
+
 def test_unknown_group_usage_error(tmp_path, capsys):
     code, _, err = _run(capsys, "group", "info", "--group", "M11",
                         "--cache", str(tmp_path))
     assert code == 2
     assert "unknown group" in err
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"name": "x"}')
+    code, out, err = _run(capsys, "group", "info", "--group", f"cayley:{bad}",
+                          "--cache", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_missing_group(tmp_path, capsys):
@@ -195,8 +221,10 @@ def test_parse_triple():
     assert not bc.is_trivial()
     M, H, bc = parse_triple(G, "M=,H=,B=triv")
     assert M.members == (0,) and bc.is_trivial()
+    # M=1 generates a subgroup of order 2, which is not normal in S3
     for bad in ("M=3,H=3", "X=3,H=3,B=0", "M=a,H=3,B=0", "M=9,H=3,B=0",
-                "M=3,H=3,B=7", "M=3,H=3,B=x"):
+                "M=3,H=3,B=7", "M=3,H=3,B=x", "M=1,H=1,B=0",
+                "M=1,H=,B=triv"):
         with pytest.raises(ParseError):
             parse_triple(G, bad)
 

@@ -27,13 +27,27 @@ def test_catalog_orders_and_validity():
         Group(G.table, name=name)
 
 
-def test_parse_errors():
+def test_parse_errors(tmp_path):
     with pytest.raises(UnknownName):
         parse_group_spec("E8")
     with pytest.raises(ParseError):
         parse_group_spec("")
     with pytest.raises(ParseError):
         parse_group_spec("Z0")
+    for spec in ("Z0xZ3", "Z3xZ0"):
+        with pytest.raises(ParseError):
+            parse_group_spec(spec)
+    bad_docs = ['{"name": "x"}', '{"table": 3}', '[[0, "a"], ["a", 0]]',
+                '[[0, true], [true, 0]]', '[[0, 1], 1]', '[[0, 1], [1]]',
+                '[]', '{}', '7']
+    for k, doc in enumerate(bad_docs):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(doc)
+        with pytest.raises(ParseError):
+            parse_group_spec(f"cayley:{path}")
+    good = tmp_path / "z2.json"
+    good.write_text('{"name": "c2", "table": [[0, 1], [1, 0]]}')
+    assert parse_group_spec(f"cayley:{good}").n == 2
 
 
 def test_perm_spec():
