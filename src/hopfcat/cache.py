@@ -2,7 +2,9 @@
 
 Keys mix the Cayley table of the group, the topic and the artifact
 version, so a change to any of them is a clean miss.  Values are JSON
-documents; a corrupt entry is discarded with a warning and recomputed.
+documents; an entry that does not parse, or does not fit the shape its
+caller expects, is corrupt: it is discarded with a warning and
+recomputed.
 """
 
 from __future__ import annotations
@@ -43,6 +45,18 @@ def _dump(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2)
 
 
+def fits(value, shape) -> bool:
+    """Whether a JSON value has a shape.  A shape is a type (object for
+    any value), a one-item list [s] for lists whose elements all fit s,
+    or a dict for dicts with exactly its keys, each value fitting."""
+    if isinstance(shape, list):
+        return type(value) is list and all(fits(v, shape[0]) for v in value)
+    if isinstance(shape, dict):
+        return (type(value) is dict and value.keys() == shape.keys()
+                and all(fits(value[k], s) for k, s in shape.items()))
+    return shape is object or type(value) is shape
+
+
 class ResultCache:
     def __init__(self, root: Path | str | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
@@ -59,12 +73,16 @@ class ResultCache:
         try:
             return json.loads(text)
         except ValueError:
-            warnings.warn(f"discarding corrupt cache entry {path.name}")
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            self._discard(key)
             return None
+
+    def _discard(self, key: str) -> None:
+        path = self._path(key)
+        warnings.warn(f"discarding corrupt cache entry {path.name}")
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
     def put(self, key: str, value) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -73,10 +91,13 @@ class ResultCache:
         tmp.write_text(_dump(value))
         os.replace(tmp, path)
 
-    def get_or_compute(self, key: str, compute: Callable[[], object]):
+    def get_or_compute(self, key: str, compute: Callable[[], object],
+                       shape=object):
         hit = self.get(key)
         if hit is not None:
-            return hit
+            if fits(hit, shape):
+                return hit
+            self._discard(key)
         value = json.loads(_dump(compute()))
         self.put(key, value)
         return value

@@ -355,8 +355,11 @@ def _cmd_group(cfg: RunConfig, args) -> int:
 def _cmd_chartab(cfg: RunConfig, args) -> int:
     G = _need_group(cfg)
     cache = ResultCache(cfg.cache_dir)
-    payload = cache.get_or_compute(cache_key(G, "chartab"),
-                                   lambda: _chartab_payload(G))
+    payload = cache.get_or_compute(
+        cache_key(G, "chartab"), lambda: _chartab_payload(G),
+        {"group": object, "class_representatives": [int],
+         "class_sizes": [int], "degrees": [int],
+         "rows": [[{"n": int, "c": [[int]]}]]})
     print(_emit_json(payload) if cfg.output_format == "json"
           else _text_chartab(payload))
     return 0
@@ -375,8 +378,10 @@ def _cmd_double(cfg: RunConfig, args) -> int:
                       f"(class of {rec['class_representative']})")
     elif args.action == "smatrix":
         cache = ResultCache(cfg.cache_dir)
-        payload = cache.get_or_compute(cache_key(A.group, "smatrix"),
-                                       lambda: _smatrix_payload(A))
+        payload = cache.get_or_compute(
+            cache_key(A.group, "smatrix"), lambda: _smatrix_payload(A),
+            {"algebra": str, "dims": [int], "rank": int,
+             "phi_relation": str, "entries": [[{"n": int, "c": [[int]]}]]})
         print(_emit_json(payload) if cfg.output_format == "json"
               else _text_smatrix(payload))
     else:
@@ -412,8 +417,11 @@ def _cmd_coideals(cfg: RunConfig, args) -> int:
 def _cmd_subcats(cfg: RunConfig, args) -> int:
     A = _build(cfg)
     cache = ResultCache(cfg.cache_dir)
-    payload = cache.get_or_compute(cache_key(A.group, "lattice"),
-                                   lambda: _lattice_payload(A))
+    payload = cache.get_or_compute(
+        cache_key(A.group, "lattice"), lambda: _lattice_payload(A),
+        {"algebra": str,
+         "nodes": [{"label": str, "indices": [int], "fpdim": int}],
+         "covers": [[int]], "centralizer_pairs": [[int]]})
     if args.action == "list":
         nodes = payload["nodes"]
         if cfg.output_format == "json":

@@ -105,16 +105,17 @@ def enumerate_invariant_bicharacters(G: Group, M: Subgroup,
     return out
 
 
-def bichar_label(G: Group, mspec, hspec, bc: Bicharacter) -> str:
-    """'triv' or 'B=<k>' with k the position in the canonical enumeration."""
+def bichar_label(A: QTAlgebra, mspec, hspec, bc: Bicharacter) -> str:
+    """'triv' or 'B=<k>' with k the position in the canonical enumeration,
+    whose keys are listed once per algebra and (M, H)."""
     if bc.is_trivial():
         return "triv"
-    M = Subgroup(G, tuple(sorted(mspec)))
-    H = Subgroup(G, tuple(sorted(hspec)))
-    for k, cand in enumerate(enumerate_invariant_bicharacters(G, M, H)):
-        if cand.key() == bc.key():
-            return f"B={k}"
-    return "B=?"
+    M = Subgroup(A.group, tuple(sorted(mspec)))
+    H = Subgroup(A.group, tuple(sorted(hspec)))
+    keys = memo(A, (bichar_label, M.members, H.members), lambda: [
+        c.key() for c in enumerate_invariant_bicharacters(A.group, M, H)])
+    key = bc.key()
+    return f"B={keys.index(key)}" if key in keys else "B=?"
 
 
 def _bicharacter_checks(G: Group, M: Subgroup, H: Subgroup,
@@ -166,8 +167,7 @@ class CoidealSubalgebra:
             return f"k[N={list(self.mspec)}]"
         if self.mspec is None:
             return f"L(dim={self.dim})"
-        lam = bichar_label(self.algebra.group, self.mspec, self.hspec,
-                           self.bichar)
+        lam = bichar_label(self.algebra, self.mspec, self.hspec, self.bichar)
         return (f"C(M={list(self.mspec)},H={list(self.hspec)},{lam})")
 
     def __repr__(self) -> str:

@@ -25,8 +25,8 @@ from .errors import (InternalMismatch, InvariantViolation,
                      NotClosed, OracleMismatch, PreconditionViolated, require)
 from .groups import Subgroup, centralizer_subgroup, normal_subgroups
 from .hopf import (QTAlgebra, Subspace, all_classes, char_ring_idempotents,
-                   convolve, drinfeld_map, dual_character, integrals,
-                   memoized, pair_eval)
+                   convolve, drinfeld_map, dual_character, harpoon_right,
+                   integrals, memoized, pair_eval)
 from .linalg import Echelon, Row, acc, intersect, nullspace, row_scale
 from .reps import Matrix, mat_mul, matrix_irrep
 
@@ -211,13 +211,15 @@ def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
         raise PreconditionViolated("no simple module catalog for this kind")
     require(sum(s.dim * s.dim for s in simples) == A.dim,
             "squared dimensions of the simples do not sum to dim A")
-    pairs = _integral_pairs(A)
+    # f(Lambda_1) g(Lambda_2) = f(g -> Lambda), one harpoon per simple
+    lam, _ = integrals(A)
+    ws = [harpoon_right(A, s.character, lam) for s in simples]
     for i, si in enumerate(simples):
         dchar = dual_character(A, si.character)
-        for j, sj in enumerate(simples):
-            got = _pair_form(pairs, dchar, sj.character)
+        for j, w in enumerate(ws):
             want = ONE if i == j else ZERO
-            require(got == want, "simple characters are not orthonormal")
+            require(pair_eval(dchar, w) == want,
+                    "simple characters are not orthonormal")
     return simples
 
 
@@ -225,25 +227,6 @@ def double_irreps(A: QTAlgebra) -> list[SimpleObject]:
     if A.kind != "double":
         raise PreconditionViolated("not a double")
     return simple_objects(A)
-
-
-@memoized
-def _integral_pairs(A: QTAlgebra) -> list[tuple[int, int, CycloNumber]]:
-    """Terms of Delta(Lambda), for evaluating (f * g)(Lambda) quickly."""
-    lam, _ = integrals(A)
-    return [(l, r, c) for m, c in lam.items() for l, r in A.delta[m]]
-
-
-def _pair_form(pairs, f: Row, g: Row) -> CycloNumber:
-    acc = ZERO
-    for l, r, c in pairs:
-        fl = f.get(l)
-        if not fl:
-            continue
-        gr = g.get(r)
-        if gr:
-            acc = acc + c * fl * gr
-    return acc
 
 
 @memoized
@@ -267,8 +250,9 @@ def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
     """N[i][j][k], the multiplicity of the k-th simple in V_i x V_j."""
     simples = simple_objects(A)
     dual = dual_index(A)
-    pairs = _integral_pairs(A)
-    duals = [dual_character(A, s.character) for s in simples]
+    lam, _ = integrals(A)
+    ws = [harpoon_right(A, dual_character(A, s.character), lam)
+          for s in simples]
     r = len(simples)
     table: list[list[list[int]]] = []
     for i in range(r):
@@ -277,7 +261,7 @@ def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
             conv = convolve(A, simples[i].character, simples[j].character)
             row_j = []
             for k in range(r):
-                v = _pair_form(pairs, conv, duals[k])
+                v = pair_eval(conv, ws[k])
                 if not v.is_rational():
                     raise NonIntegerMultiplicity(f"N[{i}][{j}][{k}] = {v}")
                 q = v.rational_value()
@@ -415,7 +399,7 @@ class FusionSubcat:
 
     def label(self) -> str:
         if self.mspec is not None and self.hspec is not None:
-            lam = bichar_label(self.algebra.group, self.mspec, self.hspec,
+            lam = bichar_label(self.algebra, self.mspec, self.hspec,
                                self.bichar)
             return f"S(M={list(self.mspec)},H={list(self.hspec)},{lam})"
         if self.mspec is not None:

@@ -13,6 +13,14 @@ map phi_R(f) = f(Q^1)Q^2 built from the monodromy Q = R21*R is the
 bridge between the two sides; it and its companion maps are fixed
 (src, dst, coeff) tables applied with linalg.apply_pairs.
 
+The coproduct is QTAlgebra.delta plus one derived index, delta_by_left.
+Constructions reach it through three bilinear maps: convolve (f * g in
+A*), harpoon_left (a <- f = f(a_1) a_2) and harpoon_right (f -> a =
+a_1 f(a_2)).  They stay loops over Delta, not pair tables: both
+arguments vary per call, and a table fixed in one costs an application
+to build.  delta_of, leg_slices and the adjoint actions expand Delta(a)
+on the element side; only verify_axioms scans delta, as it checks it.
+
 Whatever is built from an algebra is built once per algebra, through one
 helper: `memo` keeps it in the algebra's `_cache`, keyed on the function
 that builds it, and `memoized` wraps the one-argument constructions.
@@ -99,10 +107,11 @@ class QTAlgebra:
 
     prod_idx[i][j] is the basis index of e_i e_j, or -1 when the
     product vanishes.  delta[k] lists the (i, j) tensor terms of
-    Delta(e_k), all with coefficient one.  s_idx is the antipode as a
-    basis permutation and r_terms lists the coefficient-one tensor
-    terms of R.  What is built from the algebra is kept in `_cache`,
-    which only `memo` reads or writes, so it is built once.
+    Delta(e_k), all with coefficient one; delta_by_left() is the one
+    index derived from it.  s_idx is the antipode as a basis permutation
+    and r_terms lists the coefficient-one tensor terms of R.  What is
+    built from the algebra is kept in `_cache`, which only `memo` reads
+    or writes, so it is built once.
     """
 
     def __init__(self, name: str, kind: str, group: Group,
@@ -136,15 +145,6 @@ class QTAlgebra:
         for k, terms in enumerate(self.delta):
             for i, j in terms:
                 out[i].append((k, j))
-        return out
-
-    @memoized
-    def delta_by_right(self) -> list[list[tuple[int, int]]]:
-        """For each right index j: the (k, i) with (i, j) a term of delta[k]."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
-        for k, terms in enumerate(self.delta):
-            for i, j in terms:
-                out[j].append((k, i))
         return out
 
     def to_json(self) -> dict:
@@ -239,6 +239,17 @@ def harpoon_left(A: QTAlgebra, a: Row, f: Row) -> Row:
     return out
 
 
+def harpoon_right(A: QTAlgebra, f: Row, a: Row) -> Row:
+    """f -> a = a_1 f(a_2)."""
+    out: Row = {}
+    for k, v in a.items():
+        for i, j in A.delta[k]:
+            fj = f.get(j)
+            if fj:
+                acc(out, i, v * fj)
+    return out
+
+
 def leg_slices(A: QTAlgebra, a: Row) -> tuple[list[Row], list[Row]]:
     """Delta(a) cut along each leg: the l_i in sum_i e_i x l_i and the r_j
     in sum_j r_j x e_j."""
@@ -292,22 +303,24 @@ def func_harpoon_left(A: QTAlgebra, x: Row, f: Row) -> Row:
 
 
 def convolve(A: QTAlgebra, f: Row, g: Row) -> Row:
-    """f * g in A*, dual to the coproduct of A."""
-    # hot kernel: kept inline, as a call to acc per term costs a few percent
+    """f * g in A*, dual to the coproduct: (f * g)(e_k) = f(e_i) g(e_j)
+    summed over the terms (i, j) of Delta(e_k)."""
+    # hot kernel: kept inline, as a call to acc per term costs a few percent;
+    # only the terms whose left leg lies in the support of f are read
     out: Row = {}
-    for k, terms in enumerate(A.delta):
-        acc = None
-        for i, j in terms:
-            fi = f.get(i)
-            if not fi:
-                continue
+    by_left = A.delta_by_left()
+    for i, fi in f.items():
+        for k, j in by_left[i]:
             gj = g.get(j)
             if not gj:
                 continue
             c = fi * gj
-            acc = c if acc is None else acc + c
-        if acc:
-            out[k] = acc
+            w = out.get(k)
+            s = c if w is None else w + c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
     return out
 
 
@@ -584,20 +597,10 @@ def _check_integrals(A: QTAlgebra, lam: Row, t: Row) -> None:
         want = row_scale(lam, as_cyclo(1 if A.counit[x] else 0))
         if mul_rows(A, ex, lam) != want or mul_rows(A, lam, ex) != want:
             raise NoIntegral(f"Lambda is not a two-sided integral (basis {x})")
-        tx = t.get(x, ZERO)
-        left: Row = {}
-        right: Row = {}
-        for i, j in A.delta[x]:
-            ti = t.get(i)
-            if ti:
-                acc(left, j, ti)
-            tj = t.get(j)
-            if tj:
-                acc(right, i, tj)
-        want_f = row_scale(A.unit_row, tx)
-        if left != want_f:
+        want_f = row_scale(A.unit_row, t.get(x, ZERO))
+        if harpoon_left(A, ex, t) != want_f:
             raise NoIntegral(f"t is not a left cointegral (basis {x})")
-        if right != want_f:
+        if harpoon_right(A, t, ex) != want_f:
             raise NoIntegral(f"t is not a right cointegral (basis {x})")
     dim_inv = as_cyclo(Fraction(1, A.dim))
     if pair_eval(t, lam) != dim_inv:
@@ -799,17 +802,11 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
         for s in block:
             j_of[s] = j
 
-    by_left = A.delta_by_left()
     n_values: list[int] = []
     for j, fj in enumerate(F):
         ech = Echelon(A.dim)
         for k in range(A.dim):
-            row: Row = {}
-            for m, jj in by_left[k]:
-                c = fj.get(jj)
-                if c:
-                    acc(row, m, c)
-            ech.insert(row)
+            ech.insert(convolve(A, {k: ONE}, fj))
         size = ech.rank
         require(size > 0 and A.dim % size == 0,
                 f"dim(A* F_{j}) = {size} does not divide {A.dim}")
@@ -831,16 +828,8 @@ def conjugacy_class(A: QTAlgebra, j: int, ring: CharRing) -> ConjClass:
     """C^j = Lambda <- F_j A* together with C_j = Lambda <- (dim A) F_j."""
     lam, _ = integrals(A)
     fj = ring.idempotents[j]
-    by_right = A.delta_by_right()
-    rows: list[Row] = []
-    for k in range(A.dim):
-        u: Row = {}
-        for m, i in by_right[k]:
-            c = fj.get(i)
-            if c:
-                acc(u, m, c)
-        rows.append(harpoon_left(A, lam, u))
-    space = Subspace(rows, A.dim)
+    space = Subspace([harpoon_left(A, lam, convolve(A, fj, {k: ONE}))
+                      for k in range(A.dim)], A.dim)
     class_sum = row_scale(harpoon_left(A, lam, fj), as_cyclo(A.dim))
     require(space.contains(class_sum), "class sum is outside its class span")
     nj = ring.n_values[j]

@@ -7,11 +7,12 @@ equal, which gives cheap canonical keys for deduplication.
 
 Sparse accumulation goes through two helpers: acc adds one term into a
 row, and apply_pairs applies a fixed (src, dst, coeff) table to a vector.
-The hot kernels are the only exception: row_addmul (under Echelon),
-hopf.mul_rows and hopf.convolve keep their loops inline, because a call
-per term costs measurably there.  Accumulation order is part of the
-output, since the stored order of a CycloNumber depends on its chain of
-adds.
+The hot kernels keep their loops inline, as a call per term costs
+measurably there: row_addmul under every Echelon reduction, hopf.mul_rows
+under every product, and hopf.convolve, run r^2 times per fusion table
+and once per basis functional in the character ring and class spans.
+Accumulation order is part of the output, since the stored order of a
+CycloNumber depends on its chain of adds.
 """
 
 from __future__ import annotations

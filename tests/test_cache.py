@@ -1,6 +1,6 @@
 import pytest
 
-from hopfcat.cache import ResultCache, cache_key, default_cache_dir
+from hopfcat.cache import ResultCache, cache_key, default_cache_dir, fits
 from hopfcat.groups import parse_group_spec
 
 
@@ -53,6 +53,25 @@ def test_corrupt_entry_discarded(tmp_path):
         assert c.get("k") is None
     assert not (tmp_path / "k.json").exists()
     assert c.get_or_compute("k", lambda: [2]) == [2]
+
+
+def test_fits():
+    shape = {"n": int, "rows": [[str]], "any": object}
+    assert fits({"n": 1, "rows": [["a"], []], "any": None}, shape)
+    assert fits({"n": 1, "rows": [], "any": [1]}, shape)
+    assert not fits({"n": True, "rows": [], "any": 0}, shape)  # bool is no int
+    assert not fits({"n": 1, "rows": [["a", 2]], "any": 0}, shape)
+    assert not fits({"n": 1, "rows": []}, shape)  # a missing key
+    assert not fits({"n": 1, "rows": [], "any": 0, "x": 0}, shape)
+    assert not fits([], shape) and not fits({"n": 1}, [int])
+
+
+def test_wrong_shape_entry_recomputed(tmp_path):
+    c = ResultCache(tmp_path)
+    c.put("k", {"rows": 5})
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert c.get_or_compute("k", lambda: [2], [int]) == [2]
+    assert c.get("k") == [2]
 
 
 def test_purge(tmp_path):

@@ -260,6 +260,32 @@ def test_cache_corruption_recovery(tmp_path, capsys):
     assert code == 0 and out2 == out1
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (("chartab",), []),
+    (("chartab",), {"rows": 5}),
+    (("chartab",), {"group": "S3", "class_representatives": [0],
+                    "class_sizes": [1], "degrees": [1],
+                    "rows": [[{"n": "1", "c": []}]]}),
+    (("double", "smatrix"), {"algebra": "D(S3)", "dims": [1], "rank": "8",
+                             "phi_relation": "plain", "entries": [[]]}),
+    (("subcats", "list"), {"algebra": "D(S3)", "covers": [],
+                           "centralizer_pairs": []}),
+    (("subcats", "lattice"), {"algebra": "D(S3)", "nodes": [
+        {"label": "x", "indices": [0], "fpdim": 1.5}], "covers": [],
+        "centralizer_pairs": []}),
+])
+def test_cache_wrong_shape_is_corrupt(tmp_path, capsys, argv, bad):
+    args = argv + ("--group", "S3", "--cache", str(tmp_path))
+    _, cold, _ = _run(capsys, *args)
+    [entry] = tmp_path.glob("*.json")
+    good = entry.read_bytes()
+    entry.write_text(json.dumps(bad))
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        code, out, _ = _run(capsys, *args)
+    assert code == 0 and out == cold
+    assert entry.read_bytes() == good
+
+
 def test_cache_purge(tmp_path, capsys):
     _run(capsys, "chartab", "--group", "Z3", "--cache", str(tmp_path))
     n = len(list(tmp_path.glob("*.json")))

@@ -1,7 +1,10 @@
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hopfcat import coideal
 from hopfcat.coideal import (
     Bicharacter,
     bichar_label,
@@ -19,7 +22,8 @@ from hopfcat.coideal import (
 from hopfcat.cyclo import as_cyclo
 from hopfcat.errors import PreconditionViolated
 from hopfcat.groups import Subgroup, parse_group_spec, subgroup_generated
-from hopfcat.hopf import counit_value, mul_rows
+from hopfcat.fusion import enumerate_subcats
+from hopfcat.hopf import QTAlgebra, counit_value, mul_rows
 
 ONE = as_cyclo(1)
 
@@ -74,9 +78,29 @@ def test_bicharacter_labels_distinct(double_s3):
     G = double_s3.group
     M = subgroup_generated(G, [3])
     bcs = enumerate_invariant_bicharacters(G, M, M)
-    labels = [bichar_label(G, M.members, M.members, bc) for bc in bcs]
+    labels = [bichar_label(double_s3, M.members, M.members, bc) for bc in bcs]
     assert labels[0] == "triv"
     assert len(set(labels)) == len(labels)
+
+
+def test_bicharacter_labels_enumerate_once(doubles, monkeypatch):
+    A = doubles["D4"]
+    # the same catalog on a copy of D(D4) whose memo is still empty
+    fresh = QTAlgebra(A.name, A.kind, A.group, A.labels, A.prod_idx,
+                      A.delta, A.counit, A.s_idx, A.r_terms, A.unit_row)
+    objs = [dataclasses.replace(x, algebra=fresh)
+            for x in enumerate_coideals(A) + enumerate_subcats(A)]
+    calls = Counter()
+    original = coideal.enumerate_invariant_bicharacters
+
+    def counted(G, M, H):
+        calls[M.members, H.members] += 1
+        return original(G, M, H)
+
+    monkeypatch.setattr(coideal, "enumerate_invariant_bicharacters", counted)
+    labels = [x.label() for x in objs] + [x.label() for x in objs]
+    assert any("B=" in label for label in labels)
+    assert calls and max(calls.values()) == 1
 
 
 def test_bicharacter_ops():

@@ -1,14 +1,16 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from hopfcat.cyclo import CycloNumber, as_cyclo
-from hopfcat.errors import BoundExceeded, InvariantViolation
+from hopfcat.errors import BoundExceeded, InvariantViolation, NoIntegral
 from hopfcat.groups import parse_group_spec
 from hopfcat.hopf import (
     DOUBLE_DIM_BOUND,
     QTAlgebra,
+    _check_integrals,
     all_classes,
     apply_antipode,
     build_double,
@@ -21,6 +23,8 @@ from hopfcat.hopf import (
     delta_of,
     drinfeld_map,
     dual_character,
+    harpoon_left,
+    harpoon_right,
     integrals,
     is_left_coideal,
     mul_rows,
@@ -106,6 +110,68 @@ def test_convolution_unit(double_s3):
     f = {3: ONE, 7: as_cyclo(Fraction(1, 2))}
     assert convolve(A, f, eps) == f
     assert convolve(A, eps, f) == f
+
+
+def _rows_for(A, seed):
+    """A basis row, a two-term row and a dense row with cyclotomic values."""
+    rnd = random.Random(seed)
+    z = CycloNumber.zeta(4)
+    dense = {k: as_cyclo(rnd.randint(-2, 2)) + rnd.randint(-1, 1) * z
+             for k in range(A.dim)}
+    return [{rnd.randrange(A.dim): ONE},
+            {rnd.randrange(A.dim): as_cyclo(Fraction(1, 3)),
+             rnd.randrange(A.dim): z},
+            {k: v for k, v in dense.items() if v}]
+
+
+def _summed(terms):
+    out = {}
+    for k, c in terms:
+        out[k] = out.get(k, ZERO) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def test_coproduct_maps_match_brute_force(doubles, triangular_s3):
+    algebras = (doubles["S3"], doubles["Q8"], triangular_s3)
+    for seed, A in enumerate(algebras):
+        rows = _rows_for(A, seed) + _rows_for(A, seed + 10)
+        for x in rows:
+            for y in rows:
+                # (x * y)(e_k) = sum of x(e_i) y(e_j) over Delta(e_k)
+                assert convolve(A, x, y) == _summed(
+                    (k, x.get(i, ZERO) * y.get(j, ZERO))
+                    for k in range(A.dim) for i, j in A.delta[k])
+                # a <- f = f(a_1) a_2 and f -> a = a_1 f(a_2)
+                assert harpoon_left(A, x, y) == _summed(
+                    (j, x.get(k, ZERO) * y.get(i, ZERO))
+                    for k in range(A.dim) for i, j in A.delta[k])
+                assert harpoon_right(A, x, y) == _summed(
+                    (i, y.get(k, ZERO) * x.get(j, ZERO))
+                    for k in range(A.dim) for i, j in A.delta[k])
+
+
+def test_harpoon_action_laws(doubles, triangular_s3):
+    algebras = (doubles["S3"], doubles["Q8"], triangular_s3)
+    for seed, A in enumerate(algebras):
+        rows = _rows_for(A, seed + 20)
+        for a in rows:
+            for f in rows:
+                for g in rows:
+                    fg = convolve(A, f, g)
+                    assert (harpoon_left(A, harpoon_left(A, a, f), g)
+                            == harpoon_left(A, a, fg))
+                    assert (harpoon_right(A, f, harpoon_right(A, g, a))
+                            == harpoon_right(A, fg, a))
+
+
+def test_check_integrals_rejects_a_normalized_non_cointegral(
+        double_s3, triangular_s3):
+    for A, t in ((double_s3, {double_s3.pair_index(0, 0): ONE}),
+                 (triangular_s3, {0: ONE, 1: ONE})):
+        lam, good = integrals(A)
+        assert pair_eval(t, A.unit_row) == ONE and t != good
+        with pytest.raises(NoIntegral, match="cointegral"):
+            _check_integrals(A, lam, t)
 
 
 def test_dual_character_agrees_with_complex_conjugate(double_s3):
