@@ -48,13 +48,16 @@ def _dump(value) -> str:
 def fits(value, shape) -> bool:
     """Whether a JSON value has a shape.  A shape is a type (object for
     any value), a one-item list [s] for lists whose elements all fit s,
-    or a dict for dicts with exactly its keys, each value fitting."""
+    a dict for dicts with exactly its keys, each value fitting, or a
+    predicate, for the values it accepts."""
     if isinstance(shape, list):
         return type(value) is list and all(fits(v, shape[0]) for v in value)
     if isinstance(shape, dict):
         return (type(value) is dict and value.keys() == shape.keys()
                 and all(fits(value[k], s) for k, s in shape.items()))
-    return shape is object or type(value) is shape
+    if isinstance(shape, type):
+        return shape is object or type(value) is shape
+    return shape(value)
 
 
 class ResultCache:

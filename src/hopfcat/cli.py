@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cache import ResultCache, cache_key, default_cache_dir
+from .cache import ResultCache, cache_key, default_cache_dir, fits
 from .chartab import character_table
 from .coideal import coideal_triples, enumerate_coideals, triple_coideal
 from .cyclo import CycloNumber, fmt_cyclo
@@ -22,9 +22,9 @@ from .errors import (BoundExceeded, HopfcatError, ParseError,
                      PreconditionViolated, MethodPreconditionViolated)
 from .fusion import (centralizer, double_irreps, enumerate_subcats,
                      fusion_table, smatrix, subcat_from_triple)
-from .groups import (Group, center_subgroup, normal_subgroups,
-                     parse_group_spec, subgroup_generated)
-from .hopf import DOUBLE_DIM_BOUND, QTAlgebra, build_double
+from .groups import (DOUBLE_DIM_BOUND, Group, center_subgroup,
+                     normal_subgroups, parse_group_spec, subgroup_generated)
+from .hopf import QTAlgebra, build_double
 from .verify import summarize, verify_identities
 
 
@@ -261,6 +261,36 @@ def _lattice_payload(A: QTAlgebra) -> dict:
     }
 
 
+# --- cached payload shapes ------------------------------------------------
+
+
+def _cell_shape(G: Group):
+    """A cyclotomic value of G's tables: its order n is positive and
+    divides the exponent of G, as every value in Q(zeta_exp(G)) does,
+    and each term [e, a, b] has 0 <= e < n and b > 0."""
+    exp = G.exponent()
+
+    def cell(v) -> bool:
+        if not fits(v, {"n": int, "c": [[int]]}):
+            return False
+        n = v["n"]
+        return n > 0 and exp % n == 0 and all(
+            len(t) == 3 and 0 <= t[0] < n and t[2] > 0 for t in v["c"])
+    return cell
+
+
+def _lattice_fits(p) -> bool:
+    """The lattice shape, with every cover and centralizer pair naming
+    two of its nodes."""
+    if not fits(p, {"algebra": str,
+                    "nodes": [{"label": str, "indices": [int], "fpdim": int}],
+                    "covers": [[int]], "centralizer_pairs": [[int]]}):
+        return False
+    n = len(p["nodes"])
+    return all(len(pair) == 2 and all(0 <= k < n for k in pair)
+               for pair in p["covers"] + p["centralizer_pairs"])
+
+
 # --- renderers ------------------------------------------------------------
 
 
@@ -359,7 +389,7 @@ def _cmd_chartab(cfg: RunConfig, args) -> int:
         cache_key(G, "chartab"), lambda: _chartab_payload(G),
         {"group": object, "class_representatives": [int],
          "class_sizes": [int], "degrees": [int],
-         "rows": [[{"n": int, "c": [[int]]}]]})
+         "rows": [[_cell_shape(G)]]})
     print(_emit_json(payload) if cfg.output_format == "json"
           else _text_chartab(payload))
     return 0
@@ -381,7 +411,7 @@ def _cmd_double(cfg: RunConfig, args) -> int:
         payload = cache.get_or_compute(
             cache_key(A.group, "smatrix"), lambda: _smatrix_payload(A),
             {"algebra": str, "dims": [int], "rank": int,
-             "phi_relation": str, "entries": [[{"n": int, "c": [[int]]}]]})
+             "phi_relation": str, "entries": [[_cell_shape(A.group)]]})
         print(_emit_json(payload) if cfg.output_format == "json"
               else _text_smatrix(payload))
     else:
@@ -419,9 +449,7 @@ def _cmd_subcats(cfg: RunConfig, args) -> int:
     cache = ResultCache(cfg.cache_dir)
     payload = cache.get_or_compute(
         cache_key(A.group, "lattice"), lambda: _lattice_payload(A),
-        {"algebra": str,
-         "nodes": [{"label": str, "indices": [int], "fpdim": int}],
-         "covers": [[int]], "centralizer_pairs": [[int]]})
+        _lattice_fits)
     if args.action == "list":
         nodes = payload["nodes"]
         if cfg.output_format == "json":

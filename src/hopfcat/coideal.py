@@ -21,7 +21,7 @@ from .errors import (InternalMismatch, NoIntegral, PreconditionViolated,
 from .groups import (Group, Subgroup, commutator_subgroup, commute_elementwise,
                      exponent_tables, normal_subgroups, quotient_group,
                      subgroup_generated)
-from .hopf import (QTAlgebra, Subspace, adjoint, apply_antipode, convolve,
+from .hopf import (QTAlgebra, adjoint, apply_antipode, convolve,
                    counit_value, drinfeld_map, func_harpoon_left,
                    is_left_coideal, leg_slices, memo, memoized, mul_rows,
                    pair_eval, right_adjoint)
@@ -149,7 +149,7 @@ class CoidealSubalgebra:
     """A verified left normal coideal subalgebra with its integral."""
 
     algebra: QTAlgebra
-    space: Subspace
+    space: Echelon
     integral: Row
     mspec: tuple[int, ...] | None = None
     hspec: tuple[int, ...] | None = None
@@ -174,7 +174,7 @@ class CoidealSubalgebra:
         return f"Coideal({self.label()}, dim={self.dim})"
 
 
-def _verify_coideal(A: QTAlgebra, space: Subspace) -> None:
+def _verify_coideal(A: QTAlgebra, space: Echelon) -> None:
     require(space.contains(A.unit_row), "coideal misses the unit")
     rows = space.rows
     for a in rows:
@@ -188,7 +188,7 @@ def _verify_coideal(A: QTAlgebra, space: Subspace) -> None:
                     "coideal is not stable under the adjoint action")
 
 
-def coideal_integral(A: QTAlgebra, space: Subspace) -> Row:
+def coideal_integral(A: QTAlgebra, space: Echelon) -> Row:
     """The unique idempotent left integral: l u = eps(l) u, eps(u) = 1."""
     rows = space.rows
     d = len(rows)
@@ -219,7 +219,7 @@ def coideal_integral(A: QTAlgebra, space: Subspace) -> Row:
     return best
 
 
-def _wrap(A: QTAlgebra, space: Subspace, mspec=None, hspec=None,
+def _wrap(A: QTAlgebra, space: Echelon, mspec=None, hspec=None,
           bichar=None) -> CoidealSubalgebra:
     _verify_coideal(A, space)
     lam = coideal_integral(A, space)
@@ -271,7 +271,7 @@ def build_coideal(A: QTAlgebra, M: Subgroup, H: Subgroup,
                 v = bc.values[mpos[m]][hi]
                 row[A.pair_index(G.mul(m, s), h)] = v
             rows.append(row)
-    space = Subspace(rows, A.dim)
+    space = Echelon(A.dim, rows)
     require(space.dim == len(H.members) * len(cosets),
             "twisted sums are not linearly independent")
     return _wrap(A, space, M.members, H.members, bc)
@@ -294,13 +294,14 @@ def _coset_reps(G: Group, M: Subgroup) -> list[int]:
 
 
 def group_coideal(A: QTAlgebra, N: Subgroup) -> CoidealSubalgebra:
-    """The span of a normal subgroup inside the group algebra."""
+    """The span of a normal subgroup inside the group algebra, built and
+    verified once per algebra."""
     if A.kind != "group":
         raise PreconditionViolated("subgroup coideals live in a group algebra")
     if not _is_normal(A.group, N):
         raise PreconditionViolated("subgroup is not normal")
-    space = Subspace([{g: ONE} for g in N.members], A.dim)
-    return _wrap(A, space, mspec=N.members)
+    return memo(A, (group_coideal, N.members), lambda: _wrap(
+        A, Echelon(A.dim, [{g: ONE} for g in N.members]), mspec=N.members))
 
 
 @memoized
@@ -320,7 +321,7 @@ def enumerate_coideals(A: QTAlgebra) -> list[CoidealSubalgebra]:
     return sorted(found.values(), key=lambda L: (L.dim, L.key()))
 
 
-def coideal_from_space(A: QTAlgebra, space: Subspace) -> CoidealSubalgebra:
+def coideal_from_space(A: QTAlgebra, space: Echelon) -> CoidealSubalgebra:
     """Wrap a subspace as a verified coideal, reusing a catalog entry when
     the same space was already enumerated."""
     for L in enumerate_coideals(A):
@@ -333,12 +334,13 @@ def coideal_from_space(A: QTAlgebra, space: Subspace) -> CoidealSubalgebra:
 
 
 def _span_product(A: QTAlgebra, L1: CoidealSubalgebra,
-                  L2: CoidealSubalgebra, reverse: bool = False) -> Echelon:
+                  L2: CoidealSubalgebra) -> Echelon:
+    # a loop rather than Echelon(A.dim, rows): it stops at full dimension
     ech = Echelon(A.dim)
     for a in L1.space.rows:
         for b in L2.space.rows:
-            ech.insert(mul_rows(A, b, a) if reverse else mul_rows(A, a, b))
-            if ech.rank == A.dim:
+            ech.insert(mul_rows(A, a, b))
+            if ech.dim == A.dim:
                 return ech
     return ech
 
@@ -350,10 +352,10 @@ def coideal_product(A: QTAlgebra, L1: CoidealSubalgebra,
         return L2
     if L2.space <= L1.space:
         return L1
-    space = Subspace(_span_product(A, L1, L2).rows(), A.dim)
+    space = _span_product(A, L1, L2)
     if space.dim < A.dim:
-        sym = Subspace(_span_product(A, L1, L2, reverse=True).rows(), A.dim)
-        require(space == sym, "coideal product is not symmetric")
+        require(space == _span_product(A, L2, L1),
+                "coideal product is not symmetric")
     return coideal_from_space(A, space)
 
 
@@ -364,16 +366,16 @@ def coideal_intersect(A: QTAlgebra, L1: CoidealSubalgebra,
     if L2.space <= L1.space:
         return L2
     rows = intersect(L1.space.rows, L2.space.rows, A.dim)
-    return coideal_from_space(A, Subspace(rows, A.dim))
+    return coideal_from_space(A, Echelon(A.dim, rows))
 
 
-def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Subspace:
+def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     """(A//L)* as functionals killing the augmentation ideal of L.
 
     Computed two ways: as the solution space of f(a l) = eps(l) f(a)
     and as the translate Lambda_L -> A*; the two must agree.
     """
-    def build() -> Subspace:
+    def build() -> Echelon:
         eqs: list[Row] = []
         for ell in L.space.rows:
             epsl = counit_value(A, ell)
@@ -382,9 +384,9 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Subspace:
                 acc(row, k, -epsl)
                 if row:
                     eqs.append(row)
-        direct = Subspace(nullspace(eqs, A.dim), A.dim)
-        shifted = Subspace([func_harpoon_left(A, L.integral, {k: ONE})
-                            for k in range(A.dim)], A.dim)
+        direct = Echelon(A.dim, nullspace(eqs, A.dim))
+        shifted = Echelon(A.dim, [func_harpoon_left(A, L.integral, {k: ONE})
+                                  for k in range(A.dim)])
         if direct != shifted:
             raise InternalMismatch("two descriptions of (A//L)* disagree")
         require(A.dim % L.dim == 0 and direct.dim == A.dim // L.dim,
@@ -397,19 +399,19 @@ def dual_coideal(A: QTAlgebra, L: CoidealSubalgebra) -> CoidealSubalgebra:
     """The image of (A//L)* under the Drinfeld map, as a coideal."""
     dm = drinfeld_map(A)
     rows = [dm.phi(f) for f in quotient_dual(A, L).rows]
-    return coideal_from_space(A, Subspace(rows, A.dim))
+    return coideal_from_space(A, Echelon(A.dim, rows))
 
 
-def augmentation_ideal(A: QTAlgebra, L: CoidealSubalgebra) -> Subspace:
+def augmentation_ideal(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     """A L+ = A (1 - Lambda_L)."""
     one_minus = row_addmul(A.unit_row, L.integral, -ONE)
     rows = [mul_rows(A, A.basis(k), one_minus) for k in range(A.dim)]
-    space = Subspace(rows, A.dim)
+    space = Echelon(A.dim, rows)
     require(space.dim == A.dim - A.dim // L.dim, "A L+ has the wrong dimension")
     return space
 
 
-def recover_from_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Subspace:
+def recover_from_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     """L reconstructed as {a : (g * f)(a) = f(1) g(a) for all f, g}."""
     dual = quotient_dual(A, L)
     constraints: list[Row] = []
@@ -420,7 +422,7 @@ def recover_from_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Subspace:
             row = row_addmul(convolve(A, g, f), g, -f1)
             if row:
                 constraints.append(row)
-    return Subspace(nullspace(constraints, A.dim), A.dim)
+    return Echelon(A.dim, nullspace(constraints, A.dim))
 
 
 def is_normal_hopf_subalgebra(A: QTAlgebra, L: CoidealSubalgebra) -> bool:

@@ -24,9 +24,9 @@ from .errors import (InternalMismatch, InvariantViolation,
                      MethodPreconditionViolated, NonIntegerMultiplicity,
                      NotClosed, OracleMismatch, PreconditionViolated, require)
 from .groups import Subgroup, centralizer_subgroup, normal_subgroups
-from .hopf import (QTAlgebra, Subspace, all_classes, char_ring_idempotents,
-                   convolve, drinfeld_map, dual_character, harpoon_right,
-                   integrals, memoized, pair_eval)
+from .hopf import (QTAlgebra, all_classes, char_ring_idempotents, convolve,
+                   drinfeld_map, dual_character, harpoon_right, integrals,
+                   memoized, pair_eval)
 from .linalg import Echelon, Row, acc, intersect, nullspace, row_scale
 from .reps import Matrix, mat_mul, matrix_irrep
 
@@ -378,10 +378,9 @@ def smatrix(A: QTAlgebra) -> SMatrix:
             require(abs(z) <= bound + S_BOUND_TOL,
                     "S-matrix entry exceeds the dimension bound")
 
-    ech = Echelon(r)
-    for row in entries:
-        ech.insert({k: v for k, v in enumerate(row) if v})
-    return SMatrix(simples, entries, dual, ech.rank, phi_relation)
+    rank = Echelon(r, [{k: v for k, v in enumerate(row) if v}
+                       for row in entries]).dim
+    return SMatrix(simples, entries, dual, rank, phi_relation)
 
 
 # --- subcategories --------------------------------------------------------
@@ -636,7 +635,7 @@ def char_ring(A: QTAlgebra):
     return char_ring_idempotents(A, [s.character for s in simple_objects(A)])
 
 
-def left_kernel(A: QTAlgebra, s: SimpleObject) -> Subspace:
+def left_kernel(A: QTAlgebra, s: SimpleObject) -> Echelon:
     """Largest left coideal acting trivially on the first tensor leg:
     elements a with a_1 (x) a_2 v = a (x) v."""
     d = s.dim
@@ -654,19 +653,19 @@ def left_kernel(A: QTAlgebra, s: SimpleObject) -> Subspace:
     for k in range(A.dim):
         for p in range(d):
             acc(eqs.setdefault((k, p, p), {}), k, -ONE)
-    return Subspace(nullspace(list(eqs.values()), A.dim), A.dim)
+    return Echelon(A.dim, nullspace(list(eqs.values()), A.dim))
 
 
 def generated_subcategory(A: QTAlgebra, indices) -> FusionSubcat:
     """Smallest subcategory containing the given simples, computed from
     the left kernel of their direct sum and cross-checked by closure."""
     simples = simple_objects(A)
-    space: Subspace | None = None
+    space: Echelon | None = None
     for i in indices:
         ker = left_kernel(A, simples[i])
         space = ker if space is None else _meet(A, space, ker)
     if space is None:
-        space = Subspace([A.basis(k) for k in range(A.dim)], A.dim)
+        space = Echelon(A.dim, [A.basis(k) for k in range(A.dim)])
     L = coideal_from_space(A, space)
     sub = quotient_irreps(A, L)
     want = tuple(sorted(_closure(A, frozenset(indices))))
@@ -676,5 +675,5 @@ def generated_subcategory(A: QTAlgebra, indices) -> FusionSubcat:
     return sub
 
 
-def _meet(A: QTAlgebra, x: Subspace, y: Subspace) -> Subspace:
-    return Subspace(intersect(x.rows, y.rows, A.dim), A.dim)
+def _meet(A: QTAlgebra, x: Echelon, y: Echelon) -> Echelon:
+    return Echelon(A.dim, intersect(x.rows, y.rows, A.dim))

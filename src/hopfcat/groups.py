@@ -24,6 +24,9 @@ from math import lcm
 from .errors import BoundExceeded, NotAGroup, ParseError, UnknownName
 
 NORMAL_SUBGROUP_BOUND = 24
+# the largest algebra built: D(G) has dimension |G|^2 and kG dimension |G|,
+# so no admitted algebra needs a group of larger order
+DOUBLE_DIM_BOUND = 144
 
 
 class Group:
@@ -439,12 +442,21 @@ def _parse_perm_spec(body: str, offset: int) -> Group:
             q = tuple(p[g[x]] for x in range(deg))
             if q not in elems:
                 elems.add(q)
+                _check_order(len(elems))
                 frontier.append(q)
     return _perm_group(sorted(elems), name="perm" + str(len(elems)))
 
 
+def _check_order(n: int) -> None:
+    if n > DOUBLE_DIM_BOUND:
+        raise BoundExceeded(f"group order {n} > {DOUBLE_DIM_BOUND}")
+
+
 def parse_group_spec(spec: str) -> Group:
-    """Grammar: NAME | 'perm:' cycles (',' cycles)* | 'cayley:' path."""
+    """Grammar: NAME | 'perm:' cycles (',' cycles)* | 'cayley:' path.
+
+    A group of order above DOUBLE_DIM_BOUND is refused from the spec,
+    before anything of its size is built."""
     spec = spec.strip()
     if not spec:
         raise ParseError("empty group spec", 0)
@@ -462,6 +474,7 @@ def parse_group_spec(spec: str) -> Group:
         table = obj.get("table") if isinstance(obj, dict) else obj
         name = obj.get("name", "") if isinstance(obj, dict) else ""
         n = len(table) if isinstance(table, list) else 0
+        _check_order(n)
         if not n or not all(isinstance(row, list) and len(row) == n
                             and all(type(v) is int for v in row)
                             for row in table):
@@ -473,12 +486,14 @@ def parse_group_spec(spec: str) -> Group:
         a, b = int(m.group(1)), int(m.group(2))
         if a < 1 or b < 1:
             raise ParseError("cyclic orders must be >= 1", 1)
+        _check_order(a * b)
         return _product_cyclic(a, b)
     m = _RE_ZN.match(spec)
     if m:
         n = int(m.group(1))
         if n < 1:
             raise ParseError("cyclic order must be >= 1", 1)
+        _check_order(n)
         return _cyclic(n)
     if spec in _CATALOG:
         return _CATALOG[spec]()

@@ -37,11 +37,10 @@ from fractions import Fraction
 from .cyclo import CycloNumber, ONE, ZERO, as_cyclo
 from .errors import (BoundExceeded, InconsistentCharacters,
                      InvariantViolation, NoIntegral, NotFactorizable, require)
-from .groups import Group
+from .groups import DOUBLE_DIM_BOUND, Group
 from .linalg import (Echelon, Row, acc, apply_pairs, row_addmul, row_scale,
-                     solve_linear, subspace_key)
+                     solve_linear)
 
-DOUBLE_DIM_BOUND = 144
 _ASSOC_BUDGET = 3_000_000
 _SAMPLE_TRIPLES = 200_000
 _SAMPLE_PAIRS = 20_000
@@ -60,46 +59,6 @@ def memoized(fn):
     def once(A):
         return memo(A, fn, lambda: fn(A))
     return once
-
-
-class Subspace:
-    """A row space kept in reduced echelon form.
-
-    The reduced form of a subspace is unique, so two subspaces are
-    equal exactly when their row matrices are equal.
-    """
-
-    def __init__(self, rows: list[Row], ncols: int):
-        self.ncols = ncols
-        self._ech = Echelon(ncols)
-        for r in rows:
-            self._ech.insert(r)
-
-    @property
-    def dim(self) -> int:
-        return self._ech.rank
-
-    @property
-    def rows(self) -> list[Row]:
-        return self._ech.rows()
-
-    def contains(self, row: Row) -> bool:
-        return self._ech.contains(row)
-
-    def key(self) -> tuple:
-        return subspace_key(self.rows, self.ncols, assume_rref=True)
-
-    def __le__(self, other: "Subspace") -> bool:
-        return all(other.contains(r) for r in self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Subspace) and self.ncols == other.ncols
-                and self.rows == other.rows)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, ncols={self.ncols})"
 
 
 class QTAlgebra:
@@ -669,12 +628,8 @@ class DrinfeldMap:
 
     @property
     def rank(self) -> int:
-        def build() -> int:
-            ech = Echelon(self.algebra.dim)
-            for r in self.matrix_rows():
-                ech.insert(r)
-            return ech.rank
-        return memo(self.algebra, DrinfeldMap.rank, build)
+        return memo(self.algebra, DrinfeldMap.rank,
+                    lambda: Echelon(self.algebra.dim, self.matrix_rows()).dim)
 
     @property
     def is_factorizable(self) -> bool:
@@ -764,9 +719,7 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
 
     lam, t = integrals(A)
     eps_f = counit_functional(A)
-    span = Echelon(A.dim)
-    for chi in chars:
-        span.insert(chi)
+    span = Echelon(A.dim, chars)
     total: Row = {}
     for j, fj in enumerate(F):
         total = row_addmul(total, fj, ONE)
@@ -804,10 +757,8 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
 
     n_values: list[int] = []
     for j, fj in enumerate(F):
-        ech = Echelon(A.dim)
-        for k in range(A.dim):
-            ech.insert(convolve(A, {k: ONE}, fj))
-        size = ech.rank
+        size = Echelon(A.dim, (convolve(A, {k: ONE}, fj)
+                               for k in range(A.dim))).dim
         require(size > 0 and A.dim % size == 0,
                 f"dim(A* F_{j}) = {size} does not divide {A.dim}")
         nj = A.dim // size
@@ -820,7 +771,7 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
 @dataclass
 class ConjClass:
     """A conjugacy class of the algebra: its span and its class sum."""
-    space: Subspace
+    space: Echelon
     class_sum: Row
 
 
@@ -828,8 +779,8 @@ def conjugacy_class(A: QTAlgebra, j: int, ring: CharRing) -> ConjClass:
     """C^j = Lambda <- F_j A* together with C_j = Lambda <- (dim A) F_j."""
     lam, _ = integrals(A)
     fj = ring.idempotents[j]
-    space = Subspace([harpoon_left(A, lam, convolve(A, fj, {k: ONE}))
-                      for k in range(A.dim)], A.dim)
+    space = Echelon(A.dim, [harpoon_left(A, lam, convolve(A, fj, {k: ONE}))
+                            for k in range(A.dim)])
     class_sum = row_scale(harpoon_left(A, lam, fj), as_cyclo(A.dim))
     require(space.contains(class_sum), "class sum is outside its class span")
     nj = ring.n_values[j]
@@ -842,19 +793,15 @@ def all_classes(A: QTAlgebra, ring: CharRing) -> list[ConjClass]:
     def build() -> list[ConjClass]:
         classes = [conjugacy_class(A, j, ring)
                    for j in range(len(ring.idempotents))]
-        ech = Echelon(A.dim)
-        total = 0
-        for cls in classes:
-            total += cls.space.dim
-            for row in cls.space.rows:
-                ech.insert(row)
-        require(total == A.dim and ech.rank == A.dim,
+        total = sum(cls.space.dim for cls in classes)
+        ech = Echelon(A.dim, [row for cls in classes for row in cls.space.rows])
+        require(total == A.dim and ech.dim == A.dim,
                 "conjugacy classes do not decompose the algebra")
         return classes
     return memo(A, all_classes, build)
 
 
-def is_left_coideal(A: QTAlgebra, space: Subspace) -> bool:
+def is_left_coideal(A: QTAlgebra, space: Echelon) -> bool:
     """Delta(L) <= A x L, checked slice by slice on the left leg."""
     for row in space.rows:
         left, _ = leg_slices(A, row)
@@ -864,11 +811,11 @@ def is_left_coideal(A: QTAlgebra, space: Subspace) -> bool:
 
 
 @memoized
-def compute_K_A(A: QTAlgebra) -> Subspace:
+def compute_K_A(A: QTAlgebra) -> Echelon:
     """The image of the Drinfeld map, verified to be an S-stable coideal
     subalgebra."""
     dm = drinfeld_map(A)
-    space = Subspace(_columns(dm.matrix_rows(), A.dim), A.dim)
+    space = Echelon(A.dim, _columns(dm.matrix_rows(), A.dim))
     require(space.contains(A.unit_row), "K_A misses the unit")
     for a in space.rows:
         for b in space.rows:

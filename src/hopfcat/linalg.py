@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over cyclotomic scalars.
 
-Vectors are dicts mapping column index to a nonzero CycloNumber.  The
-workhorse is an incremental reduced row echelon form: since RREF of a
-subspace is unique, two subspaces are equal iff their echelon rows are
-equal, which gives cheap canonical keys for deduplication.
+Vectors are dicts mapping column index to a nonzero CycloNumber.
+Echelon, an incremental reduced row echelon form, is the one subspace
+type: every coideal, class span, (A//L)*, K_A and kernel is an Echelon
+built from its rows in one call.  Since the RREF of a subspace is
+unique, spaces compare by their reduced rows (==, <=), which also gives
+cheap canonical keys for deduplication.
 
 Sparse accumulation goes through two helpers: acc adds one term into a
 row, and apply_pairs applies a fixed (src, dst, coeff) table to a vector.
@@ -68,15 +70,26 @@ def row_addmul(row: Row, other: Row, c: CycloNumber) -> Row:
 
 
 class Echelon:
-    """Incrementally maintained reduced row echelon form."""
+    """A row space in incrementally maintained reduced row echelon form.
 
-    def __init__(self, ncols: int):
+    Echelon(ncols, rows) inserts rows in the order given.  Whatever rows
+    span a space, and in whatever order, its reduced rows are the same.
+    """
+
+    def __init__(self, ncols: int, rows=()):
         self.ncols = ncols
         self.pivots: dict[int, Row] = {}
+        for r in rows:
+            self.insert(r)
 
     @property
-    def rank(self) -> int:
+    def dim(self) -> int:
         return len(self.pivots)
+
+    @property
+    def rows(self) -> list[Row]:
+        """The reduced rows, by ascending pivot column."""
+        return [self.pivots[p] for p in sorted(self.pivots)]
 
     def reduce(self, row: Row) -> Row:
         """Residual of row after elimination against current pivots."""
@@ -91,7 +104,7 @@ class Echelon:
         return out
 
     def insert(self, row: Row) -> bool:
-        """Add a row; returns True if the rank grew."""
+        """Add a row; returns True if the dimension grew."""
         res = self.reduce(row)
         if not res:
             return False
@@ -107,9 +120,6 @@ class Echelon:
     def contains(self, row: Row) -> bool:
         return not self.reduce(row)
 
-    def rows(self) -> list[Row]:
-        return [self.pivots[p] for p in sorted(self.pivots)]
-
     def coords(self, row: Row) -> list[CycloNumber] | None:
         """Coefficients of row over the echelon rows, or None."""
         res = dict(row)
@@ -122,37 +132,46 @@ class Echelon:
                 res = row_addmul(res, self.pivots[p], -c)
         return out if not res else None
 
+    def key(self) -> tuple:
+        """Canonical hashable key, read off the reduced rows."""
+        rows = self.rows
+        n = common_order(rows)
+        return tuple(tuple(sorted((j, v.key(n)) for j, v in r.items()))
+                     for r in rows)
+
+    def __le__(self, other: "Echelon") -> bool:
+        return all(other.contains(r) for r in self.rows)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Echelon) and self.ncols == other.ncols
+                and self.rows == other.rows)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Echelon(dim={self.dim}, ncols={self.ncols})"
+
 
 def rref(rows: list[Row], ncols: int) -> list[Row]:
-    ech = Echelon(ncols)
-    for r in rows:
-        ech.insert(r)
-    return ech.rows()
+    return Echelon(ncols, rows).rows
 
 
 def rank(rows: list[Row], ncols: int) -> int:
-    ech = Echelon(ncols)
-    for r in rows:
-        ech.insert(r)
-    return ech.rank
+    return Echelon(ncols, rows).dim
 
 
 def subspace_le(a: list[Row], b: list[Row], ncols: int) -> bool:
-    ech = Echelon(ncols)
-    for r in b:
-        ech.insert(r)
+    ech = Echelon(ncols, b)
     return all(ech.contains(r) for r in a)
 
 
 def subspace_eq(a: list[Row], b: list[Row], ncols: int) -> bool:
-    return rref(a, ncols) == rref(b, ncols)
+    return Echelon(ncols, a) == Echelon(ncols, b)
 
 
 def nullspace(rows: list[Row], ncols: int) -> list[Row]:
     """Basis of {x : sum_j rows[i][j] x_j = 0 for all i}, in RREF."""
-    ech = Echelon(ncols)
-    for r in rows:
-        ech.insert(r)
+    ech = Echelon(ncols, rows)
     piv = sorted(ech.pivots)
     free = [j for j in range(ncols) if j not in ech.pivots]
     out: list[Row] = []
@@ -227,14 +246,9 @@ def common_order(rows: list[Row]) -> int:
     return n
 
 
-def subspace_key(rows: list[Row], ncols: int, assume_rref: bool = False) -> tuple:
+def subspace_key(rows: list[Row], ncols: int) -> tuple:
     """Canonical hashable key of a row space."""
-    basis = rows if assume_rref else rref(rows, ncols)
-    n = common_order(basis)
-    return tuple(
-        tuple(sorted((j, v.key(n)) for j, v in r.items()))
-        for r in basis
-    )
+    return Echelon(ncols, rows).key()
 
 
 def tensor_index(i: int, j: int, dim: int) -> int:

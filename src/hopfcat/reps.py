@@ -152,13 +152,11 @@ def matrix_irrep(G: Group, table: CharacterTable, i: int) -> list[Matrix]:
         cache[i] = mats
         return mats
     f = _splitting_idempotent(G, table, i)
-    ech = Echelon(G.n)
-    for h in range(G.n):
-        ech.insert(_translate(G, h, f))
-    if ech.rank != d:
+    ech = Echelon(G.n, (_translate(G, h, f) for h in range(G.n)))
+    if ech.dim != d:
         raise InvariantViolation(
-            f"ideal of character {i} has dimension {ech.rank}, expected {d}")
-    basis = ech.rows()
+            f"ideal of character {i} has dimension {ech.dim}, expected {d}")
+    basis = ech.rows
     mats = []
     for g in range(G.n):
         cols = []

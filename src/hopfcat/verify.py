@@ -21,7 +21,7 @@ from .errors import InvariantViolation
 from .fusion import (centralizer, char_ring, enumerate_subcats, left_kernel,
                      quotient_integral, quotient_irreps, simple_objects,
                      smatrix)
-from .hopf import (QTAlgebra, Subspace, all_classes, compute_K_A, convolve,
+from .hopf import (QTAlgebra, all_classes, compute_K_A, convolve,
                    drinfeld_map, integrals, memo, mul_rows, pair_eval,
                    verify_quasitriangular)
 from .linalg import (Echelon, Row, acc, intersect, nullspace, row_addmul,
@@ -94,7 +94,7 @@ class _Context:
                     best = D
         return best.indices
 
-    def lker(self, i: int) -> Subspace:
+    def lker(self, i: int) -> Echelon:
         return memo(self.A, (left_kernel, i),
                     lambda: left_kernel(self.A, self.simples[i]))
 
@@ -207,11 +207,9 @@ def _check_kernel_image(ctx: _Context) -> list[CheckResult]:
     A = ctx.A
     KA = coideal_from_space(A, ctx.KA)
     blocks = ctx.blocks_in(KA)
-    span = Echelon(A.dim)
-    for j in blocks:
-        for row in ctx.classes[j].space.rows:
-            span.insert(row)
-    ok = Subspace(span.rows(), A.dim) == KA.space
+    span = Echelon(A.dim, [row for j in blocks
+                           for row in ctx.classes[j].space.rows])
+    ok = span == KA.space
     out.append(_res("kernel-image-intersection", "K_A", ok,
                     f"K_A is the sum of blocks {sorted(blocks)}"))
     for L in ctx.cos:
@@ -234,11 +232,9 @@ def _check_dual_blocks(ctx: _Context) -> list[CheckResult]:
     for L in ctx.cos:
         Ls = ctx.star(L)
         want = {jof[i] for i in ctx.idx_of(L)}
-        span = Echelon(A.dim)
-        for j in want:
-            for row in ctx.classes[j].space.rows:
-                span.insert(row)
-        ok1 = Subspace(span.rows(), A.dim) == Ls.space
+        span = Echelon(A.dim, [row for j in want
+                               for row in ctx.classes[j].space.rows])
+        ok1 = span == Ls.space
         in_l = ctx.blocks_in(L)
         ok2 = in_l == {jof[i] for i in ctx.idx_of(Ls)}
         csum: Row = {}
@@ -298,12 +294,11 @@ def _check_intersection_transport(ctx: _Context) -> list[CheckResult]:
         b1 = quotient_dual(A, L)
         b2 = quotient_dual(A, Ls)
         inter = intersect(b1.rows, b2.rows, A.dim)
-        image = Subspace([ctx.dm.phi(f) for f in inter], A.dim)
-        target = Subspace(intersect(L.space.rows, Ls.space.rows, A.dim),
-                          A.dim)
+        image = Echelon(A.dim, [ctx.dm.phi(f) for f in inter])
+        target = Echelon(A.dim, intersect(L.space.rows, Ls.space.rows, A.dim))
         ok = image == target
         prod = coideal_product(A, L, Ls)
-        ok = ok and Subspace(inter, A.dim) == quotient_dual(A, prod)
+        ok = ok and Echelon(A.dim, inter) == quotient_dual(A, prod)
         out.append(_res("intersection-transport", L.label(), ok,
                         f"dim phi(B meet B') = {image.dim}"))
     return out
@@ -461,7 +456,7 @@ def _check_splitting_pairs(ctx: _Context) -> list[CheckResult]:
     return out
 
 
-def _coinvariants(ctx: _Context, aug: Echelon, side: str) -> Subspace:
+def _coinvariants(ctx: _Context, aug: Echelon, side: str) -> Echelon:
     """Solutions of a_(1) (x) pi(a_(2)) = a (x) pi(1) (or its mirror),
     with pi the projection modulo the augmentation ideal."""
     A = ctx.A
@@ -476,10 +471,10 @@ def _coinvariants(ctx: _Context, aug: Echelon, side: str) -> Subspace:
     for slot in range(A.dim):
         for m, c in red_unit.items():
             acc(eqs.setdefault((slot, m), {}), slot, -c)
-    return Subspace(nullspace([r for r in eqs.values() if r], A.dim), A.dim)
+    return Echelon(A.dim, nullspace([r for r in eqs.values() if r], A.dim))
 
 
-def _commutant(A: QTAlgebra, rows) -> Subspace:
+def _commutant(A: QTAlgebra, rows) -> Echelon:
     eqs: list[Row] = []
     for s in rows:
         diff: dict[int, Row] = {}
@@ -489,7 +484,7 @@ def _commutant(A: QTAlgebra, rows) -> Subspace:
             for m, c in d.items():
                 diff.setdefault(m, {})[k] = c
         eqs.extend(diff.values())
-    return Subspace(nullspace(eqs, A.dim), A.dim)
+    return Echelon(A.dim, nullspace(eqs, A.dim))
 
 
 def _check_coinvariants(ctx: _Context) -> list[CheckResult]:
@@ -501,14 +496,11 @@ def _check_coinvariants(ctx: _Context) -> list[CheckResult]:
     out = []
     A = ctx.A
     for L in ctx.cos:
-        aug_space = augmentation_ideal(A, L)
-        aug = Echelon(A.dim)
-        for row in aug_space.rows:
-            aug.insert(row)
+        aug = augmentation_ideal(A, L)
         one_minus = row_addmul(A.unit_row, L.integral, -ONE)
-        right_ideal = Subspace([mul_rows(A, one_minus, A.basis(k))
-                                for k in range(A.dim)], A.dim)
-        ok = right_ideal == aug_space
+        right_ideal = Echelon(A.dim, [mul_rows(A, one_minus, A.basis(k))
+                                      for k in range(A.dim)])
+        ok = right_ideal == aug
         ok = ok and _coinvariants(ctx, aug, "left") == L.space
         co_right = _coinvariants(ctx, aug, "right")
         normal = co_right == L.space

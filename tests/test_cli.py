@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,17 @@ def test_data_command_bound_exceeded(tmp_path, capsys):
                         "--cache", str(tmp_path))
     assert code == 3
     assert "error" in err
+    # a group of order above the bound is refused from its spec, before
+    # its table (or, for perm:, S10's 3,628,800 elements) is built
+    for argv in (("chartab", "--group", "Z99999999"),
+                 ("group", "info", "--group", "Z1000xZ1000"),
+                 ("group", "info", "--group",
+                  "perm:(0 1),(0 1 2 3 4 5 6 7 8 9)")):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, *argv, "--cache", str(tmp_path))
+        assert time.perf_counter() - start < 5, argv
+        assert code == 3 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
 def _benchmark_worker():
@@ -190,6 +202,8 @@ def test_coideals_built_once():
     finally:
         trace = tracer.stop()
     assert trace["counts"]["coideal.build_coideal_calls"] == len(coideals) == 8
+    # every space is an Echelon built through insert, which the tracer counts
+    assert trace["counts"]["linalg.echelon_insert_calls"] > 0
 
 
 def test_unknown_group_usage_error(tmp_path, capsys):
@@ -273,6 +287,19 @@ def test_cache_corruption_recovery(tmp_path, capsys):
     (("subcats", "lattice"), {"algebra": "D(S3)", "nodes": [
         {"label": "x", "indices": [0], "fpdim": 1.5}], "covers": [],
         "centralizer_pairs": []}),
+    # right shape, impossible values
+    (("subcats", "lattice"), {"algebra": "D(S3)", "nodes": [
+        {"label": "x", "indices": [0], "fpdim": 1}], "covers": [[0, 99]],
+        "centralizer_pairs": []}),
+    (("chartab",), {"group": "S3", "class_representatives": [0],
+                    "class_sizes": [1], "degrees": [1],
+                    "rows": [[{"n": 0, "c": []}]]}),
+    (("chartab",), {"group": "S3", "class_representatives": [0],
+                    "class_sizes": [1], "degrees": [1],
+                    "rows": [[{"n": 10**12, "c": []}]]}),
+    (("chartab",), {"group": "S3", "class_representatives": [0],
+                    "class_sizes": [1], "degrees": [1],
+                    "rows": [[{"n": 3, "c": [[0, 1, 0]]}]]}),
 ])
 def test_cache_wrong_shape_is_corrupt(tmp_path, capsys, argv, bad):
     args = argv + ("--group", "S3", "--cache", str(tmp_path))

@@ -184,6 +184,11 @@ def test_group_coideal(triangular_s3):
 def test_triangular_coideal_count(triangular_s3):
     cos = enumerate_coideals(triangular_s3)
     assert sorted(L.dim for L in cos) == [1, 3, 6]
+    # each k[N] is built once per algebra: the subcategories carry the
+    # very coideals the catalog returned
+    subs = enumerate_subcats(triangular_s3)
+    assert len(subs) == len(cos)
+    assert all(any(D.coideal is L for L in cos) for D in subs)
 
 
 def test_invalid_bicharacter_rejected(double_s3):

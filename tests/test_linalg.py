@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from hopfcat.cyclo import CycloNumber
 from hopfcat.linalg import (
     Echelon,
@@ -69,10 +72,46 @@ def test_echelon_insert_reduce_contains():
     assert ech.insert(_row((0, 1), (1, 2)))
     assert ech.insert(_row((1, 1)))
     assert not ech.insert(_row((0, 2), (1, 4)))  # dependent
-    assert ech.rank == 2
+    assert ech.dim == 2
     assert ech.contains(_row((0, 5), (1, -1)))
     assert not ech.contains(_row((2, 1)))
     assert ech.reduce(_row((0, 1), (2, 1))) == _row((2, 1))
+
+
+def test_echelon_from_rows_is_one_space():
+    rows = [_row((0, 1), (1, 2)), _row((1, 1), (3, 1)), _row((0, 2), (1, 4)),
+            _row((2, 3))]
+    ech = Echelon(4, rows)
+    one_by_one = Echelon(4)
+    for r in rows:
+        one_by_one.insert(r)
+    assert ech == one_by_one and ech.pivots == one_by_one.pivots
+    # another spanning set of the same space, inserted in another order
+    other = Echelon(4, [_row((2, 1)), _row((0, 1), (1, 3), (3, 1)),
+                        _row((1, 1), (3, 1)), _row((1, 3), (3, 3))])
+    assert other == ech and other.key() == ech.key()
+    assert other.rows == ech.rows and other.dim == ech.dim == 3
+    sub = Echelon(4, [_row((2, 5)), _row((0, 1), (1, 2))])
+    assert sub <= ech and not ech <= sub and sub != ech
+    assert Echelon(3, rows[:1]) != Echelon(4, rows[:1])  # other ambient space
+    with pytest.raises(TypeError):
+        hash(ech)
+
+
+_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 4), _entries, min_size=1,
+                                max_size=3), min_size=1, max_size=5),
+       st.randoms(use_true_random=False))
+def test_echelon_insertion_order_is_invisible(raw, rnd):
+    rows = [{j: CycloNumber.rational(v) for j, v in r.items() if v}
+            for r in raw]
+    shuffled = rows[:]
+    rnd.shuffle(shuffled)
+    a, b = Echelon(5, rows), Echelon(5, shuffled)
+    assert a.rows == b.rows and a.key() == b.key() and a == b
 
 
 def test_echelon_coords():
@@ -85,7 +124,7 @@ def test_echelon_coords():
     coords = ech.coords(target)
     assert coords is not None
     rebuilt = {}
-    for c, basis in zip(coords, ech.rows()):
+    for c, basis in zip(coords, ech.rows):
         rebuilt = row_addmul(rebuilt, basis, c)
     assert rebuilt == target
     assert ech.coords(_row((0, 1))) is None
