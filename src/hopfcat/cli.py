@@ -279,6 +279,22 @@ def _cell_shape(G: Group):
     return cell
 
 
+def _chartab_fits(G: Group):
+    """The chartab shape, square: as many characters (rows, degrees) as
+    classes (representatives, sizes), and one cell per class in a row."""
+    shape = {"group": object, "class_representatives": [int],
+             "class_sizes": [int], "degrees": [int],
+             "rows": [[_cell_shape(G)]]}
+
+    def square(p) -> bool:
+        if not fits(p, shape):
+            return False
+        r = len(p["class_representatives"])
+        return (len(p["class_sizes"]) == len(p["degrees"]) == len(p["rows"])
+                == r and all(len(row) == r for row in p["rows"]))
+    return square
+
+
 def _lattice_fits(p) -> bool:
     """The lattice shape, with every cover and centralizer pair naming
     two of its nodes."""
@@ -387,9 +403,7 @@ def _cmd_chartab(cfg: RunConfig, args) -> int:
     cache = ResultCache(cfg.cache_dir)
     payload = cache.get_or_compute(
         cache_key(G, "chartab"), lambda: _chartab_payload(G),
-        {"group": object, "class_representatives": [int],
-         "class_sizes": [int], "degrees": [int],
-         "rows": [[_cell_shape(G)]]})
+        _chartab_fits(G))
     print(_emit_json(payload) if cfg.output_format == "json"
           else _text_chartab(payload))
     return 0

@@ -14,17 +14,18 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cyclo import CycloNumber, ONE
-from .errors import (InternalMismatch, NoIntegral, PreconditionViolated,
-                     require)
+from .errors import (InternalMismatch, InvariantViolation, NoIntegral,
+                     PreconditionViolated, require)
 from .groups import (Group, Subgroup, commutator_subgroup, commute_elementwise,
                      exponent_tables, normal_subgroups, quotient_group,
                      subgroup_generated)
 from .hopf import (QTAlgebra, adjoint, apply_antipode, convolve,
-                   counit_value, drinfeld_map, func_harpoon_left,
-                   is_left_coideal, leg_slices, memo, memoized, mul_rows,
-                   pair_eval, right_adjoint)
+                   counit_value, drinfeld_map, failure, generators,
+                   is_left_coideal, left_quotients, leg_slices, lmul, memo,
+                   memoized, mul_rows, pair_eval, right_adjoint)
 from .linalg import (Echelon, Row, acc, intersect, nullspace, row_addmul,
                      row_scale)
 
@@ -174,7 +175,15 @@ class CoidealSubalgebra:
         return f"Coideal({self.label()}, dim={self.dim})"
 
 
-def _verify_coideal(A: QTAlgebra, space: Echelon) -> None:
+def _verify_coideal(A: QTAlgebra, space: Echelon, label) -> None:
+    """A unital subalgebra and left coideal, stable under the adjoint
+    action; label() names the space in a failure.
+
+    Adjoint stability is checked on the algebra generators only.  Lemma:
+    ad is an algebra homomorphism A -> End(A), ad(xy) = ad(x) ad(y), and
+    linear in x, so a space stable under ad(x) for each generator x is
+    stable under ad of every product and sum of them, that is of all of A.
+    """
     require(space.contains(A.unit_row), "coideal misses the unit")
     rows = space.rows
     for a in rows:
@@ -183,9 +192,10 @@ def _verify_coideal(A: QTAlgebra, space: Echelon) -> None:
                     "coideal is not closed under the product")
     require(is_left_coideal(A, space), "subspace is not a left coideal")
     for row in rows:
-        for x in range(A.dim):
-            require(space.contains(adjoint(A, x, row)),
-                    "coideal is not stable under the adjoint action")
+        for x in generators(A):
+            if not space.contains(adjoint(A, x, row)):
+                raise InvariantViolation(failure(
+                    A, "coideal adjoint stability", x, label()))
 
 
 def coideal_integral(A: QTAlgebra, space: Echelon) -> Row:
@@ -221,7 +231,8 @@ def coideal_integral(A: QTAlgebra, space: Echelon) -> Row:
 
 def _wrap(A: QTAlgebra, space: Echelon, mspec=None, hspec=None,
           bichar=None) -> CoidealSubalgebra:
-    _verify_coideal(A, space)
+    _verify_coideal(A, space, lambda: CoidealSubalgebra(
+        A, space, {}, mspec, hspec, bichar).label())
     lam = coideal_integral(A, space)
     return CoidealSubalgebra(A, space, lam, mspec, hspec, bichar)
 
@@ -380,13 +391,18 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
         for ell in L.space.rows:
             epsl = counit_value(A, ell)
             for k in range(A.dim):
-                row = mul_rows(A, A.basis(k), ell)
+                row = lmul(A, k, ell)
                 acc(row, k, -epsl)
                 if row:
                     eqs.append(row)
         direct = Echelon(A.dim, nullspace(eqs, A.dim))
-        shifted = Echelon(A.dim, [func_harpoon_left(A, L.integral, {k: ONE})
-                                  for k in range(A.dim)])
+        # Lambda_L -> e_k^* is a |-> e_k^*(a Lambda_L): on e_m it reads
+        # the coefficient of Lambda_L at the j with e_m e_j = e_k
+        lq = left_quotients(A)
+        shifted = Echelon(A.dim, [
+            dict(sorted(((lq[k][j], v) for j, v in L.integral.items()
+                         if lq[k][j] >= 0), key=itemgetter(0)))
+            for k in range(A.dim)])
         if direct != shifted:
             raise InternalMismatch("two descriptions of (A//L)* disagree")
         require(A.dim % L.dim == 0 and direct.dim == A.dim // L.dim,
@@ -405,7 +421,7 @@ def dual_coideal(A: QTAlgebra, L: CoidealSubalgebra) -> CoidealSubalgebra:
 def augmentation_ideal(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     """A L+ = A (1 - Lambda_L)."""
     one_minus = row_addmul(A.unit_row, L.integral, -ONE)
-    rows = [mul_rows(A, A.basis(k), one_minus) for k in range(A.dim)]
+    rows = [lmul(A, k, one_minus) for k in range(A.dim)]
     space = Echelon(A.dim, rows)
     require(space.dim == A.dim - A.dim // L.dim, "A L+ has the wrong dimension")
     return space
@@ -427,7 +443,14 @@ def recover_from_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
 
 def is_normal_hopf_subalgebra(A: QTAlgebra, L: CoidealSubalgebra) -> bool:
     """Antipode-stable, Delta(L) <= L x L, and closed under both adjoint
-    actions."""
+    actions.
+
+    Both actions are checked on the algebra generators only.  Lemma: ad
+    is an algebra homomorphism A -> End(A), ad(xy) = ad(x) ad(y), and ad_r
+    an antihomomorphism, ad_r(xy) = ad_r(y) ad_r(x), both linear in x; so
+    a space stable under both for each generator x is stable under every
+    product and sum of generators, that is under all of A.
+    """
     space = L.space
     for row in space.rows:
         if not space.contains(apply_antipode(A, row)):
@@ -435,7 +458,7 @@ def is_normal_hopf_subalgebra(A: QTAlgebra, L: CoidealSubalgebra) -> bool:
         left, right = leg_slices(A, row)
         if not all(space.contains(sl) for sl in left + right):
             return False
-        for x in range(A.dim):
+        for x in generators(A):
             adj = adjoint(A, x, row)
             radj = right_adjoint(A, x, row)
             if not (space.contains(adj) and space.contains(radj)):

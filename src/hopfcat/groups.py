@@ -90,6 +90,22 @@ class Group:
             self._exponent = e
         return self._exponent
 
+    def generators(self) -> tuple[int, ...]:
+        """A small generating set with no redundant element: elements are
+        taken greedily by descending order while they enlarge the span,
+        then any that the others already generate is dropped."""
+        gens: list[int] = []
+        span: tuple[int, ...] = (0,)
+        for a in sorted(range(self.n), key=lambda a: -self.element_order(a)):
+            if a not in span:
+                gens.append(a)
+                span = subgroup_generated(self, gens).members
+        for a in list(gens):
+            rest = [b for b in gens if b != a]
+            if subgroup_generated(self, rest).order == self.n:
+                gens = rest
+        return tuple(gens)
+
     def conjugacy_classes(self) -> list["ConjClassG"]:
         """Classes ordered with the identity class first, then by smallest member."""
         if self._classes is not None:

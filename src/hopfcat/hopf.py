@@ -13,6 +13,18 @@ map phi_R(f) = f(Q^1)Q^2 built from the monodromy Q = R21*R is the
 bridge between the two sides; it and its companion maps are fixed
 (src, dst, coeff) tables applied with linalg.apply_pairs.
 
+A product by a basis element is a relabel, not a multiplication:
+verify_axioms checks once, by an integer scan, that e_k e_j and e_j e_k
+are distinct basis elements for the j they do not kill, so lmul and
+rmul move each coefficient of a row along one row or column of prod_idx
+with no scalar operation, and left_quotients inverts the table for the
+translates of functionals.  mul_rows is left to general x general
+products.  Invariance under the adjoint actions and centrality are
+checked on the algebra generators only (`generators`): ad and ad_r are
+algebra (anti-)homomorphisms A -> End(A), and commuting with z is
+closed under sums and products, so what holds for generators holds for
+all of A.  Each such check states this lemma where it runs.
+
 The coproduct is QTAlgebra.delta plus one derived index, delta_by_left.
 Constructions reach it through three bilinear maps: convolve (f * g in
 A*), harpoon_left (a <- f = f(a_1) a_2) and harpoon_right (f -> a =
@@ -144,6 +156,7 @@ def pair_eval(f: Row, a: Row) -> CycloNumber:
 
 
 def mul_rows(A: QTAlgebra, a: Row, b: Row) -> Row:
+    """a b for general rows; a basis operand goes through lmul or rmul."""
     # hot kernel: kept inline, as a call to acc per term costs a few percent
     out: Row = {}
     prod = A.prod_idx
@@ -161,6 +174,66 @@ def mul_rows(A: QTAlgebra, a: Row, b: Row) -> Row:
             else:
                 out.pop(k, None)
     return out
+
+
+def lmul(A: QTAlgebra, k: int, row: Row) -> Row:
+    """e_k row: row relabelled through row k of prod_idx."""
+    p = A.prod_idx[k]
+    return {m: v for j, v in row.items() if (m := p[j]) >= 0}
+
+
+def rmul(A: QTAlgebra, row: Row, k: int) -> Row:
+    """row e_k: row relabelled through column k of prod_idx."""
+    prod = A.prod_idx
+    return {m: v for i, v in row.items() if (m := prod[i][k]) >= 0}
+
+
+@memoized
+def left_quotients(A: QTAlgebra) -> list[list[int]]:
+    """lq[k][j]: the m with e_m e_j = e_k, or -1; unique, as right
+    multiplication by e_j is injective where it does not kill."""
+    lq = [[-1] * A.dim for _ in range(A.dim)]
+    for m, row in enumerate(A.prod_idx):
+        for j, k in enumerate(row):
+            if k >= 0:
+                lq[k][j] = m
+    return lq
+
+
+@memoized
+def generators(A: QTAlgebra) -> list[int]:
+    """Basis elements generating A as an algebra: p_g x 1 and p_g x s for
+    every g and every s in S for the double, S for kG, where S =
+    A.group.generators() generates G.
+
+    For the double, the p_g x 1 span k^G, and products of the p_g x s
+    reach every p_g x h with h a word in S; for kG the words in S are G.
+    """
+    S = A.group.generators()
+    if A.kind == "double":
+        return [A.pair_index(g, h) for h in (0, *S)
+                for g in range(A.group.n)]
+    return list(S)
+
+
+def failure(A: QTAlgebra, check: str, x: int, subject: str = "") -> str:
+    """A failure message naming the algebra, the check, the basis element
+    x where it fails and, when there is one, the subject checked."""
+    on = f" on {subject}" if subject else ""
+    return f"{A.name}: {check} fails{on} at {A.labels[x]}"
+
+
+def noncentral_generator(A: QTAlgebra, z: Row) -> int | None:
+    """The first generator x with e_x z != z e_x, or None when z is central.
+
+    Lemma: the elements commuting with z form a subalgebra ((ab)z =
+    a(zb) = z(ab), and sums likewise), so z commuting with every algebra
+    generator commutes with all of A.
+    """
+    for x in generators(A):
+        if lmul(A, x, z) != rmul(A, z, x):
+            return x
+    return None
 
 
 def apply_antipode(A: QTAlgebra, a: Row) -> Row:
@@ -223,41 +296,28 @@ def leg_slices(A: QTAlgebra, a: Row) -> tuple[list[Row], list[Row]]:
 
 def adjoint(A: QTAlgebra, x: int, a: Row) -> Row:
     """x_1 a S(x_2), the left adjoint action of the basis element x."""
-    return _sandwich(A, [(i, A.s_idx[j]) for i, j in A.delta[x]], a)
+    return _relabel_sum(A, [(i, A.s_idx[j]) for i, j in A.delta[x]], a)
 
 
 def right_adjoint(A: QTAlgebra, x: int, a: Row) -> Row:
     """S(x_1) a x_2, the right adjoint action of the basis element x."""
-    return _sandwich(A, [(A.s_idx[i], j) for i, j in A.delta[x]], a)
+    return _relabel_sum(A, [(A.s_idx[i], j) for i, j in A.delta[x]], a)
 
 
-def _sandwich(A: QTAlgebra, pairs: list[tuple[int, int]], a: Row) -> Row:
-    """The sum of e_l a e_r over the (l, r) index pairs."""
-    out: Row = {}
-    for l, r in pairs:
-        part = mul_rows(A, mul_rows(A, A.basis(l), a), A.basis(r))
-        out = row_addmul(out, part, ONE)
-    return out
-
-
-def func_harpoon_left(A: QTAlgebra, x: Row, f: Row) -> Row:
-    """x -> f, the functional a |-> f(a x)."""
+def _relabel_sum(A: QTAlgebra, pairs: list[tuple[int, int]], a: Row) -> Row:
+    """The sum of e_l a e_r over the (l, r) index pairs.  Each term is
+    rmul(A, lmul(A, l, a), r), inlined: the adjoint checks run this once
+    per generator and row, and the two calls cost five times the loop."""
     out: Row = {}
     prod = A.prod_idx
-    for k in range(A.dim):
-        pk = prod[k]
-        acc = None
-        for m, xm in x.items():
-            t = pk[m]
-            if t < 0:
-                continue
-            ft = f.get(t)
-            if not ft:
-                continue
-            c = xm * ft
-            acc = c if acc is None else acc + c
-        if acc:
-            out[k] = acc
+    for l, r in pairs:
+        left = prod[l]
+        for k, v in a.items():
+            m = left[k]
+            if m >= 0:
+                m = prod[m][r]
+                if m >= 0:
+                    acc(out, m, v)
     return out
 
 
@@ -378,10 +438,19 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
     for row in prod:
         require(all(-1 <= k < dim for k in row), "product table out of range")
 
+    # products by a basis element are relabels (lmul, rmul): each must be
+    # injective on the basis elements it does not kill
+    for k in range(dim):
+        for side, hits in (("left", prod[k]),
+                           ("right", [row[k] for row in prod])):
+            hits = [m for m in hits if m >= 0]
+            require(len(set(hits)) == len(hits), failure(
+                A, f"basis-product injectivity ({side} multiplication)", k))
+
     # unit
     for x in range(dim):
-        require(mul_rows(A, A.unit_row, A.basis(x)) == A.basis(x), "unit fails on the left")
-        require(mul_rows(A, A.basis(x), A.unit_row) == A.basis(x), "unit fails on the right")
+        require(rmul(A, A.unit_row, x) == A.basis(x), "unit fails on the left")
+        require(lmul(A, x, A.unit_row) == A.basis(x), "unit fails on the right")
 
     # associativity on basis triples
     if dim ** 3 <= _ASSOC_BUDGET:
@@ -554,7 +623,7 @@ def _check_integrals(A: QTAlgebra, lam: Row, t: Row) -> None:
     for x in range(A.dim):
         ex = A.basis(x)
         want = row_scale(lam, as_cyclo(1 if A.counit[x] else 0))
-        if mul_rows(A, ex, lam) != want or mul_rows(A, lam, ex) != want:
+        if lmul(A, x, lam) != want or rmul(A, lam, x) != want:
             raise NoIntegral(f"Lambda is not a two-sided integral (basis {x})")
         want_f = row_scale(A.unit_row, t.get(x, ZERO))
         if harpoon_left(A, ex, t) != want_f:
@@ -653,24 +722,33 @@ def drinfeld_map(A: QTAlgebra) -> DrinfeldMap:
 def central_idempotents(A: QTAlgebra, chars: list[Row]) -> list[Row]:
     """E_i = chi_i(1) (Lambda <- chi_{i*}), fully cross-checked."""
     lam, _ = integrals(A)
-    out: list[Row] = []
-    degrees: list[CycloNumber] = []
-    for chi in chars:
-        d = pair_eval(chi, A.unit_row)
-        degrees.append(d)
-        out.append(row_scale(harpoon_left(A, lam, dual_character(A, chi)), d))
+    out = [row_scale(harpoon_left(A, lam, dual_character(A, chi)),
+                     pair_eval(chi, A.unit_row)) for chi in chars]
+    _check_central_idempotents(A, chars, out)
+    return out
+
+
+def _check_central_idempotents(A: QTAlgebra, chars: list[Row],
+                               E: list[Row]) -> None:
+    """E are orthogonal idempotents summing to 1, central, and chi_i(E_j)
+    is chi_i(1) when i = j and 0 otherwise.
+
+    Centrality is checked on the algebra generators only; see
+    noncentral_generator for the lemma.
+    """
+    degrees = [pair_eval(chi, A.unit_row) for chi in chars]
     total: Row = {}
-    for j, ej in enumerate(out):
+    for j, ej in enumerate(E):
         total = row_addmul(total, ej, ONE)
-        for i, ei in enumerate(out):
+        for i, ei in enumerate(E):
             want = ej if i == j else {}
             if mul_rows(A, ei, ej) != want:
                 raise InconsistentCharacters(
                     f"central idempotents {i},{j} are not orthogonal idempotents")
-        for x in range(A.dim):
-            ex = A.basis(x)
-            if mul_rows(A, ex, ej) != mul_rows(A, ej, ex):
-                raise InconsistentCharacters(f"idempotent {j} is not central")
+        x = noncentral_generator(A, ej)
+        if x is not None:
+            raise InconsistentCharacters(failure(
+                A, "idempotent centrality", x, f"idempotent {j}"))
         for i, chi in enumerate(chars):
             want_val = degrees[i] if i == j else ZERO
             if pair_eval(chi, ej) != want_val:
@@ -678,7 +756,6 @@ def central_idempotents(A: QTAlgebra, chars: list[Row]) -> list[Row]:
                     f"character {i} has wrong value on idempotent {j}")
     if total != A.unit_row:
         raise InconsistentCharacters("central idempotents do not sum to 1")
-    return out
 
 
 @dataclass
@@ -838,7 +915,12 @@ def _columns(rows: list[Row], dim: int) -> list[Row]:
 
 def verify_quasitriangular(A: QTAlgebra, chars: list[Row], ring: CharRing,
                            seed: int = 0) -> None:
-    """Identities tying phi_R to characters, centers and conjugacy classes."""
+    """Identities tying phi_R to characters, centers and conjugacy classes.
+
+    Centrality of phi(chi) and adjoint stability of the class spans are
+    checked on the algebra generators only; the lemmas are in
+    noncentral_generator and _check_class_spans.
+    """
     dm = drinfeld_map(A)
     lam, t = integrals(A)
     rnd = random.Random(seed)
@@ -848,12 +930,12 @@ def verify_quasitriangular(A: QTAlgebra, chars: list[Row], ring: CharRing,
     for _ in range(20):
         f = {k: as_cyclo(rnd.randint(-3, 3)) for k in range(A.dim)}
         randoms.append({k: v for k, v in f.items() if v})
-    for chi in chars:
+    for c, chi in enumerate(chars):
         img = dm.phi(chi)
-        for x in range(A.dim):
-            ex = A.basis(x)
-            require(mul_rows(A, img, ex) == mul_rows(A, ex, img),
-                    "phi of a character is not central")
+        x = noncentral_generator(A, img)
+        if x is not None:
+            raise InvariantViolation(failure(
+                A, "phi-of-character centrality", x, f"character {c}"))
         for f in randoms:
             require(dm.phi(convolve(A, chi, f)) == mul_rows(A, img, dm.phi(f)),
                     "phi is not multiplicative against the character ring")
@@ -887,14 +969,29 @@ def verify_quasitriangular(A: QTAlgebra, chars: list[Row], ring: CharRing,
         want = row_addmul(want, ring.central[s], ONE)
     require(img_t == want, "phi(t) is not the sum of block-0 idempotents")
 
-    # class spans are stable under both double-sided actions
-    classes = all_classes(A, ring)
+    _check_class_spans(A, all_classes(A, ring))
+
+
+def _check_class_spans(A: QTAlgebra, classes: list[ConjClass]) -> None:
+    """Each class span is stable under the adjoint action and under dual
+    translation a |-> a <- S*(e_k^*) for every k.
+
+    The adjoint action is checked on the algebra generators only.  Lemma:
+    ad is an algebra homomorphism A -> End(A), ad(xy) = ad(x) ad(y), and
+    linear in x, so a space stable under ad(x) for each generator x is
+    stable under ad of every product and sum of them, that is of all of A.
+    Dual translation stays exhaustive.
+    """
+    for j, cls in enumerate(classes):
+        space = cls.space
+        for row in space.rows:
+            for x in generators(A):
+                if not space.contains(adjoint(A, x, row)):
+                    raise InvariantViolation(failure(
+                        A, "class-span adjoint stability", x, f"class {j}"))
     for cls in classes:
         space = cls.space
         for row in space.rows:
-            for x in range(A.dim):
-                require(space.contains(adjoint(A, x, row)),
-                        "class span is not stable under the adjoint action")
             for k in range(A.dim):
                 shifted = harpoon_left(A, row, {A.s_idx[k]: ONE})
                 require(space.contains(shifted),

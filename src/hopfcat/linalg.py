@@ -11,8 +11,10 @@ Sparse accumulation goes through two helpers: acc adds one term into a
 row, and apply_pairs applies a fixed (src, dst, coeff) table to a vector.
 The hot kernels keep their loops inline, as a call per term costs
 measurably there: row_addmul under every Echelon reduction, hopf.mul_rows
-under every product, and hopf.convolve, run r^2 times per fusion table
-and once per basis functional in the character ring and class spans.
+under every general x general product (a product by a basis element is
+a relabel, hopf.lmul or hopf.rmul, with no scalar operation), and
+hopf.convolve, run r^2 times per fusion table and once per basis
+functional in the character ring and class spans.
 Accumulation order is part of the output, since the stored order of a
 CycloNumber depends on its chain of adds.
 """

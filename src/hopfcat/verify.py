@@ -22,8 +22,8 @@ from .fusion import (centralizer, char_ring, enumerate_subcats, left_kernel,
                      quotient_integral, quotient_irreps, simple_objects,
                      smatrix)
 from .hopf import (QTAlgebra, all_classes, compute_K_A, convolve,
-                   drinfeld_map, integrals, memo, mul_rows, pair_eval,
-                   verify_quasitriangular)
+                   drinfeld_map, integrals, lmul, memo, mul_rows, pair_eval,
+                   rmul, verify_quasitriangular)
 from .linalg import (Echelon, Row, acc, intersect, nullspace, row_addmul,
                      row_scale)
 
@@ -479,8 +479,7 @@ def _commutant(A: QTAlgebra, rows) -> Echelon:
     for s in rows:
         diff: dict[int, Row] = {}
         for k in range(A.dim):
-            d = row_addmul(mul_rows(A, A.basis(k), s),
-                           mul_rows(A, s, A.basis(k)), -ONE)
+            d = row_addmul(lmul(A, k, s), rmul(A, s, k), -ONE)
             for m, c in d.items():
                 diff.setdefault(m, {})[k] = c
         eqs.extend(diff.values())
@@ -498,7 +497,7 @@ def _check_coinvariants(ctx: _Context) -> list[CheckResult]:
     for L in ctx.cos:
         aug = augmentation_ideal(A, L)
         one_minus = row_addmul(A.unit_row, L.integral, -ONE)
-        right_ideal = Echelon(A.dim, [mul_rows(A, one_minus, A.basis(k))
+        right_ideal = Echelon(A.dim, [rmul(A, one_minus, k)
                                       for k in range(A.dim)])
         ok = right_ideal == aug
         ok = ok and _coinvariants(ctx, aug, "left") == L.space
@@ -523,8 +522,8 @@ def _q_fixes(ctx: _Context, L: CoidealSubalgebra,
     A = ctx.A
     got: dict[tuple[int, int], CycloNumber] = {}
     for (a, b), c in ctx.dm.q_terms.items():
-        ra = mul_rows(A, A.basis(a), L.integral)
-        rb = mul_rows(A, A.basis(b), M.integral)
+        ra = lmul(A, a, L.integral)
+        rb = lmul(A, b, M.integral)
         for i, x in ra.items():
             cx = c * x
             for j, y in rb.items():

@@ -313,6 +313,27 @@ def test_cache_wrong_shape_is_corrupt(tmp_path, capsys, argv, bad):
     assert entry.read_bytes() == good
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("edit", [
+    lambda p: p["rows"][0].clear(),
+    lambda p: p["rows"].pop(),
+    lambda p: p["class_sizes"].pop(),
+], ids=["short-row", "missing-row", "missing-size"])
+def test_cache_chartab_not_square_is_corrupt(tmp_path, capsys, fmt, edit):
+    args = ("chartab", "--group", "S3", "--format", fmt,
+            "--cache", str(tmp_path))
+    _, cold, _ = _run(capsys, *args)
+    [entry] = tmp_path.glob("*.json")
+    good = entry.read_bytes()
+    payload = json.loads(good)
+    edit(payload)
+    entry.write_text(json.dumps(payload))
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        code, out, _ = _run(capsys, *args)
+    assert code == 0 and out == cold
+    assert entry.read_bytes() == good
+
+
 def test_cache_purge(tmp_path, capsys):
     _run(capsys, "chartab", "--group", "Z3", "--cache", str(tmp_path))
     n = len(list(tmp_path.glob("*.json")))

@@ -7,6 +7,8 @@ import pytest
 from hopfcat import coideal
 from hopfcat.coideal import (
     Bicharacter,
+    CoidealSubalgebra,
+    coideal_from_space,
     bichar_label,
     build_coideal,
     coideal_intersect,
@@ -20,10 +22,12 @@ from hopfcat.coideal import (
     recover_from_dual,
 )
 from hopfcat.cyclo import as_cyclo
-from hopfcat.errors import PreconditionViolated
+from hopfcat.errors import InvariantViolation, PreconditionViolated
 from hopfcat.groups import Subgroup, parse_group_spec, subgroup_generated
 from hopfcat.fusion import enumerate_subcats
-from hopfcat.hopf import QTAlgebra, counit_value, mul_rows
+from hopfcat.hopf import (QTAlgebra, adjoint, apply_antipode, counit_value,
+                          generators, is_left_coideal, leg_slices, mul_rows)
+from hopfcat.linalg import Echelon
 
 ONE = as_cyclo(1)
 
@@ -198,3 +202,39 @@ def test_invalid_bicharacter_rejected(double_s3):
     bad = Bicharacter(M.members, (0, 1), vals[:2])
     with pytest.raises(Exception):
         build_coideal(double_s3, M, Subgroup(G, (0, 1)), bad)
+
+
+def _group_algebra_of_involution(A):
+    """k<s> = span{1 x h : h in <s>} inside D(S3), s the transposition at
+    index 1: a Hopf subalgebra, so a closed left coideal, not ad-stable."""
+    n = A.group.n
+    space = Echelon(A.dim, [{A.pair_index(g, h): ONE for g in range(n)}
+                            for h in (0, 1)])
+    for a in space.rows:
+        assert space.contains(apply_antipode(A, a))
+        assert all(space.contains(sl) for legs in leg_slices(A, a)
+                   for sl in legs)
+        for b in space.rows:
+            assert space.contains(mul_rows(A, a, b))
+    assert space.contains(A.unit_row) and is_left_coideal(A, space)
+    assert not all(space.contains(adjoint(A, x, a))
+                   for a in space.rows for x in range(A.dim))
+    return space
+
+
+def test_coideal_adjoint_check_names_its_failure(double_s3):
+    A = double_s3
+    space = _group_algebra_of_involution(A)
+    with pytest.raises(InvariantViolation) as exc:
+        coideal_from_space(A, space)
+    msg = str(exc.value)
+    assert msg.startswith(
+        "D(S3): coideal adjoint stability fails on L(dim=2) at ")
+    assert msg.split(" at ")[-1] in {A.labels[x] for x in generators(A)}
+
+
+def test_non_normal_hopf_subalgebra_is_rejected(double_s3):
+    A = double_s3
+    space = _group_algebra_of_involution(A)
+    assert not is_normal_hopf_subalgebra(A, CoidealSubalgebra(A, space, {}))
+    assert is_normal_hopf_subalgebra(A, enumerate_coideals(A)[-1])

@@ -144,3 +144,17 @@ def test_as_group():
     H, pos = A3.as_group()
     assert H.n == 3 and H.exponent() == 3
     assert pos[0] == 0
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z2", "S3", "Q8", "D4", "A4", "D6",
+                                  "Z2xZ6"])
+def test_generators_generate_with_none_redundant(name):
+    G = parse_group_spec(name)
+    gens = G.generators()
+    assert len(set(gens)) == len(gens) and 0 not in gens
+    assert subgroup_generated(G, list(gens)).order == G.n
+    # every element kept is needed: without it the rest generate less
+    for s in gens:
+        rest = [t for t in gens if t != s]
+        assert subgroup_generated(G, rest).order < G.n
+    assert len(gens) <= 2

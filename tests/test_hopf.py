@@ -3,14 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcat.cyclo import CycloNumber, as_cyclo
-from hopfcat.errors import BoundExceeded, InvariantViolation, NoIntegral
+from hopfcat.errors import (BoundExceeded, InconsistentCharacters,
+                            InvariantViolation, NoIntegral)
 from hopfcat.groups import parse_group_spec
 from hopfcat.hopf import (
     DOUBLE_DIM_BOUND,
+    ConjClass,
     QTAlgebra,
+    _check_central_idempotents,
+    _check_class_spans,
     _check_integrals,
+    adjoint,
     all_classes,
     apply_antipode,
     build_double,
@@ -23,16 +29,21 @@ from hopfcat.hopf import (
     delta_of,
     drinfeld_map,
     dual_character,
+    generators,
     harpoon_left,
     harpoon_right,
     integrals,
     is_left_coideal,
+    lmul,
     mul_rows,
     pair_eval,
+    right_adjoint,
+    rmul,
     verify_axioms,
     verify_quasitriangular,
 )
 from hopfcat.fusion import simple_objects
+from hopfcat.linalg import Echelon, row_addmul
 
 ONE = as_cyclo(1)
 ZERO = as_cyclo(0)
@@ -293,3 +304,115 @@ def test_triangular_r_is_unit(triangular_s3):
     assert A.r_terms == [(0, 0)] or A.r_terms == ((0, 0),)
     assert A.kind == "group"
     assert A.dim == 6
+
+
+_SCALARS = st.sampled_from([as_cyclo(1), as_cyclo(-2), as_cyclo(Fraction(1, 3)),
+                            CycloNumber.zeta(4), CycloNumber.zeta(3, 2)
+                            + as_cyclo(1), CycloNumber.zeta(8)])
+
+
+def _stored(row):
+    """A row with each value's stored order and coefficients, in key order."""
+    return [(k, v.to_json()) for k, v in row.items()]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["S3", "Q8", "kS3"]),
+       st.dictionaries(st.integers(0, 63), _SCALARS, max_size=5))
+def test_lmul_rmul_equal_products_by_basis_elements(
+        doubles, triangular_s3, which, raw):
+    A = triangular_s3 if which == "kS3" else doubles[which]
+    row = {k % A.dim: v for k, v in raw.items()}
+    for k in range(A.dim):
+        assert _stored(lmul(A, k, row)) == _stored(
+            mul_rows(A, A.basis(k), row))
+        assert _stored(rmul(A, row, k)) == _stored(
+            mul_rows(A, row, A.basis(k)))
+
+
+def test_adjoint_actions_equal_their_two_product_definition(
+        doubles, triangular_s3):
+    def two_products(A, x, a, left):
+        s = A.s_idx
+        out = {}
+        for i, j in A.delta[x]:
+            l, r = (i, s[j]) if left else (s[i], j)
+            part = mul_rows(A, mul_rows(A, A.basis(l), a), A.basis(r))
+            out = row_addmul(out, part, ONE)
+        return out
+
+    for seed, A in enumerate((doubles["S3"], doubles["Q8"], triangular_s3)):
+        for a in _rows_for(A, seed + 30):
+            for x in range(A.dim):
+                assert _stored(adjoint(A, x, a)) == _stored(
+                    two_products(A, x, a, True))
+                assert _stored(right_adjoint(A, x, a)) == _stored(
+                    two_products(A, x, a, False))
+
+
+def test_generators_generate_the_algebra(doubles, triangular_s3):
+    for A in (*doubles.values(), triangular_s3):
+        reached = set(generators(A)) | set(A.unit_row)
+        frontier = list(reached)
+        while frontier:
+            i = frontier.pop()
+            for x in generators(A):
+                for k in (A.prod_idx[i][x], A.prod_idx[x][i]):
+                    if k >= 0 and k not in reached:
+                        reached.add(k)
+                        frontier.append(k)
+        assert reached == set(range(A.dim)), A.name
+
+
+def test_verify_axioms_rejects_a_non_injective_basis_product(double_s3):
+    A = double_s3
+    prod = [list(row) for row in A.prod_idx]
+    j1, j2 = [j for j in range(A.dim) if prod[0][j] >= 0][1:3]
+    prod[0][j2] = prod[0][j1]
+    broken = QTAlgebra(A.name, A.kind, A.group, A.labels, prod, A.delta,
+                       A.counit, A.s_idx, A.r_terms, A.unit_row)
+    with pytest.raises(InvariantViolation) as exc:
+        verify_axioms(broken)
+    msg = str(exc.value)
+    assert "D(S3)" in msg and "injectivity" in msg and "left" in msg
+    assert msg.endswith(f" at {A.labels[0]}")
+
+
+def test_noncentral_orthogonal_idempotents_are_rejected(double_s3):
+    A = double_s3
+    # p_g x 1 are orthogonal idempotents summing to 1; only p_1 x 1 is central
+    E = [{A.pair_index(g, 0): ONE} for g in range(A.group.n)]
+    with pytest.raises(InconsistentCharacters) as exc:
+        _check_central_idempotents(A, [], E)
+    msg = str(exc.value)
+    assert msg.startswith("D(S3): idempotent centrality fails on idempotent 1 at ")
+    assert msg.split(" at ")[-1] in {A.labels[x] for x in generators(A)}
+
+
+def test_phi_of_a_noncharacter_is_not_central(double_s3):
+    A = double_s3
+    ring = char_ring_idempotents(A, [s.character for s in simple_objects(A)])
+    # phi(delta_{p_g x 1}) = p_g x g, not central for the 3-cycle g = 3
+    bad = {A.pair_index(3, 0): ONE}
+    with pytest.raises(InvariantViolation,
+                       match=r"^D\(S3\): phi-of-character centrality fails "
+                             r"on character 0 at p\d+h\d+$"):
+        verify_quasitriangular(A, [bad], ring)
+
+
+def test_class_span_missing_an_adjoint_image_is_rejected(double_s3):
+    A = double_s3
+    ring = char_ring_idempotents(A, [s.character for s in simple_objects(A)])
+    broken = 0
+    for cls in all_classes(A, ring):
+        rows = cls.space.rows
+        for drop in range(len(rows)):
+            space = Echelon(A.dim, rows[:drop] + rows[drop + 1:])
+            if all(space.contains(adjoint(A, x, r))
+                   for r in space.rows for x in range(A.dim)):
+                continue
+            broken += 1
+            with pytest.raises(InvariantViolation,
+                               match="class-span adjoint stability fails"):
+                _check_class_spans(A, [ConjClass(space, cls.class_sum)])
+    assert broken > 10

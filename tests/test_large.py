@@ -4,6 +4,8 @@ import pytest
 
 from hopfcat import (build_double, centralizer, enumerate_subcats,
                      parse_group_spec)
+from hopfcat.coideal import enumerate_coideals, is_normal_hopf_subalgebra
+from hopfcat.hopf import adjoint, apply_antipode, leg_slices, right_adjoint
 
 
 @pytest.mark.large
@@ -16,3 +18,40 @@ def test_subcats_and_centralizers(name, count):
         got = {centralizer(A, D, m).indices
                for m in ("smatrix", "phi", "classes")}
         assert len(got) == 1, D.label()
+
+
+def _ad_stable_exhaustive(A, space):
+    """Reference: stability under ad(x) for every basis element x."""
+    return all(space.contains(adjoint(A, x, row))
+               for row in space.rows for x in range(A.dim))
+
+
+def _normal_exhaustive(A, L):
+    """Reference: is_normal_hopf_subalgebra with both adjoint actions
+    applied for every basis element, not only the generators."""
+    space = L.space
+    for row in space.rows:
+        if not space.contains(apply_antipode(A, row)):
+            return False
+        left, right = leg_slices(A, row)
+        if not all(space.contains(sl) for sl in left + right):
+            return False
+        for x in range(A.dim):
+            if not (space.contains(adjoint(A, x, row))
+                    and space.contains(right_adjoint(A, x, row))):
+                return False
+    return True
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("name", ["A4", "D6"])
+def test_generator_checks_match_exhaustive_loops(name):
+    A = build_double(parse_group_spec(name))
+    verdicts = set()
+    # every cataloged coideal passed the generator-only adjoint check
+    for L in enumerate_coideals(A):
+        assert _ad_stable_exhaustive(A, L.space), L.label()
+        normal = is_normal_hopf_subalgebra(A, L)
+        assert normal == _normal_exhaustive(A, L), L.label()
+        verdicts.add(normal)
+    assert verdicts == {True, False}
