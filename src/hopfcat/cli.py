@@ -20,8 +20,8 @@ from .coideal import coideal_triples, enumerate_coideals, triple_coideal
 from .cyclo import CycloNumber, fmt_cyclo
 from .errors import (BoundExceeded, HopfcatError, ParseError,
                      PreconditionViolated, MethodPreconditionViolated)
-from .fusion import (centralizer, double_irreps, enumerate_subcats,
-                     fusion_table, smatrix, subcat_from_triple)
+from .fusion import (centralizer, enumerate_subcats, fusion_table,
+                     simple_objects, smatrix, subcat_from_triple)
 from .groups import (DOUBLE_DIM_BOUND, Group, center_subgroup,
                      normal_subgroups, parse_group_spec, subgroup_generated)
 from .hopf import QTAlgebra, build_double
@@ -202,7 +202,7 @@ def _irreps_payload(A: QTAlgebra) -> list[dict]:
         "class_representative": s.a,
         "dim": s.dim,
         "character": {str(k): _cy(v) for k, v in sorted(s.character.items())},
-    } for s in double_irreps(A)]
+    } for s in simple_objects(A)]
 
 
 def _smatrix_payload(A: QTAlgebra) -> dict:
@@ -292,6 +292,21 @@ def _chartab_fits(G: Group):
         r = len(p["class_representatives"])
         return (len(p["class_sizes"]) == len(p["degrees"]) == len(p["rows"])
                 == r and all(len(row) == r for row in p["rows"]))
+    return square
+
+
+def _smatrix_fits(G: Group):
+    """The smatrix shape, square: one row of entries per simple, one
+    entry per simple in a row, and at least one simple."""
+    shape = {"algebra": str, "dims": [int], "rank": int,
+             "phi_relation": str, "entries": [[_cell_shape(G)]]}
+
+    def square(p) -> bool:
+        if not fits(p, shape):
+            return False
+        r = len(p["dims"])
+        return r >= 1 and len(p["entries"]) == r and all(
+            len(row) == r for row in p["entries"])
     return square
 
 
@@ -424,8 +439,7 @@ def _cmd_double(cfg: RunConfig, args) -> int:
         cache = ResultCache(cfg.cache_dir)
         payload = cache.get_or_compute(
             cache_key(A.group, "smatrix"), lambda: _smatrix_payload(A),
-            {"algebra": str, "dims": [int], "rank": int,
-             "phi_relation": str, "entries": [[_cell_shape(A.group)]]})
+            _smatrix_fits(A.group))
         print(_emit_json(payload) if cfg.output_format == "json"
               else _text_smatrix(payload))
     else:

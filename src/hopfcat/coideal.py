@@ -184,13 +184,16 @@ def _verify_coideal(A: QTAlgebra, space: Echelon, label) -> None:
     linear in x, so a space stable under ad(x) for each generator x is
     stable under ad of every product and sum of them, that is of all of A.
     """
-    require(space.contains(A.unit_row), "coideal misses the unit")
+    if not space.contains(A.unit_row):
+        raise InvariantViolation(failure(A, "coideal unit", None, label()))
     rows = space.rows
     for a in rows:
         for b in rows:
-            require(space.contains(mul_rows(A, a, b)),
-                    "coideal is not closed under the product")
-    require(is_left_coideal(A, space), "subspace is not a left coideal")
+            if not space.contains(mul_rows(A, a, b)):
+                raise InvariantViolation(failure(
+                    A, "coideal product closure", None, label()))
+    if not is_left_coideal(A, space):
+        raise InvariantViolation(failure(A, "left coideal", None, label()))
     for row in rows:
         for x in generators(A):
             if not space.contains(adjoint(A, x, row)):
@@ -210,9 +213,9 @@ def coideal_integral(A: QTAlgebra, space: Echelon) -> Row:
             diff = row_addmul(prod, cand, -epsl)
             for slot, c in diff.items():
                 acc(eqs.setdefault((li, slot), {}), ci, c)
-    combos = nullspace(list(eqs.values()), d)
+    kernel = nullspace(list(eqs.values()), d)
     best = None
-    for combo in combos:
+    for combo in kernel.rows:
         u: Row = {}
         for ci, c in combo.items():
             u = row_addmul(u, rows[ci], c)
@@ -220,7 +223,7 @@ def coideal_integral(A: QTAlgebra, space: Echelon) -> Row:
         if e:
             best = row_scale(u, e.inverse())
             break
-    if best is None or len(combos) != 1:
+    if best is None or kernel.dim != 1:
         raise NoIntegral("coideal has no unique normalizable integral")
     require(mul_rows(A, best, best) == best, "coideal integral is not idempotent")
     for ell in rows:
@@ -376,8 +379,7 @@ def coideal_intersect(A: QTAlgebra, L1: CoidealSubalgebra,
         return L1
     if L2.space <= L1.space:
         return L2
-    rows = intersect(L1.space.rows, L2.space.rows, A.dim)
-    return coideal_from_space(A, Echelon(A.dim, rows))
+    return coideal_from_space(A, intersect(L1.space, L2.space))
 
 
 def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
@@ -395,7 +397,7 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
                 acc(row, k, -epsl)
                 if row:
                     eqs.append(row)
-        direct = Echelon(A.dim, nullspace(eqs, A.dim))
+        direct = nullspace(eqs, A.dim)
         # Lambda_L -> e_k^* is a |-> e_k^*(a Lambda_L): on e_m it reads
         # the coefficient of Lambda_L at the j with e_m e_j = e_k
         lq = left_quotients(A)
@@ -438,7 +440,7 @@ def recover_from_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
             row = row_addmul(convolve(A, g, f), g, -f1)
             if row:
                 constraints.append(row)
-    return Echelon(A.dim, nullspace(constraints, A.dim))
+    return nullspace(constraints, A.dim)
 
 
 def is_normal_hopf_subalgebra(A: QTAlgebra, L: CoidealSubalgebra) -> bool:

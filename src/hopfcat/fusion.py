@@ -223,12 +223,6 @@ def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
     return simples
 
 
-def double_irreps(A: QTAlgebra) -> list[SimpleObject]:
-    if A.kind != "double":
-        raise PreconditionViolated("not a double")
-    return simple_objects(A)
-
-
 @memoized
 def dual_index(A: QTAlgebra) -> list[int]:
     """i -> index of the dual simple."""
@@ -276,10 +270,6 @@ def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
             row_i.append(row_j)
         table.append(row_i)
     return table
-
-
-def fusion_coefficients(A: QTAlgebra, i: int, j: int) -> list[int]:
-    return list(fusion_table(A)[i][j])
 
 
 # --- S-matrix -------------------------------------------------------------
@@ -653,7 +643,7 @@ def left_kernel(A: QTAlgebra, s: SimpleObject) -> Echelon:
     for k in range(A.dim):
         for p in range(d):
             acc(eqs.setdefault((k, p, p), {}), k, -ONE)
-    return Echelon(A.dim, nullspace(list(eqs.values()), A.dim))
+    return nullspace(list(eqs.values()), A.dim)
 
 
 def generated_subcategory(A: QTAlgebra, indices) -> FusionSubcat:
@@ -663,7 +653,7 @@ def generated_subcategory(A: QTAlgebra, indices) -> FusionSubcat:
     space: Echelon | None = None
     for i in indices:
         ker = left_kernel(A, simples[i])
-        space = ker if space is None else _meet(A, space, ker)
+        space = ker if space is None else intersect(space, ker)
     if space is None:
         space = Echelon(A.dim, [A.basis(k) for k in range(A.dim)])
     L = coideal_from_space(A, space)
@@ -673,7 +663,3 @@ def generated_subcategory(A: QTAlgebra, indices) -> FusionSubcat:
         raise OracleMismatch("kernel route and fusion closure disagree on "
                              "the generated subcategory")
     return sub
-
-
-def _meet(A: QTAlgebra, x: Echelon, y: Echelon) -> Echelon:
-    return Echelon(A.dim, intersect(x.rows, y.rows, A.dim))

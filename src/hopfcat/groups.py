@@ -188,6 +188,25 @@ def subgroup_generated(G: Group, gens: list[int]) -> Subgroup:
     return Subgroup(G, tuple(sorted(elems)))
 
 
+def all_subgroups(G: Group) -> list[Subgroup]:
+    """Every subgroup, found by closing known subgroups with one element."""
+    triv = subgroup_generated(G, [])
+    found: dict[tuple[int, ...], Subgroup] = {triv.members: triv}
+    frontier = [triv]
+    while frontier:
+        grown: list[Subgroup] = []
+        for S in frontier:
+            for g in range(1, G.n):
+                if g in S.members:
+                    continue
+                T = subgroup_generated(G, list(S.members) + [g])
+                if T.members not in found:
+                    found[T.members] = T
+                    grown.append(T)
+        frontier = grown
+    return sorted(found.values(), key=lambda s: (s.order, s.members))
+
+
 def centralizer_subgroup(G: Group, a: int) -> Subgroup:
     members = tuple(x for x in range(G.n) if G.mul(x, a) == G.mul(a, x))
     return Subgroup(G, members)
@@ -256,6 +275,7 @@ def quotient_group(H: Subgroup, N: Subgroup) -> tuple[Group, dict[int, int]]:
 
 def abelian_cyclic_decomposition(Q: Group) -> list[tuple[int, int]]:
     """Direct factors of an abelian group as (generator, order) pairs."""
+    subgroups: list[Subgroup] = []  # all_subgroups(Q), listed on first use
 
     def solve(members: tuple[int, ...]) -> list[tuple[int, int]]:
         if len(members) == 1:
@@ -266,11 +286,15 @@ def abelian_cyclic_decomposition(Q: Group) -> list[tuple[int, int]]:
         cyc = _cycle_of(Q, g)
         if len(cyc) == len(members):
             return [(g, top)]
-        # find a complement among subgroups generated from members
+        # find a complement among the subgroups of Q inside members
+        if not subgroups:
+            subgroups.extend(all_subgroups(Q))
         target = len(members) // top
-        for K in _abelian_subgroups(Q, members):
-            if len(K) == target and not (K & cyc - {0}):
-                return [(g, top)] + solve(tuple(sorted(K)))
+        inside = set(members)
+        for K in subgroups:
+            k = set(K.members)
+            if K.order == target and k <= inside and not (k & cyc - {0}):
+                return [(g, top)] + solve(K.members)
         raise NotAGroup("abelian decomposition failed")  # pragma: no cover
 
     return solve(tuple(range(Q.n)))
@@ -283,32 +307,6 @@ def _cycle_of(Q: Group, g: int) -> set[int]:
         out.add(x)
         x = Q.mul(x, g)
     return out
-
-
-def _abelian_subgroups(Q: Group, members: tuple[int, ...]) -> list[set[int]]:
-    found = {frozenset({0})}
-    frontier = [frozenset({0})]
-    while frontier:
-        base = frontier.pop()
-        for m in members:
-            if m in base:
-                continue
-            new = set(base)
-            stack = [m]
-            while stack:
-                x = stack.pop()
-                if x in new:
-                    continue
-                new.add(x)
-                for y in list(new):
-                    for z in (Q.mul(x, y), Q.mul(y, x)):
-                        if z not in new:
-                            stack.append(z)
-            fz = frozenset(new)
-            if fz not in found:
-                found.add(fz)
-                frontier.append(fz)
-    return sorted((set(f) for f in found), key=lambda s: (len(s), sorted(s)))
 
 
 def exponent_tables(Q: Group) -> tuple[list[tuple[int, int]], dict[int, tuple[int, ...]]]:

@@ -216,11 +216,13 @@ def generators(A: QTAlgebra) -> list[int]:
     return list(S)
 
 
-def failure(A: QTAlgebra, check: str, x: int, subject: str = "") -> str:
-    """A failure message naming the algebra, the check, the basis element
-    x where it fails and, when there is one, the subject checked."""
+def failure(A: QTAlgebra, check: str, x: int | None,
+            subject: str = "") -> str:
+    """A failure message naming the algebra, the check and, when there is
+    one, the subject checked and the basis element x where it fails."""
     on = f" on {subject}" if subject else ""
-    return f"{A.name}: {check} fails{on} at {A.labels[x]}"
+    at = f" at {A.labels[x]}" if x is not None else ""
+    return f"{A.name}: {check} fails{on}{at}"
 
 
 def noncentral_generator(A: QTAlgebra, z: Row) -> int | None:
@@ -350,6 +352,10 @@ def dual_character(A: QTAlgebra, chi: Row) -> Row:
 
 # --- constructors -------------------------------------------------------
 
+# The one per-process cache of whole algebras, keyed on the kind and the
+# group table: tests, fixtures and CLI commands rebuild the same groups,
+# and every per-algebra construction (hopf.memo) then lives on the one
+# instance.
 _BUILD_CACHE: dict = {}
 
 

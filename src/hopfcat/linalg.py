@@ -5,7 +5,10 @@ Echelon, an incremental reduced row echelon form, is the one subspace
 type: every coideal, class span, (A//L)*, K_A and kernel is an Echelon
 built from its rows in one call.  Since the RREF of a subspace is
 unique, spaces compare by their reduced rows (==, <=), which also gives
-cheap canonical keys for deduplication.
+cheap canonical keys for deduplication.  Spaces in, spaces out:
+nullspace(rows, ncols) returns the kernel as an Echelon, and
+intersect(x, y) meets two Echelons, reading their reduced rows as they
+are.
 
 Sparse accumulation goes through two helpers: acc adds one term into a
 row, and apply_pairs applies a fixed (src, dst, coeff) table to a vector.
@@ -154,25 +157,8 @@ class Echelon:
         return f"Echelon(dim={self.dim}, ncols={self.ncols})"
 
 
-def rref(rows: list[Row], ncols: int) -> list[Row]:
-    return Echelon(ncols, rows).rows
-
-
-def rank(rows: list[Row], ncols: int) -> int:
-    return Echelon(ncols, rows).dim
-
-
-def subspace_le(a: list[Row], b: list[Row], ncols: int) -> bool:
-    ech = Echelon(ncols, b)
-    return all(ech.contains(r) for r in a)
-
-
-def subspace_eq(a: list[Row], b: list[Row], ncols: int) -> bool:
-    return Echelon(ncols, a) == Echelon(ncols, b)
-
-
-def nullspace(rows: list[Row], ncols: int) -> list[Row]:
-    """Basis of {x : sum_j rows[i][j] x_j = 0 for all i}, in RREF."""
+def nullspace(rows: list[Row], ncols: int) -> Echelon:
+    """The space {x : sum_j rows[i][j] x_j = 0 for all i}."""
     ech = Echelon(ncols, rows)
     piv = sorted(ech.pivots)
     free = [j for j in range(ncols) if j not in ech.pivots]
@@ -184,7 +170,7 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
             if c:
                 vec[p] = -c
         out.append(vec)
-    return rref(out, ncols)
+    return Echelon(ncols, out)
 
 
 def solve_linear(rows: list[Row], ncols: int, rhs: list[CycloNumber]) -> Row | None:
@@ -206,16 +192,15 @@ def solve_linear(rows: list[Row], ncols: int, rhs: list[CycloNumber]) -> Row | N
     return x
 
 
-def intersect(a: list[Row], b: list[Row], ncols: int) -> list[Row]:
-    """RREF basis of rowspace(a) & rowspace(b)."""
-    a = rref(a, ncols)
-    b = rref(b, ncols)
-    if not a or not b:
-        return []
-    # solve u.a - v.b = 0 over stacked coefficients
-    k, m = len(a), len(b)
+def intersect(x: Echelon, y: Echelon) -> Echelon:
+    """The space x & y, from the kernel of u.x - v.y on the stacked rows."""
+    n = x.ncols
+    if not x.dim or not y.dim:
+        return Echelon(n)
+    a, b = x.rows, y.rows
+    k = len(a)
     stacked: list[Row] = []
-    for j in range(ncols):
+    for j in range(n):
         col: Row = {}
         for i, r in enumerate(a):
             c = r.get(j)
@@ -227,9 +212,8 @@ def intersect(a: list[Row], b: list[Row], ncols: int) -> list[Row]:
                 col[k + i] = -c
         if col:
             stacked.append(col)
-    combos = nullspace(stacked, k + m)
     out: list[Row] = []
-    for combo in combos:
+    for combo in nullspace(stacked, k + y.dim).rows:
         vec: Row = {}
         for i in range(k):
             c = combo.get(i)
@@ -237,7 +221,7 @@ def intersect(a: list[Row], b: list[Row], ncols: int) -> list[Row]:
                 vec = row_addmul(vec, a[i], c)
         if vec:
             out.append(vec)
-    return rref(out, ncols)
+    return Echelon(n, out)
 
 
 def common_order(rows: list[Row]) -> int:
@@ -246,25 +230,3 @@ def common_order(rows: list[Row]) -> int:
         for v in r.values():
             n = lcm(n, v.order)
     return n
-
-
-def subspace_key(rows: list[Row], ncols: int) -> tuple:
-    """Canonical hashable key of a row space."""
-    return Echelon(ncols, rows).key()
-
-
-def tensor_index(i: int, j: int, dim: int) -> int:
-    return i * dim + j
-
-
-def kron_rows(a: list[Row], b: list[Row], dim: int) -> list[Row]:
-    """Kronecker basis of span(a) (x) span(b) inside A (x) A."""
-    out: list[Row] = []
-    for r in a:
-        for s in b:
-            vec: Row = {}
-            for i, u in r.items():
-                for j, v in s.items():
-                    vec[tensor_index(i, j, dim)] = u * v
-            out.append(vec)
-    return out

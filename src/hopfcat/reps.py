@@ -16,30 +16,11 @@ from fractions import Fraction
 from .chartab import CharacterTable
 from .cyclo import CycloNumber, ONE, as_cyclo
 from .errors import InvariantViolation, NoSplittingPair
-from .groups import (Group, Subgroup, commutator_subgroup, exponent_tables,
-                     quotient_group, subgroup_generated)
+from .groups import (Group, all_subgroups, commutator_subgroup,
+                     exponent_tables, quotient_group, subgroup_generated)
 from .linalg import Echelon, Row, acc
 
 Matrix = tuple[tuple[CycloNumber, ...], ...]
-
-
-def all_subgroups(G: Group) -> list[Subgroup]:
-    """Every subgroup, found by closing known subgroups with one element."""
-    triv = subgroup_generated(G, [])
-    found: dict[tuple[int, ...], Subgroup] = {triv.members: triv}
-    frontier = [triv]
-    while frontier:
-        grown: list[Subgroup] = []
-        for S in frontier:
-            for g in range(1, G.n):
-                if g in S.members:
-                    continue
-                T = subgroup_generated(G, list(S.members) + [g])
-                if T.members not in found:
-                    found[T.members] = T
-                    grown.append(T)
-        frontier = grown
-    return sorted(found.values(), key=lambda s: (s.order, s.members))
 
 
 def linear_characters(H: Group) -> list[tuple[CycloNumber, ...]]:
@@ -143,14 +124,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def matrix_irrep(G: Group, table: CharacterTable, i: int) -> list[Matrix]:
     """Exact matrices of the i-th irreducible, indexed by group element."""
-    cache = table.__dict__.setdefault("_rep_cache", {})
-    if i in cache:
-        return cache[i]
     d = table.degrees[i]
     if d == 1:
-        mats = [((table.value_at(i, g),),) for g in range(G.n)]
-        cache[i] = mats
-        return mats
+        return [((table.value_at(i, g),),) for g in range(G.n)]
     f = _splitting_idempotent(G, table, i)
     ech = Echelon(G.n, (_translate(G, h, f) for h in range(G.n)))
     if ech.dim != d:
@@ -167,5 +143,4 @@ def matrix_irrep(G: Group, table: CharacterTable, i: int) -> list[Matrix]:
             cols.append(c)
         mats.append(tuple(tuple(cols[c][r] for c in range(d)) for r in range(d)))
     _verify(G, table, i, mats)
-    cache[i] = mats
     return mats

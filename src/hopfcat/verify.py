@@ -291,14 +291,11 @@ def _check_intersection_transport(ctx: _Context) -> list[CheckResult]:
     A = ctx.A
     for L in ctx.cos:
         Ls = ctx.star(L)
-        b1 = quotient_dual(A, L)
-        b2 = quotient_dual(A, Ls)
-        inter = intersect(b1.rows, b2.rows, A.dim)
-        image = Echelon(A.dim, [ctx.dm.phi(f) for f in inter])
-        target = Echelon(A.dim, intersect(L.space.rows, Ls.space.rows, A.dim))
-        ok = image == target
+        inter = intersect(quotient_dual(A, L), quotient_dual(A, Ls))
+        image = Echelon(A.dim, [ctx.dm.phi(f) for f in inter.rows])
+        ok = image == intersect(L.space, Ls.space)
         prod = coideal_product(A, L, Ls)
-        ok = ok and Echelon(A.dim, inter) == quotient_dual(A, prod)
+        ok = ok and inter == quotient_dual(A, prod)
         out.append(_res("intersection-transport", L.label(), ok,
                         f"dim phi(B meet B') = {image.dim}"))
     return out
@@ -471,7 +468,7 @@ def _coinvariants(ctx: _Context, aug: Echelon, side: str) -> Echelon:
     for slot in range(A.dim):
         for m, c in red_unit.items():
             acc(eqs.setdefault((slot, m), {}), slot, -c)
-    return Echelon(A.dim, nullspace([r for r in eqs.values() if r], A.dim))
+    return nullspace([r for r in eqs.values() if r], A.dim)
 
 
 def _commutant(A: QTAlgebra, rows) -> Echelon:
@@ -483,7 +480,7 @@ def _commutant(A: QTAlgebra, rows) -> Echelon:
             for m, c in d.items():
                 diff.setdefault(m, {})[k] = c
         eqs.extend(diff.values())
-    return Echelon(A.dim, nullspace(eqs, A.dim))
+    return nullspace(eqs, A.dim)
 
 
 def _check_coinvariants(ctx: _Context) -> list[CheckResult]:

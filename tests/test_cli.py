@@ -320,8 +320,14 @@ def test_cache_wrong_shape_is_corrupt(tmp_path, capsys, argv, bad):
     lambda p: p["class_sizes"].pop(),
 ], ids=["short-row", "missing-row", "missing-size"])
 def test_cache_chartab_not_square_is_corrupt(tmp_path, capsys, fmt, edit):
-    args = ("chartab", "--group", "S3", "--format", fmt,
-            "--cache", str(tmp_path))
+    _assert_edited_entry_recomputed(capsys, tmp_path, edit, "chartab",
+                                    "--group", "S3", "--format", fmt)
+
+
+def _assert_edited_entry_recomputed(capsys, tmp_path, edit, *argv):
+    """A hand-edited cache entry is discarded with a warning, and the
+    command exits 0 with the cold-run stdout and rewrites the entry."""
+    args = argv + ("--cache", str(tmp_path))
     _, cold, _ = _run(capsys, *args)
     [entry] = tmp_path.glob("*.json")
     good = entry.read_bytes()
@@ -332,6 +338,18 @@ def test_cache_chartab_not_square_is_corrupt(tmp_path, capsys, fmt, edit):
         code, out, _ = _run(capsys, *args)
     assert code == 0 and out == cold
     assert entry.read_bytes() == good
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("edit", [
+    lambda p: p["entries"].clear(),
+    lambda p: p["entries"][0].pop(),
+    lambda p: p["entries"].pop(),
+], ids=["empty", "short-row", "missing-row"])
+def test_cache_smatrix_not_square_is_corrupt(tmp_path, capsys, fmt, edit):
+    _assert_edited_entry_recomputed(capsys, tmp_path, edit, "double",
+                                    "smatrix", "--group", "S3",
+                                    "--format", fmt)
 
 
 def test_cache_purge(tmp_path, capsys):

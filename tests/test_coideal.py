@@ -233,6 +233,20 @@ def test_coideal_adjoint_check_names_its_failure(double_s3):
     assert msg.split(" at ")[-1] in {A.labels[x] for x in generators(A)}
 
 
+def test_coideal_check_names_its_failure_without_a_basis_element(double_s3):
+    # span{1, p_1 (x) 1}: a unital subalgebra, but Delta(p_1) has every
+    # p_a in its left leg, so it is no left coideal
+    A = double_s3
+    p1 = A.basis(A.pair_index(1, 0))
+    space = Echelon(A.dim, [A.unit_row, p1])
+    assert space.contains(mul_rows(A, p1, p1))
+    with pytest.raises(InvariantViolation) as exc:
+        coideal_from_space(A, space)
+    msg = str(exc.value)
+    assert "D(S3)" in msg and "left coideal" in msg and "L(dim=2)" in msg
+    assert msg == "D(S3): left coideal fails on L(dim=2)"
+
+
 def test_non_normal_hopf_subalgebra_is_rejected(double_s3):
     A = double_s3
     space = _group_algebra_of_involution(A)

@@ -8,10 +8,8 @@ from hopfcat.cyclo import CycloNumber, as_cyclo
 from hopfcat.errors import MethodPreconditionViolated, NotClosed
 from hopfcat.fusion import (
     centralizer,
-    double_irreps,
     dual_index,
     enumerate_subcats,
-    fusion_coefficients,
     fusion_table,
     generated_subcategory,
     left_kernel,
@@ -42,7 +40,6 @@ def test_simple_dims(doubles):
     dims = [s.dim for s in simple_objects(doubles["S3"])]
     assert sorted(dims) == [1, 1, 2, 2, 2, 2, 3, 3]
     assert dims[0] == 1  # unit object first
-    assert double_irreps(doubles["S3"]) == simple_objects(doubles["S3"])
 
 
 def test_fusion_table_consistency(double_s3):
@@ -60,7 +57,6 @@ def test_fusion_table_consistency(double_s3):
                 == simples[i].dim * simples[j].dim
             # N_ij^0 = [j == i*]
             assert table[i][j][0] == (1 if j == dual[i] else 0)
-            assert fusion_coefficients(A, i, j) == table[i][j]
     # Frobenius reciprocity N_ij^k = N_(i*)k^j
     for i in range(r):
         for j in range(r):

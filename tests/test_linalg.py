@@ -10,17 +10,10 @@ from hopfcat.linalg import (
     acc,
     apply_pairs,
     intersect,
-    kron_rows,
     nullspace,
-    rank,
     row_addmul,
     row_scale,
-    rref,
     solve_linear,
-    subspace_eq,
-    subspace_key,
-    subspace_le,
-    tensor_index,
 )
 
 ONE = CycloNumber.rational(1)
@@ -135,10 +128,9 @@ def test_rank_and_rref_random():
     for _ in range(10):
         n = rng.randrange(2, 6)
         rows = [_random_row(rng, n) for _ in range(rng.randrange(1, 5))]
-        r = rank(rows, n)
-        red = rref(rows, n)
-        assert len(red) == r
-        assert subspace_eq(rows, red, n)
+        ech = Echelon(n, rows)
+        assert len(ech.rows) == ech.dim
+        assert Echelon(n, ech.rows) == ech
 
 
 def test_nullspace_orthogonality():
@@ -147,8 +139,8 @@ def test_nullspace_orthogonality():
         n = rng.randrange(2, 6)
         rows = [_random_row(rng, n) for _ in range(rng.randrange(1, 4))]
         null = nullspace(rows, n)
-        assert rank(rows, n) + len(null) == n
-        for v in null:
+        assert Echelon(n, rows).dim + null.dim == n
+        for v in null.rows:
             for row in rows:
                 s = sum((row[i] * v[i] for i in row if i in v),
                         CycloNumber.rational(0))
@@ -170,28 +162,56 @@ def test_solve_linear():
 
 
 def test_intersect():
-    a = [_row((0, 1)), _row((1, 1))]
-    b = [_row((1, 1)), _row((2, 1))]
-    meet = intersect(a, b, 3)
-    assert rank(meet, 3) == 1
-    assert subspace_le(meet, a, 3) and subspace_le(meet, b, 3)
+    a = Echelon(3, [_row((0, 1)), _row((1, 1))])
+    b = Echelon(3, [_row((1, 1)), _row((2, 1))])
+    meet = intersect(a, b)
+    assert meet.dim == 1
+    assert meet <= a and meet <= b
 
 
 def test_subspace_key_is_basis_independent():
     a = [_row((0, 1), (1, 1)), _row((1, 2))]
     b = [_row((0, 3), (1, 3)), _row((0, 3), (1, 5))]
-    assert subspace_eq(a, b, 2)
-    assert subspace_key(a, 2) == subspace_key(b, 2)
+    assert Echelon(2, a) == Echelon(2, b)
+    assert Echelon(2, a).key() == Echelon(2, b).key()
     c = [_row((0, 1))]
-    assert subspace_key(a, 2) != subspace_key(c, 2)
+    assert Echelon(2, a).key() != Echelon(2, c).key()
 
 
-def test_tensor_index_and_kron():
-    dim = 3
-    assert tensor_index(1, 2, dim) == 5
-    a = [_row((0, 1), (1, 1))]
-    b = [_row((2, 2))]
-    k = kron_rows(a, b, dim)
-    assert len(k) == 1
-    assert k[0] == {tensor_index(0, 2, dim): CycloNumber.rational(2),
-                    tensor_index(1, 2, dim): CycloNumber.rational(2)}
+def _spaces(count):
+    """n <= 5 columns and count lists of small rational rows over them."""
+    def rows(n):
+        return st.lists(st.dictionaries(st.integers(0, n - 1), _entries,
+                                        min_size=1, max_size=3), max_size=5)
+    return st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n), *[rows(n).map(_rational) for _ in range(count)]))
+
+
+def _rational(raw):
+    return [{j: CycloNumber.rational(v) for j, v in r.items() if v}
+            for r in raw]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_spaces(2))
+def test_intersect_is_the_meet(case):
+    n, raw_x, raw_y = case
+    x, y = Echelon(n, raw_x), Echelon(n, raw_y)
+    meet = intersect(x, y)
+    assert meet <= x and meet <= y
+    assert meet == intersect(y, x)
+    # Grassmann: dim x + dim y = dim (x & y) + dim (x + y)
+    assert x.dim + y.dim == meet.dim + Echelon(n, x.rows + y.rows).dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(_spaces(1))
+def test_nullspace_is_the_annihilator(case):
+    n, rows = case
+    null = nullspace(rows, n)
+    for v in null.rows:
+        for row in rows:
+            s = sum((row[i] * v[i] for i in row if i in v),
+                    CycloNumber.rational(0))
+            assert s.is_zero()
+    assert null.dim + Echelon(n, rows).dim == n

@@ -1,7 +1,7 @@
 from hopfcat.chartab import character_table
 from hopfcat.cyclo import CycloNumber, as_cyclo
-from hopfcat.groups import parse_group_spec
-from hopfcat.reps import all_subgroups, linear_characters, mat_mul, matrix_irrep
+from hopfcat.groups import all_subgroups, parse_group_spec
+from hopfcat.reps import linear_characters, mat_mul, matrix_irrep
 
 
 def _trace(m):
