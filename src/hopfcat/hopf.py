@@ -352,10 +352,9 @@ def dual_character(A: QTAlgebra, chi: Row) -> Row:
 
 # --- constructors -------------------------------------------------------
 
-# The one per-process cache of whole algebras, keyed on the kind and the
-# group table: tests, fixtures and CLI commands rebuild the same groups,
-# and every per-algebra construction (hopf.memo) then lives on the one
-# instance.
+# The one per-process cache of whole algebras, keyed on kind and group
+# table: tests, fixtures and CLI commands rebuild the same groups, and
+# every per-algebra memo (hopf.memo) then lives on the one instance.
 _BUILD_CACHE: dict = {}
 
 
