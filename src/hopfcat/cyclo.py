@@ -1,26 +1,39 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-A value is stored as a rational polynomial in zeta_n on the power basis
-{zeta_n^e : 0 <= e < phi(n)}, reduced modulo the n-th cyclotomic
-polynomial.  Within a fixed order the representation is unique, so
-equality of same-order values is dictionary equality; across orders both
-sides are lifted to the lcm first.  After every operation the order is
-descended by g = gcd(n, exponents) when g > 1, which keeps rationals at
-order 1 and later linear algebra small.
+A value of order n is stored as integer numerators over one positive
+integer denominator,
+
+    (1/den) * sum(nums[e] * zeta_n^e),
+
+on the power basis {zeta_n^e : 0 <= e < phi(n)}, reduced modulo the n-th
+cyclotomic polynomial.  The invariant: den > 0, gcd(den, *nums) == 1, no
+numerator is zero, every exponent is below phi(n), and gcd(n, exponents)
+== 1 when n > 1 (so rationals sit at order 1 and zero is order 1 with no
+numerators).  Within a fixed order the representation is unique, so
+equality of same-order values compares the numerators and denominators;
+across orders both sides meet at the lcm first.
+
+Every operation runs on plain ints: lift both sides to the lcm order,
+multiply or add the numerators, reduce modulo Phi_m with the integer
+power table of m, descend by g = gcd(m, exponents) when g > 1, then
+divide out the content gcd(den, *nums).  Fractions appear only in the
+conversions fmt_cyclo, to_complex and rational_value.
+
+The stored order depends on the path that built a value, not only on the
+value: zeta(3) is stored at order 3 as z(3), but the equal zeta(12, 4)
+reduces to -1 + z(6) at order 6, where the exponent 1 is coprime to 6 and
+no descent applies.  to_json writes that order, so holding every value at
+one ambient order instead would change serialized output.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from math import gcd, lcm
 
 _cyclotomic_cache: dict[int, list[int]] = {}
-_power_cache: dict[int, dict[int, dict[int, int]]] = {}
-_phi_cache: dict[int, int] = {}
+_table_cache: dict[int, tuple[int, dict[int, tuple]]] = {}
 
 
 def _divisors(n: int) -> list[int]:
@@ -56,23 +69,18 @@ def cyclotomic_polynomial(n: int) -> list[int]:
     return poly
 
 
-def _phi(n: int) -> int:
-    if n not in _phi_cache:
-        _phi_cache[n] = len(cyclotomic_polynomial(n)) - 1
-    return _phi_cache[n]
-
-
-def _power_table(n: int) -> dict[int, dict[int, int]]:
-    # x^e mod Phi_n for phi(n) <= e < n, as sparse integer rows
-    if n in _power_cache:
-        return _power_cache[n]
+def _tables(n: int) -> tuple[int, dict[int, tuple]]:
+    """phi(n), and x^e mod Phi_n for phi(n) <= e < n as (i, c) pairs."""
+    hit = _table_cache.get(n)
+    if hit is not None:
+        return hit
     poly = cyclotomic_polynomial(n)
     deg = len(poly) - 1
-    table: dict[int, dict[int, int]] = {}
+    table: dict[int, tuple] = {}
     if deg < n:
         top = {i: -c for i, c in enumerate(poly[:deg]) if c}
-        table[deg] = top
         prev = top
+        table[deg] = tuple(top.items())
         for e in range(deg + 1, n):
             nxt: dict[int, int] = {}
             for i, c in prev.items():
@@ -81,59 +89,97 @@ def _power_table(n: int) -> dict[int, dict[int, int]]:
                         nxt[j] = nxt.get(j, 0) + c * t
                 else:
                     nxt[i + 1] = nxt.get(i + 1, 0) + c
-            table[e] = {i: c for i, c in nxt.items() if c}
-            prev = table[e]
-    _power_cache[n] = table
-    return table
+            prev = {i: c for i, c in nxt.items() if c}
+            table[e] = tuple(prev.items())
+    _table_cache[n] = deg, table
+    return deg, table
 
 
-def _normalize(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
-    folded: dict[int, Fraction] = {}
-    for e, c in coeffs.items():
-        if c:
-            k = e % n
-            v = folded.get(k)
-            folded[k] = c if v is None else v + c
-    folded = {e: c for e, c in folded.items() if c}
-    if not folded:
-        return 1, {}
-    deg = _phi(n)
-    if any(e >= deg for e in folded):
-        table = _power_table(n)
-        out: dict[int, Fraction] = {}
-        for e, c in folded.items():
-            if e < deg:
-                out[e] = out.get(e, _ZERO) + c
-            else:
-                for i, a in table[e].items():
-                    out[i] = out.get(i, _ZERO) + c * a
-        folded = {e: c for e, c in out.items() if c}
-        if not folded:
-            return 1, {}
-    if n > 1:
-        g = n
-        for e in folded:
-            g = gcd(g, e)
-            if g == 1:
-                break
+def _reduce(m: int, nums: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """Normal order and numerators of nums (exponents in [0, m), any ints,
+    the dict is consumed): reduce modulo Phi_m, drop zeros, then descend
+    by g = gcd(m, exponents).  Since phi(g*k) <= g*phi(k), the descended
+    exponents are already below phi(m/g), and their gcd with m/g is 1."""
+    if m > 1:
+        deg, table = _table_cache.get(m) or _tables(m)
+        for e in [e for e in nums if e >= deg]:
+            c = nums.pop(e)
+            if c:
+                for i, t in table[e]:
+                    nums[i] = nums.get(i, 0) + c * t
+    nums = {e: c for e, c in nums.items() if c}
+    if not nums:
+        return 1, nums
+    if m > 1:
+        g = gcd(m, *nums)
         if g > 1:
-            return _normalize(n // g, {e // g: c for e, c in folded.items()})
-    return n, folded
+            m //= g
+            nums = {e // g: c for e, c in nums.items()}
+    return m, nums
+
+
+def _make(order: int, nums: dict[int, int], den: int) -> "CycloNumber":
+    """A CycloNumber from parts that already hold the invariant."""
+    x = _new(CycloNumber)
+    _set_order(x, order)
+    _set_nums(x, nums)
+    _set_den(x, den)
+    return x
+
+
+def _result(m: int, nums: dict[int, int], den: int) -> "CycloNumber":
+    """The normal form of (1/den) * sum(nums[e] zeta_m^e), den > 0."""
+    order, nums = _reduce(m, nums)
+    if not nums:
+        return ZERO
+    if den > 1:
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {e: c // g for e, c in nums.items()}
+    return _make(order, nums, den)
+
+
+def _rational(n: int, den: int) -> "CycloNumber":
+    """The rational n/den, den > 0."""
+    if not n:
+        return ZERO
+    if den > 1:
+        g = gcd(n, den)
+        if g > 1:
+            n //= g
+            den //= g
+    return _make(1, {0: n}, den)
+
+
+def _from_ratios(order: int, terms) -> "CycloNumber":
+    """The value sum(a/b * zeta_order^e) over (e, a, b) terms."""
+    if order < 1:
+        raise ValueError("order must be positive")
+    terms = list(terms)
+    if any(not b for _, _, b in terms):
+        raise ZeroDivisionError("zero denominator")
+    terms = [(e, a, b) for e, a, b in terms if a]
+    den = lcm(*(b for _, _, b in terms))
+    nums: dict[int, int] = {}
+    for e, a, b in terms:
+        k = e % order
+        nums[k] = nums.get(k, 0) + a * (den // b)
+    return _result(order, nums, den)
 
 
 class CycloNumber:
     """An element of Q(zeta_order), immutable once built."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
     __hash__ = None  # equality crosses orders; key(order) serves dict use
 
-    def __init__(self, order: int, coeffs: dict[int, Fraction], _normalized: bool = False):
-        if order < 1:
-            raise ValueError("order must be positive")
-        if not _normalized:
-            order, coeffs = _normalize(order, coeffs)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, order: int, coeffs: dict):
+        x = _from_ratios(order, ((e, c.numerator, c.denominator)
+                                 for e, c in coeffs.items()))
+        _set_order(self, x.order)
+        _set_nums(self, x.nums)
+        _set_den(self, x.den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CycloNumber is immutable")
@@ -141,21 +187,20 @@ class CycloNumber:
     # --- constructors -------------------------------------------------
     @staticmethod
     def rational(q) -> "CycloNumber":
-        q = Fraction(q)
-        if not q:
-            return ZERO
-        return CycloNumber(1, {0: q}, _normalized=True)
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return _rational(q.numerator, q.denominator)
 
     @staticmethod
     def zeta(n: int, e: int = 1) -> "CycloNumber":
-        return CycloNumber(n, {e: _ONE})
+        return _from_ratios(n, ((e, 1, 1),))
 
     # --- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def is_rational(self) -> bool:
         return self.order == 1
@@ -163,30 +208,43 @@ class CycloNumber:
     def rational_value(self) -> Fraction:
         if self.order != 1:
             raise ValueError("not a rational value")
-        return self.coeffs.get(0, _ZERO)
+        return Fraction(self.nums.get(0, 0), self.den)
 
     # --- arithmetic ----------------------------------------------------
-    def _lift_coeffs(self, m: int) -> dict[int, Fraction]:
-        k = m // self.order
-        if k == 1:
-            return self.coeffs
-        return {e * k: c for e, c in self.coeffs.items()}
-
     def __add__(self, other) -> "CycloNumber":
-        other = as_cyclo(other)
-        if self.order == 1 and other.order == 1:
-            q = self.coeffs.get(0, _ZERO) + other.coeffs.get(0, _ZERO)
-            return CycloNumber(1, {0: q} if q else {}, _normalized=True)
-        m = self.order * other.order // gcd(self.order, other.order)
-        a = dict(self._lift_coeffs(m))
-        for e, c in other._lift_coeffs(m).items():
-            a[e] = a.get(e, _ZERO) + c
-        return CycloNumber(m, a)
+        if other.__class__ is not CycloNumber:
+            other = as_cyclo(other)
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        p, q = self.order, other.order
+        da, db = self.den, other.den
+        if da == db:
+            den, sa, sb = da, 1, 1
+        else:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            den = da * sa
+        if p == q:
+            if p == 1:
+                return _rational(self.nums[0] * sa + other.nums[0] * sb, den)
+            m, ka, kb = p, 1, 1
+        else:
+            m = lcm(p, q)
+            ka, kb = m // p, m // q
+        out = {e * ka: c * sa for e, c in self.nums.items()}
+        for e, c in other.nums.items():
+            e *= kb
+            v = out.get(e)
+            out[e] = c * sb if v is None else v + c * sb
+        return _result(m, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloNumber":
-        return CycloNumber(self.order, {e: -c for e, c in self.coeffs.items()}, _normalized=True)
+        return _make(self.order, {e: -c for e, c in self.nums.items()},
+                     self.den)
 
     def __sub__(self, other) -> "CycloNumber":
         return self + (-as_cyclo(other))
@@ -195,30 +253,41 @@ class CycloNumber:
         return as_cyclo(other) + (-self)
 
     def __mul__(self, other) -> "CycloNumber":
-        other = as_cyclo(other)
-        if not self.coeffs or not other.coeffs:
+        if other.__class__ is not CycloNumber:
+            other = as_cyclo(other)
+        a, b = self.nums, other.nums
+        if not a or not b:
             return ZERO
-        if self.order == 1 and other.order == 1:
-            return CycloNumber(1, {0: self.coeffs[0] * other.coeffs[0]}, _normalized=True)
-        if self.order == 1:
-            q = self.coeffs[0]
-            return CycloNumber(other.order,
-                               {e: q * c for e, c in other.coeffs.items()})
-        if other.order == 1:
-            q = other.coeffs[0]
-            return CycloNumber(self.order,
-                               {e: q * c for e, c in self.coeffs.items()})
-        m = self.order * other.order // gcd(self.order, other.order)
-        a = self._lift_coeffs(m)
-        b = other._lift_coeffs(m)
-        out: dict[int, Fraction] = {}
+        p, q = self.order, other.order
+        den = self.den * other.den
+        if p == 1 or q == 1:
+            # a rational factor scales the numerators: no reduction, no descent
+            if p == 1:
+                p, a, b = q, b, a
+            s = b[0]
+            if p == 1:
+                return _rational(s * a[0], den)
+            out = {e: s * c for e, c in a.items()}
+            if den > 1:
+                g = gcd(den, *out.values())
+                if g > 1:
+                    den //= g
+                    out = {e: c // g for e, c in out.items()}
+            return _make(p, out, den)
+        if p == q:
+            m, ka, kb = p, 1, 1
+        else:
+            m = lcm(p, q)
+            ka, kb = m // p, m // q
+        out: dict[int, int] = {}
+        bl = [(e * kb, c) for e, c in b.items()]
         for e1, c1 in a.items():
-            for e2, c2 in b.items():
+            e1 *= ka
+            for e2, c2 in bl:
                 k = (e1 + e2) % m
                 v = out.get(k)
-                p = c1 * c2
-                out[k] = p if v is None else v + p
-        return CycloNumber(m, out)
+                out[k] = c1 * c2 if v is None else v + c1 * c2
+        return _result(m, out, den)
 
     __rmul__ = __mul__
 
@@ -229,16 +298,17 @@ class CycloNumber:
             return self
         if gcd(k % n, n) != 1:
             raise ValueError("galois exponent not coprime to order")
-        return CycloNumber(n, {(e * k) % n: c for e, c in self.coeffs.items()})
+        return _result(n, {(e * k) % n: c for e, c in self.nums.items()},
+                       self.den)
 
     def conjugate(self) -> "CycloNumber":
         return self.galois(self.order - 1) if self.order > 1 else self
 
     def inverse(self) -> "CycloNumber":
-        if not self.coeffs:
+        if not self.nums:
             raise ZeroDivisionError("inverse of zero cyclotomic")
         if self.order == 1:
-            return CycloNumber(1, {0: 1 / self.coeffs[0]}, _normalized=True)
+            return _invert_rational(self)
         n = self.order
         prod = ONE
         for k in range(2, n):
@@ -247,7 +317,7 @@ class CycloNumber:
         norm = self * prod
         if not norm.is_rational():
             raise ArithmeticError("field norm failed to be rational")
-        return prod * CycloNumber.rational(1 / norm.rational_value())
+        return prod * _invert_rational(norm)
 
     def __truediv__(self, other) -> "CycloNumber":
         return self * as_cyclo(other).inverse()
@@ -260,44 +330,66 @@ class CycloNumber:
             return NotImplemented
         other = as_cyclo(other)
         if self.order == other.order:
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         return (self - other).is_zero()
 
     # --- conversions ----------------------------------------------------
     def to_complex(self) -> complex:
         z = 0j
-        for e, c in self.coeffs.items():
-            z += float(c) * cmath.exp(2j * cmath.pi * e / self.order)
+        for e, c in self.nums.items():
+            z += float(Fraction(c, self.den)) * cmath.exp(2j * cmath.pi * e / self.order)
         return z
+
+    def _nums_at(self, order: int) -> dict[int, int]:
+        """The numerators of the normal form of self lifted to order."""
+        if order % self.order:
+            raise ValueError("key order must be a multiple of the value's order")
+        if order == self.order or self.order == 1:
+            return self.nums
+        k = order // self.order
+        return _reduce(order, {e * k: c for e, c in self.nums.items()})[1]
 
     def key(self, order: int) -> tuple:
         """Canonical hashable form at a common ambient order."""
-        if order % self.order:
-            raise ValueError("key order must be a multiple of the value's order")
-        lifted = _normalize(order, dict(self._lift_coeffs(order)))[1] if order > 1 else self.coeffs
-        return tuple(sorted((e, c.numerator, c.denominator) for e, c in lifted.items()))
+        den = self.den
+        return tuple(sorted((e, *_lowest(c, den))
+                            for e, c in self._nums_at(order).items()))
 
     def sort_key(self, order: int) -> tuple:
         """Dense total-order key at a common ambient order."""
-        if order % self.order:
-            raise ValueError("sort order must be a multiple of the value's order")
-        lifted = _normalize(order, dict(self._lift_coeffs(order)))[1] if order > 1 else self.coeffs
-        deg = _phi(order)
-        return tuple((lifted.get(e, _ZERO).numerator, lifted.get(e, _ZERO).denominator)
-                     for e in range(deg))
+        nums, den = self._nums_at(order), self.den
+        deg = _tables(order)[0]
+        return tuple(_lowest(nums.get(e, 0), den) for e in range(deg))
 
     def to_json(self) -> dict:
+        den = self.den
         return {"n": self.order,
-                "c": [[e, c.numerator, c.denominator]
-                      for e, c in sorted(self.coeffs.items())]}
+                "c": [[e, *_lowest(c, den)] for e, c in sorted(self.nums.items())]}
 
     @staticmethod
     def from_json(obj: dict) -> "CycloNumber":
-        return CycloNumber(obj["n"],
-                           {e: Fraction(a, b) for e, a, b in obj["c"]})
+        terms = {e: (a, b) for e, a, b in obj["c"]}
+        return _from_ratios(obj["n"], ((e, a, b) for e, (a, b) in terms.items()))
 
     def __repr__(self) -> str:
         return f"CycloNumber({fmt_cyclo(self)!r})"
+
+
+_new = object.__new__
+_set_order = CycloNumber.order.__set__
+_set_nums = CycloNumber.nums.__set__
+_set_den = CycloNumber.den.__set__
+
+
+def _lowest(c: int, den: int) -> tuple[int, int]:
+    """c/den in lowest terms, den > 0."""
+    g = gcd(c, den)
+    return c // g, den // g
+
+
+def _invert_rational(x: CycloNumber) -> CycloNumber:
+    c = x.nums[0]
+    return _make(1, {0: x.den if c > 0 else -x.den}, abs(c))
 
 
 def as_cyclo(x) -> CycloNumber:
@@ -310,10 +402,11 @@ def as_cyclo(x) -> CycloNumber:
 
 def fmt_cyclo(x: CycloNumber) -> str:
     """Render as 'a0 + a1*z(n)^e1 + ...' with ascending exponents."""
-    if not x.coeffs:
+    if not x.nums:
         return "0"
     parts = []
-    for e, c in sorted(x.coeffs.items()):
+    for e, n in sorted(x.nums.items()):
+        c = Fraction(n, x.den)
         if e == 0:
             parts.append(str(c))
             continue
@@ -327,5 +420,5 @@ def fmt_cyclo(x: CycloNumber) -> str:
     return " + ".join(parts)
 
 
-ZERO = CycloNumber(1, {}, _normalized=True)
-ONE = CycloNumber(1, {0: _ONE}, _normalized=True)
+ZERO = _make(1, {}, 1)
+ONE = _make(1, {0: 1}, 1)

@@ -449,8 +449,9 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
         for side, hits in (("left", prod[k]),
                            ("right", [row[k] for row in prod])):
             hits = [m for m in hits if m >= 0]
-            require(len(set(hits)) == len(hits), failure(
-                A, f"basis-product injectivity ({side} multiplication)", k))
+            if len(set(hits)) != len(hits):
+                raise InvariantViolation(failure(
+                    A, f"basis-product injectivity ({side} multiplication)", k))
 
     # unit
     for x in range(dim):
@@ -469,7 +470,9 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
         left = -1 if k < 0 else prod[k][l]
         m = prod[j][l]
         right = -1 if m < 0 else prod[i][m]
-        require(left == right, f"associativity fails at ({i},{j},{l})")
+        if left != right:
+            raise InvariantViolation(failure(
+                A, "associativity", None, f"basis triple ({i},{j},{l})"))
 
     # counit is an algebra map
     eps = A.counit
@@ -499,7 +502,8 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
                 lhs[(a, b, j)] += 1
             for a, b in A.delta[j]:
                 rhs[(i, a, b)] += 1
-        require(lhs == rhs, f"coassociativity fails at {k}")
+        if lhs != rhs:
+            raise InvariantViolation(failure(A, "coassociativity", k))
 
     # coproduct is an algebra map
     max_delta = max(len(t) for t in A.delta)

@@ -18,8 +18,10 @@ under every general x general product (a product by a basis element is
 a relabel, hopf.lmul or hopf.rmul, with no scalar operation), and
 hopf.convolve, run r^2 times per fusion table and once per basis
 functional in the character ring and class spans.
-Accumulation order is part of the output, since the stored order of a
-CycloNumber depends on its chain of adds.
+Accumulation order is part of the output: the stored order of a
+CycloNumber depends on the chain of operations that built it (zeta(3)
+and the equal zeta(12, 4) are stored at orders 3 and 6, see cyclo), and
+to_json writes that order.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import pytest
 
 from hopfcat import build_double, enumerate_coideals, enumerate_subcats
 from hopfcat.cli import RunConfig, parse_triple, run
+from hopfcat.cyclo import CycloNumber
 from hopfcat.errors import ParseError
 from hopfcat.groups import parse_group_spec
 
@@ -187,6 +188,21 @@ def test_benchmark_tracer_binds(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert trace["counts"]["cache.misses"] >= 1
+
+
+def test_benchmark_tracer_counts_scalar_ops():
+    """The tracer counts CycloNumber + and * by wrapping the operators in
+    the class dict; a kernel that bypassed them would zero those counts."""
+    z = CycloNumber.zeta(3)
+    tracer = _benchmark_worker().Tracer(time_builds=False)
+    tracer.start()
+    try:
+        s = z + z * z
+    finally:
+        trace = tracer.stop()
+    assert trace["counts"]["cyclo.mul_calls"] == 1
+    assert trace["counts"]["cyclo.add_calls"] == 1
+    assert s == -1
 
 
 def test_coideals_built_once():

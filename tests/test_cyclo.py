@@ -1,10 +1,24 @@
+"""Exact cyclotomic arithmetic.
+
+The layer-0 golden file tests/golden/cyclo_ops.json holds to_json, key,
+sort_key and fmt_cyclo of every result of golden_records(); regenerate it
+with ``PYTHONPATH=src python tests/test_cyclo.py`` only when a change of
+those outputs is intended.
+"""
+
 import cmath
+import json
 import random
 from fractions import Fraction
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcat.cyclo import CycloNumber, as_cyclo, cyclotomic_polynomial, fmt_cyclo
+
+GOLDEN_OPS = Path(__file__).parent / "golden" / "cyclo_ops.json"
 
 ZERO = CycloNumber.rational(0)
 ONE = CycloNumber.rational(1)
@@ -135,6 +149,36 @@ def test_as_cyclo_coercion():
         as_cyclo(1.5)
 
 
+cyclos = st.builds(
+    lambda order, terms: CycloNumber(order, dict(terms)),
+    st.integers(1, 12),
+    st.lists(st.tuples(st.integers(-30, 30),
+                       st.fractions(-20, 20, max_denominator=12)), max_size=5))
+
+
+def _assert_normal(x: CycloNumber) -> None:
+    assert x.den > 0
+    assert gcd(x.den, *x.nums.values()) == 1
+    assert all(x.nums.values())
+    assert all(0 <= e < len(cyclotomic_polynomial(x.order)) - 1 for e in x.nums)
+    if x.order > 1:
+        assert gcd(x.order, *x.nums) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclos, cyclos, st.integers(0, 11))
+def test_results_are_in_normal_form(a, b, i):
+    results = [a, a + b, a - b, a * b, -a, CycloNumber.from_json(a.to_json())]
+    units = [k for k in range(1, a.order + 1) if gcd(k, a.order) == 1]
+    results.append(a.galois(units[i % len(units)]))
+    if a:
+        results.append(a.inverse())
+    if b:
+        results.append(a / b)
+    for x in results:
+        _assert_normal(x)
+
+
 def test_immutability():
     a = CycloNumber.zeta(3)
     with pytest.raises(AttributeError):
@@ -146,3 +190,58 @@ def test_fmt():
     assert fmt_cyclo(ONE) == "1"
     assert "z(3)" in fmt_cyclo(CycloNumber.zeta(3))
     assert fmt_cyclo(CycloNumber.rational(Fraction(-1, 2))) == "-1/2"
+
+
+def _record(x: CycloNumber, m: int) -> dict:
+    return {"json": x.to_json(), "key": list(map(list, x.key(m))),
+            "sort_key": list(map(list, x.sort_key(m))), "fmt": fmt_cyclo(x)}
+
+
+def golden_records() -> list:
+    """Every operation on seeded operands at orders 1..12, with mixed-order
+    pairs and the equal values zeta(3), zeta(12, 4) stored at orders 3, 6."""
+    rng = random.Random(8)
+    operands = [CycloNumber.zeta(3), CycloNumber.zeta(12, 4)]
+    for order in range(1, 13):
+        for _ in range(3):
+            coeffs = {rng.randrange(-order, 2 * order):
+                      Fraction(rng.randrange(-9, 10), rng.randrange(1, 13))
+                      for _ in range(rng.randrange(1, 6))}
+            operands.append(CycloNumber(order, coeffs))
+    pairs = [(0, 1), (1, 0)]
+    pairs += [(i, i + 1) for i in range(len(operands) - 1)]
+    pairs += [(rng.randrange(len(operands)), rng.randrange(len(operands)))
+              for _ in range(80)]
+    out = []
+    for i, a in enumerate(operands):
+        m = 2 * a.order
+        out.append({"op": "operand", "a": i, **_record(a, m)})
+        for k in range(1, a.order + 1):
+            if gcd(k, a.order) == 1:
+                out.append({"op": f"galois {k}", "a": i,
+                            **_record(a.galois(k), m)})
+        if a:
+            out.append({"op": "inverse", "a": i, **_record(a.inverse(), m)})
+    for i, j in pairs:
+        a, b = operands[i], operands[j]
+        m = lcm(a.order, b.order)
+        results = [("+", a + b), ("-", a - b), ("*", a * b)]
+        if b:
+            results.append(("/", a / b))
+        for op, x in results:
+            out.append({"op": op, "a": i, "b": j, "eq": a == b,
+                        **_record(x, m)})
+    return out
+
+
+def test_golden_ops():
+    want = json.loads(GOLDEN_OPS.read_text())
+    got = golden_records()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+
+
+if __name__ == "__main__":
+    GOLDEN_OPS.write_text(json.dumps(golden_records(), separators=(",", ":"))
+                          + "\n")

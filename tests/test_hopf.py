@@ -378,6 +378,42 @@ def test_verify_axioms_rejects_a_non_injective_basis_product(double_s3):
     assert msg.endswith(f" at {A.labels[0]}")
 
 
+def test_verify_axioms_names_the_first_non_associative_triple(double_s3):
+    # swap two products in one row, away from the unit: every basis product
+    # stays injective and the unit axioms hold, but associativity breaks
+    A = double_s3
+    units = set(A.unit_row)
+
+    def swapped_row_products():
+        for i in range(A.dim):
+            row = A.prod_idx[i]
+            live = [j for j in range(A.dim) if row[j] >= 0 and j not in units]
+            if i in units or len(live) < 2:
+                continue
+            for j1, j2 in zip(live, live[1:]):
+                prod = [list(r) for r in A.prod_idx]
+                prod[i][j1], prod[i][j2] = row[j2], row[j1]
+                cols = [[r[j] for r in prod if r[j] >= 0] for j in (j1, j2)]
+                if all(len(set(c)) == len(c) for c in cols):
+                    return prod
+
+    prod = swapped_row_products()
+    n = A.dim
+
+    def assoc(i, j, l):
+        k, m = prod[i][j], prod[j][l]
+        return (-1 if k < 0 else prod[k][l]) == (-1 if m < 0 else prod[i][m])
+
+    first = next((i, j, l) for i in range(n) for j in range(n)
+                 for l in range(n) if not assoc(i, j, l))
+    broken = QTAlgebra(A.name, A.kind, A.group, A.labels, prod, A.delta,
+                       A.counit, A.s_idx, A.r_terms, A.unit_row)
+    with pytest.raises(InvariantViolation) as exc:
+        verify_axioms(broken)
+    assert str(exc.value) == ("D(S3): associativity fails on basis triple "
+                              "({},{},{})".format(*first))
+
+
 def test_noncentral_orthogonal_idempotents_are_rejected(double_s3):
     A = double_s3
     # p_g x 1 are orthogonal idempotents summing to 1; only p_1 x 1 is central
