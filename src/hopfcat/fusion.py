@@ -19,14 +19,14 @@ from .chartab import CharacterTable, character_table
 from .coideal import (Bicharacter, CoidealSubalgebra, bichar_label,
                       coideal_from_space, coideal_triples, dual_coideal,
                       group_coideal, quotient_dual, triple_coideal)
-from .cyclo import CycloNumber, ONE, ZERO
+from .cyclo import CycloNumber, ONE, ZERO, fmt_cyclo
 from .errors import (InternalMismatch, InvariantViolation,
                      MethodPreconditionViolated, NonIntegerMultiplicity,
                      NotClosed, OracleMismatch, PreconditionViolated, require)
 from .groups import Subgroup, centralizer_subgroup, normal_subgroups
 from .hopf import (QTAlgebra, all_classes, char_ring_idempotents, convolve,
-                   drinfeld_map, dual_character, harpoon_right, integrals,
-                   memoized, pair_eval)
+                   drinfeld_map, dual_character, failure, harpoon_right,
+                   integrals, memoized, pair_eval)
 from .linalg import Echelon, Row, acc, intersect, nullspace, row_scale
 from .reps import Matrix, mat_mul, matrix_irrep
 
@@ -228,10 +228,12 @@ def dual_index(A: QTAlgebra) -> list[int]:
     """i -> index of the dual simple."""
     simples = simple_objects(A)
     out: list[int] = []
-    for s in simples:
+    for i, s in enumerate(simples):
         d = dual_character(A, s.character)
         matches = [j for j, t in enumerate(simples) if t.character == d]
-        require(len(matches) == 1, "dual character matches no unique simple")
+        if len(matches) != 1:
+            raise InvariantViolation(failure(A, "dual uniqueness", None,
+                                             f"V{i}"))
         out.append(matches[0])
     return out
 
@@ -241,32 +243,45 @@ def dual_index(A: QTAlgebra) -> list[int]:
 
 @memoized
 def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
-    """N[i][j][k], the multiplicity of the k-th simple in V_i x V_j."""
+    """N[i][j][k], the multiplicity of the k-th simple in V_i x V_j.
+
+    N[i][j][k] = <chi_i * chi_j, w_k> with w_k = chi_k* -> Lambda.  The
+    pairing is a sum over the basis elements in both supports, so it is
+    zero where the support of chi_i * chi_j misses that of w_k: only the
+    k whose w_k meets the convolution are paired, every other entry is
+    an exact 0 (and 0 passes every check below).
+    """
     simples = simple_objects(A)
     dual = dual_index(A)
     lam, _ = integrals(A)
     ws = [harpoon_right(A, dual_character(A, s.character), lam)
           for s in simples]
+    meets: list[list[int]] = [[] for _ in range(A.dim)]
+    for k, w in enumerate(ws):
+        for b in w:
+            meets[b].append(k)
     r = len(simples)
     table: list[list[list[int]]] = []
     for i in range(r):
         row_i = []
         for j in range(r):
             conv = convolve(A, simples[i].character, simples[j].character)
-            row_j = []
-            for k in range(r):
+            row_j = [0] * r
+            for k in sorted({k for b in conv for k in meets[b]}):
                 v = pair_eval(conv, ws[k])
-                if not v.is_rational():
-                    raise NonIntegerMultiplicity(f"N[{i}][{j}][{k}] = {v}")
-                q = v.rational_value()
-                if q.denominator != 1 or q < 0:
-                    raise NonIntegerMultiplicity(f"N[{i}][{j}][{k}] = {q}")
-                row_j.append(int(q))
-            require(row_j[0] == (1 if dual[i] == j else 0),
-                    "multiplicity of the unit violates duality")
-            require(sum(n * simples[k].dim for k, n in enumerate(row_j))
-                    == simples[i].dim * simples[j].dim,
-                    "fusion multiplicities do not account for the dimension")
+                q = v.rational_value() if v.is_rational() else None
+                if q is None or q.denominator != 1 or q < 0:
+                    raise NonIntegerMultiplicity(failure(
+                        A, "fusion integrality", None,
+                        f"V{i} x V{j} -> V{k} (N = {fmt_cyclo(v)})"))
+                row_j[k] = int(q)
+            if row_j[0] != (1 if dual[i] == j else 0):
+                raise InvariantViolation(failure(A, "fusion duality", None,
+                                                 f"V{i} x V{j}"))
+            if (sum(n * simples[k].dim for k, n in enumerate(row_j))
+                    != simples[i].dim * simples[j].dim):
+                raise InvariantViolation(failure(
+                    A, "fusion dimension count", None, f"V{i} x V{j}"))
             row_i.append(row_j)
         table.append(row_i)
     return table
@@ -414,24 +429,40 @@ def _is_closed(A: QTAlgebra, idx: frozenset[int]) -> bool:
     return True
 
 
-def _closure(A: QTAlgebra, seed: frozenset[int]) -> frozenset[int]:
-    table = fusion_table(A)
-    dual = dual_index(A)
+def _fusion_supports(A: QTAlgebra) -> list[list[tuple[int, ...]]]:
+    """supp[i][j], the ascending k with N_ij^k != 0."""
+    return [[tuple(k for k, n in enumerate(row) if n) for row in row_i]
+            for row_i in fusion_table(A)]
+
+
+def _closure(supp: list[list[tuple[int, ...]]], dual: list[int],
+             seed: frozenset[int]) -> frozenset[int]:
+    """The least set that contains seed | {0} and is closed under duals
+    and fusion, as a worklist over the fusion supports.
+
+    Lemma: each x popped is marked processed and adds dual[x] and the
+    supports of x x y and y x for every processed y (x included), so
+    every pair of processed elements has been read once.  When the
+    worklist is empty every member is processed, hence the set is closed;
+    and each element added lies in any closed set containing the seed
+    and 0, by induction on the order of addition.
+    """
     s = set(seed)
     s.add(0)
-    changed = True
-    while changed:
-        changed = False
-        for i in list(s):
-            if dual[i] not in s:
-                s.add(dual[i])
-                changed = True
-        for i in list(s):
-            for j in list(s):
-                for k, nk in enumerate(table[i][j]):
-                    if nk and k not in s:
-                        s.add(k)
-                        changed = True
+    todo = sorted(s)
+    done: list[int] = []
+    while todo:
+        x = todo.pop()
+        done.append(x)
+        row = supp[x]
+        reach = [dual[x]]
+        for y in done:
+            reach += row[y]
+            reach += supp[y][x]
+        for k in reach:
+            if k not in s:
+                s.add(k)
+                todo.append(k)
     return frozenset(s)
 
 
@@ -537,15 +568,17 @@ def enumerate_subcats(A: QTAlgebra) -> list[FusionSubcat]:
         raise PreconditionViolated("no subcategory catalog for this kind")
 
     r = len(simple_objects(A))
-    family = {_closure(A, frozenset())}
-    singles = [_closure(A, frozenset([i])) for i in range(r)]
+    supp = _fusion_supports(A)
+    dual = dual_index(A)
+    family = {_closure(supp, dual, frozenset())}
+    singles = [_closure(supp, dual, frozenset([i])) for i in range(r)]
     family.update(singles)
     frontier = set(family)
     while frontier:
         fresh = set()
         for s in frontier:
             for t in singles:
-                u = _closure(A, s | t)
+                u = _closure(supp, dual, s | t)
                 if u not in family:
                     fresh.add(u)
         family.update(fresh)
@@ -658,7 +691,8 @@ def generated_subcategory(A: QTAlgebra, indices) -> FusionSubcat:
         space = Echelon(A.dim, [A.basis(k) for k in range(A.dim)])
     L = coideal_from_space(A, space)
     sub = quotient_irreps(A, L)
-    want = tuple(sorted(_closure(A, frozenset(indices))))
+    want = tuple(sorted(_closure(_fusion_supports(A), dual_index(A),
+                                 frozenset(indices))))
     if sub.indices != want:
         raise OracleMismatch("kernel route and fusion closure disagree on "
                              "the generated subcategory")

@@ -2,11 +2,17 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopfcat import build_double, fusion, parse_group_spec
 from hopfcat.coideal import enumerate_coideals
 from hopfcat.cyclo import CycloNumber, as_cyclo
-from hopfcat.errors import MethodPreconditionViolated, NotClosed
+from hopfcat.errors import (InvariantViolation, MethodPreconditionViolated,
+                            NotClosed, OracleMismatch)
 from hopfcat.fusion import (
+    _closure,
+    _fusion_supports,
     centralizer,
     dual_index,
     enumerate_subcats,
@@ -18,7 +24,8 @@ from hopfcat.fusion import (
     simple_objects,
     smatrix,
 )
-from hopfcat.hopf import convolve, integrals, pair_eval
+from hopfcat.hopf import (QTAlgebra, convolve, dual_character, harpoon_right,
+                          integrals, pair_eval)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "convention.json")
 
@@ -217,3 +224,105 @@ def test_not_closed_rejected(double_s3):
     from hopfcat.fusion import _mk_subcat
     with pytest.raises(NotClosed):
         _mk_subcat(double_s3, (0, 2))
+
+
+def _fresh_copy(A):
+    """The same algebra with an empty memo."""
+    return QTAlgebra(A.name, A.kind, A.group, A.labels, A.prod_idx, A.delta,
+                     A.counit, A.s_idx, A.r_terms, A.unit_row)
+
+
+def test_fusion_failure_names_subject(double_s3):
+    A = _fresh_copy(double_s3)
+    dual = dual_index(A)
+    wrong = (dual[2] + 1) % len(dual)
+    first = min(dual[2], wrong)
+    dual[2] = wrong  # corrupt the memoized dual index in place
+    with pytest.raises(InvariantViolation) as err:
+        fusion_table(A)
+    assert str(err.value) == f"D(S3): fusion duality fails on V2 x V{first}"
+
+
+def _fixed_point_closure(table, dual, seed):
+    """Reference: rescan every pair and every dual until a pass adds
+    nothing."""
+    s = set(seed)
+    s.add(0)
+    changed = True
+    while changed:
+        changed = False
+        for i in list(s):
+            if dual[i] not in s:
+                s.add(dual[i])
+                changed = True
+        for i in list(s):
+            for j in list(s):
+                for k, nk in enumerate(table[i][j]):
+                    if nk and k not in s:
+                        s.add(k)
+                        changed = True
+    return frozenset(s)
+
+
+def _closure_agrees(A, seed):
+    got = _closure(_fusion_supports(A), dual_index(A), frozenset(seed))
+    return got == _fixed_point_closure(fusion_table(A), dual_index(A), seed)
+
+
+def test_closure_matches_fixed_point(doubles, triangular_s3):
+    for A in [doubles[n] for n in ("S3", "Q8", "D4")] + [triangular_s3]:
+        r = len(simple_objects(A))
+        assert _closure_agrees(A, ())
+        for i in range(r):
+            for j in range(i, r):
+                assert _closure_agrees(A, {i, j}), (A.name, i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 21), max_size=6))
+def test_closure_matches_fixed_point_random_seeds(seed):
+    A = build_double(parse_group_spec("D4"))
+    assert len(simple_objects(A)) == 22
+    assert _closure_agrees(A, seed)
+
+
+def test_closure_defect_reaches_oracle(doubles, monkeypatch):
+    A = _fresh_copy(doubles["D4"])
+    supp = _fusion_supports(A)
+    # V1 x V2 = V3 among the invertible simples.  The fusion ring is
+    # commutative and the closure reads both orders, so dropping the one
+    # rule N_12^3 = N_21^3 means dropping it from both supports.
+    assert supp[1][2] == supp[2][1] == (3,)
+    bad = [list(row) for row in supp]
+    bad[1][2] = bad[2][1] = ()
+    monkeypatch.setattr(fusion, "_fusion_supports", lambda A: bad)
+    with pytest.raises(OracleMismatch):
+        enumerate_subcats(A)
+
+
+def _full_scan_fusion_table(A):
+    """Reference: every simple paired against every convolution."""
+    simples = simple_objects(A)
+    lam, _ = integrals(A)
+    ws = [harpoon_right(A, dual_character(A, s.character), lam)
+          for s in simples]
+    table = []
+    for si in simples:
+        row_i = []
+        for sj in simples:
+            conv = convolve(A, si.character, sj.character)
+            row_i.append([pair_eval(conv, w).rational_value() for w in ws])
+        table.append(row_i)
+    return table
+
+
+def test_fusion_table_matches_full_scan(doubles, triangular_s3):
+    for A in [doubles[n] for n in ("S3", "Q8", "D4")] + [triangular_s3]:
+        assert fusion_table(A) == _full_scan_fusion_table(A), A.name
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("name", ["D6", "Z7"])
+def test_fusion_table_matches_full_scan_large(name):
+    A = build_double(parse_group_spec(name))
+    assert fusion_table(A) == _full_scan_fusion_table(A)

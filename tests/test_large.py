@@ -9,7 +9,8 @@ from hopfcat.hopf import adjoint, apply_antipode, leg_slices, right_adjoint
 
 
 @pytest.mark.large
-@pytest.mark.parametrize("name, count", [("A4", 9), ("D6", 52)])
+@pytest.mark.parametrize("name, count", [("A4", 9), ("D6", 52), ("Z12", 90),
+                                         ("Z2xZ6", 402)])
 def test_subcats_and_centralizers(name, count):
     A = build_double(parse_group_spec(name))
     subs = enumerate_subcats(A)
