@@ -9,7 +9,6 @@ recomputed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import warnings
@@ -30,6 +29,9 @@ def default_cache_dir() -> Path:
 
 def cache_key(group: Group, topic: str, extra: str = "",
               version: str = ARTIFACT_VERSION) -> str:
+    # hashlib loads OpenSSL: imported where a key is made, so a process
+    # that never reads the cache (`verify`, a library run) does not load it
+    import hashlib
     h = hashlib.sha256()
     h.update(version.encode())
     h.update(b"\x00")
@@ -70,14 +72,17 @@ class ResultCache:
     def get(self, key: str):
         path = self._path(key)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             return None
         try:
-            return json.loads(text)
-        except ValueError:
+            value = json.loads(data)
+        except (ValueError, RecursionError):
+            # not JSON: undecodable bytes, bad syntax or nesting too deep
+            value = None
+        if value is None:   # no entry is null, so this one is corrupt
             self._discard(key)
-            return None
+        return value
 
     def _discard(self, key: str) -> None:
         path = self._path(key)

@@ -14,18 +14,17 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+# A call answered from the cache needs only parsing, the cache and
+# rendering, so only those modules are imported here; the algebra
+# modules (chartab, hopf, coideal, fusion, verify) are imported by the
+# code that computes a payload, and cyclo by the text renderers, so a
+# warm JSON call never compiles them.
 from .cache import ResultCache, cache_key, default_cache_dir, fits
-from .chartab import character_table
-from .coideal import coideal_triples, enumerate_coideals, triple_coideal
-from .cyclo import CycloNumber, fmt_cyclo
 from .errors import (BoundExceeded, HopfcatError, ParseError,
                      PreconditionViolated, MethodPreconditionViolated)
-from .fusion import (centralizer, enumerate_subcats, fusion_table,
-                     simple_objects, smatrix, subcat_from_triple)
 from .groups import (DOUBLE_DIM_BOUND, Group, center_subgroup,
-                     normal_subgroups, parse_group_spec, subgroup_generated)
-from .hopf import QTAlgebra, build_double
-from .verify import summarize, verify_identities
+                     check_double_dim, double_name, normal_subgroups,
+                     parse_group_spec, subgroup_generated)
 
 
 @dataclass
@@ -115,12 +114,24 @@ def _need_group(cfg: RunConfig) -> Group:
     return parse_group_spec(cfg.group_spec)
 
 
-def _build(cfg: RunConfig) -> QTAlgebra:
-    return build_double(_need_group(cfg), max_dim=cfg.max_algebra_dim)
+def _build(cfg: RunConfig, G: Group | None = None):
+    from .hopf import build_double
+    if G is None:
+        G = _need_group(cfg)
+    return build_double(G, max_dim=cfg.max_algebra_dim)
+
+
+def _bounded_group(cfg: RunConfig) -> Group:
+    """The group, once its double is known to fit the bound: checked
+    before the cache is read, so a warm cache refuses it the same way."""
+    G = _need_group(cfg)
+    check_double_dim(G, cfg.max_algebra_dim)
+    return G
 
 
 def parse_triple(G: Group, text: str):
     """M=<gens>,H=<gens>,B=<index|triv>, generators joined by '+'."""
+    from .coideal import coideal_triples
     parts = text.split(",")
     if len(parts) != 3:
         raise ParseError(f"triple needs three comma-separated clauses: {text!r}")
@@ -164,10 +175,6 @@ def parse_triple(G: Group, text: str):
 # --- payload builders -----------------------------------------------------
 
 
-def _cy(x: CycloNumber) -> dict:
-    return x.to_json()
-
-
 def _group_info_payload(G: Group) -> dict:
     classes = G.conjugacy_classes()
     return {
@@ -184,39 +191,44 @@ def _group_info_payload(G: Group) -> dict:
 
 
 def _chartab_payload(G: Group) -> dict:
+    from .chartab import character_table
     t = character_table(G)
     return {
         "group": G.name,
         "class_representatives": [c.representative for c in t.classes],
         "class_sizes": [len(c.members) for c in t.classes],
         "degrees": list(t.degrees),
-        "rows": [[_cy(v) for v in row] for row in t.rows],
+        "rows": [[v.to_json() for v in row] for row in t.rows],
     }
 
 
-def _irreps_payload(A: QTAlgebra) -> list[dict]:
+def _irreps_payload(A) -> list[dict]:
+    from .fusion import simple_objects
     return [{
         "label": s.label(),
         "class_index": s.class_index,
         "rep_index": s.rep_index,
         "class_representative": s.a,
         "dim": s.dim,
-        "character": {str(k): _cy(v) for k, v in sorted(s.character.items())},
+        "character": {str(k): v.to_json()
+                      for k, v in sorted(s.character.items())},
     } for s in simple_objects(A)]
 
 
-def _smatrix_payload(A: QTAlgebra) -> dict:
+def _smatrix_payload(A) -> dict:
+    from .fusion import smatrix
     sm = smatrix(A)
     return {
         "algebra": A.name,
         "dims": [s.dim for s in sm.simples],
         "rank": sm.rank,
         "phi_relation": sm.phi_relation,
-        "entries": [[_cy(v) for v in row] for row in sm.entries],
+        "entries": [[v.to_json() for v in row] for row in sm.entries],
     }
 
 
-def _fusion_payload(A: QTAlgebra) -> dict:
+def _fusion_payload(A) -> dict:
+    from .fusion import fusion_table
     table = fusion_table(A)
     r = len(table)
     triples = [[i, j, k, table[i][j][k]]
@@ -228,7 +240,7 @@ def _fusion_payload(A: QTAlgebra) -> dict:
 def _coideal_payload(L, with_integral: bool) -> dict:
     out = {"label": L.label(), "dim": L.dim}
     if with_integral:
-        out["integral"] = {str(k): _cy(v)
+        out["integral"] = {str(k): v.to_json()
                            for k, v in sorted(L.integral.items())}
     return out
 
@@ -238,7 +250,8 @@ def _subcat_payload(D) -> dict:
             "fpdim": D.fpdim}
 
 
-def _lattice_payload(A: QTAlgebra) -> dict:
+def _lattice_payload(A) -> dict:
+    from .fusion import centralizer, enumerate_subcats
     subs = enumerate_subcats(A)
     sets = [set(D.indices) for D in subs]
     covers = []
@@ -329,6 +342,12 @@ def _emit_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _text_cell(v: dict) -> str:
+    """A cyclotomic value of a payload, as text."""
+    from .cyclo import CycloNumber, fmt_cyclo
+    return fmt_cyclo(CycloNumber.from_json(v))
+
+
 def _text_group_info(p: dict) -> str:
     lines = [f"group {p['name']}: order {p['order']}, exponent "
              f"{p['exponent']}, {'abelian' if p['abelian'] else 'nonabelian'}",
@@ -341,8 +360,7 @@ def _text_group_info(p: dict) -> str:
 
 
 def _text_chartab(p: dict) -> str:
-    cells = [[fmt_cyclo(CycloNumber.from_json(v)) for v in row]
-             for row in p["rows"]]
+    cells = [[_text_cell(v) for v in row] for row in p["rows"]]
     head = [f"g{r}" for r in p["class_representatives"]]
     widths = [max(len(head[k]), *(len(row[k]) for row in cells))
               for k in range(len(head))]
@@ -357,8 +375,7 @@ def _text_chartab(p: dict) -> str:
 
 
 def _text_smatrix(p: dict) -> str:
-    cells = [[fmt_cyclo(CycloNumber.from_json(v)) for v in row]
-             for row in p["entries"]]
+    cells = [[_text_cell(v) for v in row] for row in p["entries"]]
     width = max(len(c) for row in cells for c in row)
     lines = [f"s-matrix of {p['algebra']}: rank {p['rank']}, "
              f"phi relation {p['phi_relation']}"]
@@ -425,6 +442,15 @@ def _cmd_chartab(cfg: RunConfig, args) -> int:
 
 
 def _cmd_double(cfg: RunConfig, args) -> int:
+    if args.action == "smatrix":
+        G = _bounded_group(cfg)
+        cache = ResultCache(cfg.cache_dir)
+        payload = cache.get_or_compute(
+            cache_key(G, "smatrix"), lambda: _smatrix_payload(_build(cfg, G)),
+            _smatrix_fits(G))
+        print(_emit_json(payload) if cfg.output_format == "json"
+              else _text_smatrix(payload))
+        return 0
     A = _build(cfg)
     if args.action == "irreps":
         payload = _irreps_payload(A)
@@ -435,13 +461,6 @@ def _cmd_double(cfg: RunConfig, args) -> int:
             for rec in payload:
                 print(f"  {rec['label']}  dim {rec['dim']}  "
                       f"(class of {rec['class_representative']})")
-    elif args.action == "smatrix":
-        cache = ResultCache(cfg.cache_dir)
-        payload = cache.get_or_compute(
-            cache_key(A.group, "smatrix"), lambda: _smatrix_payload(A),
-            _smatrix_fits(A.group))
-        print(_emit_json(payload) if cfg.output_format == "json"
-              else _text_smatrix(payload))
     else:
         payload = _fusion_payload(A)
         print(_emit_json(payload) if cfg.output_format == "json"
@@ -450,6 +469,7 @@ def _cmd_double(cfg: RunConfig, args) -> int:
 
 
 def _cmd_coideals(cfg: RunConfig, args) -> int:
+    from .coideal import enumerate_coideals, triple_coideal
     A = _build(cfg)
     with_integral = args.action == "integral"
     if args.triple:
@@ -465,25 +485,24 @@ def _cmd_coideals(cfg: RunConfig, args) -> int:
         for rec in payload:
             print(f"  {rec['label']}  dim {rec['dim']}")
             if with_integral:
-                terms = ", ".join(
-                    f"[{k}] {fmt_cyclo(CycloNumber.from_json(v))}"
-                    for k, v in rec["integral"].items())
+                terms = ", ".join(f"[{k}] {_text_cell(v)}"
+                                  for k, v in rec["integral"].items())
                 print(f"    integral: {terms}")
     return 0
 
 
 def _cmd_subcats(cfg: RunConfig, args) -> int:
-    A = _build(cfg)
+    G = _bounded_group(cfg)
     cache = ResultCache(cfg.cache_dir)
     payload = cache.get_or_compute(
-        cache_key(A.group, "lattice"), lambda: _lattice_payload(A),
+        cache_key(G, "lattice"), lambda: _lattice_payload(_build(cfg, G)),
         _lattice_fits)
     if args.action == "list":
         nodes = payload["nodes"]
         if cfg.output_format == "json":
             print(_emit_json(nodes))
         else:
-            print(f"fusion subcategories of {A.name}: {len(nodes)}")
+            print(f"fusion subcategories of {double_name(G)}: {len(nodes)}")
             for n in nodes:
                 print(f"  {n['label']}  fpdim={n['fpdim']}  "
                       f"simples {n['indices']}")
@@ -498,6 +517,7 @@ def _cmd_subcats(cfg: RunConfig, args) -> int:
 
 
 def _cmd_centralizer(cfg: RunConfig, args) -> int:
+    from .fusion import centralizer, enumerate_subcats, subcat_from_triple
     A = _build(cfg)
     if args.triple:
         M, H, bc = parse_triple(A.group, args.triple)
@@ -531,15 +551,15 @@ def _cmd_centralizer(cfg: RunConfig, args) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
+    from .verify import summarize, verify_identities
     G = _need_group(cfg)
     if G.n * G.n > cfg.max_algebra_dim:
-        report = {"group": G.name, "algebra": f"D({G.name})",
+        report = {"group": G.name, "algebra": double_name(G),
                   "suite": cfg.suite,
                   "checks": [{"id": "algebra-build", "subject": G.name,
                               "pass": True, "detail": "skipped: dim bound"}]}
     else:
-        A = build_double(G, max_dim=cfg.max_algebra_dim)
-        report = verify_identities(A, cfg.suite, seed=cfg.seed)
+        report = verify_identities(_build(cfg, G), cfg.suite, seed=cfg.seed)
     ok = all(c["pass"] for c in report["checks"])
     print(_emit_json(report) if cfg.output_format == "json"
           else summarize(report))

@@ -356,8 +356,9 @@ def smatrix(A: QTAlgebra) -> SMatrix:
             for rr in range(di * dj):
                 tr = tr + acc[rr][rr]
             if tr != entries[i][j]:
-                raise InternalMismatch(
-                    f"s[{i}][{j}]: character and trace routes disagree")
+                raise InternalMismatch(failure(
+                    A, "S-matrix character/trace agreement", None,
+                    f"s[{i}][{j}]"))
 
     images = [dm.phi(dual_character(A, s.character)) for s in simples]
     phi_entries = [[pair_eval(simples[i].character, images[j])
@@ -369,19 +370,23 @@ def smatrix(A: QTAlgebra) -> SMatrix:
              for i in range(r) for j in range(r)):
         phi_relation = "dual-flip"
     else:
-        raise InternalMismatch("Drinfeld-map form of the S-matrix matches "
-                               "neither index convention")
+        raise InternalMismatch(failure(
+            A, "S-matrix Drinfeld-map form (plain or dual-flip convention)",
+            None))
 
     for j in range(r):
-        require(entries[0][j] == CycloNumber.rational(simples[j].dim),
-                "first S-matrix row is not the dimension vector")
+        if entries[0][j] != CycloNumber.rational(simples[j].dim):
+            raise InvariantViolation(failure(
+                A, "S-matrix first row (dimensions)", None, f"s[0][{j}]"))
     for i in range(r):
         for j in range(r):
-            require(entries[i][j] == entries[j][i], "S-matrix is not symmetric")
+            if entries[i][j] != entries[j][i]:
+                raise InvariantViolation(failure(
+                    A, "S-matrix symmetry", None, f"s[{i}][{j}]"))
             z = entries[i][j].to_complex()
-            bound = simples[i].dim * simples[j].dim
-            require(abs(z) <= bound + S_BOUND_TOL,
-                    "S-matrix entry exceeds the dimension bound")
+            if abs(z) > simples[i].dim * simples[j].dim + S_BOUND_TOL:
+                raise InvariantViolation(failure(
+                    A, "S-matrix dimension bound", None, f"s[{i}][{j}]"))
 
     rank = Echelon(r, [{k: v for k, v in enumerate(row) if v}
                        for row in entries]).dim

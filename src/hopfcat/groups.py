@@ -466,6 +466,23 @@ def _check_order(n: int) -> None:
         raise BoundExceeded(f"group order {n} > {DOUBLE_DIM_BOUND}")
 
 
+def double_name(G: Group) -> str:
+    """The name of the double D(kG), as its algebra and payloads carry it."""
+    return f"D({G.name})"
+
+
+def check_double_dim(G: Group, max_dim: int = DOUBLE_DIM_BOUND) -> None:
+    """Raise BoundExceeded unless D(kG), of dimension |G|^2, fits max_dim.
+
+    build_double calls it before building anything, and the CLI before
+    it reads a cached result of the double, so a bound is refused the
+    same way whether or not the cache holds the answer."""
+    dim = G.n * G.n
+    if dim > max_dim:
+        raise BoundExceeded(
+            f"double of {G.name or 'group'} has dimension {dim} > {max_dim}")
+
+
 def parse_group_spec(spec: str) -> Group:
     """Grammar: NAME | 'perm:' cycles (',' cycles)* | 'cayley:' path.
 

@@ -49,7 +49,7 @@ from fractions import Fraction
 from .cyclo import CycloNumber, ONE, ZERO, as_cyclo
 from .errors import (BoundExceeded, InconsistentCharacters,
                      InvariantViolation, NoIntegral, NotFactorizable, require)
-from .groups import DOUBLE_DIM_BOUND, Group
+from .groups import DOUBLE_DIM_BOUND, Group, check_double_dim, double_name
 from .linalg import (Echelon, Row, acc, apply_pairs, row_addmul, row_scale,
                      solve_linear)
 
@@ -360,11 +360,9 @@ _BUILD_CACHE: dict = {}
 
 def build_double(G: Group, max_dim: int = DOUBLE_DIM_BOUND) -> QTAlgebra:
     """The double of kG on the basis p_g x h, with its standard R-matrix."""
+    check_double_dim(G, max_dim)
     n = G.n
     dim = n * n
-    if dim > max_dim:
-        raise BoundExceeded(
-            f"double of {G.name or 'group'} has dimension {dim} > {max_dim}")
     key = ("double", G.table)
     if key in _BUILD_CACHE:
         return _BUILD_CACHE[key]
@@ -394,7 +392,7 @@ def build_double(G: Group, max_dim: int = DOUBLE_DIM_BOUND) -> QTAlgebra:
 
     r_terms = [(bidx(x, g), bidx(g, 0)) for g in range(n) for x in range(n)]
     unit_row = {bidx(g, 0): ONE for g in range(n)}
-    A = QTAlgebra(f"D({G.name})", "double", G, labels, prod_idx, delta,
+    A = QTAlgebra(double_name(G), "double", G, labels, prod_idx, delta,
                   counit, s_idx, r_terms, unit_row)
     verify_axioms(A)
     _BUILD_CACHE[key] = A

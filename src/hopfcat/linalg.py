@@ -86,6 +86,7 @@ class Echelon:
     def __init__(self, ncols: int, rows=()):
         self.ncols = ncols
         self.pivots: dict[int, Row] = {}
+        self._key: tuple | None = None
         for r in rows:
             self.insert(r)
 
@@ -122,6 +123,7 @@ class Echelon:
             if p in existing:
                 self.pivots[q] = row_addmul(existing, res, -existing[p])
         self.pivots[p] = res
+        self._key = None
         return True
 
     def contains(self, row: Row) -> bool:
@@ -140,11 +142,15 @@ class Echelon:
         return out if not res else None
 
     def key(self) -> tuple:
-        """Canonical hashable key, read off the reduced rows."""
-        rows = self.rows
-        n = common_order(rows)
-        return tuple(tuple(sorted((j, v.key(n)) for j, v in r.items()))
-                     for r in rows)
+        """Canonical hashable key, read off the reduced rows; kept until
+        an insert grows the space, the only change to its rows."""
+        if self._key is None:
+            rows = self.rows
+            n = common_order(rows)
+            self._key = tuple(
+                tuple(sorted((j, v.key(n)) for j, v in r.items()))
+                for r in rows)
+        return self._key
 
     def __le__(self, other: "Echelon") -> bool:
         return all(other.contains(r) for r in self.rows)

@@ -55,6 +55,17 @@ def test_corrupt_entry_discarded(tmp_path):
     assert c.get_or_compute("k", lambda: [2]) == [2]
 
 
+@pytest.mark.parametrize("data", [b"\xff{}", b"[" * 5000 + b"]" * 5000,
+                                  b"null"],
+                         ids=["not-utf8", "too-deep", "null"])
+def test_undecodable_entry_discarded(tmp_path, data):
+    c = ResultCache(tmp_path)
+    (tmp_path / "k.json").write_bytes(data)
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert c.get("k") is None
+    assert not (tmp_path / "k.json").exists()
+
+
 def test_fits():
     shape = {"n": int, "rows": [[str]], "any": object}
     assert fits({"n": 1, "rows": [["a"], []], "any": None}, shape)

@@ -1,10 +1,20 @@
 import importlib.util
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 import time
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hopfcat
 from hopfcat import build_double, enumerate_coideals, enumerate_subcats
 from hopfcat.cli import RunConfig, parse_triple, run
 from hopfcat.cyclo import CycloNumber
@@ -166,6 +176,16 @@ def test_data_command_bound_exceeded(tmp_path, capsys):
         assert time.perf_counter() - start < 5, argv
         assert code == 3 and out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
+    # the bound is checked before the cache is read, so a warm cache
+    # refuses a smaller bound as an empty one does
+    warm = str(tmp_path / "warm")
+    for cmd in (("double", "smatrix"), ("subcats", "list"),
+                ("subcats", "lattice")):
+        argv = (*cmd, "--group", "D4", "--cache", warm)
+        assert _run(capsys, *argv)[0] == 0
+        code, out, err = _run(capsys, *argv, "--max-dim", "10")
+        assert code == 3 and out == "", cmd
+        assert err == "error: double of D4 has dimension 64 > 10\n", cmd
 
 
 def _benchmark_worker():
@@ -376,3 +396,132 @@ def test_cache_purge(tmp_path, capsys):
     assert code == 0
     assert f"removed {n}" in out
     assert not list(tmp_path.glob("*.json"))
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+_ALGEBRA_MODULES = {f"hopfcat.{m}" for m in (
+    "hopf", "fusion", "coideal", "verify", "chartab", "reps", "linalg",
+    "cyclo")}
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The hopfcat submodules a fresh interpreter holds after running code."""
+    probe = (code + "\nimport sys\nprint(*sorted(m for m in sys.modules "
+             "if m.startswith('hopfcat.')))")
+    res = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(_SRC)))
+    return set(res.stdout.splitlines()[-1].split())
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_after("import hopfcat") == set()
+
+
+def test_warm_call_imports_no_algebra_module(tmp_path, capsys):
+    argvs = [[*cmd, "--group", "S3", "--format", "json",
+              "--cache", str(tmp_path)]
+             for cmd in (("chartab",), ("double", "smatrix"),
+                         ("subcats", "list"))]
+    for argv in argvs:
+        assert _run(capsys, *argv)[0] == 0
+    loaded = _loaded_after("from hopfcat.cli import run\n"
+                           f"for argv in {argvs!r}:\n"
+                           "    assert run(argv) == 0")
+    assert "hopfcat.cache" in loaded and not loaded & _ALGEBRA_MODULES
+
+
+def test_public_names_resolve_to_their_home_objects():
+    for name in hopfcat.__all__:
+        obj = getattr(hopfcat, name)
+        if name != "__version__":
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert set(hopfcat.__all__) <= set(dir(hopfcat))
+    with pytest.raises(AttributeError):
+        hopfcat.no_such_name
+    with pytest.raises(ImportError):
+        exec("from hopfcat import no_such_name", {})
+
+
+# --- warm calls over damaged cache entries ---------------------------------
+
+_FUZZ_COMMANDS = (("chartab",), ("double", "smatrix"), ("subcats", "lattice"))
+_COLD: dict = {}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 200) | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=5)
+
+
+def _quiet_run(argv):
+    """run(argv) -> (exit code, stdout, stderr, warning messages)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message)
+                                                  for w in caught]
+
+
+def _cold_entry(cmd):
+    """(entry bytes, entry file name, {format: stdout}) of a cold S3 call."""
+    if cmd not in _COLD:
+        with tempfile.TemporaryDirectory() as d:
+            cold = {fmt: _quiet_run([*cmd, "--group", "S3", "--format", fmt,
+                                     "--cache", d])[1]
+                    for fmt in ("text", "json")}
+            [entry] = Path(d).glob("*.json")
+            _COLD[cmd] = entry.read_bytes(), entry.name, cold
+    return _COLD[cmd]
+
+
+def _reshape(value, data):
+    """value with one node, reached by drawn keys, replaced by drawn JSON,
+    or, when it is a nonempty container, stripped of one drawn child."""
+    if isinstance(value, (dict, list)) and value:
+        k = data.draw(st.sampled_from(
+            sorted(value) if isinstance(value, dict) else range(len(value))))
+        step = data.draw(st.sampled_from(("descend", "drop", "replace")))
+        if step == "descend":
+            value[k] = _reshape(value[k], data)
+        elif step == "drop":
+            del value[k]
+        else:
+            value[k] = data.draw(_JSON)
+        return value
+    return data.draw(_JSON)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cmd=st.sampled_from(_FUZZ_COMMANDS),
+       fmt=st.sampled_from(("text", "json")), data=st.data())
+def test_warm_call_over_damaged_entry(cmd, fmt, data):
+    """A truncated, bit-flipped or re-shaped entry never ends in a
+    traceback: the call exits 0, and either discards the entry with a
+    warning and prints the cold stdout, or serves the entry as it is,
+    which then parses and fits its shape (and prints the cold stdout
+    when it still holds the cold values)."""
+    good, name, cold = _cold_entry(cmd)
+    how = data.draw(st.sampled_from(("truncate", "flip", "reshape")))
+    if how == "truncate":
+        bad = good[:data.draw(st.integers(0, len(good) - 1))]
+    elif how == "flip":
+        i = data.draw(st.integers(0, len(good) - 1))
+        bit = 1 << data.draw(st.integers(0, 7))
+        bad = good[:i] + bytes([good[i] ^ bit]) + good[i + 1:]
+    else:
+        bad = json.dumps(_reshape(json.loads(good), data)).encode()
+    with tempfile.TemporaryDirectory() as d:
+        entry = Path(d) / name
+        entry.write_bytes(bad)
+        code, out, err, warned = _quiet_run(
+            [*cmd, "--group", "S3", "--format", fmt, "--cache", d])
+        assert code == 0 and err == ""
+        if any("corrupt cache entry" in w for w in warned):
+            assert out == cold[fmt] and entry.read_bytes() == good
+        else:
+            assert entry.read_bytes() == bad
+            if json.loads(bad) == json.loads(good):
+                assert out == cold[fmt]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 from hopfcat import build_double, fusion, parse_group_spec
 from hopfcat.coideal import enumerate_coideals
-from hopfcat.cyclo import CycloNumber, as_cyclo
-from hopfcat.errors import (InvariantViolation, MethodPreconditionViolated,
-                            NotClosed, OracleMismatch)
+from hopfcat.cyclo import ONE, CycloNumber, as_cyclo
+from hopfcat.errors import (HopfcatError, InvariantViolation,
+                            MethodPreconditionViolated, NotClosed,
+                            OracleMismatch)
 from hopfcat.fusion import (
     _closure,
     _fusion_supports,
@@ -24,8 +26,8 @@ from hopfcat.fusion import (
     simple_objects,
     smatrix,
 )
-from hopfcat.hopf import (QTAlgebra, convolve, dual_character, harpoon_right,
-                          integrals, pair_eval)
+from hopfcat.hopf import (QTAlgebra, convolve, drinfeld_map, dual_character,
+                          harpoon_right, integrals, pair_eval)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "convention.json")
 
@@ -241,6 +243,42 @@ def test_fusion_failure_names_subject(double_s3):
     with pytest.raises(InvariantViolation) as err:
         fusion_table(A)
     assert str(err.value) == f"D(S3): fusion duality fails on V2 x V{first}"
+
+
+def _double_character(s):
+    return dataclasses.replace(
+        s, character={k: v + v for k, v in s.character.items()})
+
+
+def _double_module(s):
+    return dataclasses.replace(
+        _double_character(s),
+        matrices={k: [[v + v for v in row] for row in m]
+                  for k, m in s.matrices.items()})
+
+
+def _extra_q_term(A):
+    # a term off the support of the trivial character, seen by the
+    # character and trace routes but not by the Drinfeld map's table
+    drinfeld_map(A).q_terms[A.pair_index(1, 0), A.pair_index(3, 0)] = ONE
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda A, ss: ss.__setitem__(1, _double_character(ss[1])),
+     "D(S3): S-matrix character/trace agreement fails on s[0][1]"),
+    (lambda A, ss: _extra_q_term(A),
+     "D(S3): S-matrix Drinfeld-map form (plain or dual-flip convention) "
+     "fails"),
+    (lambda A, ss: ss.__setitem__(1, _double_module(ss[1])),
+     "D(S3): S-matrix first row (dimensions) fails on s[0][1]"),
+], ids=["trace", "drinfeld-map", "first-row"])
+def test_smatrix_failure_names_subject(double_s3, mutate, message):
+    A = _fresh_copy(double_s3)   # the shared double's memo stays clean
+    dual_index(A)                # memoized from the true simples
+    mutate(A, simple_objects(A))
+    with pytest.raises(HopfcatError) as err:
+        smatrix(A)
+    assert str(err.value) == message
 
 
 def _fixed_point_closure(table, dual, seed):

@@ -91,6 +91,21 @@ def test_echelon_from_rows_is_one_space():
         hash(ech)
 
 
+def test_echelon_key_follows_a_growing_insert():
+    """key() is kept between reads and dropped when an insert grows the
+    space, so a key read after a growing insert is the key of a fresh
+    Echelon on the same rows."""
+    rows = [_row((0, 1), (1, 2)), _row((1, 1), (3, 1)), _row((2, 3))]
+    ech = Echelon(4, rows[:1])
+    before = ech.key()
+    assert not ech.insert(_row((0, 2), (1, 4)))  # dependent: key kept
+    assert ech.key() is before
+    for k in (2, 3):
+        assert ech.insert(rows[k - 1])
+        assert ech.key() == Echelon(4, rows[:k]).key() != before
+        before = ech.key()
+
+
 _entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
