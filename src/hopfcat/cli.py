@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -610,7 +611,17 @@ def run(argv) -> int:
 
 
 def main() -> int:
-    return run(sys.argv[1:])
+    try:
+        rc = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): not a failure of the
+        # command; stdout goes to devnull so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    return rc
 
 
 if __name__ == "__main__":

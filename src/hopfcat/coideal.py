@@ -207,10 +207,10 @@ def coideal_integral(A: QTAlgebra, space: Echelon) -> Row:
     d = len(rows)
     eqs: dict[tuple[int, int], Row] = {}
     for li, ell in enumerate(rows):
-        epsl = counit_value(A, ell)
+        neg_epsl = -counit_value(A, ell)
         for ci, cand in enumerate(rows):
             prod = mul_rows(A, ell, cand)
-            diff = row_addmul(prod, cand, -epsl)
+            diff = row_addmul(prod, cand, neg_epsl)
             for slot, c in diff.items():
                 acc(eqs.setdefault((li, slot), {}), ci, c)
     kernel = nullspace(list(eqs.values()), d)
@@ -391,10 +391,10 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     def build() -> Echelon:
         eqs: list[Row] = []
         for ell in L.space.rows:
-            epsl = counit_value(A, ell)
+            neg_epsl = -counit_value(A, ell)
             for k in range(A.dim):
                 row = lmul(A, k, ell)
-                acc(row, k, -epsl)
+                acc(row, k, neg_epsl)
                 if row:
                     eqs.append(row)
         direct = nullspace(eqs, A.dim)

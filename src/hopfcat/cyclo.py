@@ -17,7 +17,9 @@ Every operation runs on plain ints: lift both sides to the lcm order,
 multiply or add the numerators, reduce modulo Phi_m with the integer
 power table of m, descend by g = gcd(m, exponents) when g > 1, then
 divide out the content gcd(den, *nums).  Fractions appear only in the
-conversions fmt_cyclo, to_complex and rational_value.
+conversions fmt_cyclo, to_complex and rational_value.  dot sums a list
+of products with one reduction, where that stores what the term-by-term
+sum stores (its docstring has the lemma).
 
 The stored order depends on the path that built a value, not only on the
 value: zeta(3) is stored at order 3 as z(3), but the equal zeta(12, 4)
@@ -211,20 +213,22 @@ class CycloNumber:
         return Fraction(self.nums.get(0, 0), self.den)
 
     # --- arithmetic ----------------------------------------------------
-    def __add__(self, other) -> "CycloNumber":
+    def __add__(self, other, sign: int = 1) -> "CycloNumber":
+        """self + sign * other; __sub__ passes sign -1, so a difference
+        builds no negated operand."""
         if other.__class__ is not CycloNumber:
             other = as_cyclo(other)
         if not other.nums:
             return self
         if not self.nums:
-            return other
+            return other if sign > 0 else -other
         p, q = self.order, other.order
         da, db = self.den, other.den
         if da == db:
-            den, sa, sb = da, 1, 1
+            den, sa, sb = da, 1, sign
         else:
             g = gcd(da, db)
-            sa, sb = db // g, da // g
+            sa, sb = db // g, sign * (da // g)
             den = da * sa
         if p == q:
             if p == 1:
@@ -247,10 +251,11 @@ class CycloNumber:
                      self.den)
 
     def __sub__(self, other) -> "CycloNumber":
-        return self + (-as_cyclo(other))
+        # the same integer numerators as self + (-other), so the same form
+        return _plus(self, other, -1)
 
     def __rsub__(self, other) -> "CycloNumber":
-        return as_cyclo(other) + (-self)
+        return _plus(as_cyclo(other), self, -1)
 
     def __mul__(self, other) -> "CycloNumber":
         if other.__class__ is not CycloNumber:
@@ -376,6 +381,7 @@ class CycloNumber:
 
 
 _new = object.__new__
+_plus = CycloNumber.__add__   # bound once: __sub__ passes a third argument
 _set_order = CycloNumber.order.__set__
 _set_nums = CycloNumber.nums.__set__
 _set_den = CycloNumber.den.__set__
@@ -390,6 +396,66 @@ def _lowest(c: int, den: int) -> tuple[int, int]:
 def _invert_rational(x: CycloNumber) -> CycloNumber:
     c = x.nums[0]
     return _make(1, {0: x.den if c > 0 else -x.den}, abs(c))
+
+
+def _prime_power(m: int) -> bool:
+    """m = p^a for a prime p and a >= 0 (1 counts)."""
+    p = next((d for d in range(2, m + 1) if m % d == 0), 1)
+    while p > 1 and m % p == 0:
+        m //= p
+    return m == 1
+
+
+def dot(pairs: list[tuple[CycloNumber, CycloNumber]]) -> CycloNumber:
+    """sum(x * y for x, y in pairs), stored as the chain acc = acc + x * y
+    from ZERO stores it, with one reduction instead of two per pair.
+
+    Every term is lifted to m = lcm of the orders, the integer numerators
+    of the products are summed over one common denominator, and _result
+    runs once.  Its stored form is the chain's whenever the value is
+    rational or m is a prime power; otherwise the chain runs instead.
+
+    Lemma.  A normal form of order n is _result(n, its numerators), and
+    every order on the chain divides m.  A rational value has one normal
+    form at any order (order 1).  When m = p^a, every order on the chain
+    is some n = p^b, and lifting to m multiplies the exponents (each
+    below phi(p^b)) by p^(a-b), keeping them below phi(p^a): the lifted
+    numerators are already reduced modulo Phi_m, and descent by their gcd
+    with m returns exactly the order-n form.  Otherwise the forms can
+    differ: zeta4 - zeta4 + zeta3 is z(3) at order 3 on the chain, but
+    -1 + z(6) at order 6 after one reduction at 12.
+    """
+    if not pairs:
+        return ZERO
+    m = lcm(*{x.order for x, _ in pairs}, *{y.order for _, y in pairs})
+    den = lcm(*{x.den * y.den for x, y in pairs})
+    if m == 1:
+        return _rational(sum(x.nums.get(0, 0) * y.nums.get(0, 0)
+                             * (den // (x.den * y.den)) for x, y in pairs),
+                         den)
+    nums: dict[int, int] = {}
+    for x, y in pairs:
+        a, b = x.nums, y.nums
+        if not a or not b:
+            continue
+        ka, kb = m // x.order, m // y.order
+        s = den // (x.den * y.den)
+        bl = [(e * kb, c * s) for e, c in b.items()]
+        for e1, c1 in a.items():
+            e1 *= ka
+            for e2, c2 in bl:
+                k = e1 + e2
+                if k >= m:
+                    k -= m
+                v = nums.get(k)
+                nums[k] = c1 * c2 if v is None else v + c1 * c2
+    out = _result(m, nums, den)
+    if out.order == 1 or _prime_power(m):
+        return out
+    out = ZERO
+    for x, y in pairs:
+        out = out + x * y
+    return out
 
 
 def as_cyclo(x) -> CycloNumber:

@@ -25,8 +25,8 @@ from .errors import (InternalMismatch, InvariantViolation,
                      NotClosed, OracleMismatch, PreconditionViolated, require)
 from .groups import Subgroup, centralizer_subgroup, normal_subgroups
 from .hopf import (QTAlgebra, all_classes, char_ring_idempotents, convolve,
-                   drinfeld_map, dual_character, failure, harpoon_right,
-                   integrals, memoized, pair_eval)
+                   drinfeld_map, dual_character, failure, generators,
+                   harpoon_right, integrals, memoized, pair_eval)
 from .linalg import Echelon, Row, acc, intersect, nullspace, row_scale
 from .reps import Matrix, mat_mul, matrix_irrep
 
@@ -85,24 +85,35 @@ def _identity(d: int) -> Matrix:
 
 
 def _verify_module(A: QTAlgebra, s: SimpleObject) -> None:
-    d = s.dim
-    ident = _identity(d)
-    acted = s.act(A.unit_row)
-    require(tuple(tuple(r) for r in acted) == ident, "unit does not act as identity")
-    for k in range(A.dim):
-        mk = s.matrices.get(k)
+    """rho(1) is the identity and rho(x y) = rho(x) rho(y) for every
+    algebra generator x (`generators`) and every basis element y.
+
+    Lemma: the x for which this holds for every y are closed under
+    products, rho((ab)y) = rho(a(by)) = rho(a) rho(b) rho(y) = rho(ab)
+    rho(y), by the associativity verify_axioms proved; every basis
+    element is a product of generators (its reach check), so rho is
+    multiplicative on all basis pairs, and with the unit check an algebra
+    map.
+    """
+    if tuple(tuple(r) for r in s.act(A.unit_row)) != _identity(s.dim):
+        raise InvariantViolation(failure(A, "module unit", None,
+                                         f"V{s.index}"))
+    mats = s.matrices
+    for k in generators(A):
+        mk = mats.get(k)
+        row = A.prod_idx[k]
         for l in range(A.dim):
-            ml = s.matrices.get(l)
-            t = A.prod_idx[k][l]
-            mt = s.matrices.get(t) if t >= 0 else None
+            ml = mats.get(l)
+            t = row[l]
+            mt = mats.get(t) if t >= 0 else None
             if mk is None or ml is None:
-                require(_zero_matrix(mt), "module action is not multiplicative")
+                ok = _zero_matrix(mt)
             else:
                 prod = mat_mul(mk, ml)
-                if mt is None:
-                    require(_zero_matrix(prod), "module action is not multiplicative")
-                else:
-                    require(prod == mt, "module action is not multiplicative")
+                ok = _zero_matrix(prod) if mt is None else prod == mt
+            if not ok:
+                raise InvariantViolation(failure(
+                    A, "module multiplicativity", k, f"V{s.index}"))
 
 
 def _induced_simples(A: QTAlgebra, ci: int, a: int,
@@ -422,18 +433,20 @@ class FusionSubcat:
 def _is_closed(A: QTAlgebra, idx: frozenset[int]) -> bool:
     if 0 not in idx:
         return False
-    table = fusion_table(A)
+    supp = _fusion_supports(A)
     dual = dual_index(A)
     for i in idx:
         if dual[i] not in idx:
             return False
+        row = supp[i]
         for j in idx:
-            for k, nk in enumerate(table[i][j]):
-                if nk and k not in idx:
+            for k in row[j]:
+                if k not in idx:
                     return False
     return True
 
 
+@memoized
 def _fusion_supports(A: QTAlgebra) -> list[list[tuple[int, ...]]]:
     """supp[i][j], the ascending k with N_ij^k != 0."""
     return [[tuple(k for k, n in enumerate(row) if n) for row in row_i]
@@ -441,21 +454,25 @@ def _fusion_supports(A: QTAlgebra) -> list[list[tuple[int, ...]]]:
 
 
 def _closure(supp: list[list[tuple[int, ...]]], dual: list[int],
-             seed: frozenset[int]) -> frozenset[int]:
-    """The least set that contains seed | {0} and is closed under duals
-    and fusion, as a worklist over the fusion supports.
+             seed: frozenset[int],
+             closed: frozenset[int] = frozenset()) -> frozenset[int]:
+    """The least set that contains seed | closed | {0} and is closed under
+    duals and fusion, as a worklist over the fusion supports; closed must
+    already be closed (or empty).
 
-    Lemma: each x popped is marked processed and adds dual[x] and the
-    supports of x x y and y x for every processed y (x included), so
-    every pair of processed elements has been read once.  When the
-    worklist is empty every member is processed, hence the set is closed;
-    and each element added lies in any closed set containing the seed
-    and 0, by induction on the order of addition.
+    Lemma: the members of closed start out processed, and each x popped
+    is marked processed and adds dual[x] and the supports of x x y and
+    y x for every processed y (x included).  So every pair of processed
+    elements has been read once, or lies in closed, whose pairs' supports
+    and duals stay in closed.  When the worklist is empty every member is
+    processed, hence the set is closed; and each element added lies in
+    any closed set containing seed, closed and 0, by induction on the
+    order of addition.
     """
-    s = set(seed)
+    s = set(seed) | closed
     s.add(0)
-    todo = sorted(s)
-    done: list[int] = []
+    todo = sorted(s - closed)
+    done = list(closed)
     while todo:
         x = todo.pop()
         done.append(x)
@@ -583,7 +600,7 @@ def enumerate_subcats(A: QTAlgebra) -> list[FusionSubcat]:
         fresh = set()
         for s in frontier:
             for t in singles:
-                u = _closure(supp, dual, s | t)
+                u = _closure(supp, dual, t, s)
                 if u not in family:
                     fresh.add(u)
         family.update(fresh)

@@ -23,7 +23,10 @@ products.  Invariance under the adjoint actions and centrality are
 checked on the algebra generators only (`generators`): ad and ad_r are
 algebra (anti-)homomorphisms A -> End(A), and commuting with z is
 closed under sums and products, so what holds for generators holds for
-all of A.  Each such check states this lemma where it runs.
+all of A.  verify_axioms checks the multiplicative axioms the same way,
+once an integer search has shown that products of generators reach
+every basis element, and the central idempotents are checked on the
+diagonal only.  Each such check states its lemma where it runs.
 
 The coproduct is QTAlgebra.delta plus one derived index, delta_by_left.
 Constructions reach it through three bilinear maps: convolve (f * g in
@@ -46,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CycloNumber, ONE, ZERO, as_cyclo
+from .cyclo import CycloNumber, ONE, ZERO, as_cyclo, dot
 from .errors import (BoundExceeded, InconsistentCharacters,
                      InvariantViolation, NoIntegral, NotFactorizable, require)
 from .groups import DOUBLE_DIM_BOUND, Group, check_double_dim, double_name
@@ -144,15 +147,11 @@ class QTAlgebra:
 
 
 def pair_eval(f: Row, a: Row) -> CycloNumber:
-    """<f, a> for a functional row and an element row."""
+    """<f, a> for a functional row and an element row, summed by cyclo.dot
+    over the smaller support."""
     if len(f) > len(a):
         f, a = a, f
-    acc = ZERO
-    for k, c in f.items():
-        v = a.get(k)
-        if v:
-            acc = acc + c * v
-    return acc
+    return dot([(c, v) for k, c in f.items() if (v := a.get(k))])
 
 
 def mul_rows(A: QTAlgebra, a: Row, b: Row) -> Row:
@@ -431,8 +430,42 @@ def _tensor_square(A: QTAlgebra, row: Row) -> Counter:
     return out
 
 
+def _first_unreached(A: QTAlgebra, gens: list[int]) -> int | None:
+    """The first basis index that no product of generators reaches (an
+    integer search over right products by gens), or None."""
+    prod = A.prod_idx
+    seen = set(gens)
+    todo = list(seen)
+    while todo:
+        row = prod[todo.pop()]
+        for s in gens:
+            k = row[s]
+            if k >= 0 and k not in seen:
+                seen.add(k)
+                todo.append(k)
+    return next((k for k in range(A.dim) if k not in seen), None)
+
+
 def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
-    """Check the Hopf and R-matrix axioms, exhaustively when affordable."""
+    """Check the Hopf and R-matrix axioms, exhaustively when affordable.
+
+    The basis with 0 adjoined is a magma under prod_idx, and the
+    generators (`generators`) must reach every basis element as products;
+    an integer search checks this first.  Then each multiplicative axiom
+    is checked with its left factor s over the generators only:
+
+    * associativity by Light's test, (x s) y == x (s y) for every basis
+      x, y.  The s passing it are closed under products: (x(ab))y =
+      ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), each step a or b passing
+      it, so all of the basis passes, which is associativity;
+    * eps(s y) = eps(s) eps(y), Delta(s y) = Delta(s) Delta(y) and
+      S(s y) = S(y) S(s) for every basis y.  Each holds for a product ab
+      when it holds for a and b: e.g. Delta((ab)y) = Delta(a(by)) =
+      Delta(a) Delta(b) Delta(y) = Delta(ab) Delta(y), by the
+      associativity proved first (in A, and so in A x A).
+
+    The sampled branches, for tables too large to scan, are unchanged.
+    """
     dim = A.dim
     prod = A.prod_idx
     rnd = random.Random(seed)
@@ -456,27 +489,43 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
         require(rmul(A, A.unit_row, x) == A.basis(x), "unit fails on the left")
         require(lmul(A, x, A.unit_row) == A.basis(x), "unit fails on the right")
 
-    # associativity on basis triples
+    gens = generators(A)
+    missing = _first_unreached(A, gens)
+    if missing is not None:
+        raise InvariantViolation(failure(A, "generator reach", missing))
+
+    # associativity: Light's test over the table with -1 (zero) adjoined
+    # as a last row and column, so that row[-1] is the zero product
     if dim ** 3 <= _ASSOC_BUDGET:
-        triples = ((i, j, l) for i in range(dim) for j in range(dim)
-                   for l in range(dim))
+        ext = [row + [-1] for row in prod]
+        ext.append([-1] * (dim + 1))
+        for s in gens:
+            right_of_s = ext[s]
+            for x in range(dim):
+                px = ext[x]
+                left = ext[px[s]]
+                right = list(map(px.__getitem__, right_of_s))
+                if left != right:
+                    y = next(y for y in range(dim) if left[y] != right[y])
+                    raise InvariantViolation(failure(
+                        A, "associativity", None, f"basis triple ({x},{s},{y})"))
     else:
-        triples = ((rnd.randrange(dim), rnd.randrange(dim), rnd.randrange(dim))
-                   for _ in range(_SAMPLE_TRIPLES))
-    for i, j, l in triples:
-        k = prod[i][j]
-        left = -1 if k < 0 else prod[k][l]
-        m = prod[j][l]
-        right = -1 if m < 0 else prod[i][m]
-        if left != right:
-            raise InvariantViolation(failure(
-                A, "associativity", None, f"basis triple ({i},{j},{l})"))
+        for i, j, l in ((rnd.randrange(dim), rnd.randrange(dim),
+                         rnd.randrange(dim)) for _ in range(_SAMPLE_TRIPLES)):
+            k = prod[i][j]
+            left = -1 if k < 0 else prod[k][l]
+            m = prod[j][l]
+            right = -1 if m < 0 else prod[i][m]
+            if left != right:
+                raise InvariantViolation(failure(
+                    A, "associativity", None, f"basis triple ({i},{j},{l})"))
 
     # counit is an algebra map
     eps = A.counit
-    for i in range(dim):
+    for i in gens:
+        row = prod[i]
         for j in range(dim):
-            k = prod[i][j]
+            k = row[j]
             require((0 if k < 0 else eps[k]) == eps[i] * eps[j],
                     "counit is not multiplicative")
     require(counit_value(A, A.unit_row) == ONE, "counit of 1 is not 1")
@@ -506,7 +555,7 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
     # coproduct is an algebra map
     max_delta = max(len(t) for t in A.delta)
     if dim * dim * max_delta * max_delta <= 8_000_000:
-        pairs = ((i, j) for i in range(dim) for j in range(dim))
+        pairs = ((x, y) for x in gens for y in range(dim))
     else:
         pairs = ((rnd.randrange(dim), rnd.randrange(dim))
                  for _ in range(_SAMPLE_PAIRS))
@@ -523,7 +572,9 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
                 got[(u, v)] += 1
         k = prod[x][y]
         want = Counter() if k < 0 else Counter(A.delta[k])
-        require(got == want, f"coproduct not multiplicative at ({x},{y})")
+        if got != want:
+            raise InvariantViolation(
+                f"coproduct not multiplicative at ({x},{y})")
     got_unit: Counter = Counter()
     for k in A.unit_row:
         got_unit.update(A.delta[k])
@@ -531,9 +582,10 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
 
     # antipode
     s = A.s_idx
-    for i in range(dim):
+    for i in gens:
+        row = prod[i]
         for j in range(dim):
-            k = prod[i][j]
+            k = row[j]
             require((-1 if k < 0 else s[k]) == prod[s[j]][s[i]],
                     "antipode is not an antihomomorphism")
     require(apply_antipode(A, A.unit_row) == A.unit_row, "antipode moves 1")
@@ -549,8 +601,10 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
             if v >= 0:
                 acc(acc_r, v, ONE)
         want = {m: ONE for m in A.unit_row} if eps[k] else {}
-        require(acc_l == want, f"left antipode axiom fails at {k}")
-        require(acc_r == want, f"right antipode axiom fails at {k}")
+        if acc_l != want:
+            raise InvariantViolation(f"left antipode axiom fails at {k}")
+        if acc_r != want:
+            raise InvariantViolation(f"right antipode axiom fails at {k}")
 
     # R-matrix axioms
     r = A.r_terms
@@ -591,7 +645,9 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
                 v = prod[j][b]
                 if u >= 0 and v >= 0:
                     rhs[(u, v)] += 1
-        require(lhs == rhs, f"R does not intertwine the coproducts at {x}")
+        if lhs != rhs:
+            raise InvariantViolation(
+                f"R does not intertwine the coproducts at {x}")
 
     rinv = [(s[i], j) for i, j in r]
     prod_rr: Counter = Counter()
@@ -740,18 +796,21 @@ def _check_central_idempotents(A: QTAlgebra, chars: list[Row],
     """E are orthogonal idempotents summing to 1, central, and chi_i(E_j)
     is chi_i(1) when i = j and 0 otherwise.
 
-    Centrality is checked on the algebra generators only; see
-    noncentral_generator for the lemma.
+    Orthogonality is checked on the diagonal only, E_j^2 = E_j, with the
+    sum.  Lemma (characteristic 0): left multiplication by an idempotent
+    is a projection of A, whose trace is its rank.  The traces sum to
+    that of the identity, dim A, so the images, which span A, form a
+    direct sum; E_i E_j lies in the image of E_i and E_j E_j = E_j in
+    that of E_j, so E_i E_j = 0 for i != j.  Centrality is checked on the
+    algebra generators only; see noncentral_generator for the lemma.
     """
     degrees = [pair_eval(chi, A.unit_row) for chi in chars]
     total: Row = {}
     for j, ej in enumerate(E):
         total = row_addmul(total, ej, ONE)
-        for i, ei in enumerate(E):
-            want = ej if i == j else {}
-            if mul_rows(A, ei, ej) != want:
-                raise InconsistentCharacters(
-                    f"central idempotents {i},{j} are not orthogonal idempotents")
+        if mul_rows(A, ej, ej) != ej:
+            raise InconsistentCharacters(failure(
+                A, "central idempotent square", None, f"idempotent {j}"))
         x = noncentral_generator(A, ej)
         if x is not None:
             raise InconsistentCharacters(failure(
@@ -759,10 +818,11 @@ def _check_central_idempotents(A: QTAlgebra, chars: list[Row],
         for i, chi in enumerate(chars):
             want_val = degrees[i] if i == j else ZERO
             if pair_eval(chi, ej) != want_val:
-                raise InconsistentCharacters(
-                    f"character {i} has wrong value on idempotent {j}")
+                raise InconsistentCharacters(failure(
+                    A, "character value", None,
+                    f"character {i} on idempotent {j}"))
     if total != A.unit_row:
-        raise InconsistentCharacters("central idempotents do not sum to 1")
+        raise InconsistentCharacters(failure(A, "central idempotent sum", None))
 
 
 @dataclass
@@ -791,7 +851,8 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
         for j, ej in enumerate(E):
             fj = dm.invert(ej)
             if fj is None or dm.phi(fj) != ej:
-                raise InvariantViolation(f"phi does not reach idempotent {j}")
+                raise InvariantViolation(failure(
+                    A, "Drinfeld-map preimage", None, f"idempotent {j}"))
             F.append(fj)
     elif A.kind == "group":
         F = [{g: ONE for g in cls.members} for cls in A.group.conjugacy_classes()]
@@ -802,18 +863,7 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
             "character ring idempotents need a factorizable double or kG")
 
     lam, t = integrals(A)
-    eps_f = counit_functional(A)
-    span = Echelon(A.dim, chars)
-    total: Row = {}
-    for j, fj in enumerate(F):
-        total = row_addmul(total, fj, ONE)
-        require(span.contains(fj), f"F_{j} is outside the character ring")
-        for i, fi in enumerate(F):
-            want = fj if i == j else {}
-            require(convolve(A, fi, fj) == want,
-                    f"F_{i}, F_{j} are not orthogonal idempotents")
-    require(total == eps_f, "character ring idempotents do not sum to eps")
-    require(F[0] == t, "F_0 is not the integral of A*")
+    _check_char_ring_idempotents(A, chars, F, t)
 
     degrees = [pair_eval(chi, A.unit_row) for chi in chars]
     partition: list[list[int]] = []
@@ -826,10 +876,16 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
             c = pair_eval(chars[s], image) / degrees[s]
             if c == ZERO:
                 continue
-            require(c == ONE, f"phi(F_{j}) has a non-idempotent coefficient")
+            if c != ONE:
+                raise InvariantViolation(failure(
+                    A, "phi(F_j) 0/1 coefficient", None,
+                    f"F_{j}, idempotent {s}"))
             block.append(s)
             rebuilt = row_addmul(rebuilt, E[s], ONE)
-        require(rebuilt == image, f"phi(F_{j}) is not a sum of central idempotents")
+        if rebuilt != image:
+            raise InvariantViolation(failure(
+                A, "phi(F_j) is a sum of central idempotents", None,
+                f"F_{j}"))
         require(not (set(block) & seen), "partition blocks overlap")
         seen.update(block)
         partition.append(block)
@@ -850,6 +906,31 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
                 f"F_{j}(Lambda) != 1/{nj}")
         n_values.append(nj)
     return CharRing(F, E, partition, j_of, n_values)
+
+
+def _check_char_ring_idempotents(A: QTAlgebra, chars: list[Row],
+                                 F: list[Row], t: Row) -> None:
+    """F lie in the character ring, are idempotents of A* summing to eps,
+    and F_0 is the integral t of A*.
+
+    Orthogonality, F_i * F_j = 0 for i != j, follows from F_j * F_j = F_j
+    and the sum by the lemma of _check_central_idempotents, applied to
+    the algebra A* under convolution, whose unit is eps.
+    """
+    span = Echelon(A.dim, chars)
+    total: Row = {}
+    for j, fj in enumerate(F):
+        total = row_addmul(total, fj, ONE)
+        if not span.contains(fj):
+            raise InvariantViolation(failure(
+                A, "character-ring membership", None, f"F_{j}"))
+        if convolve(A, fj, fj) != fj:
+            raise InvariantViolation(failure(
+                A, "character-ring idempotent square", None, f"F_{j}"))
+    if total != counit_functional(A):
+        raise InvariantViolation(failure(
+            A, "character-ring idempotent sum (eps)", None))
+    require(F[0] == t, "F_0 is not the integral of A*")
 
 
 @dataclass

@@ -76,6 +76,24 @@ def row_addmul(row: Row, other: Row, c: CycloNumber) -> Row:
     return out
 
 
+def _sub_into(out: Row, other: Row, c: CycloNumber) -> None:
+    """out -= c*other in place, dropping exact zeros."""
+    # hot kernel of every reduction: w - c*v goes through CycloNumber.__sub__,
+    # which stores what w + (-c)*v stores (negation commutes with reduction,
+    # descent and content), without building the negated multiplier
+    for j, v in other.items():
+        t = c * v
+        w = out.get(j)
+        if w is None:
+            out[j] = -t
+        else:
+            s = w - t
+            if s:
+                out[j] = s
+            else:
+                del out[j]
+
+
 class Echelon:
     """A row space in incrementally maintained reduced row echelon form.
 
@@ -108,7 +126,7 @@ class Echelon:
         for j in sorted(c for c in row if c in pv):
             c = out.get(j)
             if c:
-                out = row_addmul(out, pv[j], -c)
+                _sub_into(out, pv[j], c)
         return out
 
     def insert(self, row: Row) -> bool:
@@ -119,9 +137,12 @@ class Echelon:
         p = min(res.keys())
         inv = res[p].inverse()
         res = {j: inv * v for j, v in res.items()}
+        # a published pivot row is never mutated: each update is a copy
         for q, existing in self.pivots.items():
             if p in existing:
-                self.pivots[q] = row_addmul(existing, res, -existing[p])
+                new = dict(existing)
+                _sub_into(new, res, existing[p])
+                self.pivots[q] = new
         self.pivots[p] = res
         self._key = None
         return True
@@ -138,7 +159,7 @@ class Echelon:
             c = res.get(p)
             if c:
                 out[idx] = c
-                res = row_addmul(res, self.pivots[p], -c)
+                _sub_into(res, self.pivots[p], c)
         return out if not res else None
 
     def key(self) -> tuple:

@@ -525,3 +525,17 @@ def test_warm_call_over_damaged_entry(cmd, fmt, data):
             assert entry.read_bytes() == bad
             if json.loads(bad) == json.loads(good):
                 assert out == cold[fmt]
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # `hopfcat subcats list --group D4 | head -1`: the reader is gone before
+    # the first line is written, so every write meets a broken pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hopfcat.cli", "subcats", "list", "--group",
+         "D4", "--cache", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(_SRC)))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert err == b""

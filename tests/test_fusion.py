@@ -14,6 +14,7 @@ from hopfcat.errors import (HopfcatError, InvariantViolation,
                             OracleMismatch)
 from hopfcat.fusion import (
     _closure,
+    _verify_module,
     _fusion_supports,
     centralizer,
     dual_index,
@@ -27,6 +28,7 @@ from hopfcat.fusion import (
     smatrix,
 )
 from hopfcat.hopf import (QTAlgebra, convolve, drinfeld_map, dual_character,
+                          generators,
                           harpoon_right, integrals, pair_eval)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "convention.json")
@@ -364,3 +366,27 @@ def test_fusion_table_matches_full_scan(doubles, triangular_s3):
 def test_fusion_table_matches_full_scan_large(name):
     A = build_double(parse_group_spec(name))
     assert fusion_table(A) == _full_scan_fusion_table(A)
+
+
+def test_module_checked_on_generators_rejects_a_corrupted_non_generator(
+        double_s3):
+    # double the matrix of one basis element that is not a generator: the
+    # products by generators still expose it, and the failure names the
+    # algebra, the simple and the generator
+    A = double_s3
+    gens = set(generators(A))
+    checked = 0
+    for s in simple_objects(A):
+        _verify_module(A, s)
+        k = next((k for k in s.matrices if k not in gens), None)
+        if k is None:
+            continue
+        bad = dict(s.matrices)
+        bad[k] = tuple(tuple(v + v for v in row) for row in bad[k])
+        with pytest.raises(InvariantViolation) as err:
+            _verify_module(A, dataclasses.replace(s, matrices=bad))
+        head, at = str(err.value).split(" at ")
+        assert head == f"D(S3): module multiplicativity fails on V{s.index}"
+        assert at in {A.labels[x] for x in gens}
+        checked += 1
+    assert checked == len(simple_objects(A))

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hopfcat.cyclo import CycloNumber, as_cyclo
 from hopfcat.errors import (BoundExceeded, InconsistentCharacters,
@@ -14,6 +14,7 @@ from hopfcat.hopf import (
     ConjClass,
     QTAlgebra,
     _check_central_idempotents,
+    _check_char_ring_idempotents,
     _check_class_spans,
     _check_integrals,
     adjoint,
@@ -404,8 +405,9 @@ def test_verify_axioms_names_the_first_non_associative_triple(double_s3):
         k, m = prod[i][j], prod[j][l]
         return (-1 if k < 0 else prod[k][l]) == (-1 if m < 0 else prod[i][m])
 
-    first = next((i, j, l) for i in range(n) for j in range(n)
-                 for l in range(n) if not assoc(i, j, l))
+    # Light's order: the middle factor s over the generators, then x, y
+    first = next((x, s, y) for s in generators(A) for x in range(n)
+                 for y in range(n) if not assoc(x, s, y))
     broken = QTAlgebra(A.name, A.kind, A.group, A.labels, prod, A.delta,
                        A.counit, A.s_idx, A.r_terms, A.unit_row)
     with pytest.raises(InvariantViolation) as exc:
@@ -452,3 +454,196 @@ def test_class_span_missing_an_adjoint_image_is_rejected(double_s3):
                                match="class-span adjoint stability fails"):
                 _check_class_spans(A, [ConjClass(space, cls.class_sum)])
     assert broken > 10
+
+
+# --- checks on generators: each is rejected when only non-generator basis
+# --- elements, or one off-diagonal idempotent, are corrupted
+
+def _fresh(A, **changes):
+    """A copy of A with some structure tables replaced and an empty memo."""
+    parts = dict(prod_idx=A.prod_idx, delta=A.delta, counit=A.counit,
+                 s_idx=A.s_idx)
+    parts.update(changes)
+    return QTAlgebra(A.name, A.kind, A.group, A.labels, parts["prod_idx"],
+                     parts["delta"], parts["counit"], parts["s_idx"],
+                     A.r_terms, A.unit_row)
+
+
+def _off_generators(A):
+    """Basis elements that are neither generators nor unit terms."""
+    skip = set(generators(A)) | set(A.unit_row)
+    return [k for k in range(A.dim) if k not in skip]
+
+
+def _swapped_off_generators(A):
+    """The product table with two products of a non-generator row swapped,
+    at non-generator columns, every basis product still injective."""
+    off = _off_generators(A)
+    for i in off:
+        live = [j for j in off if A.prod_idx[i][j] >= 0]
+        for j1, j2 in zip(live, live[1:]):
+            prod = [list(r) for r in A.prod_idx]
+            prod[i][j1], prod[i][j2] = prod[i][j2], prod[i][j1]
+            cols = [[r[j] for r in prod if r[j] >= 0] for j in (j1, j2)]
+            if all(len(set(c)) == len(c) for c in cols):
+                return prod
+    raise AssertionError("no injective swap off the generators")
+
+
+def test_light_test_rejects_products_broken_off_generators(double_s3):
+    A = double_s3
+    with pytest.raises(InvariantViolation,
+                       match=r"^D\(S3\): associativity fails on basis triple"):
+        verify_axioms(_fresh(A, prod_idx=_swapped_off_generators(A)))
+
+
+def test_counit_multiplicativity_broken_off_generators(double_s3):
+    A = double_s3
+    eps = list(A.counit)
+    k = next(k for k in _off_generators(A) if eps[k])
+    eps[k] = 0
+    with pytest.raises(InvariantViolation, match="counit is not multiplicative"):
+        verify_axioms(_fresh(A, counit=eps))
+
+
+def test_coproduct_multiplicativity_broken_off_generators(double_s3):
+    # on the span of one non-generator h0, Delta follows the opposite group
+    # law: still counital and coassociative, no longer multiplicative
+    A = double_s3
+    G, n = A.group, A.group.n
+    h0 = next(k for k in _off_generators(A)) % n
+    delta = [list(t) for t in A.delta]
+    for g in range(n):
+        delta[A.pair_index(g, h0)] = [
+            (A.pair_index(G.mul(g, G.inv[a]), h0), A.pair_index(a, h0))
+            for a in range(n)]
+    assert delta != A.delta
+    with pytest.raises(InvariantViolation, match="coproduct not multiplicative"):
+        verify_axioms(_fresh(A, delta=delta))
+
+
+def test_antipode_antimultiplicativity_broken_off_generators(double_s3):
+    A = double_s3
+    k1, k2 = _off_generators(A)[:2]
+    s = list(A.s_idx)
+    s[k1], s[k2] = s[k2], s[k1]
+    with pytest.raises(InvariantViolation,
+                       match="antipode is not an antihomomorphism"):
+        verify_axioms(_fresh(A, s_idx=s))
+
+
+def test_reach_check_fails_when_generators_miss_the_group_part(
+        double_s3, monkeypatch):
+    import hopfcat.hopf as hopf
+    A = _fresh(double_s3)
+    monkeypatch.setattr(hopf, "generators",
+                        lambda A: [A.pair_index(g, 0) for g in range(A.group.n)])
+    with pytest.raises(InvariantViolation) as exc:
+        verify_axioms(A)
+    assert str(exc.value) == "D(S3): generator reach fails at p0h1"
+
+
+def test_central_idempotents_checked_on_the_diagonal(double_s3):
+    A = double_s3
+    E = central_idempotents(A, [s.character for s in simple_objects(A)])
+    # E_1 + E_2 is a central idempotent, but not orthogonal to E_2
+    merged = list(E)
+    merged[1] = row_addmul(E[1], E[2], ONE)
+    assert mul_rows(A, merged[1], merged[1]) == merged[1]
+    assert mul_rows(A, merged[1], E[2]) != {}
+    with pytest.raises(InconsistentCharacters) as exc:
+        _check_central_idempotents(A, [], merged)
+    assert str(exc.value) == "D(S3): central idempotent sum fails"
+    doubled = list(E)
+    doubled[2] = row_addmul(E[2], E[2], ONE)
+    with pytest.raises(InconsistentCharacters) as exc:
+        _check_central_idempotents(A, [], doubled)
+    assert str(exc.value) == ("D(S3): central idempotent square fails on "
+                              "idempotent 2")
+
+
+def test_char_ring_idempotents_checked_on_the_diagonal(double_s3):
+    A = double_s3
+    chars = [s.character for s in simple_objects(A)]
+    F = char_ring_idempotents(A, chars).idempotents
+    _, t = integrals(A)
+    merged = list(F)
+    merged[1] = row_addmul(F[1], F[2], ONE)
+    assert convolve(A, merged[1], merged[1]) == merged[1]
+    assert convolve(A, merged[1], F[2]) != {}
+    with pytest.raises(InvariantViolation) as exc:
+        _check_char_ring_idempotents(A, chars, merged, t)
+    assert str(exc.value) == ("D(S3): character-ring idempotent sum (eps) "
+                              "fails")
+    doubled = list(F)
+    doubled[2] = row_addmul(F[2], F[2], ONE)
+    with pytest.raises(InvariantViolation) as exc:
+        _check_char_ring_idempotents(A, chars, doubled, t)
+    assert str(exc.value) == ("D(S3): character-ring idempotent square fails "
+                              "on F_2")
+
+
+# --- pair_eval: one reduction per pairing --------------------------------
+
+def _chain_pair_eval(f, a):
+    """Reference: the term-by-term chain acc = acc + c * v."""
+    if len(f) > len(a):
+        f, a = a, f
+    acc = ZERO
+    for k, c in f.items():
+        v = a.get(k)
+        if v:
+            acc = acc + c * v
+    return acc
+
+
+# the first order of each family is the one drawn most often
+_ORDER_FAMILIES = [(1, 2, 4, 8), (3, 9), (7,), (3, 2, 6), (3, 4, 12)]
+
+
+@st.composite
+def _pairing_rows(draw):
+    """Two rows over one order family.  Often the first two products
+    cancel to a rational (x and -x, or x and its conjugate, at the top
+    order) before a term of lower order, the case where the stored order
+    of the sum depends on the route."""
+    orders = draw(st.sampled_from(_ORDER_FAMILIES))
+    coeff = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
+                             Fraction(-3, 4)])
+
+    def value(n=None):
+        n = n or draw(st.sampled_from(orders))
+        terms = draw(st.dictionaries(st.integers(0, n - 1), coeff,
+                                     min_size=1, max_size=2))
+        return CycloNumber(n, terms)
+
+    pairs = [(value(), value()) for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        x = value(max(orders))
+        partner = -x if draw(st.booleans()) else x.conjugate()
+        pairs[:0] = [(x, ONE), (partner, ONE), (value(), ONE)]
+    f = {k: c for k, (c, _) in enumerate(pairs) if c}
+    a = {k: v for k, (_, v) in enumerate(pairs) if v}
+    extra = {10 + k: value() for k in range(draw(st.integers(0, 2)))}
+    (a if draw(st.booleans()) else f).update(extra)
+    return f, a
+
+
+_Z3, _Z4, _Z6 = CycloNumber.zeta(3), CycloNumber.zeta(4), CycloNumber.zeta(6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairing_rows())
+@example(({0: _Z4, 1: -_Z4, 2: _Z3}, {0: ONE, 1: ONE, 2: ONE}))
+@example(({0: _Z6, 1: _Z6.conjugate(), 2: _Z3}, {0: ONE, 1: ONE, 2: ONE}))
+def test_pair_eval_stores_what_the_term_chain_stores(rows):
+    f, a = rows
+    assert pair_eval(f, a).to_json() == _chain_pair_eval(f, a).to_json()
+
+
+def test_pair_eval_falls_back_to_the_chain_off_prime_powers():
+    # one reduction at order 12 would store -1 + z(6); the chain stores z(3)
+    f = {0: _Z4, 1: -_Z4, 2: _Z3}
+    a = {0: ONE, 1: ONE, 2: ONE}
+    assert pair_eval(f, a).to_json() == {"n": 3, "c": [[1, 1, 1]]}
+    assert _chain_pair_eval(f, a).to_json() == {"n": 3, "c": [[1, 1, 1]]}
