@@ -35,11 +35,11 @@ class RunConfig:
     cache_dir: Path = field(default_factory=default_cache_dir)
     output_format: str = "text"
     suite: str = "full"
-    seed: int = 0
 
     def __post_init__(self):
-        if self.max_algebra_dim < 1:
-            raise ValueError("max algebra dimension must be at least 1")
+        if not 1 <= self.max_algebra_dim <= DOUBLE_DIM_BOUND:
+            raise ValueError("max algebra dimension must be between 1 and "
+                             f"{DOUBLE_DIM_BOUND}")
         if self.suite not in ("smoke", "full"):
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.output_format not in ("text", "json", "dot"):
@@ -53,10 +53,10 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--format", default="text",
                         choices=("text", "json", "dot"))
     common.add_argument("--max-dim", type=int, default=DOUBLE_DIM_BOUND,
-                        metavar="N", help="largest algebra dimension to build")
+                        metavar="N", help="largest algebra dimension to "
+                        f"build, at most {DOUBLE_DIM_BOUND}")
     common.add_argument("--cache", default=None, metavar="DIR",
                         help="cache directory (HOPFCAT_CACHE overrides the default)")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--suite", default="full", choices=("smoke", "full"))
 
     p = argparse.ArgumentParser(prog="hopfcat", description=__doc__)
@@ -105,8 +105,7 @@ def _config(args) -> RunConfig:
         max_algebra_dim=args.max_dim,
         cache_dir=Path(args.cache) if args.cache else default_cache_dir(),
         output_format=args.format,
-        suite=args.suite,
-        seed=args.seed)
+        suite=args.suite)
 
 
 def _need_group(cfg: RunConfig) -> Group:
@@ -560,7 +559,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
                   "checks": [{"id": "algebra-build", "subject": G.name,
                               "pass": True, "detail": "skipped: dim bound"}]}
     else:
-        report = verify_identities(_build(cfg, G), cfg.suite, seed=cfg.seed)
+        report = verify_identities(_build(cfg, G), cfg.suite)
     ok = all(c["pass"] for c in report["checks"])
     print(_emit_json(report) if cfg.output_format == "json"
           else summarize(report))

@@ -474,13 +474,15 @@ def double_name(G: Group) -> str:
 def check_double_dim(G: Group, max_dim: int = DOUBLE_DIM_BOUND) -> None:
     """Raise BoundExceeded unless D(kG), of dimension |G|^2, fits max_dim.
 
+    max_dim can only lower DOUBLE_DIM_BOUND, never raise it.
     build_double calls it before building anything, and the CLI before
     it reads a cached result of the double, so a bound is refused the
     same way whether or not the cache holds the answer."""
     dim = G.n * G.n
-    if dim > max_dim:
+    bound = min(max_dim, DOUBLE_DIM_BOUND)
+    if dim > bound:
         raise BoundExceeded(
-            f"double of {G.name or 'group'} has dimension {dim} > {max_dim}")
+            f"double of {G.name or 'group'} has dimension {dim} > {bound}")
 
 
 def parse_group_spec(spec: str) -> Group:

@@ -23,10 +23,12 @@ products.  Invariance under the adjoint actions and centrality are
 checked on the algebra generators only (`generators`): ad and ad_r are
 algebra (anti-)homomorphisms A -> End(A), and commuting with z is
 closed under sums and products, so what holds for generators holds for
-all of A.  verify_axioms checks the multiplicative axioms the same way,
-once an integer search has shown that products of generators reach
-every basis element, and the central idempotents are checked on the
-diagonal only.  Each such check states its lemma where it runs.
+all of A.  verify_axioms checks the multiplicative axioms and R's
+intertwining of the coproducts the same way, once an integer search has
+shown that products of generators reach every basis element; the central
+idempotents are checked on the diagonal only, and phi's multiplicativity
+on the dual basis.  Each such check states its lemma where it runs, and
+none samples.
 
 The coproduct is QTAlgebra.delta plus one derived index, delta_by_left.
 Constructions reach it through three bilinear maps: convolve (f * g in
@@ -44,7 +46,6 @@ that builds it, and `memoized` wraps the one-argument constructions.
 from __future__ import annotations
 
 import functools
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,11 +56,6 @@ from .errors import (BoundExceeded, InconsistentCharacters,
 from .groups import DOUBLE_DIM_BOUND, Group, check_double_dim, double_name
 from .linalg import (Echelon, Row, acc, apply_pairs, row_addmul, row_scale,
                      solve_linear)
-
-_ASSOC_BUDGET = 3_000_000
-_SAMPLE_TRIPLES = 200_000
-_SAMPLE_PAIRS = 20_000
-
 
 def memo(A: QTAlgebra, key, build):
     """A._cache[key], calling build() on first use."""
@@ -222,6 +218,11 @@ def failure(A: QTAlgebra, check: str, x: int | None,
     on = f" on {subject}" if subject else ""
     at = f" at {A.labels[x]}" if x is not None else ""
     return f"{A.name}: {check} fails{on}{at}"
+
+
+def _fail(A: QTAlgebra, check: str, x: int | None = None, subject: str = ""):
+    """Raise InvariantViolation with the failure message of its arguments."""
+    raise InvariantViolation(failure(A, check, x, subject))
 
 
 def noncentral_generator(A: QTAlgebra, z: Row) -> int | None:
@@ -421,12 +422,20 @@ def build_triangular(G: Group, max_dim: int = DOUBLE_DIM_BOUND) -> QTAlgebra:
 # --- axiom verification -------------------------------------------------
 
 
-def _tensor_square(A: QTAlgebra, row: Row) -> Counter:
-    """Terms of row x row, for comparing against coproduct expansions."""
+def _tensor_mul(A: QTAlgebra, xs, ys) -> Counter:
+    """(sum xs)(sum ys) in A x A, for two sums of coefficient-one basis
+    tensors (i, j): the count of each term (u, v), in order of first
+    appearance with xs outer."""
+    prod = A.prod_idx
     out: Counter = Counter()
-    for i in row:
-        for j in row:
-            out[(i, j)] += 1
+    for a, b in xs:
+        pa, pb = prod[a], prod[b]
+        for c, d in ys:
+            u = pa[c]
+            if u >= 0:
+                v = pb[d]
+                if v >= 0:
+                    out[(u, v)] += 1
     return out
 
 
@@ -446,8 +455,8 @@ def _first_unreached(A: QTAlgebra, gens: list[int]) -> int | None:
     return next((k for k in range(A.dim) if k not in seen), None)
 
 
-def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
-    """Check the Hopf and R-matrix axioms, exhaustively when affordable.
+def verify_axioms(A: QTAlgebra) -> None:
+    """Check the Hopf and R-matrix axioms, each by one exhaustive scan.
 
     The basis with 0 adjoined is a magma under prod_idx, and the
     generators (`generators`) must reach every basis element as products;
@@ -462,17 +471,24 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
       S(s y) = S(y) S(s) for every basis y.  Each holds for a product ab
       when it holds for a and b: e.g. Delta((ab)y) = Delta(a(by)) =
       Delta(a) Delta(b) Delta(y) = Delta(ab) Delta(y), by the
-      associativity proved first (in A, and so in A x A).
+      associativity proved first (in A, and so in A x A);
+    * Delta^op(s) R = R Delta(s).  Delta is multiplicative, as just
+      proved, and so is its flip Delta^op, so the s passing it are closed
+      under products: Delta^op(ab) R = Delta^op(a) R Delta(b) =
+      R Delta(ab).
 
-    The sampled branches, for tables too large to scan, are unchanged.
+    Per generator, each scan costs about what building prod_idx does
+    (dim^2 entries, or dim |Delta|^2 = dim^2 term pairs for the double's
+    coproduct), so no admitted size needs sampling, and none is sampled.
     """
     dim = A.dim
     prod = A.prod_idx
-    rnd = random.Random(seed)
 
-    require(sorted(A.s_idx) == list(range(dim)), "antipode is not a bijection")
-    for row in prod:
-        require(all(-1 <= k < dim for k in row), "product table out of range")
+    if sorted(A.s_idx) != list(range(dim)):
+        _fail(A, "antipode bijectivity")
+    for i, row in enumerate(prod):
+        if not all(-1 <= k < dim for k in row):
+            _fail(A, "product-table range", i)
 
     # products by a basis element are relabels (lmul, rmul): each must be
     # injective on the basis elements it does not kill
@@ -481,44 +497,32 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
                            ("right", [row[k] for row in prod])):
             hits = [m for m in hits if m >= 0]
             if len(set(hits)) != len(hits):
-                raise InvariantViolation(failure(
-                    A, f"basis-product injectivity ({side} multiplication)", k))
+                _fail(A, f"basis-product injectivity ({side} multiplication)", k)
 
-    # unit
     for x in range(dim):
-        require(rmul(A, A.unit_row, x) == A.basis(x), "unit fails on the left")
-        require(lmul(A, x, A.unit_row) == A.basis(x), "unit fails on the right")
+        if rmul(A, A.unit_row, x) != A.basis(x):
+            _fail(A, "left unit", x)
+        if lmul(A, x, A.unit_row) != A.basis(x):
+            _fail(A, "right unit", x)
 
     gens = generators(A)
     missing = _first_unreached(A, gens)
     if missing is not None:
-        raise InvariantViolation(failure(A, "generator reach", missing))
+        _fail(A, "generator reach", missing)
 
     # associativity: Light's test over the table with -1 (zero) adjoined
     # as a last row and column, so that row[-1] is the zero product
-    if dim ** 3 <= _ASSOC_BUDGET:
-        ext = [row + [-1] for row in prod]
-        ext.append([-1] * (dim + 1))
-        for s in gens:
-            right_of_s = ext[s]
-            for x in range(dim):
-                px = ext[x]
-                left = ext[px[s]]
-                right = list(map(px.__getitem__, right_of_s))
-                if left != right:
-                    y = next(y for y in range(dim) if left[y] != right[y])
-                    raise InvariantViolation(failure(
-                        A, "associativity", None, f"basis triple ({x},{s},{y})"))
-    else:
-        for i, j, l in ((rnd.randrange(dim), rnd.randrange(dim),
-                         rnd.randrange(dim)) for _ in range(_SAMPLE_TRIPLES)):
-            k = prod[i][j]
-            left = -1 if k < 0 else prod[k][l]
-            m = prod[j][l]
-            right = -1 if m < 0 else prod[i][m]
+    ext = [row + [-1] for row in prod]
+    ext.append([-1] * (dim + 1))
+    for s in gens:
+        right_of_s = ext[s]
+        for x in range(dim):
+            px = ext[x]
+            left = ext[px[s]]
+            right = list(map(px.__getitem__, right_of_s))
             if left != right:
-                raise InvariantViolation(failure(
-                    A, "associativity", None, f"basis triple ({i},{j},{l})"))
+                y = next(y for y in range(dim) if left[y] != right[y])
+                _fail(A, "associativity", None, f"basis triple ({x},{s},{y})")
 
     # counit is an algebra map
     eps = A.counit
@@ -526,9 +530,10 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
         row = prod[i]
         for j in range(dim):
             k = row[j]
-            require((0 if k < 0 else eps[k]) == eps[i] * eps[j],
-                    "counit is not multiplicative")
-    require(counit_value(A, A.unit_row) == ONE, "counit of 1 is not 1")
+            if (0 if k < 0 else eps[k]) != eps[i] * eps[j]:
+                _fail(A, "counit multiplicativity", None, f"basis pair ({i},{j})")
+    if counit_value(A, A.unit_row) != ONE:
+        _fail(A, "counit of the unit")
 
     # counit and coassociativity axioms
     for k in range(dim):
@@ -540,8 +545,10 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
             if eps[j]:
                 acc(right, i, ONE)
         want = {k: ONE}
-        require(left == want, "left counit axiom fails")
-        require(right == want, "right counit axiom fails")
+        if left != want:
+            _fail(A, "left counit axiom", k)
+        if right != want:
+            _fail(A, "right counit axiom", k)
         lhs: Counter = Counter()
         rhs: Counter = Counter()
         for i, j in A.delta[k]:
@@ -550,35 +557,19 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
             for a, b in A.delta[j]:
                 rhs[(i, a, b)] += 1
         if lhs != rhs:
-            raise InvariantViolation(failure(A, "coassociativity", k))
+            _fail(A, "coassociativity", k)
 
     # coproduct is an algebra map
-    max_delta = max(len(t) for t in A.delta)
-    if dim * dim * max_delta * max_delta <= 8_000_000:
-        pairs = ((x, y) for x in gens for y in range(dim))
-    else:
-        pairs = ((rnd.randrange(dim), rnd.randrange(dim))
-                 for _ in range(_SAMPLE_PAIRS))
-    for x, y in pairs:
-        got: Counter = Counter()
-        for a, b in A.delta[x]:
-            for c, d in A.delta[y]:
-                u = prod[a][c]
-                if u < 0:
-                    continue
-                v = prod[b][d]
-                if v < 0:
-                    continue
-                got[(u, v)] += 1
-        k = prod[x][y]
-        want = Counter() if k < 0 else Counter(A.delta[k])
-        if got != want:
-            raise InvariantViolation(
-                f"coproduct not multiplicative at ({x},{y})")
-    got_unit: Counter = Counter()
-    for k in A.unit_row:
-        got_unit.update(A.delta[k])
-    require(got_unit == _tensor_square(A, A.unit_row), "coproduct of 1 is not 1 x 1")
+    for x in gens:
+        for y in range(dim):
+            k = prod[x][y]
+            want = Counter(A.delta[k]) if k >= 0 else Counter()
+            if _tensor_mul(A, A.delta[x], A.delta[y]) != want:
+                _fail(A, "coproduct multiplicativity", None,
+                      f"basis pair ({x},{y})")
+    one_one = Counter((i, j) for i in A.unit_row for j in A.unit_row)
+    if Counter(t for k in A.unit_row for t in A.delta[k]) != one_one:
+        _fail(A, "coproduct of the unit")
 
     # antipode
     s = A.s_idx
@@ -586,11 +577,14 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
         row = prod[i]
         for j in range(dim):
             k = row[j]
-            require((-1 if k < 0 else s[k]) == prod[s[j]][s[i]],
-                    "antipode is not an antihomomorphism")
-    require(apply_antipode(A, A.unit_row) == A.unit_row, "antipode moves 1")
-    require(all(eps[s[k]] == eps[k] for k in range(dim)), "counit not antipode-invariant")
+            if (-1 if k < 0 else s[k]) != prod[s[j]][s[i]]:
+                _fail(A, "antipode anti-multiplicativity", None,
+                      f"basis pair ({i},{j})")
+    if apply_antipode(A, A.unit_row) != A.unit_row:
+        _fail(A, "antipode of the unit")
     for k in range(dim):
+        if eps[s[k]] != eps[k]:
+            _fail(A, "counit antipode-invariance", k)
         acc_l: Row = {}
         acc_r: Row = {}
         for i, j in A.delta[k]:
@@ -602,9 +596,9 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
                 acc(acc_r, v, ONE)
         want = {m: ONE for m in A.unit_row} if eps[k] else {}
         if acc_l != want:
-            raise InvariantViolation(f"left antipode axiom fails at {k}")
+            _fail(A, "left antipode axiom", k)
         if acc_r != want:
-            raise InvariantViolation(f"right antipode axiom fails at {k}")
+            _fail(A, "right antipode axiom", k)
 
     # R-matrix axioms
     r = A.r_terms
@@ -618,7 +612,8 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
     for i, j in r:
         for a, b in A.delta[i]:
             rhs_d1[(a, b, j)] += 1
-    require(lhs13_23 == rhs_d1, "(Delta x id)(R) != R13 R23")
+    if lhs13_23 != rhs_d1:
+        _fail(A, "(Delta x id)(R) = R13 R23")
 
     lhs13_12: Counter = Counter()
     for i1, j1 in r:   # R13
@@ -630,34 +625,16 @@ def verify_axioms(A: QTAlgebra, seed: int = 0) -> None:
     for i, j in r:
         for a, b in A.delta[j]:
             rhs_d2[(i, a, b)] += 1
-    require(lhs13_12 == rhs_d2, "(id x Delta)(R) != R13 R12")
+    if lhs13_12 != rhs_d2:
+        _fail(A, "(id x Delta)(R) = R13 R12")
 
-    for x in range(dim):
-        lhs: Counter = Counter()
-        rhs: Counter = Counter()
-        for a, b in A.delta[x]:
-            for i, j in r:
-                u = prod[b][i]
-                v = prod[a][j]
-                if u >= 0 and v >= 0:
-                    lhs[(u, v)] += 1
-                u = prod[i][a]
-                v = prod[j][b]
-                if u >= 0 and v >= 0:
-                    rhs[(u, v)] += 1
-        if lhs != rhs:
-            raise InvariantViolation(
-                f"R does not intertwine the coproducts at {x}")
+    for x in gens:
+        flip = [(b, a) for a, b in A.delta[x]]
+        if _tensor_mul(A, flip, r) != _tensor_mul(A, r, A.delta[x]):
+            _fail(A, "R intertwining of Delta^op and Delta", x)
 
-    rinv = [(s[i], j) for i, j in r]
-    prod_rr: Counter = Counter()
-    for i1, j1 in r:
-        for i2, j2 in rinv:
-            u = prod[i1][i2]
-            v = prod[j1][j2]
-            if u >= 0 and v >= 0:
-                prod_rr[(u, v)] += 1
-    require(prod_rr == _tensor_square(A, A.unit_row), "(S x id)(R) is not inverse to R")
+    if _tensor_mul(A, r, [(s[i], j) for i, j in r]) != one_one:
+        _fail(A, "(S x id)(R) inverse to R")
 
 
 # --- integrals ----------------------------------------------------------
@@ -710,17 +687,9 @@ class DrinfeldMap:
 
     def __init__(self, A: QTAlgebra):
         self.algebra = A
-        q: dict[tuple[int, int], CycloNumber] = {}
-        prod = A.prod_idx
-        for i1, j1 in A.r_terms:      # R21 factor (j1, i1)
-            for i2, j2 in A.r_terms:  # R factor (i2, j2)
-                a = prod[j1][i2]
-                if a < 0:
-                    continue
-                b = prod[i1][j2]
-                if b < 0:
-                    continue
-                acc(q, (a, b), ONE)
+        r = A.r_terms
+        q = {t: as_cyclo(c)
+             for t, c in _tensor_mul(A, [(j, i) for i, j in r], r).items()}
         self.q_terms = q
         if A.kind == "double":
             G = A.group
@@ -1001,61 +970,56 @@ def _columns(rows: list[Row], dim: int) -> list[Row]:
 # --- quasitriangular structure checks ------------------------------------
 
 
-def verify_quasitriangular(A: QTAlgebra, chars: list[Row], ring: CharRing,
-                           seed: int = 0) -> None:
+def verify_quasitriangular(A: QTAlgebra, chars: list[Row],
+                           ring: CharRing) -> None:
     """Identities tying phi_R to characters, centers and conjugacy classes.
 
-    Centrality of phi(chi) and adjoint stability of the class spans are
-    checked on the algebra generators only; the lemmas are in
-    noncentral_generator and _check_class_spans.
+    Multiplicativity against the character ring, phi(chi * f) =
+    phi(chi) phi(f), is checked for f over the dual basis e_k^*.  Lemma:
+    both sides are linear in f, and the e_k^* span A*, so this is the
+    identity for every f in A*.  Centrality of phi(chi) and adjoint
+    stability of the class spans are checked on the algebra generators
+    only; the lemmas are in noncentral_generator and _check_class_spans.
     """
     dm = drinfeld_map(A)
-    lam, t = integrals(A)
-    rnd = random.Random(seed)
+    _, t = integrals(A)
 
+    phis = [dm.phi({k: ONE}) for k in range(A.dim)]
     # phi restricted to the character ring is multiplicative and central
-    randoms: list[Row] = []
-    for _ in range(20):
-        f = {k: as_cyclo(rnd.randint(-3, 3)) for k in range(A.dim)}
-        randoms.append({k: v for k, v in f.items() if v})
     for c, chi in enumerate(chars):
         img = dm.phi(chi)
         x = noncentral_generator(A, img)
         if x is not None:
-            raise InvariantViolation(failure(
-                A, "phi-of-character centrality", x, f"character {c}"))
-        for f in randoms:
-            require(dm.phi(convolve(A, chi, f)) == mul_rows(A, img, dm.phi(f)),
-                    "phi is not multiplicative against the character ring")
-        require(dm.rphi(chi) == img, "the two Drinfeld maps differ on a character")
+            _fail(A, "phi-of-character centrality", x, f"character {c}")
+        for k, phi_k in enumerate(phis):
+            if dm.phi(convolve(A, chi, {k: ONE})) != mul_rows(A, img, phi_k):
+                _fail(A, "phi multiplicativity", None,
+                      f"character {c} against {A.labels[k]}^*")
+        if dm.rphi(chi) != img:
+            _fail(A, "rphi = phi", None, f"character {c}")
 
     # rphi = S o phi o S* on the whole dual
     for k in range(A.dim):
-        f = {k: ONE}
-        fs = {A.s_idx[m]: c for m, c in f.items()}
-        require(dm.rphi(f) == apply_antipode(A, dm.phi(fs)),
-                "rphi != S phi S* on the dual basis")
+        if dm.rphi({k: ONE}) != apply_antipode(A, phis[A.s_idx[k]]):
+            _fail(A, "rphi = S phi S*", None, f"{A.labels[k]}^*")
 
-    # phi is the convolution of the two half maps
-    prod_pairs: list[list[tuple[int, int]]] = [[] for _ in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            k = A.prod_idx[i][j]
-            if k >= 0:
-                prod_pairs[k].append((i, j))
-    for k in range(A.dim):
+    # phi is the convolution of the two half maps, summed over the (m, j)
+    # with e_m e_j = e_k
+    for k, quotients in enumerate(left_quotients(A)):
         got: Row = {}
-        for i, j in prod_pairs[k]:
-            part = mul_rows(A, dm.f_r21({i: ONE}), dm.f_r({j: ONE}))
-            got = row_addmul(got, part, ONE)
-        require(got == dm.phi({k: ONE}), "phi != f_R21 * f_R")
+        for j, m in enumerate(quotients):
+            if m >= 0:
+                part = mul_rows(A, dm.f_r21({m: ONE}), dm.f_r({j: ONE}))
+                got = row_addmul(got, part, ONE)
+        if got != phis[k]:
+            _fail(A, "phi = f_R21 * f_R", None, f"{A.labels[k]}^*")
 
     # the image of the dual integral matches block 0 of the partition
-    img_t = dm.phi(t)
     want: Row = {}
     for s in ring.partition[0]:
         want = row_addmul(want, ring.central[s], ONE)
-    require(img_t == want, "phi(t) is not the sum of block-0 idempotents")
+    if dm.phi(t) != want:
+        _fail(A, "phi(t) = block-0 idempotent sum")
 
     _check_class_spans(A, all_classes(A, ring))
 

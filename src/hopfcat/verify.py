@@ -43,9 +43,8 @@ class CheckResult:
 class _Context:
     """Everything the individual checks share, computed once."""
 
-    def __init__(self, A: QTAlgebra, seed: int = 0):
+    def __init__(self, A: QTAlgebra):
         self.A = A
-        self.seed = seed
         self.simples = simple_objects(A)
         self.r = len(self.simples)
         self.dims = [s.dim for s in self.simples]
@@ -122,7 +121,7 @@ def _res(cid: str, subject: str, ok: bool, detail: str) -> CheckResult:
 def _check_drinfeld_laws(ctx: _Context) -> list[CheckResult]:
     try:
         verify_quasitriangular(ctx.A, [s.character for s in ctx.simples],
-                               ctx.ring, seed=ctx.seed)
+                               ctx.ring)
         return [_res("drinfeld-map-laws", ctx.A.name, True,
                      "multiplicativity, centrality and class stability hold")]
     except InvariantViolation as exc:
@@ -580,10 +579,14 @@ SMOKE_CHECKS = frozenset((
 
 def verify_identities(A: QTAlgebra, suite: str = "full",
                       seed: int = 0) -> dict:
-    """Run the identity suite and return a JSON-ready report."""
+    """Run the identity suite and return a JSON-ready report.
+
+    No check samples, so the report does not depend on seed; the
+    keyword stays for callers that still pass it, and is ignored.
+    """
     if suite not in ("smoke", "full"):
         raise ValueError(f"unknown suite {suite!r}")
-    ctx = _Context(A, seed=seed)
+    ctx = _Context(A)
     checks: list[CheckResult] = []
     for cid, scope, fn in _REGISTRY:
         if suite == "smoke" and cid not in SMOKE_CHECKS:

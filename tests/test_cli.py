@@ -18,8 +18,8 @@ import hopfcat
 from hopfcat import build_double, enumerate_coideals, enumerate_subcats
 from hopfcat.cli import RunConfig, parse_triple, run
 from hopfcat.cyclo import CycloNumber
-from hopfcat.errors import ParseError
-from hopfcat.groups import parse_group_spec
+from hopfcat.errors import BoundExceeded, ParseError
+from hopfcat.groups import check_double_dim, parse_group_spec
 
 
 def _run(capsys, *argv):
@@ -241,6 +241,27 @@ def test_coideals_built_once():
     # every space is an Echelon built through insert, which the tracer counts
     assert trace["counts"]["linalg.echelon_insert_calls"] > 0
 
+
+def test_max_dim_can_only_lower_the_bound(tmp_path, capsys):
+    # D(Z144) has dimension 20736: a bound above DOUBLE_DIM_BOUND is a
+    # usage error, refused before anything of that size is allocated
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "verify", "--group", "Z144", "--max-dim",
+                          "20736", "--cache", str(tmp_path))
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    with pytest.raises(ValueError):
+        RunConfig(max_algebra_dim=145)
+    # the library never admits more than DOUBLE_DIM_BOUND either
+    with pytest.raises(BoundExceeded):
+        check_double_dim(parse_group_spec("Z13"), 169)
+
+
+def test_seed_is_not_an_option(capsys):
+    assert run(["verify", "--group", "S3", "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 def test_unknown_group_usage_error(tmp_path, capsys):
     code, _, err = _run(capsys, "group", "info", "--group", "M11",

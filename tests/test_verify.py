@@ -27,6 +27,11 @@ def test_full_suite_s3(double_s3):
     json.dumps(report)
 
 
+def test_seed_keyword_is_inert(double_s3):
+    # no check samples: the keyword is accepted and changes nothing
+    assert (verify_identities(double_s3, "full", seed=0)
+            == verify_identities(double_s3, "full", seed=7))
+
 def test_full_suite_small_doubles(doubles):
     for name in ("Z2", "Z3", "Z4"):
         report = verify_identities(doubles[name], suite="full")
