@@ -110,11 +110,7 @@ class CharacterTable:
         self.group = group
         self.classes = group.conjugacy_classes()
         self.r = len(self.classes)
-        n = group.n
-        self.class_of = [0] * n
-        for k, c in enumerate(self.classes):
-            for g in c.members:
-                self.class_of[g] = k
+        self.class_of = group.class_of()
         self.inv_class = [self.class_of[group.inv[c.representative]]
                           for c in self.classes]
         self.N = group.exponent()
@@ -180,10 +176,7 @@ class CharacterTable:
 def _class_matrices(G: Group) -> list[list[list[int]]]:
     classes = G.conjugacy_classes()
     r = len(classes)
-    class_of = [0] * G.n
-    for k, c in enumerate(classes):
-        for g in c.members:
-            class_of[g] = k
+    class_of = G.class_of()
     mats = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i, ci in enumerate(classes):
         for x in ci.members:
@@ -269,10 +262,7 @@ def character_table(G: Group) -> CharacterTable:
     p = _find_prime(N, G.n)
     w = _primitive_root_of_unity(p, N)
     omegas = _central_characters(G, p)
-    class_of = [0] * G.n
-    for k, c in enumerate(classes):
-        for g in c.members:
-            class_of[g] = k
+    class_of = G.class_of()
     inv_class = [class_of[G.inv[c.representative]] for c in classes]
 
     rows: list[list[CycloNumber]] = []

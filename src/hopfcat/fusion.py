@@ -664,7 +664,7 @@ def centralizer(A: QTAlgebra, D: FusionSubcat, method: str) -> FusionSubcat:
         sel = []
         for i in range(len(simples)):
             j = ring.j_of[i]
-            if all(L.space.contains(row) for row in classes[j].space.rows):
+            if classes[j].space <= L.space:
                 sel.append(i)
         sel2 = [i for i in range(len(simples))
                 if pair_eval(ring.idempotents[ring.j_of[i]], L.integral)]

@@ -27,6 +27,9 @@ NORMAL_SUBGROUP_BOUND = 24
 # the largest algebra built: D(G) has dimension |G|^2 and kG dimension |G|,
 # so no admitted algebra needs a group of larger order
 DOUBLE_DIM_BOUND = 144
+# the most bytes read from a cayley: file; an order-144 Cayley table is
+# about 90 kB of JSON, 210 kB indented
+CAYLEY_FILE_BOUND = 1 << 20
 
 
 class Group:
@@ -47,6 +50,7 @@ class Group:
             raise NotAGroup(f"{self.name}: some element has no inverse")
         self.inv = tuple(inv)
         self._classes: list[ConjClassG] | None = None
+        self._class_of: tuple[int, ...] | None = None
         self._exponent: int | None = None
 
     def _validate(self) -> None:
@@ -123,11 +127,18 @@ class Group:
         self._classes = classes
         return classes
 
+    def class_of(self) -> tuple[int, ...]:
+        """The index of each element's class in conjugacy_classes()."""
+        if self._class_of is None:
+            out = [0] * self.n
+            for k, c in enumerate(self.conjugacy_classes()):
+                for g in c.members:
+                    out[g] = k
+            self._class_of = tuple(out)
+        return self._class_of
+
     def class_index_of(self, a: int) -> int:
-        for i, c in enumerate(self.conjugacy_classes()):
-            if a in c.members:
-                return i
-        raise ValueError(a)
+        return self.class_of()[a]
 
     def to_json(self) -> dict:
         return {"name": self.name, "n": self.n,
@@ -428,12 +439,16 @@ def _parse_perm_spec(body: str, offset: int) -> Group:
         if rest:
             raise ParseError(f"bad cycle syntax near {rest!r}", offset + body.find(rest))
         cycles = []
+        moved: set[int] = set()
         for m in _RE_CYCLE.finditer(gs):
             pts = [int(t) for t in m.group(1).split()]
-            if len(set(pts)) != len(pts):
-                raise ParseError("repeated point in cycle", offset + m.start())
+            # a point moved twice would make the generator no bijection
+            if len(set(pts)) != len(pts) or not moved.isdisjoint(pts):
+                raise ParseError("repeated point in the cycles of a "
+                                 "generator", offset + m.start())
             cycles.append(pts)
-            points.update(pts)
+            moved.update(pts)
+        points.update(moved)
         perms.append(cycles)
     if not points:
         return _cyclic(1)
@@ -489,7 +504,9 @@ def parse_group_spec(spec: str) -> Group:
     """Grammar: NAME | 'perm:' cycles (',' cycles)* | 'cayley:' path.
 
     A group of order above DOUBLE_DIM_BOUND is refused from the spec,
-    before anything of its size is built."""
+    before anything of its size is built, and so is a cayley: file longer
+    than CAYLEY_FILE_BOUND bytes (BoundExceeded).  A file that is not
+    JSON or whose table is not a group is a ParseError."""
     spec = spec.strip()
     if not spec:
         raise ParseError("empty group spec", 0)
@@ -498,11 +515,17 @@ def parse_group_spec(spec: str) -> Group:
     if spec.startswith("cayley:"):
         path = spec[7:].strip()
         try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except OSError as e:
+            with open(path, "rb") as fh:
+                data = fh.read(CAYLEY_FILE_BOUND + 1)
+        except (OSError, ValueError) as e:   # ValueError: a NUL in the path
             raise ParseError(f"cannot read cayley table file: {e}", 7)
-        except json.JSONDecodeError as e:
+        if len(data) > CAYLEY_FILE_BOUND:
+            raise BoundExceeded(
+                f"cayley table file exceeds {CAYLEY_FILE_BOUND} bytes")
+        try:
+            obj = json.loads(data)
+        except (ValueError, RecursionError) as e:
+            # bad syntax, undecodable bytes, or nesting too deep
             raise ParseError(f"cayley table file is not valid JSON: {e}", 7)
         table = obj.get("table") if isinstance(obj, dict) else obj
         name = obj.get("name", "") if isinstance(obj, dict) else ""
@@ -513,7 +536,10 @@ def parse_group_spec(spec: str) -> Group:
                             for row in table):
             raise ParseError("cayley table must be a non-empty square list "
                              "of integer rows", 7)
-        return Group(table, name=name or "cayley")
+        try:
+            return Group(table, name=name or "cayley")
+        except NotAGroup as e:
+            raise ParseError(str(e), 7) from None
     m = _RE_ZAB.match(spec)
     if m:
         a, b = int(m.group(1)), int(m.group(2))

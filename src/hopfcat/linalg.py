@@ -10,8 +10,9 @@ nullspace(rows, ncols) returns the kernel as an Echelon, and
 intersect(x, y) meets two Echelons, reading their reduced rows as they
 are.
 
-Sparse accumulation goes through two helpers: acc adds one term into a
-row, and apply_pairs applies a fixed (src, dst, coeff) table to a vector.
+Sparse accumulation goes through three helpers: acc adds one term into a
+row, row_sum adds whole rows, and apply_pairs applies a fixed (src, dst,
+coeff) table to a vector.
 The hot kernels keep their loops inline, as a call per term costs
 measurably there: row_addmul under every Echelon reduction, hopf.mul_rows
 under every general x general product (a product by a basis element is
@@ -51,6 +52,15 @@ def apply_pairs(table, vec: Row) -> Row:
         v = vec.get(src)
         if v:
             acc(out, dst, c * v)
+    return out
+
+
+def row_sum(rows) -> Row:
+    """The sum of rows, added slot by slot in the order given."""
+    out: Row = {}
+    for row in rows:
+        for j, v in row.items():
+            acc(out, j, v)
     return out
 
 

@@ -9,7 +9,7 @@ structures genuinely disagree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .coideal import (CoidealSubalgebra, augmentation_ideal,
@@ -25,19 +25,11 @@ from .hopf import (QTAlgebra, all_classes, compute_K_A, convolve,
                    drinfeld_map, integrals, lmul, memo, mul_rows, pair_eval,
                    rmul, verify_quasitriangular)
 from .linalg import (Echelon, Row, acc, intersect, nullspace, row_addmul,
-                     row_scale)
+                     row_scale, row_sum)
 
 # Monodromy fixed-point checks build vectors in A (x) A and are the one
 # place where work grows with dim^2 * |Q|; past this bound they are skipped.
 MONODROMY_DIM_BOUND = 36
-
-
-@dataclass
-class CheckResult:
-    id: str
-    subject: str
-    passed: bool
-    detail: str
 
 
 class _Context:
@@ -101,7 +93,7 @@ class _Context:
         """Blocks j with C^j contained in L."""
         return memo(self.A, (_Context.blocks_in, L.key()), lambda: {
             j for j, cls in enumerate(self.classes)
-            if all(L.space.contains(row) for row in cls.space.rows)})
+            if cls.space <= L.space})
 
     def is_normal(self, L: CoidealSubalgebra) -> bool:
         return memo(self.A, (is_normal_hopf_subalgebra, L.key()),
@@ -111,26 +103,25 @@ class _Context:
         return set(indices) & set(self.cent[tuple(indices)].indices) == {0}
 
 
-def _res(cid: str, subject: str, ok: bool, detail: str) -> CheckResult:
-    return CheckResult(cid, subject, ok, detail)
-
-
 # --- the individual checks ------------------------------------------------
 
+# each check yields one (subject, ok, detail) verdict per subject it checks
+Verdicts = Iterator[tuple[str, bool, str]]
 
-def _check_drinfeld_laws(ctx: _Context) -> list[CheckResult]:
+
+def _check_drinfeld_laws(ctx: _Context) -> Verdicts:
     try:
         verify_quasitriangular(ctx.A, [s.character for s in ctx.simples],
                                ctx.ring)
-        return [_res("drinfeld-map-laws", ctx.A.name, True,
-                     "multiplicativity, centrality and class stability hold")]
     except InvariantViolation as exc:
-        return [_res("drinfeld-map-laws", ctx.A.name, False, str(exc))]
+        yield ctx.A.name, False, str(exc)
+    else:
+        yield (ctx.A.name, True,
+               "multiplicativity, centrality and class stability hold")
 
 
-def _check_dim_product(ctx: _Context) -> list[CheckResult]:
+def _check_dim_product(ctx: _Context) -> Verdicts:
     """fpdim(D) fpdim(D') = fpdim(C) fpdim(D meet C')."""
-    out = []
     total = ctx.full.fpdim
     cprime = ctx.cent[ctx.full.indices]
     for D in ctx.subs:
@@ -138,27 +129,22 @@ def _check_dim_product(ctx: _Context) -> list[CheckResult]:
         meet = set(D.indices) & set(cprime.indices)
         lhs = D.fpdim * dp.fpdim
         rhs = total * ctx.fpdim_of(meet)
-        out.append(_res("dim-centralizer-product", D.label(), lhs == rhs,
-                        f"{D.fpdim}*{dp.fpdim} vs {total}*{ctx.fpdim_of(meet)}"))
-    return out
+        yield (D.label(), lhs == rhs,
+               f"{D.fpdim}*{dp.fpdim} vs {total}*{ctx.fpdim_of(meet)}")
 
 
-def _check_double_centralizer(ctx: _Context) -> list[CheckResult]:
+def _check_double_centralizer(ctx: _Context) -> Verdicts:
     """D'' equals the join of D with the centralizer of the whole category."""
-    out = []
     cprime = ctx.cent[ctx.full.indices]
     for D in ctx.subs:
         ddp = ctx.cent[ctx.cent[D.indices].indices]
         join = ctx.join(D.indices, cprime.indices)
-        out.append(_res("double-centralizer", D.label(),
-                        ddp.indices == join,
-                        f"fpdim {ddp.fpdim} vs {ctx.fpdim_of(join)}"))
-    return out
+        yield (D.label(), ddp.indices == join,
+               f"fpdim {ddp.fpdim} vs {ctx.fpdim_of(join)}")
 
 
-def _check_centralizer_exchange(ctx: _Context) -> list[CheckResult]:
+def _check_centralizer_exchange(ctx: _Context) -> Verdicts:
     """fpdim(B meet D') fpdim(D) = fpdim(B' meet D) fpdim(B), all pairs."""
-    out = []
     for B in ctx.subs:
         bset = set(B.indices)
         bp = set(ctx.cent[B.indices].indices)
@@ -170,15 +156,12 @@ def _check_centralizer_exchange(ctx: _Context) -> list[CheckResult]:
             if lhs != rhs:
                 bad = f"against {D.label()}: {lhs} != {rhs}"
                 break
-        out.append(_res("centralizer-exchange", B.label(), bad is None,
-                        bad or f"{len(ctx.subs)} partners"))
-    return out
+        yield B.label(), bad is None, bad or f"{len(ctx.subs)} partners"
 
 
-def _check_lattice_duality(ctx: _Context) -> list[CheckResult]:
+def _check_lattice_duality(ctx: _Context) -> Verdicts:
     """Products and intersections of coideals against meets and joins of
     their quotient categories, plus the dimension identity."""
-    out = []
     A = ctx.A
     for i, L1 in enumerate(ctx.cos):
         bad = None
@@ -195,22 +178,19 @@ def _check_lattice_duality(ctx: _Context) -> list[CheckResult]:
                 bad = (f"dim {P.dim}*{I.dim} != {L1.dim}*{L2.dim} "
                        f"against {L2.label()}")
                 break
-        out.append(_res("lattice-duality", L1.label(), bad is None,
-                        bad or f"{len(ctx.cos) - i} partners"))
-    return out
+        yield (L1.label(), bad is None,
+               bad or f"{len(ctx.cos) - i} partners")
 
 
-def _check_kernel_image(ctx: _Context) -> list[CheckResult]:
+def _check_kernel_image(ctx: _Context) -> Verdicts:
     """L** = L meet K_A inside L K_A, and K_A is a sum of blocks."""
-    out = []
     A = ctx.A
     KA = coideal_from_space(A, ctx.KA)
     blocks = ctx.blocks_in(KA)
     span = Echelon(A.dim, [row for j in blocks
                            for row in ctx.classes[j].space.rows])
-    ok = span == KA.space
-    out.append(_res("kernel-image-intersection", "K_A", ok,
-                    f"K_A is the sum of blocks {sorted(blocks)}"))
+    yield ("K_A", span == KA.space,
+           f"K_A is the sum of blocks {sorted(blocks)}")
     for L in ctx.cos:
         p1 = coideal_product(A, L, KA)
         p2 = coideal_product(A, KA, L)
@@ -218,55 +198,41 @@ def _check_kernel_image(ctx: _Context) -> list[CheckResult]:
         inter = coideal_intersect(A, L, KA)
         ok = (p1.space == p2.space and dstar.space <= p1.space
               and dstar.space == inter.space)
-        out.append(_res("kernel-image-intersection", L.label(), ok,
-                        f"dim L**={dstar.dim}, dim L meet K_A={inter.dim}"))
-    return out
+        yield (L.label(), ok,
+               f"dim L**={dstar.dim}, dim L meet K_A={inter.dim}")
 
 
-def _check_dual_blocks(ctx: _Context) -> list[CheckResult]:
+def _check_dual_blocks(ctx: _Context) -> Verdicts:
     """L* as a sum of class blocks, and the integral decompositions."""
-    out = []
     A = ctx.A
     jof = ctx.ring.j_of
+    central = ctx.ring.central
     for L in ctx.cos:
         Ls = ctx.star(L)
         want = {jof[i] for i in ctx.idx_of(L)}
         span = Echelon(A.dim, [row for j in want
                                for row in ctx.classes[j].space.rows])
-        ok1 = span == Ls.space
         in_l = ctx.blocks_in(L)
-        ok2 = in_l == {jof[i] for i in ctx.idx_of(Ls)}
-        csum: Row = {}
-        for j in in_l:
-            csum = row_addmul(csum, ctx.classes[j].class_sum, ONE)
-        ok3 = row_scale(csum, CycloNumber.rational(Fraction(1, L.dim))) == L.integral
-        esum: Row = {}
-        for i in ctx.idx_of(L):
-            esum = row_addmul(esum, ctx.ring.central[i], ONE)
-        ok4 = esum == L.integral
-        esum2: Row = {}
-        for i in ctx.idx_of(Ls):
-            esum2 = row_addmul(esum2, ctx.ring.central[i], ONE)
-        ok5 = esum2 == Ls.integral
-        out.append(_res("dual-coideal-blocks", L.label(),
-                        ok1 and ok2 and ok3 and ok4 and ok5,
-                        f"L* = blocks {sorted(want)}; integral over "
-                        f"{sorted(in_l)}"))
-    return out
+        csum = row_scale(row_sum(ctx.classes[j].class_sum for j in in_l),
+                         CycloNumber.rational(Fraction(1, L.dim)))
+        ok = (span == Ls.space
+              and in_l == {jof[i] for i in ctx.idx_of(Ls)}
+              and csum == L.integral
+              and row_sum(central[i] for i in ctx.idx_of(L)) == L.integral
+              and row_sum(central[i] for i in ctx.idx_of(Ls)) == Ls.integral)
+        yield (L.label(), ok,
+               f"L* = blocks {sorted(want)}; integral over {sorted(in_l)}")
 
 
-def _check_double_dual(ctx: _Context) -> list[CheckResult]:
-    out = []
+def _check_double_dual(ctx: _Context) -> Verdicts:
     for L in ctx.cos:
         back = ctx.star(ctx.star(L))
-        out.append(_res("double-dual", L.label(), back.space == L.space,
-                        f"dim {L.dim} -> {ctx.star(L).dim} -> {back.dim}"))
-    return out
+        yield (L.label(), back.space == L.space,
+               f"dim {L.dim} -> {ctx.star(L).dim} -> {back.dim}")
 
 
-def _check_integral_transport(ctx: _Context) -> list[CheckResult]:
+def _check_integral_transport(ctx: _Context) -> Verdicts:
     """phi of the quotient integral of (A//L)* is the integral of L*."""
-    out = []
     A = ctx.A
     for L in ctx.cos:
         lam = quotient_integral(A, L)
@@ -274,19 +240,14 @@ def _check_integral_transport(ctx: _Context) -> list[CheckResult]:
         ok = ctx.dm.phi(lam) == Ls.integral
         detail = "phi(lambda_L) = Lambda_{L*}"
         if ok and ctx.factorizable:
-            fsum: Row = {}
-            for i in ctx.idx_of(Ls):
-                fsum = row_addmul(fsum, ctx.ring.idempotents[ctx.ring.j_of[i]],
-                                  ONE)
-            ok = fsum == lam
+            ok = row_sum(ctx.ring.idempotents[ctx.ring.j_of[i]]
+                         for i in ctx.idx_of(Ls)) == lam
             detail += "; lambda_L matches its idempotent decomposition"
-        out.append(_res("integral-transport", L.label(), ok, detail))
-    return out
+        yield L.label(), ok, detail
 
 
-def _check_intersection_transport(ctx: _Context) -> list[CheckResult]:
+def _check_intersection_transport(ctx: _Context) -> Verdicts:
     """phi((A//L)* meet (A//L*)*) = L meet L* = phi((A//L L*)*)."""
-    out = []
     A = ctx.A
     for L in ctx.cos:
         Ls = ctx.star(L)
@@ -295,9 +256,7 @@ def _check_intersection_transport(ctx: _Context) -> list[CheckResult]:
         ok = image == intersect(L.space, Ls.space)
         prod = coideal_product(A, L, Ls)
         ok = ok and inter == quotient_dual(A, prod)
-        out.append(_res("intersection-transport", L.label(), ok,
-                        f"dim phi(B meet B') = {image.dim}"))
-    return out
+        yield L.label(), ok, f"dim phi(B meet B') = {image.dim}"
 
 
 def _commutes(A: QTAlgebra, rows1, rows2) -> bool:
@@ -308,10 +267,9 @@ def _commutes(A: QTAlgebra, rows1, rows2) -> bool:
     return True
 
 
-def _check_normal_commutation(ctx: _Context) -> list[CheckResult]:
+def _check_normal_commutation(ctx: _Context) -> Verdicts:
     """Elements of a normal Hopf subalgebra commute with those of its dual
     coideal; dually for the two quotient function algebras."""
-    out = []
     A = ctx.A
     for L in ctx.cos:
         if not ctx.is_normal(L):
@@ -325,25 +283,21 @@ def _check_normal_commutation(ctx: _Context) -> list[CheckResult]:
             ok = all(convolve(A, f, g) == convolve(A, g, f)
                      for f in b1 for g in b2)
             detail += "; dual function algebras commute"
-        out.append(_res("normal-pair-commutation", L.label(), ok, detail))
-    return out
+        yield L.label(), ok, detail
 
 
-def _check_normality_transport(ctx: _Context) -> list[CheckResult]:
-    out = []
+def _check_normality_transport(ctx: _Context) -> Verdicts:
     for L in ctx.cos:
         if not ctx.is_normal(L):
             continue
         Ls = ctx.star(L)
-        out.append(_res("normality-transport", L.label(), ctx.is_normal(Ls),
-                        f"L* = {Ls.label()} is again normal Hopf"))
-    return out
+        yield (L.label(), ctx.is_normal(Ls),
+               f"L* = {Ls.label()} is again normal Hopf")
 
 
-def _check_block_divisibility(ctx: _Context) -> list[CheckResult]:
+def _check_block_divisibility(ctx: _Context) -> Verdicts:
     """Block dimensions divide the dimension of any coideal containing the
     block; squared when the quotient category is nondegenerate."""
-    out = []
     for L in ctx.cos:
         nd = ctx.nondegenerate(ctx.idx_of(L))
         bad = None
@@ -358,16 +312,14 @@ def _check_block_divisibility(ctx: _Context) -> list[CheckResult]:
             if nd and L.dim % (dj * dj):
                 bad = f"d_{j}^2={dj * dj} does not divide {L.dim}"
                 break
-        out.append(_res("block-dim-divisibility", L.label(), bad is None,
-                        bad or ("nondegenerate quotient" if nd
-                                else "degenerate quotient")))
-    return out
+        yield (L.label(), bad is None,
+               bad or ("nondegenerate quotient" if nd
+                       else "degenerate quotient"))
 
 
-def _check_centralizing_pairs(ctx: _Context) -> list[CheckResult]:
+def _check_centralizing_pairs(ctx: _Context) -> Verdicts:
     """Five equivalent forms of 's_im is d_i d_m', plus the expansion of
     the s-matrix through the block coefficients of the characters."""
-    out = []
     A = ctx.A
     r = ctx.r
     jof = ctx.ring.j_of
@@ -377,9 +329,8 @@ def _check_centralizing_pairs(ctx: _Context) -> list[CheckResult]:
     alpha = [[pair_eval(convolve(A, chars[m], ctx.ring.idempotents[j]),
                         ctx.lam) * CycloNumber.rational(ctx.ring.n_values[j])
               for j in range(nblocks)] for m in range(r)]
-    block_in_lker = [[all(ctx.lker(m).contains(row)
-                          for row in ctx.classes[j].space.rows)
-                      for m in range(r)] for j in range(nblocks)]
+    block_in_lker = [[ctx.classes[j].space <= ctx.lker(m) for m in range(r)]
+                     for j in range(nblocks)]
     for i in range(r):
         bad = None
         fi = ctx.ring.idempotents[jof[i]]
@@ -399,36 +350,30 @@ def _check_centralizing_pairs(ctx: _Context) -> list[CheckResult]:
             if ctx.sm.entries[i][m] != CycloNumber.rational(di) * alpha[m][jof[i]]:
                 bad = f"s-matrix expansion fails against V{m}"
                 break
-        out.append(_res("centralizing-pairs", ctx.simples[i].label(),
-                        bad is None, bad or f"{r} partners"))
-    return out
+        yield ctx.simples[i].label(), bad is None, bad or f"{r} partners"
 
 
-def _check_centralizer_membership(ctx: _Context) -> list[CheckResult]:
+def _check_centralizer_membership(ctx: _Context) -> Verdicts:
     """Membership in the centralizer of Rep(A//L), three ways: by the
     s-matrix, by block containment in L, by the left kernel."""
-    out = []
     jof = ctx.ring.j_of
     for L in ctx.cos:
         cent = set(ctx.cent_of(L).indices)
-        star_rows = ctx.star(L).space.rows
+        star = ctx.star(L).space
         bad = None
         for m in range(ctx.r):
             e1 = m in cent
             e2 = jof[m] in ctx.blocks_in(L)
-            e3 = all(ctx.lker(m).contains(row) for row in star_rows)
+            e3 = star <= ctx.lker(m)
             if not e1 == e2 == e3:
                 bad = f"routes disagree on V{m}: {e1}/{e2}/{e3}"
                 break
-        out.append(_res("centralizer-membership", L.label(), bad is None,
-                        bad or f"{ctx.r} simples"))
-    return out
+        yield L.label(), bad is None, bad or f"{ctx.r} simples"
 
 
-def _check_splitting_pairs(ctx: _Context) -> list[CheckResult]:
+def _check_splitting_pairs(ctx: _Context) -> Verdicts:
     """A normal Hopf subalgebra with nondegenerate quotient category splits
     the algebra against its dual coideal."""
-    out = []
     A = ctx.A
     found = 0
     for K in ctx.cos:
@@ -443,13 +388,10 @@ def _check_splitting_pairs(ctx: _Context) -> list[CheckResult]:
               and _commutes(A, K.space.rows, L.space.rows)
               and ctx.is_normal(L)
               and ctx.cent_of(K).indices == ctx.idx_of(L))
-        out.append(_res("splitting-pairs", K.label(), ok,
-                        f"dims {K.dim}*{L.dim}={A.dim}, complement "
-                        f"{L.label()}"))
+        yield (K.label(), ok,
+               f"dims {K.dim}*{L.dim}={A.dim}, complement {L.label()}")
     if not found:
-        out.append(_res("splitting-pairs", "-", True,
-                        "no normal coideal has a nondegenerate quotient"))
-    return out
+        yield "-", True, "no normal coideal has a nondegenerate quotient"
 
 
 def _coinvariants(ctx: _Context, aug: Echelon, side: str) -> Echelon:
@@ -482,13 +424,12 @@ def _commutant(A: QTAlgebra, rows) -> Echelon:
     return nullspace(eqs, A.dim)
 
 
-def _check_coinvariants(ctx: _Context) -> list[CheckResult]:
+def _check_coinvariants(ctx: _Context) -> Verdicts:
     """Left coinvariants of the quotient map always recover L; the map is
     normal exactly when the right coinvariants do too, and exactly when
     the R-matrix legs of the quotient functions land in the commutants of
     the coinvariant spaces.  Both directions of the equivalence are hit:
     twisted coideals supply non-normal quotient maps."""
-    out = []
     A = ctx.A
     for L in ctx.cos:
         aug = augmentation_ideal(A, L)
@@ -506,10 +447,8 @@ def _check_coinvariants(ctx: _Context) -> list[CheckResult]:
                       else _commutant(A, co_right.rows))
         c3 = all(comm_right.contains(ctx.dm.f_r(f)) for f in dual_rows)
         ok = ok and normal == c2 == c3
-        out.append(_res("normal-quotient-coinvariants", L.label(), ok,
-                        ("normal quotient map" if normal else
-                         "non-normal quotient map, equivalences agree")))
-    return out
+        yield (L.label(), ok, "normal quotient map" if normal
+               else "non-normal quotient map, equivalences agree")
 
 
 def _q_fixes(ctx: _Context, L: CoidealSubalgebra,
@@ -529,13 +468,12 @@ def _q_fixes(ctx: _Context, L: CoidealSubalgebra,
     return got == want
 
 
-def _check_monodromy(ctx: _Context) -> list[CheckResult]:
+def _check_monodromy(ctx: _Context) -> Verdicts:
     """Q fixes Lambda_L (x) Lambda_M exactly when Rep(A//M) centralizes
     Rep(A//L); checked with one positive and one negative witness per L."""
     if ctx.A.dim > MONODROMY_DIM_BOUND:
-        return [_res("monodromy-invariants", "-", True,
-                     "skipped: dim bound")]
-    out = []
+        yield "-", True, "skipped: dim bound"
+        return
     for L in ctx.cos:
         cent = set(ctx.cent_of(L).indices)
         pos = ctx.cent_of(L).coideal
@@ -546,8 +484,7 @@ def _check_monodromy(ctx: _Context) -> list[CheckResult]:
         if ok and witness is not None:
             ok = not _q_fixes(ctx, L, witness)
             detail += f", moved for M = {witness.label()}"
-        out.append(_res("monodromy-invariants", L.label(), ok, detail))
-    return out
+        yield L.label(), ok, detail
 
 
 # scope "factorizable" entries are skipped (and say so) otherwise
@@ -587,22 +524,17 @@ def verify_identities(A: QTAlgebra, suite: str = "full",
     if suite not in ("smoke", "full"):
         raise ValueError(f"unknown suite {suite!r}")
     ctx = _Context(A)
-    checks: list[CheckResult] = []
+    checks: list[dict] = []
     for cid, scope, fn in _REGISTRY:
         if suite == "smoke" and cid not in SMOKE_CHECKS:
             continue
-        if scope == "factorizable" and not ctx.factorizable:
-            checks.append(_res(cid, "-", True, "skipped: needs factorizable"))
-            continue
-        checks.extend(fn(ctx))
-    checks.sort(key=lambda c: (c.id, c.subject))
-    return {
-        "group": A.group.name,
-        "algebra": A.name,
-        "suite": suite,
-        "checks": [{"id": c.id, "subject": c.subject, "pass": c.passed,
-                    "detail": c.detail} for c in checks],
-    }
+        verdicts = (fn(ctx) if scope == "any" or ctx.factorizable
+                    else [("-", True, "skipped: needs factorizable")])
+        checks.extend({"id": cid, "subject": subject, "pass": ok,
+                       "detail": detail} for subject, ok, detail in verdicts)
+    checks.sort(key=lambda c: (c["id"], c["subject"]))
+    return {"group": A.group.name, "algebra": A.name, "suite": suite,
+            "checks": checks}
 
 
 def summarize(report: dict) -> str:

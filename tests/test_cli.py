@@ -276,6 +276,79 @@ def test_unknown_group_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _group_info(spec):
+    """(exit code, stdout, stderr) of `group info` on spec, asserting that
+    it took under 5 s and, on a nonzero exit, printed nothing to stdout
+    and one error line to stderr."""
+    start = time.perf_counter()
+    code, out, err, _ = _quiet_run(["group", "info", f"--group={spec}"])
+    assert time.perf_counter() - start < 5, spec
+    if code:
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1, (spec, out, err)
+        assert lines[0].startswith("error: "), (spec, err)
+    return code, out, err
+
+
+# specs and cayley file contents refused with their exit code
+_SPEC_PROBES = {
+    # the cycles share a point, so no generator is a bijection
+    "cycles-share-a-point": ("perm:(1 2)(2 0)", 2),
+    "transpositions-share-a-point": ("perm:(0 1)(1 2)", 2),
+    "nested-brackets": (b"[" * 200_000, 2),
+    "undecodable": (b"\xff\xfe[[0", 2),
+    "not-a-group": (b"[[0, 1], [1, 1]]", 2),
+    "not-associative": (b"[[0, 1, 2], [1, 0, 1], [2, 2, 0]]", 2),
+    "nul-in-path": ("cayley:table\x00.json", 2),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_SPEC_PROBES))
+def test_group_spec_probe_is_refused(tmp_path, probe):
+    spec, want = _SPEC_PROBES[probe]
+    if isinstance(spec, bytes):
+        path = tmp_path / "table.json"
+        path.write_bytes(spec)
+        spec = f"cayley:{path}"
+    assert _group_info(spec)[0] == want
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_cayley_file_is_refused_by_its_size_bound():
+    code, _, err = _group_info("cayley:/dev/zero")
+    assert code == 3 and "bytes" in err
+
+
+def _perm_spec(gens) -> str:
+    return "perm:" + ",".join(
+        "".join("(" + " ".join(map(str, cycle)) + ")" for cycle in gen)
+        for gen in gens)
+
+
+_ORDERS = st.integers(-3, 10**6)
+_SPECS = st.one_of(
+    st.sampled_from(["Q8", "S2", "S3", "S4", "A3", "A4", "D3", "D4", "D5",
+                     "D6", "S5", "M11", "Z", "ZxZ2", "perm:", "cayley:",
+                     "", "  "]),
+    st.builds("Z{}".format, _ORDERS),
+    st.builds("Z{}xZ{}".format, _ORDERS, _ORDERS),
+    st.lists(st.lists(st.lists(st.integers(0, 15), min_size=1, max_size=5),
+                      max_size=3), min_size=1, max_size=3).map(_perm_spec),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_SPECS)
+def test_group_spec_fuzz(spec):
+    """Any spec string exits 0, 2 or 3 within 5 s, and a refusal is one
+    error line with nothing on stdout."""
+    code, _, err = _group_info(spec)
+    assert code in (0, 2, 3), (spec, err)
+    if code == 0:
+        assert err == ""
+
+
 def test_missing_group(tmp_path, capsys):
     code, _, err = _run(capsys, "chartab", "--cache", str(tmp_path))
     assert code == 2

@@ -79,6 +79,7 @@ def test_conjugacy_classes_s3():
     classes = G.conjugacy_classes()
     assert [set(c.members) for c in classes] == [{0}, {1, 2, 5}, {3, 4}]
     assert sum(c.size for c in classes) == 6
+    assert G.class_of() == (0, 1, 1, 2, 2, 1)
     for c in classes:
         assert G.class_index_of(c.representative) == classes.index(c)
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -182,7 +183,8 @@ def test_check_integrals_rejects_a_normalized_non_cointegral(
                  (triangular_s3, {0: ONE, 1: ONE})):
         lam, good = integrals(A)
         assert pair_eval(t, A.unit_row) == ONE and t != good
-        with pytest.raises(NoIntegral, match="cointegral"):
+        with pytest.raises(NoIntegral, match=rf"^{re.escape(A.name)}: "
+                           "left cointegral fails on t at "):
             _check_integrals(A, lam, t)
 
 
@@ -442,18 +444,26 @@ def test_class_span_missing_an_adjoint_image_is_rejected(double_s3):
     A = double_s3
     ring = char_ring_idempotents(A, [s.character for s in simple_objects(A)])
     broken = 0
+    translated = []
     for cls in all_classes(A, ring):
         rows = cls.space.rows
         for drop in range(len(rows)):
             space = Echelon(A.dim, rows[:drop] + rows[drop + 1:])
             if all(space.contains(adjoint(A, x, r))
                    for r in space.rows for x in range(A.dim)):
+                # ad-stable: only dual translation can reject it
+                try:
+                    _check_class_spans(A, [ConjClass(space, cls.class_sum)])
+                except InvariantViolation as exc:
+                    translated.append(str(exc))
                 continue
             broken += 1
             with pytest.raises(InvariantViolation,
                                match="class-span adjoint stability fails"):
                 _check_class_spans(A, [ConjClass(space, cls.class_sum)])
     assert broken > 10
+    assert translated == ["D(S3): class-span dual translation fails on "
+                          "class 0 against p1h0^*"]
 
 
 # --- checks on generators: each is rejected when only non-generator basis
@@ -462,11 +472,11 @@ def test_class_span_missing_an_adjoint_image_is_rejected(double_s3):
 def _fresh(A, **changes):
     """A copy of A with some structure tables replaced and an empty memo."""
     parts = dict(prod_idx=A.prod_idx, delta=A.delta, counit=A.counit,
-                 s_idx=A.s_idx)
+                 s_idx=A.s_idx, r_terms=A.r_terms)
     parts.update(changes)
     return QTAlgebra(A.name, A.kind, A.group, A.labels, parts["prod_idx"],
                      parts["delta"], parts["counit"], parts["s_idx"],
-                     A.r_terms, A.unit_row)
+                     parts["r_terms"], A.unit_row)
 
 
 def _off_generators(A):
@@ -535,6 +545,69 @@ def test_antipode_antimultiplicativity_broken_off_generators(double_s3):
                        match=r"^D\(S3\): antipode anti-multiplicativity "
                              r"fails on basis pair \(\d+,\d+\)$"):
         verify_axioms(_fresh(A, s_idx=s))
+
+
+# --- the tensor axioms, compared as integer multisets: one mutation each,
+# --- on D(S3), that makes the axiom the first check to fail.  The right
+# --- antipode axiom has none: it cannot fail first once the left one
+# --- holds, as a one-sided convolution inverse of id in the
+# --- finite-dimensional algebra End(A) under convolution is two-sided.
+
+def _delta_with_term(A, k, t, term):
+    """A.delta with term t of Delta(e_k) replaced."""
+    delta = [list(terms) for terms in A.delta]
+    delta[k][t] = term
+    return delta
+
+
+@pytest.mark.parametrize("t, term, message", [
+    # Delta(p0h0) = sum_a p_{a^-1}h0 x p_a h0 starts with the term (0, 0)
+    (0, (0, 6), "left counit axiom fails at p0h0"),
+    (0, (1, 0), "right counit axiom fails at p0h0"),
+    (2, (12, 13), "coassociativity fails at p0h0"),
+])
+def test_counit_and_coassociativity_axioms(double_s3, t, term, message):
+    A = double_s3
+    assert A.delta[0][t] != term
+    with pytest.raises(InvariantViolation) as exc:
+        verify_axioms(_fresh(A, delta=_delta_with_term(A, 0, t, term)))
+    assert str(exc.value) == f"D(S3): {message}"
+
+
+def test_delta_x_id_of_r_axiom(double_s3):
+    A = double_s3
+    r = list(A.r_terms)
+    r[0] = (A.pair_index(1, 0), r[0][1])
+    with pytest.raises(InvariantViolation) as exc:
+        verify_axioms(_fresh(A, r_terms=r))
+    assert str(exc.value) == "D(S3): (Delta x id)(R) = R13 R23 fails"
+
+
+def test_id_x_delta_of_r_axiom(double_s3):
+    # the second legs p_g x 1 of R relabelled by the permutation of S3
+    # swapping 4 and 5, which is not an automorphism
+    A = double_s3
+    sigma = [0, 1, 2, 3, 5, 4]
+    r = [(a, A.pair_index(sigma[b // A.group.n], 0)) for a, b in A.r_terms]
+    with pytest.raises(InvariantViolation) as exc:
+        verify_axioms(_fresh(A, r_terms=r))
+    assert str(exc.value) == "D(S3): (id x Delta)(R) = R13 R12 fails"
+
+
+def test_left_antipode_axiom(double_s3):
+    # S after the automorphism tau(p_x h) = p_{txt^-1} tht^-1, t != 0:
+    # still bijective, anti-multiplicative and counital, no longer the
+    # convolution inverse of id
+    A = double_s3
+    G, t = A.group, 1
+
+    def tau(k):
+        x, h = divmod(k, G.n)
+        return A.pair_index(G.conj(t, x), G.conj(t, h))
+    s = [A.s_idx[tau(k)] for k in range(A.dim)]
+    with pytest.raises(InvariantViolation) as exc:
+        verify_axioms(_fresh(A, s_idx=s))
+    assert str(exc.value) == "D(S3): left antipode axiom fails at p0h0"
 
 
 def test_reach_check_fails_when_generators_miss_the_group_part(
