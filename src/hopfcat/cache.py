@@ -27,20 +27,15 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "hopfcat"
 
 
-def cache_key(group: Group, topic: str, extra: str = "",
-              version: str = ARTIFACT_VERSION) -> str:
+def cache_key(group: Group, topic: str) -> str:
     # hashlib loads OpenSSL: imported where a key is made, so a process
     # that never reads the cache (`verify`, a library run) does not load it
     import hashlib
-    h = hashlib.sha256()
-    h.update(version.encode())
-    h.update(b"\x00")
-    h.update(json.dumps([list(r) for r in group.table]).encode())
-    h.update(b"\x00")
-    h.update(topic.encode())
-    h.update(b"\x00")
-    h.update(extra.encode())
-    return h.hexdigest()
+    # the trailing separator keeps every key, and so every cache file
+    # name, as earlier releases wrote them
+    fields = (ARTIFACT_VERSION, json.dumps([list(r) for r in group.table]),
+              topic, "")
+    return hashlib.sha256("\x00".join(fields).encode()).hexdigest()
 
 
 def _dump(value) -> str:

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: group info, chartab, double irreps|smatrix|fusion,
-coideals list|integral, subcats list|lattice, centralizer, verify,
-cache purge.  Exit codes: 0 success, 1 failed check, 2 usage error,
-3 size bound exceeded.
+coideals list|integral, subcats list|lattice, centralizer, verify
+(--suite smoke|full), cache purge.  Exit codes: 0 success, 1 failed
+check, 2 usage error, 3 size bound exceeded: every command on the
+double, verify included, refuses a double larger than --max-dim.
 """
 
 from __future__ import annotations
@@ -12,38 +13,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from pathlib import Path
 
 # A call answered from the cache needs only parsing, the cache and
 # rendering, so only those modules are imported here; the algebra
 # modules (chartab, hopf, coideal, fusion, verify) are imported by the
 # code that computes a payload, and cyclo by the text renderers, so a
 # warm JSON call never compiles them.
-from .cache import ResultCache, cache_key, default_cache_dir, fits
+from .cache import ResultCache, cache_key, fits
 from .errors import (BoundExceeded, HopfcatError, ParseError,
                      PreconditionViolated, MethodPreconditionViolated)
 from .groups import (DOUBLE_DIM_BOUND, Group, center_subgroup,
                      check_double_dim, double_name, normal_subgroups,
                      parse_group_spec, subgroup_generated)
-
-
-@dataclass
-class RunConfig:
-    group_spec: str = ""
-    max_algebra_dim: int = DOUBLE_DIM_BOUND
-    cache_dir: Path = field(default_factory=default_cache_dir)
-    output_format: str = "text"
-    suite: str = "full"
-
-    def __post_init__(self):
-        if not 1 <= self.max_algebra_dim <= DOUBLE_DIM_BOUND:
-            raise ValueError("max algebra dimension must be between 1 and "
-                             f"{DOUBLE_DIM_BOUND}")
-        if self.suite not in ("smoke", "full"):
-            raise ValueError(f"unknown suite {self.suite!r}")
-        if self.output_format not in ("text", "json", "dot"):
-            raise ValueError(f"unknown format {self.output_format!r}")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -57,7 +38,6 @@ def _parser() -> argparse.ArgumentParser:
                         f"build, at most {DOUBLE_DIM_BOUND}")
     common.add_argument("--cache", default=None, metavar="DIR",
                         help="cache directory (HOPFCAT_CACHE overrides the default)")
-    common.add_argument("--suite", default="full", choices=("smoke", "full"))
 
     p = argparse.ArgumentParser(prog="hopfcat", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -91,42 +71,19 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", default="all",
                     choices=("smatrix", "phi", "classes", "all"))
 
-    sub.add_parser("verify", parents=[common],
-                   help="run the identity suite on the double")
+    sp = sub.add_parser("verify", parents=[common],
+                        help="run the identity suite on the double")
+    sp.add_argument("--suite", default="full", choices=("smoke", "full"))
 
     sp = sub.add_parser("cache", parents=[common], help="cache maintenance")
     sp.add_argument("action", choices=("purge",))
     return p
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        group_spec=args.group,
-        max_algebra_dim=args.max_dim,
-        cache_dir=Path(args.cache) if args.cache else default_cache_dir(),
-        output_format=args.format,
-        suite=args.suite)
-
-
-def _need_group(cfg: RunConfig) -> Group:
-    if not cfg.group_spec:
-        raise ParseError("missing --group")
-    return parse_group_spec(cfg.group_spec)
-
-
-def _build(cfg: RunConfig, G: Group | None = None):
+def _double(G: Group):
+    """D(kG), from hopf imported here: a warm call never loads it."""
     from .hopf import build_double
-    if G is None:
-        G = _need_group(cfg)
-    return build_double(G, max_dim=cfg.max_algebra_dim)
-
-
-def _bounded_group(cfg: RunConfig) -> Group:
-    """The group, once its double is known to fit the bound: checked
-    before the cache is read, so a warm cache refuses it the same way."""
-    G = _need_group(cfg)
-    check_double_dim(G, cfg.max_algebra_dim)
-    return G
+    return build_double(G)
 
 
 def parse_triple(G: Group, text: str):
@@ -342,6 +299,11 @@ def _emit_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _show(args, payload, text) -> None:
+    """Print payload as JSON under --format json, else as text(payload)."""
+    print(_emit_json(payload) if args.format == "json" else text(payload))
+
+
 def _text_cell(v: dict) -> str:
     """A cyclotomic value of a payload, as text."""
     from .cyclo import CycloNumber, fmt_cyclo
@@ -395,6 +357,42 @@ def _text_fusion(p: dict) -> str:
     return "\n".join(lines)
 
 
+def _text_irreps(name: str, recs: list) -> str:
+    lines = [f"simple modules of {name}"]
+    for rec in recs:
+        lines.append(f"  {rec['label']}  dim {rec['dim']}  "
+                     f"(class of {rec['class_representative']})")
+    return "\n".join(lines)
+
+
+def _text_coideals(name: str, recs: list) -> str:
+    lines = [f"coideal subalgebras of {name}: {len(recs)}"]
+    for rec in recs:
+        lines.append(f"  {rec['label']}  dim {rec['dim']}")
+        if "integral" in rec:
+            terms = ", ".join(f"[{k}] {_text_cell(v)}"
+                              for k, v in rec["integral"].items())
+            lines.append(f"    integral: {terms}")
+    return "\n".join(lines)
+
+
+def _text_subcats(name: str, nodes: list) -> str:
+    lines = [f"fusion subcategories of {name}: {len(nodes)}"]
+    for n in nodes:
+        lines.append(f"  {n['label']}  fpdim={n['fpdim']}  "
+                     f"simples {n['indices']}")
+    return "\n".join(lines)
+
+
+def _text_centralizer(recs: list) -> str:
+    lines = []
+    for rec in recs:
+        mark = "ok " if rec["agree"] else "FAIL"
+        shown = ", ".join(f"{m}: {l}" for m, l in rec["methods"].items())
+        lines.append(f"{mark} {rec['subject']}' -> {shown}")
+    return "\n".join(lines)
+
+
 def _text_lattice(p: dict) -> str:
     lines = [f"subcategory lattice of {p['algebra']}: "
              f"{len(p['nodes'])} nodes"]
@@ -423,105 +421,76 @@ def _dot_lattice(p: dict) -> str:
 # --- command handlers -----------------------------------------------------
 
 
-def _cmd_group(cfg: RunConfig, args) -> int:
-    payload = _group_info_payload(_need_group(cfg))
-    print(_emit_json(payload) if cfg.output_format == "json"
-          else _text_group_info(payload))
+def _cache(args) -> ResultCache:
+    """The cache at --cache, or at the default directory without it."""
+    return ResultCache(args.cache or None)
+
+
+def _cached(args, G: Group, topic: str, compute, shape, name: dict) -> dict:
+    """The payload of topic for G: read from the cache, or computed and
+    stored on a miss.  The key is G's Cayley table, which groups of other
+    names share (A3 and Z3, S2 and Z2), so the name fields are set from
+    name, the requested group's, not read from the entry."""
+    payload = _cache(args).get_or_compute(cache_key(G, topic), compute, shape)
+    return {**payload, **name}
+
+
+def _cmd_group(args, G: Group) -> int:
+    _show(args, _group_info_payload(G), _text_group_info)
     return 0
 
 
-def _cmd_chartab(cfg: RunConfig, args) -> int:
-    G = _need_group(cfg)
-    cache = ResultCache(cfg.cache_dir)
-    payload = cache.get_or_compute(
-        cache_key(G, "chartab"), lambda: _chartab_payload(G),
-        _chartab_fits(G))
-    print(_emit_json(payload) if cfg.output_format == "json"
-          else _text_chartab(payload))
+def _cmd_chartab(args, G: Group) -> int:
+    payload = _cached(args, G, "chartab", lambda: _chartab_payload(G),
+                      _chartab_fits(G), {"group": G.name})
+    _show(args, payload, _text_chartab)
     return 0
 
 
-def _cmd_double(cfg: RunConfig, args) -> int:
+def _cmd_double(args, G: Group) -> int:
     if args.action == "smatrix":
-        G = _bounded_group(cfg)
-        cache = ResultCache(cfg.cache_dir)
-        payload = cache.get_or_compute(
-            cache_key(G, "smatrix"), lambda: _smatrix_payload(_build(cfg, G)),
-            _smatrix_fits(G))
-        print(_emit_json(payload) if cfg.output_format == "json"
-              else _text_smatrix(payload))
+        payload = _cached(args, G, "smatrix",
+                          lambda: _smatrix_payload(_double(G)),
+                          _smatrix_fits(G), {"algebra": double_name(G)})
+        _show(args, payload, _text_smatrix)
         return 0
-    A = _build(cfg)
+    A = _double(G)
     if args.action == "irreps":
-        payload = _irreps_payload(A)
-        if cfg.output_format == "json":
-            print(_emit_json(payload))
-        else:
-            print(f"simple modules of {A.name}")
-            for rec in payload:
-                print(f"  {rec['label']}  dim {rec['dim']}  "
-                      f"(class of {rec['class_representative']})")
+        _show(args, _irreps_payload(A), lambda p: _text_irreps(A.name, p))
     else:
-        payload = _fusion_payload(A)
-        print(_emit_json(payload) if cfg.output_format == "json"
-              else _text_fusion(payload))
+        _show(args, _fusion_payload(A), _text_fusion)
     return 0
 
 
-def _cmd_coideals(cfg: RunConfig, args) -> int:
+def _cmd_coideals(args, G: Group) -> int:
     from .coideal import enumerate_coideals, triple_coideal
-    A = _build(cfg)
-    with_integral = args.action == "integral"
+    A = _double(G)
     if args.triple:
-        M, H, bc = parse_triple(A.group, args.triple)
-        chosen = [triple_coideal(A, M, H, bc)]
+        chosen = [triple_coideal(A, *parse_triple(A.group, args.triple))]
     else:
         chosen = enumerate_coideals(A)
-    payload = [_coideal_payload(L, with_integral) for L in chosen]
-    if cfg.output_format == "json":
-        print(_emit_json(payload))
-    else:
-        print(f"coideal subalgebras of {A.name}: {len(payload)}")
-        for rec in payload:
-            print(f"  {rec['label']}  dim {rec['dim']}")
-            if with_integral:
-                terms = ", ".join(f"[{k}] {_text_cell(v)}"
-                                  for k, v in rec["integral"].items())
-                print(f"    integral: {terms}")
+    payload = [_coideal_payload(L, args.action == "integral") for L in chosen]
+    _show(args, payload, lambda p: _text_coideals(A.name, p))
     return 0
 
 
-def _cmd_subcats(cfg: RunConfig, args) -> int:
-    G = _bounded_group(cfg)
-    cache = ResultCache(cfg.cache_dir)
-    payload = cache.get_or_compute(
-        cache_key(G, "lattice"), lambda: _lattice_payload(_build(cfg, G)),
-        _lattice_fits)
+def _cmd_subcats(args, G: Group) -> int:
+    payload = _cached(args, G, "lattice", lambda: _lattice_payload(_double(G)),
+                      _lattice_fits, {"algebra": double_name(G)})
     if args.action == "list":
-        nodes = payload["nodes"]
-        if cfg.output_format == "json":
-            print(_emit_json(nodes))
-        else:
-            print(f"fusion subcategories of {double_name(G)}: {len(nodes)}")
-            for n in nodes:
-                print(f"  {n['label']}  fpdim={n['fpdim']}  "
-                      f"simples {n['indices']}")
+        _show(args, payload["nodes"],
+              lambda nodes: _text_subcats(payload["algebra"], nodes))
     else:
-        if cfg.output_format == "dot":
-            print(_dot_lattice(payload))
-        elif cfg.output_format == "json":
-            print(_emit_json(payload))
-        else:
-            print(_text_lattice(payload))
+        _show(args, payload,
+              _dot_lattice if args.format == "dot" else _text_lattice)
     return 0
 
 
-def _cmd_centralizer(cfg: RunConfig, args) -> int:
+def _cmd_centralizer(args, G: Group) -> int:
     from .fusion import centralizer, enumerate_subcats, subcat_from_triple
-    A = _build(cfg)
+    A = _double(G)
     if args.triple:
-        M, H, bc = parse_triple(A.group, args.triple)
-        targets = [subcat_from_triple(A, M, H, bc)]
+        targets = [subcat_from_triple(A, *parse_triple(A.group, args.triple))]
     elif args.all_subcats:
         targets = enumerate_subcats(A)
     else:
@@ -529,47 +498,22 @@ def _cmd_centralizer(cfg: RunConfig, args) -> int:
     methods = (("smatrix", "phi", "classes") if args.method == "all"
                else (args.method,))
     records = []
-    agree = True
     for D in targets:
         results = {m: centralizer(A, D, m) for m in methods}
-        labels = {m: r.label() for m, r in results.items()}
         indices = {tuple(r.indices) for r in results.values()}
-        same = len(indices) == 1
-        agree = agree and same
         records.append({"subject": D.label(),
-                        "methods": labels,
-                        "agree": same,
+                        "methods": {m: r.label() for m, r in results.items()},
+                        "agree": len(indices) == 1,
                         "indices": sorted(list(i) for i in indices)})
-    if cfg.output_format == "json":
-        print(_emit_json(records))
-    else:
-        for rec in records:
-            mark = "ok " if rec["agree"] else "FAIL"
-            shown = ", ".join(f"{m}: {l}" for m, l in rec["methods"].items())
-            print(f"{mark} {rec['subject']}' -> {shown}")
-    return 0 if agree else 1
+    _show(args, records, _text_centralizer)
+    return 0 if all(rec["agree"] for rec in records) else 1
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
+def _cmd_verify(args, G: Group) -> int:
     from .verify import summarize, verify_identities
-    G = _need_group(cfg)
-    if G.n * G.n > cfg.max_algebra_dim:
-        report = {"group": G.name, "algebra": double_name(G),
-                  "suite": cfg.suite,
-                  "checks": [{"id": "algebra-build", "subject": G.name,
-                              "pass": True, "detail": "skipped: dim bound"}]}
-    else:
-        report = verify_identities(_build(cfg, G), cfg.suite)
-    ok = all(c["pass"] for c in report["checks"])
-    print(_emit_json(report) if cfg.output_format == "json"
-          else summarize(report))
-    return 0 if ok else 1
-
-
-def _cmd_cache(cfg: RunConfig, args) -> int:
-    removed = ResultCache(cfg.cache_dir).purge()
-    print(f"removed {removed} cache entries")
-    return 0
+    report = verify_identities(_double(G), args.suite)
+    _show(args, report, summarize)
+    return 0 if all(c["pass"] for c in report["checks"]) else 1
 
 
 _HANDLERS = {
@@ -580,33 +524,37 @@ _HANDLERS = {
     "subcats": _cmd_subcats,
     "centralizer": _cmd_centralizer,
     "verify": _cmd_verify,
-    "cache": _cmd_cache,
 }
+
+_ON_DOUBLE = ("double", "coideals", "subcats", "centralizer", "verify")
+_USAGE_ERRORS = (ParseError, PreconditionViolated, MethodPreconditionViolated)
 
 
 def run(argv) -> int:
-    parser = _parser()
+    """Parse argv, check --max-dim, parse --group and bound its double,
+    each once and before any cache read or build; then run the handler."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _HANDLERS[args.command](cfg, args)
-    except (ParseError, PreconditionViolated,
-            MethodPreconditionViolated) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if not 1 <= args.max_dim <= DOUBLE_DIM_BOUND:
+            raise ParseError("max algebra dimension must be between 1 and "
+                             f"{DOUBLE_DIM_BOUND}")
+        if args.command == "cache":
+            print(f"removed {_cache(args).purge()} cache entries")
+            return 0
+        if not args.group:
+            raise ParseError("missing --group")
+        G = parse_group_spec(args.group)
+        if args.command in _ON_DOUBLE:
+            check_double_dim(G, args.max_dim)
+        return _HANDLERS[args.command](args, G)
     except HopfcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, BoundExceeded):
+            return 3
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 1
 
 
 def main() -> int:

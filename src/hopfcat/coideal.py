@@ -18,7 +18,7 @@ from operator import itemgetter
 
 from .cyclo import CycloNumber, ONE
 from .errors import (InternalMismatch, InvariantViolation, NoIntegral,
-                     PreconditionViolated, require)
+                     PreconditionViolated)
 from .groups import (Group, Subgroup, commutator_subgroup, commute_elementwise,
                      exponent_tables, normal_subgroups, quotient_group,
                      subgroup_generated)
@@ -193,8 +193,9 @@ def _verify_coideal(A: QTAlgebra, space: Echelon, label) -> None:
             A, "coideal adjoint stability", x, label()))
 
 
-def coideal_integral(A: QTAlgebra, space: Echelon) -> Row:
-    """The unique idempotent left integral: l u = eps(l) u, eps(u) = 1."""
+def coideal_integral(A: QTAlgebra, space: Echelon, label) -> Row:
+    """The unique idempotent left integral: l u = eps(l) u, eps(u) = 1;
+    label() names the space in a failure."""
     rows = space.rows
     d = len(rows)
     eqs: dict[tuple[int, int], Row] = {}
@@ -216,19 +217,24 @@ def coideal_integral(A: QTAlgebra, space: Echelon) -> Row:
             best = row_scale(u, e.inverse())
             break
     if best is None or kernel.dim != 1:
-        raise NoIntegral("coideal has no unique normalizable integral")
-    require(mul_rows(A, best, best) == best, "coideal integral is not idempotent")
+        raise NoIntegral(failure(
+            A, "unique normalizable integral", None, label()))
+    if mul_rows(A, best, best) != best:
+        raise InvariantViolation(failure(
+            A, "coideal integral idempotence", None, label()))
     for ell in rows:
-        require(mul_rows(A, ell, best) == row_scale(best, counit_value(A, ell)),
-                "coideal integral is not a left integral")
+        if mul_rows(A, ell, best) != row_scale(best, counit_value(A, ell)):
+            raise InvariantViolation(failure(
+                A, "coideal left integral", None, label()))
     return best
 
 
 def _wrap(A: QTAlgebra, space: Echelon, mspec=None, hspec=None,
           bichar=None) -> CoidealSubalgebra:
-    _verify_coideal(A, space, lambda: CoidealSubalgebra(
-        A, space, {}, mspec, hspec, bichar).label())
-    lam = coideal_integral(A, space)
+    def label() -> str:
+        return CoidealSubalgebra(A, space, {}, mspec, hspec, bichar).label()
+    _verify_coideal(A, space, label)
+    lam = coideal_integral(A, space, label)
     return CoidealSubalgebra(A, space, lam, mspec, hspec, bichar)
 
 
@@ -278,8 +284,10 @@ def build_coideal(A: QTAlgebra, M: Subgroup, H: Subgroup,
                 row[A.pair_index(G.mul(m, s), h)] = v
             rows.append(row)
     space = Echelon(A.dim, rows)
-    require(space.dim == len(H.members) * len(cosets),
-            "twisted sums are not linearly independent")
+    if space.dim != len(H.members) * len(cosets):
+        raise InvariantViolation(failure(
+            A, "twisted sum independence", None, CoidealSubalgebra(
+                A, space, {}, M.members, H.members, bc).label()))
     return _wrap(A, space, M.members, H.members, bc)
 
 
@@ -360,8 +368,10 @@ def coideal_product(A: QTAlgebra, L1: CoidealSubalgebra,
         return L1
     space = _span_product(A, L1, L2)
     if space.dim < A.dim:
-        require(space == _span_product(A, L2, L1),
-                "coideal product is not symmetric")
+        if space != _span_product(A, L2, L1):
+            raise InvariantViolation(failure(
+                A, "coideal product symmetry", None,
+                f"{L1.label()} * {L2.label()}"))
     return coideal_from_space(A, space)
 
 
@@ -399,8 +409,9 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
             for k in range(A.dim)])
         if direct != shifted:
             raise InternalMismatch("two descriptions of (A//L)* disagree")
-        require(A.dim % L.dim == 0 and direct.dim == A.dim // L.dim,
-                "(A//L)* has the wrong dimension")
+        if not (A.dim % L.dim == 0 and direct.dim == A.dim // L.dim):
+            raise InvariantViolation(failure(
+                A, "(A//L)* dimension", None, L.label()))
         return direct
     return memo(A, (quotient_dual, L.key()), build)
 
@@ -417,7 +428,8 @@ def augmentation_ideal(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     one_minus = row_addmul(A.unit_row, L.integral, -ONE)
     rows = [lmul(A, k, one_minus) for k in range(A.dim)]
     space = Echelon(A.dim, rows)
-    require(space.dim == A.dim - A.dim // L.dim, "A L+ has the wrong dimension")
+    if space.dim != A.dim - A.dim // L.dim:
+        raise InvariantViolation(failure(A, "A L+ dimension", None, L.label()))
     return space
 
 

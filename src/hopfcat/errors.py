@@ -48,12 +48,6 @@ class InvariantViolation(HopfcatError):
     """A constructed object failed one of its defining invariants."""
 
 
-def require(cond: bool, msg: str) -> None:
-    """Raise InvariantViolation(msg) unless cond holds."""
-    if not cond:
-        raise InvariantViolation(msg)
-
-
 class NonIntegerMultiplicity(HopfcatError):
     """A fusion multiplicity came out non-integer or negative."""
 

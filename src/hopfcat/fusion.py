@@ -22,7 +22,7 @@ from .coideal import (Bicharacter, CoidealSubalgebra, bichar_label,
 from .cyclo import CycloNumber, ONE, ZERO, fmt_cyclo
 from .errors import (InternalMismatch, InvariantViolation,
                      MethodPreconditionViolated, NonIntegerMultiplicity,
-                     NotClosed, OracleMismatch, PreconditionViolated, require)
+                     NotClosed, OracleMismatch, PreconditionViolated)
 from .groups import Subgroup, centralizer_subgroup, normal_subgroups
 from .hopf import (QTAlgebra, all_classes, char_ring_idempotents, convolve,
                    drinfeld_map, dual_character, failure, generators,
@@ -195,7 +195,9 @@ def _frobenius_check(A: QTAlgebra, s: SimpleObject, reps: list[int],
             y = G.conj(G.inv[t], g)
             if y in members:
                 rhs = rhs + ctab.value_at(s.rep_index, pos[y])
-        require(lhs == corder * rhs, "induced character mismatch")
+        if lhs != corder * rhs:
+            raise InvariantViolation(failure(
+                A, "induced character", None, f"V{s.index} at g{g}"))
 
 
 @memoized
@@ -220,8 +222,9 @@ def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
             simples.append(s)
     else:
         raise PreconditionViolated("no simple module catalog for this kind")
-    require(sum(s.dim * s.dim for s in simples) == A.dim,
-            "squared dimensions of the simples do not sum to dim A")
+    if sum(s.dim * s.dim for s in simples) != A.dim:
+        raise InvariantViolation(failure(A, "sum of squared dimensions", None,
+                                         f"{len(simples)} simples"))
     # f(Lambda_1) g(Lambda_2) = f(g -> Lambda), one harpoon per simple
     lam, _ = integrals(A)
     ws = [harpoon_right(A, s.character, lam) for s in simples]
@@ -229,8 +232,9 @@ def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
         dchar = dual_character(A, si.character)
         for j, w in enumerate(ws):
             want = ONE if i == j else ZERO
-            require(pair_eval(dchar, w) == want,
-                    "simple characters are not orthonormal")
+            if pair_eval(dchar, w) != want:
+                raise InvariantViolation(failure(
+                    A, "character orthonormality", None, f"V{i} against V{j}"))
     return simples
 
 
@@ -516,7 +520,9 @@ def subcat_from_triple(A: QTAlgebra, M: Subgroup, H: Subgroup,
             sel.append(s.index)
     sub = _mk_subcat(A, sel, M.members, H.members, bc)
     want = len(M.members) * (A.group.n // len(H.members))
-    require(sub.fpdim == want, "S(M,H,lambda) has the wrong dimension")
+    if sub.fpdim != want:
+        raise InvariantViolation(failure(A, "subcategory dimension", None,
+                                         sub.label()))
     L = triple_coideal(A, M, H, bc.inverse())
     quot = quotient_irreps(A, L)
     if quot.indices != sub.indices:
@@ -533,15 +539,18 @@ def quotient_irreps(A: QTAlgebra, L: CoidealSubalgebra) -> FusionSubcat:
     for s in simples:
         v = pair_eval(s.character, L.integral)
         if not v.is_rational():
-            raise InvariantViolation("integral has irrational trace")
+            raise InvariantViolation(failure(A, "rational integral trace",
+                                             None, f"V{s.index} by {L.label()}"))
         q = v.rational_value()
-        require(q.denominator == 1 and 0 <= q <= s.dim,
-                "invariant count out of range")
+        if not (q.denominator == 1 and 0 <= q <= s.dim):
+            raise InvariantViolation(failure(
+                A, "invariant count", None, f"V{s.index} by {L.label()}"))
         if q == s.dim:
             sel.append(s.index)
     sub = _mk_subcat(A, sel, coideal=L)
-    require(A.dim % L.dim == 0 and sub.fpdim == A.dim // L.dim,
-            "quotient category has the wrong dimension")
+    if not (A.dim % L.dim == 0 and sub.fpdim == A.dim // L.dim):
+        raise InvariantViolation(failure(A, "quotient dimension", None,
+                                         L.label()))
     return sub
 
 
@@ -559,15 +568,18 @@ def quotient_integral(A: QTAlgebra, L: CoidealSubalgebra) -> Row:
         for k, v in simples[i].character.items():
             acc(lam, k, c * v)
     if pair_eval(lam, A.unit_row) != ONE:
-        raise InvariantViolation("quotient integral is not normalized")
+        raise InvariantViolation(failure(
+            A, "quotient integral normalization", None, L.label()))
     dual = quotient_dual(A, L)
     if not dual.contains(lam):
-        raise InvariantViolation("quotient integral escapes (A//L)*")
+        raise InvariantViolation(failure(
+            A, "quotient integral membership in (A//L)*", None, L.label()))
     for f in dual.rows:
         f1 = pair_eval(f, A.unit_row)
         want = row_scale(lam, f1) if f1 else {}
         if convolve(A, f, lam) != want or convolve(A, lam, f) != want:
-            raise InvariantViolation("quotient integral is not an integral")
+            raise InvariantViolation(failure(
+                A, "quotient integral two-sidedness", None, L.label()))
     return lam
 
 

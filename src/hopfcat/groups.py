@@ -429,15 +429,22 @@ _RE_CYCLE = re.compile(r"\(\s*(\d+(?:\s+\d+)*)\s*\)")
 
 
 def _parse_perm_spec(body: str, offset: int) -> Group:
-    gen_strs = [s.strip() for s in body.split(",")]
+    """The group generated by the permutations of body, which starts at
+    offset in the spec: every ParseError offset counts from the spec."""
     perms = []
     points: set[int] = set()
-    for gs in gen_strs:
+    for raw in body.split(","):
+        gs = raw.strip()
+        at = offset + len(raw) - len(raw.lstrip())   # gs starts here
+        offset += len(raw) + 1
         if not gs:
-            raise ParseError("empty permutation generator", offset)
-        rest = re.sub(_RE_CYCLE, "", gs).strip()
-        if rest:
-            raise ParseError(f"bad cycle syntax near {rest!r}", offset + body.find(rest))
+            raise ParseError("empty permutation generator", at)
+        # cycles blanked out, so the first stray character keeps its place
+        blank = _RE_CYCLE.sub(lambda m: " " * len(m[0]), gs)
+        if blank.strip():
+            rest = _RE_CYCLE.sub("", gs).strip()
+            raise ParseError(f"bad cycle syntax near {rest!r}",
+                             at + len(blank) - len(blank.lstrip()))
         cycles = []
         moved: set[int] = set()
         for m in _RE_CYCLE.finditer(gs):
@@ -445,7 +452,7 @@ def _parse_perm_spec(body: str, offset: int) -> Group:
             # a point moved twice would make the generator no bijection
             if len(set(pts)) != len(pts) or not moved.isdisjoint(pts):
                 raise ParseError("repeated point in the cycles of a "
-                                 "generator", offset + m.start())
+                                 "generator", at + m.start())
             cycles.append(pts)
             moved.update(pts)
         points.update(moved)
@@ -529,6 +536,8 @@ def parse_group_spec(spec: str) -> Group:
             raise ParseError(f"cayley table file is not valid JSON: {e}", 7)
         table = obj.get("table") if isinstance(obj, dict) else obj
         name = obj.get("name", "") if isinstance(obj, dict) else ""
+        if not (isinstance(name, str) and name.isprintable()):
+            raise ParseError("cayley group name must be a printable string", 7)
         n = len(table) if isinstance(table, list) else 0
         _check_order(n)
         if not n or not all(isinstance(row, list) and len(row) == n

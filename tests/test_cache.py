@@ -11,9 +11,15 @@ def test_cache_key_separates_inputs():
     assert k1 == cache_key(s3, "smatrix")  # stable
     assert k1 != cache_key(z6, "smatrix")
     assert k1 != cache_key(s3, "fusion")
-    assert k1 != cache_key(s3, "smatrix", extra="x")
-    assert k1 != cache_key(s3, "smatrix", version="2")
     assert len(k1) == 64
+
+
+def test_cache_keys_are_pinned():
+    """Keys, and so cache file names, stay those of earlier releases."""
+    assert cache_key(parse_group_spec("S3"), "smatrix") == (
+        "8108ddea3ff765c41c04a573268a6feca482f55d685216bc6c2312e7ab70f795")
+    assert cache_key(parse_group_spec("D4"), "lattice") == (
+        "ff0770cd1b415f306bed829c771159e87f72818ff27f7b77e642ee6290a3f862")
 
 
 def test_get_put_round_trip(tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import hopfcat
 from hopfcat import build_double, enumerate_coideals, enumerate_subcats
-from hopfcat.cli import RunConfig, parse_triple, run
+from hopfcat.cli import parse_triple, run
 from hopfcat.cyclo import CycloNumber
 from hopfcat.errors import BoundExceeded, ParseError
 from hopfcat.groups import check_double_dim, parse_group_spec
@@ -145,14 +145,14 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert "ok" in out and "FAIL" not in out
 
 
-def test_verify_dim_bound_skip(tmp_path, capsys):
-    code, out, _ = _run(capsys, "verify", "--group", "D4",
-                        "--max-dim", "10", "--format", "json",
-                        "--cache", str(tmp_path))
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["checks"] == [{"id": "algebra-build", "subject": "D4",
-                              "pass": True, "detail": "skipped: dim bound"}]
+def test_verify_dim_bound_refused(tmp_path, capsys):
+    # verify refuses a double over the bound as the data commands do
+    for argv in (("--group", "D4", "--max-dim", "10", "--format", "json"),
+                 ("--group", "Z13")):
+        code, out, err = _run(capsys, "verify", *argv,
+                              "--cache", str(tmp_path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: double of ") and err.count("\n") == 1
 
 
 def test_data_command_bound_exceeded(tmp_path, capsys):
@@ -252,8 +252,7 @@ def test_max_dim_can_only_lower_the_bound(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
-    with pytest.raises(ValueError):
-        RunConfig(max_algebra_dim=145)
+    assert run(["verify", "--group", "S3", "--max-dim", "145"]) == 2
     # the library never admits more than DOUBLE_DIM_BOUND either
     with pytest.raises(BoundExceeded):
         check_double_dim(parse_group_spec("Z13"), 169)
@@ -300,6 +299,10 @@ _SPEC_PROBES = {
     "not-a-group": (b"[[0, 1], [1, 1]]", 2),
     "not-associative": (b"[[0, 1, 2], [1, 0, 1], [2, 2, 0]]", 2),
     "nul-in-path": ("cayley:table\x00.json", 2),
+    # a cayley name is a printable string
+    "name-a-list": (b'{"name": ["x\\ny"], "table": [[0, 1], [1, 0]]}', 2),
+    "name-an-object": (b'{"name": {"a": 1}, "table": [[0, 1], [1, 0]]}', 2),
+    "name-with-newline": (b'{"name": "a\\nb", "table": [[0, 1], [1, 0]]}', 2),
 }
 
 
@@ -373,13 +376,32 @@ def test_parse_triple():
             parse_triple(G, bad)
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(max_algebra_dim=0)
-    with pytest.raises(ValueError):
-        RunConfig(suite="nope")
-    with pytest.raises(ValueError):
-        RunConfig(output_format="yaml")
+def test_option_validation():
+    for bad in (("--max-dim", "0"), ("--max-dim", "145"),
+                ("--suite", "nope"), ("--format", "yaml")):
+        assert run(["verify", "--group", "S3", *bad]) == 2, bad
+    # --suite belongs to verify alone
+    assert run(["chartab", "--group", "S3", "--suite", "smoke"]) == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("cmd, first, second", [
+    (("chartab",), "Z3", "A3"),
+    (("double", "smatrix"), "Z2", "S2"),
+    (("subcats", "lattice"), "Z2", "S2"),
+])
+def test_warm_call_prints_requested_name(tmp_path, cmd, first, second, fmt):
+    """Groups with one Cayley table share a cache entry; a warm call
+    still prints the name of the group it was asked for."""
+    def stdout(group, cache):
+        code, out, err, _ = _quiet_run([*cmd, "--group", group, "--format",
+                                        fmt, "--cache", str(cache)])
+        assert code == 0 and err == ""
+        return out
+    cold = stdout(second, tmp_path / "cold")
+    stdout(first, tmp_path / "shared")
+    assert stdout(second, tmp_path / "shared") == cold
+    assert second in cold
 
 
 def test_cache_determinism(tmp_path, capsys):

@@ -247,6 +247,18 @@ def test_fusion_failure_names_subject(double_s3):
     assert str(err.value) == f"D(S3): fusion duality fails on V2 x V{first}"
 
 
+def test_quotient_failure_names_coideal(double_s3):
+    # a coideal whose space (dim 18) is not that of its integral (dim 6)
+    coideals = enumerate_coideals(double_s3)
+    L = next(L for L in coideals if L.dim == 6)
+    bad = dataclasses.replace(
+        L, space=next(K for K in coideals if K.dim == 18).space)
+    with pytest.raises(InvariantViolation) as err:
+        quotient_irreps(double_s3, bad)
+    assert str(err.value) == (
+        f"D(S3): quotient dimension fails on {bad.label()}")
+
+
 def _double_character(s):
     return dataclasses.replace(
         s, character={k: v + v for k, v in s.character.items()})

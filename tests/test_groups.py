@@ -57,6 +57,17 @@ def test_perm_spec():
     assert H.n == 4 and H.exponent() == 4
 
 
+@pytest.mark.parametrize("spec, offset", [
+    ("perm:(0 1),(1 2)(2 3)", 16),   # the cycle repeating the point 2
+    ("perm:(0 1),(1 2)(", 16),       # the unclosed bracket
+    ("perm:(0 1),,(1 2)", 11),       # the empty generator
+])
+def test_perm_spec_error_offsets_count_from_the_spec(spec, offset):
+    with pytest.raises(ParseError) as err:
+        parse_group_spec(spec)
+    assert err.value.offset == offset
+
+
 def test_not_a_group():
     with pytest.raises(NotAGroup):
         Group([[0, 1], [1, 1]])
