@@ -22,11 +22,10 @@ from .errors import (InternalMismatch, InvariantViolation, NoIntegral,
 from .groups import (Group, Subgroup, commutator_subgroup, commute_elementwise,
                      exponent_tables, normal_subgroups, quotient_group,
                      subgroup_generated)
-from .hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode,
-                   closed_under_products, convolve, counit_value,
-                   drinfeld_map, failure, is_left_coideal, left_quotients,
-                   leg_slices, lmul, memo, memoized, mul_rows, pair_eval,
-                   right_adjoint)
+from .hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode, convolve,
+                   counit_value, drinfeld_map, failure, is_left_coideal,
+                   left_quotients, leg_slices, lmul, memo, memoized,
+                   mul_rows, pair_eval, right_adjoint, subalgebra_generators)
 from .linalg import (Echelon, Row, acc, intersect, nullspace, row_addmul,
                      row_scale)
 
@@ -176,18 +175,28 @@ class CoidealSubalgebra:
         return f"Coideal({self.label()}, dim={self.dim})"
 
 
-def _verify_coideal(A: QTAlgebra, space: Echelon, label) -> None:
-    """A unital subalgebra and left coideal, stable under the adjoint
-    action (checked on the generators, see ad_escape); label() names the
-    space in a failure."""
-    if not space.contains(A.unit_row):
-        raise InvariantViolation(failure(A, "coideal unit", None, label()))
-    if not closed_under_products(A, space):
+def _generators(A: QTAlgebra, space: Echelon, label) -> list[Row]:
+    """The certified generating set of the subalgebra space
+    (subalgebra_generators); label() names the space when it is none."""
+    gens = subalgebra_generators(A, space)
+    if gens is None:
         raise InvariantViolation(failure(
             A, "coideal product closure", None, label()))
-    if not is_left_coideal(A, space):
+    return gens
+
+
+def _verify_coideal(A: QTAlgebra, space: Echelon, label) -> None:
+    """A unital subalgebra and left coideal, stable under the adjoint
+    action; label() names the space in a failure.  Once the product
+    closure is certified, the coideal property and ad-stability are
+    checked on the space's own generators (lemmas in is_left_coideal and
+    ad_escape), ad-stability also on the generators of A."""
+    if not space.contains(A.unit_row):
+        raise InvariantViolation(failure(A, "coideal unit", None, label()))
+    gens = _generators(A, space, label)
+    if not is_left_coideal(A, space, gens):
         raise InvariantViolation(failure(A, "left coideal", None, label()))
-    x = ad_escape(A, space, adjoint)
+    x = ad_escape(A, space, adjoint, gens)
     if x is not None:
         raise InvariantViolation(failure(
             A, "coideal adjoint stability", x, label()))
@@ -195,11 +204,19 @@ def _verify_coideal(A: QTAlgebra, space: Echelon, label) -> None:
 
 def coideal_integral(A: QTAlgebra, space: Echelon, label) -> Row:
     """The unique idempotent left integral: l u = eps(l) u, eps(u) = 1;
-    label() names the space in a failure."""
+    label() names the space in a failure.
+
+    The equations and the final left-integral check run over l in the
+    certified generators of L (subalgebra_generators).  Lemma: eps is
+    multiplicative, so the l with l u = eps(l) u form a subalgebra
+    ((l l') u = eps(l') l u = eps(l l') u, and 1 passes); holding on the
+    generators, it holds on all of L.
+    """
+    gens = _generators(A, space, label)
     rows = space.rows
     d = len(rows)
     eqs: dict[tuple[int, int], Row] = {}
-    for li, ell in enumerate(rows):
+    for li, ell in enumerate(gens):
         neg_epsl = -counit_value(A, ell)
         for ci, cand in enumerate(rows):
             prod = mul_rows(A, ell, cand)
@@ -222,7 +239,7 @@ def coideal_integral(A: QTAlgebra, space: Echelon, label) -> Row:
     if mul_rows(A, best, best) != best:
         raise InvariantViolation(failure(
             A, "coideal integral idempotence", None, label()))
-    for ell in rows:
+    for ell in gens:
         if mul_rows(A, ell, best) != row_scale(best, counit_value(A, ell)):
             raise InvariantViolation(failure(
                 A, "coideal left integral", None, label()))
@@ -388,11 +405,16 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     """(A//L)* as functionals killing the augmentation ideal of L.
 
     Computed two ways: as the solution space of f(a l) = eps(l) f(a)
-    and as the translate Lambda_L -> A*; the two must agree.
+    and as the translate Lambda_L -> A*; the two must agree.  The direct
+    route takes l over the certified generators of L only.  Lemma: for
+    each f, the l with f(a l) = eps(l) f(a) for every a form a subalgebra
+    (f(a l l') = eps(l') f(a l) = eps(l l') f(a), and 1 passes).  The two
+    routes share only those generators, certified before either reads
+    them (the integral is computed over them too).
     """
     def build() -> Echelon:
         eqs: list[Row] = []
-        for ell in L.space.rows:
+        for ell in _generators(A, L.space, L.label):
             neg_epsl = -counit_value(A, ell)
             for k in range(A.dim):
                 row = lmul(A, k, ell)
@@ -408,7 +430,8 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
                          if lq[k][j] >= 0), key=itemgetter(0)))
             for k in range(A.dim)])
         if direct != shifted:
-            raise InternalMismatch("two descriptions of (A//L)* disagree")
+            raise InternalMismatch(failure(
+                A, "agreement of the two (A//L)* routes", None, L.label()))
         if not (A.dim % L.dim == 0 and direct.dim == A.dim // L.dim):
             raise InvariantViolation(failure(
                 A, "(A//L)* dimension", None, L.label()))
@@ -449,12 +472,15 @@ def recover_from_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
 
 def is_normal_hopf_subalgebra(A: QTAlgebra, L: CoidealSubalgebra) -> bool:
     """Antipode-stable, Delta(L) <= L x L, and closed under both adjoint
-    actions (checked on the generators, see ad_escape)."""
+    actions (checked on the generators of A and of L, see ad_escape)."""
     space = L.space
+    gens = subalgebra_generators(A, space)
+    if gens is None:
+        return False
     for row in space.rows:
         left, right = leg_slices(A, row)
         if not all(space.contains(v)
                    for v in [apply_antipode(A, row), *left, *right]):
             return False
-    return (ad_escape(A, space, adjoint) is None
-            and ad_escape(A, space, right_adjoint) is None)
+    return (ad_escape(A, space, adjoint, gens) is None
+            and ad_escape(A, space, right_adjoint, gens) is None)

@@ -526,8 +526,8 @@ def subcat_from_triple(A: QTAlgebra, M: Subgroup, H: Subgroup,
     L = triple_coideal(A, M, H, bc.inverse())
     quot = quotient_irreps(A, L)
     if quot.indices != sub.indices:
-        raise InternalMismatch("quotient by C(M,H,1/lambda) is not "
-                               "S(M,H,lambda)")
+        raise InternalMismatch(failure(
+            A, f"quotient = {sub.label()}", None, L.label()))
     sub.coideal = L
     return sub
 
@@ -633,8 +633,8 @@ def _catalog_lookup(A: QTAlgebra, indices: tuple[int, ...]) -> FusionSubcat:
     for sub in enumerate_subcats(A):
         if sub.indices == indices:
             return sub
-    raise InvariantViolation(
-        f"computed simple set {list(indices)} is not a listed subcategory")
+    raise InvariantViolation(failure(
+        A, "catalog membership", None, f"simple set {list(indices)}"))
 
 
 def centralizer(A: QTAlgebra, D: FusionSubcat, method: str) -> FusionSubcat:
@@ -681,8 +681,9 @@ def centralizer(A: QTAlgebra, D: FusionSubcat, method: str) -> FusionSubcat:
         sel2 = [i for i in range(len(simples))
                 if pair_eval(ring.idempotents[ring.j_of[i]], L.integral)]
         if sel != sel2:
-            raise InternalMismatch(
-                "class membership and idempotent evaluation disagree")
+            raise InternalMismatch(failure(
+                A, "agreement of class membership and idempotent evaluation",
+                None, L.label()))
         return _catalog_lookup(A, tuple(sorted(sel)))
     raise PreconditionViolated(f"unknown centralizer method {method!r}")
 

@@ -457,8 +457,6 @@ def _parse_perm_spec(body: str, offset: int) -> Group:
             moved.update(pts)
         points.update(moved)
         perms.append(cycles)
-    if not points:
-        return _cyclic(1)
     pts = sorted(points)
     pos = {p: i for i, p in enumerate(pts)}
     deg = len(pts)

@@ -28,8 +28,11 @@ checks the multiplicative axioms and R's intertwining of the coproducts
 the same way, once an integer search has shown that products of
 generators reach every basis element; the central
 idempotents are checked on the diagonal only, and phi's multiplicativity
-on the dual basis.  Each such check states its lemma where it runs, and
-none samples.
+on the dual basis.  A subalgebra, such as a coideal or K_A, is checked on
+a small generating set of its own, certified once per space by
+subalgebra_generators: its product closure, the left coideal property
+(is_left_coideal) and ad-stability (ad_escape).  Each such check states
+its lemma where it runs, and none samples.
 
 The coproduct is QTAlgebra.delta plus one derived index, delta_by_left.
 Constructions reach it through three bilinear maps: convolve (f * g in
@@ -324,27 +327,108 @@ def _relabel_sum(A: QTAlgebra, pairs: list[tuple[int, int]], a: Row) -> Row:
     return out
 
 
-def ad_escape(A: QTAlgebra, space: Echelon, action) -> int | None:
+def ad_escape(A: QTAlgebra, space: Echelon, action, rows) -> int | None:
     """The first generator x with action(A, x, row) outside space for some
-    reduced row of space (rows outer, generators inner), or None; action
-    is adjoint or right_adjoint.
+    row of rows (rows outer, generators inner), or None; action is adjoint
+    or right_adjoint, and rows span space or, when space is a subalgebra,
+    generate it as an algebra (subalgebra_generators).
 
-    Lemma: ad is an algebra homomorphism A -> End(A), ad(xy) = ad(x) ad(y),
-    and ad_r an antihomomorphism, ad_r(xy) = ad_r(y) ad_r(x), both linear
-    in x; so a space stable under the action of each generator is stable
-    under that of every product and sum of generators, that is of all of A.
+    Lemma (generators of A): ad is an algebra homomorphism A -> End(A),
+    ad(xy) = ad(x) ad(y), and ad_r an antihomomorphism, ad_r(xy) =
+    ad_r(y) ad_r(x), both linear in x; so a space stable under the action
+    of each generator is stable under that of every product and sum of
+    generators, that is of all of A.
+
+    Lemma (generators of a subalgebra L): ad(x)(l l') = ad(x_1)(l)
+    ad(x_2)(l') and ad_r(x)(l l') = ad_r(x_1)(l) ad_r(x_2)(l'), and
+    ad(x)(1) = ad_r(x)(1) = eps(x) 1.  The legs x_1, x_2 of Delta(x) are
+    generators again for every generator x (verify_axioms checks this once
+    per algebra), so the l in L moved into L by the action of every
+    generator form a subalgebra, and rows generating L suffice.
     """
-    for row in space.rows:
+    for row in rows:
         for x in generators(A):
             if not space.contains(action(A, x, row)):
                 return x
     return None
 
 
-def closed_under_products(A: QTAlgebra, space: Echelon) -> bool:
-    """Whether the product of every two reduced rows of space lies in it."""
+def _generator_candidates(A: QTAlgebra, space: Echelon) -> list[Row]:
+    """Candidate generators of the space, in the order subalgebra_generators
+    tries them: its reduced rows of kG-degree 1 (in the span of the p_g x
+    1, or of the unit of kG), then for each other degree h the sum of its
+    reduced rows of degree h, then every reduced row; only the reduced
+    rows when one of them is not homogeneous.
+
+    The reduced rows of a coideal are near-basis elements whose products
+    mostly vanish, so on their own the greedy needs most of them; a
+    degree sum is one element whose products with the degree-1 part reach
+    the whole degree.
+    """
+    n = A.group.n
     rows = space.rows
-    return all(space.contains(mul_rows(A, a, b)) for a in rows for b in rows)
+    degrees = [{k % n for k in row} for row in rows]
+    if any(len(d) != 1 for d in degrees):
+        return rows
+    by_degree: dict[int, list[Row]] = {}
+    for row, (h,) in zip(rows, degrees):
+        by_degree.setdefault(h, []).append(row)
+    ones = by_degree.pop(0, [])
+    return ones + [row_sum(by_degree[h]) for h in sorted(by_degree)] + rows
+
+
+def word_span(A: QTAlgebra, candidates, limit: int
+              ) -> tuple[list[Row], Echelon] | None:
+    """(S, W): W the span of the words in S grown from 1, S the candidates
+    (in their order) not already in the span of the words in those before
+    them; None once W outgrows dimension limit.
+
+    W is grown by left multiplication: every product s w of an s in S
+    with a word w spanning W is formed and reduced into W, so W is the
+    smallest space holding 1 and closed under left multiplication by S.
+    A candidate already in W is skipped: W is the subalgebra generated by
+    the S so far, so adding it changes nothing.
+    """
+    gens: list[Row] = []
+    words = Echelon(A.dim, [A.unit_row])
+    basis = [A.unit_row]
+    for c in candidates:
+        if words.dim == limit:
+            break
+        if words.contains(c):
+            continue
+        gens.append(c)
+        todo = [(c, w) for w in basis]
+        while todo:
+            s, w = todo.pop()
+            p = mul_rows(A, s, w)
+            if words.insert(p):
+                if words.dim > limit:
+                    return None
+                basis.append(p)
+                todo.extend((g, p) for g in gens)
+    return gens, words
+
+
+def subalgebra_generators(A: QTAlgebra, space: Echelon) -> list[Row] | None:
+    """A small S inside the space L that generates it as an algebra,
+    certified, or None when L is not a unital subalgebra; chosen once per
+    space.
+
+    S is picked greedily from _generator_candidates by word_span, and is
+    certified by W == L for its span of words W.  That is both steps of
+    the certificate: the words in S, grown from 1, span L, and s L = s W
+    <= W = L for every s in S.  Lemma: then L L <= L, since a word s_1 ...
+    s_k times L lies in L by induction on k, and the words span L.  So L
+    is a unital subalgebra exactly when S exists, as every candidate lies
+    in L and the reduced rows are among them.
+    """
+    def build() -> list[Row] | None:
+        found = word_span(A, _generator_candidates(A, space), space.dim)
+        if found is None or found[1] != space:
+            return None
+        return found[0]
+    return memo(A, (subalgebra_generators, space.key()), build)
 
 
 def convolve(A: QTAlgebra, f: Row, g: Row) -> Row:
@@ -376,9 +460,10 @@ def dual_character(A: QTAlgebra, chi: Row) -> Row:
 
 # --- constructors -------------------------------------------------------
 
-# The one per-process cache of whole algebras, keyed on kind and group
-# table: tests, fixtures and CLI commands rebuild the same groups, and
-# every per-algebra memo (hopf.memo) then lives on the one instance.
+# The one per-process cache of whole algebras, keyed on kind, group name
+# and group table (the name is part of the algebra: D(S2) is not D(Z2)):
+# tests, fixtures and CLI commands rebuild the same groups, and every
+# per-algebra memo (hopf.memo) then lives on the one instance.
 _BUILD_CACHE: dict = {}
 
 
@@ -387,7 +472,7 @@ def build_double(G: Group, max_dim: int = DOUBLE_DIM_BOUND) -> QTAlgebra:
     check_double_dim(G, max_dim)
     n = G.n
     dim = n * n
-    key = ("double", G.table)
+    key = ("double", G.name, G.table)
     if key in _BUILD_CACHE:
         return _BUILD_CACHE[key]
 
@@ -428,7 +513,7 @@ def build_triangular(G: Group, max_dim: int = DOUBLE_DIM_BOUND) -> QTAlgebra:
     n = G.n
     if n > max_dim:
         raise BoundExceeded(f"group algebra dimension {n} > {max_dim}")
-    key = ("group", G.table)
+    key = ("group", G.name, G.table)
     if key in _BUILD_CACHE:
         return _BUILD_CACHE[key]
     prod_idx = [list(r) for r in G.table]
@@ -484,8 +569,12 @@ def verify_axioms(A: QTAlgebra) -> None:
 
     The basis with 0 adjoined is a magma under prod_idx, and the
     generators (`generators`) must reach every basis element as products;
-    an integer search checks this first.  Then each multiplicative axiom
-    is checked with its left factor s over the generators only:
+    an integer search checks this first, after a scan that the coproduct
+    legs of every generator are generators (Delta(p_g x h) = sum_a
+    p_{a^-1 g} x h (x) p_a x h and Delta(g) = g (x) g), the hypothesis of
+    ad_escape's lemma for generators of a subalgebra.  Then each
+    multiplicative axiom is checked with its left factor s over the
+    generators only:
 
     * associativity by Light's test, (x s) y == x (s y) for every basis
       x, y.  The s passing it are closed under products: (x(ab))y =
@@ -530,6 +619,10 @@ def verify_axioms(A: QTAlgebra) -> None:
             _fail(A, "right unit", x)
 
     gens = generators(A)
+    members = set(gens)
+    for x in gens:
+        if not all(i in members and j in members for i, j in A.delta[x]):
+            _fail(A, "generator coproduct legs", x)
     missing = _first_unreached(A, gens)
     if missing is not None:
         _fail(A, "generator reach", missing)
@@ -917,9 +1010,17 @@ def all_classes(A: QTAlgebra, ring: CharRing) -> list[ConjClass]:
     return memo(A, all_classes, build)
 
 
-def is_left_coideal(A: QTAlgebra, space: Echelon) -> bool:
-    """Delta(L) <= A x L, checked slice by slice on the left leg."""
-    for row in space.rows:
+def is_left_coideal(A: QTAlgebra, space: Echelon, gens: list[Row]) -> bool:
+    """Delta(L) <= A x L for the subalgebra L = space, checked slice by
+    slice on the left leg of Delta(l) for l in gens, a generating set of L
+    (subalgebra_generators).
+
+    Lemma: L L <= L makes A x L a subalgebra of A x A, and Delta is
+    multiplicative, so the l with Delta(l) in A x L form a subalgebra
+    (holding 1, as Delta(1) = 1 x 1 and 1 is in L); holding on gens, it
+    holds on all of L.
+    """
+    for row in gens:
         left, _ = leg_slices(A, row)
         if not all(space.contains(sl) for sl in left):
             return False
@@ -934,11 +1035,12 @@ def compute_K_A(A: QTAlgebra) -> Echelon:
     space = Echelon(A.dim, _columns(dm.matrix_rows(), A.dim))
     if not space.contains(A.unit_row):
         _fail(A, "K_A unit")
-    if not closed_under_products(A, space):
+    gens = subalgebra_generators(A, space)
+    if gens is None:
         _fail(A, "K_A product closure")
     if not all(space.contains(apply_antipode(A, a)) for a in space.rows):
         _fail(A, "K_A antipode stability")
-    if not is_left_coideal(A, space):
+    if not is_left_coideal(A, space, gens):
         _fail(A, "K_A left coideal")
     return space
 
@@ -1006,7 +1108,7 @@ def _check_class_spans(A: QTAlgebra, classes: list[ConjClass]) -> None:
     generators (lemma in ad_escape), and under dual translation a |-> a <-
     S*(e_k^*) for every k, checked exhaustively."""
     for j, cls in enumerate(classes):
-        x = ad_escape(A, cls.space, adjoint)
+        x = ad_escape(A, cls.space, adjoint, cls.space.rows)
         if x is not None:
             _fail(A, "class-span adjoint stability", x, f"class {j}")
     for j, cls in enumerate(classes):

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcat import coideal
+from hopfcat import coideal, hopf
 from hopfcat.coideal import (
     Bicharacter,
     CoidealSubalgebra,
     coideal_from_space,
     bichar_label,
     build_coideal,
+    coideal_integral,
     coideal_intersect,
     coideal_product,
     dual_coideal,
@@ -21,13 +22,15 @@ from hopfcat.coideal import (
     quotient_dual,
     recover_from_dual,
 )
-from hopfcat.cyclo import as_cyclo
+from hopfcat.cyclo import ZERO, as_cyclo
 from hopfcat.errors import InvariantViolation, PreconditionViolated
 from hopfcat.groups import Subgroup, parse_group_spec, subgroup_generated
 from hopfcat.fusion import enumerate_subcats
-from hopfcat.hopf import (QTAlgebra, adjoint, apply_antipode, counit_value,
-                          generators, is_left_coideal, leg_slices, mul_rows)
-from hopfcat.linalg import Echelon
+from hopfcat.hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode,
+                          counit_value, generators, is_left_coideal,
+                          leg_slices, lmul, mul_rows, pair_eval,
+                          right_adjoint, subalgebra_generators, word_span)
+from hopfcat.linalg import Echelon, row_addmul, row_scale
 
 ONE = as_cyclo(1)
 
@@ -216,7 +219,8 @@ def _group_algebra_of_involution(A):
                    for sl in legs)
         for b in space.rows:
             assert space.contains(mul_rows(A, a, b))
-    assert space.contains(A.unit_row) and is_left_coideal(A, space)
+    assert space.contains(A.unit_row)
+    assert is_left_coideal(A, space, space.rows)
     assert not all(space.contains(adjoint(A, x, a))
                    for a in space.rows for x in range(A.dim))
     return space
@@ -252,3 +256,175 @@ def test_non_normal_hopf_subalgebra_is_rejected(double_s3):
     space = _group_algebra_of_involution(A)
     assert not is_normal_hopf_subalgebra(A, CoidealSubalgebra(A, space, {}))
     assert is_normal_hopf_subalgebra(A, enumerate_coideals(A)[-1])
+
+
+def test_normality_verdicts_match_the_check_on_every_row(doubles):
+    # reference: antipode, coproduct legs and both adjoint actions of the
+    # generators of A on every reduced row, not on the generators of L
+    A = doubles["D4"]
+    verdicts = set()
+    for L in enumerate_coideals(A):
+        space = L.space
+        every_row = all(
+            space.contains(v) for row in space.rows
+            for v in [apply_antipode(A, row), *sum(leg_slices(A, row), [])]
+        ) and all(space.contains(action(A, x, row))
+                  for action in (adjoint, right_adjoint)
+                  for row in space.rows for x in generators(A))
+        assert is_normal_hopf_subalgebra(A, L) == every_row, L.label()
+        verdicts.add(every_row)
+    assert verdicts == {True, False}
+
+
+# --- checks on a coideal's own generators S (subalgebra_generators): each
+# --- loop moved onto S still refuses an input whose defect the loop over
+# --- every reduced row meets first away from S
+
+_TWISTED = "C(M=[0, 3, 4],H=[0, 3, 4],B=2)"
+
+
+def _coideal(A, label):
+    return next(L for L in enumerate_coideals(A) if L.label() == label)
+
+
+def _first_failure(space, holds):
+    """The first reduced row where holds fails, in the order of the loop
+    over every reduced row."""
+    return next(row for row in space.rows if not holds(row))
+
+
+def test_generators_are_small_and_certified(doubles):
+    for name in ("S3", "D4", "Q8"):
+        A = doubles[name]
+        for L in enumerate_coideals(A):
+            S = subalgebra_generators(A, L.space)
+            assert S is not None and len(S) <= 13, (name, L.label())
+            assert word_span(A, S, L.dim)[1] == L.space
+            assert all(L.space.contains(mul_rows(A, s, row))
+                       for s in S for row in L.space.rows)
+
+
+def test_product_closure_refuses_a_product_of_non_generators(double_s3):
+    # a row of the twisted coideal, not one of its generators, pushed out
+    # of it: the space keeps 1 and the generators, and its first product
+    # outside it is of two non-generators
+    A = double_s3
+    L = _coideal(A, _TWISTED)
+    S = subalgebra_generators(A, L.space)
+    rows = L.space.rows
+    refused = 0
+    for i, row in enumerate(rows):
+        if row in S:
+            continue
+        for e in range(A.dim):
+            bent = row_addmul(row, A.basis(e), ONE)
+            space = Echelon(A.dim, rows[:i] + [bent] + rows[i + 1:])
+            if space == L.space or not space.contains(A.unit_row) or not all(
+                    space.contains(s) for s in S):
+                continue
+            a, b = next((a, b) for a in space.rows for b in space.rows
+                        if not space.contains(mul_rows(A, a, b)))
+            if a in S or b in S:
+                continue
+            assert subalgebra_generators(A, space) is None
+            with pytest.raises(InvariantViolation) as exc:
+                coideal_from_space(A, space)
+            assert str(exc.value) == (
+                "D(S3): coideal product closure fails on L(dim=6)")
+            refused += 1
+    assert refused
+
+
+def test_left_coideal_check_refuses_a_defect_off_the_generators(double_s3):
+    # a unital subalgebra whose first row with Delta(l) outside A x L is
+    # p1h3, no generator
+    A = double_s3
+    n = A.group.n
+    space = Echelon(A.dim, [A.unit_row,
+                            {A.pair_index(g, 2): ONE for g in range(n)}] + [
+        A.basis(A.pair_index(g, h)) for g, h in ((1, 3), (1, 5), (5, 1),
+                                                  (5, 4))])
+    S = subalgebra_generators(A, space)
+    assert S is not None
+
+    def coideal_row(row):
+        return all(space.contains(sl) for sl in leg_slices(A, row)[0])
+    assert _first_failure(space, coideal_row) not in S
+    assert not is_left_coideal(A, space, S)
+    with pytest.raises(InvariantViolation) as exc:
+        coideal_from_space(A, space)
+    assert str(exc.value) == "D(S3): left coideal fails on L(dim=6)"
+
+
+def test_adjoint_checks_refuse_a_defect_off_the_generators(double_s3):
+    # k^G # k<s>, s the transposition at index 1: a Hopf subalgebra, so a
+    # left coideal, but <s> is not normal; for both actions the first row
+    # moved out is no generator
+    A = double_s3
+    space = Echelon(A.dim, [A.basis(A.pair_index(g, h))
+                            for g in range(A.group.n) for h in (0, 1)])
+    S = subalgebra_generators(A, space)
+    assert S is not None and is_left_coideal(A, space, space.rows)
+    for action in (adjoint, right_adjoint):
+        def stable(row):
+            return all(space.contains(action(A, x, row))
+                       for x in range(A.dim))
+        assert _first_failure(space, stable) not in S
+        assert ad_escape(A, space, action, S) is not None
+    with pytest.raises(InvariantViolation,
+                       match=r"^D\(S3\): coideal adjoint stability fails "
+                             r"on L\(dim=12\) at "):
+        coideal_from_space(A, space)
+    assert not is_normal_hopf_subalgebra(A, CoidealSubalgebra(A, space, {}))
+
+
+def test_integral_check_refuses_a_defect_off_the_generators(double_s3,
+                                                            monkeypatch):
+    # the integral u of C(M=[0, 3, 4],H=[0],triv), put in place of the
+    # kernel's: an idempotent of L with eps(u) = 1 whose first l with
+    # l u != eps(l) u is no generator
+    A = double_s3
+    L = _coideal(A, _TWISTED)
+    S = subalgebra_generators(A, L.space)
+    u = _coideal(A, "C(M=[0, 3, 4],H=[0],triv)").integral
+
+    def absorbs(ell):
+        return mul_rows(A, ell, u) == row_scale(u, counit_value(A, ell))
+    assert _first_failure(L.space, absorbs) not in S
+    combo = {i: c for i, c in enumerate(L.space.coords(u)) if c}
+    monkeypatch.setattr(coideal, "nullspace",
+                        lambda eqs, d: Echelon(d, [combo]))
+    with pytest.raises(InvariantViolation) as exc:
+        coideal_integral(A, L.space, L.label)
+    assert str(exc.value) == f"D(S3): coideal left integral fails on {_TWISTED}"
+
+
+def test_quotient_dual_refuses_a_functional_failing_off_the_generators(
+        double_s3):
+    # p0h0^* satisfies f(a l) = eps(l) f(a) for l = 1, the first reduced
+    # row, and first fails at a row that is no generator
+    A = double_s3
+    L = _coideal(A, _TWISTED)
+    S = subalgebra_generators(A, L.space)
+    f = {0: ONE}
+
+    def kills(ell):
+        return all(pair_eval(f, lmul(A, k, ell))
+                   == counit_value(A, ell) * f.get(k, ZERO)
+                   for k in range(A.dim))
+    assert kills(L.space.rows[0])
+    assert _first_failure(L.space, kills) not in S
+    assert not quotient_dual(A, L).contains(f)
+
+
+def test_generators_missing_one_fail_the_reach_check(double_s3, monkeypatch):
+    A = double_s3
+    L = _coideal(A, _TWISTED)
+    S = subalgebra_generators(A, L.space)
+    assert len(S) > 1
+    assert word_span(A, S[:-1], L.dim)[1] != L.space
+    fresh = QTAlgebra(A.name, A.kind, A.group, A.labels, A.prod_idx,
+                      A.delta, A.counit, A.s_idx, A.r_terms, A.unit_row)
+    monkeypatch.setattr(hopf, "_generator_candidates",
+                        lambda A, space: S[:-1])
+    assert subalgebra_generators(fresh, L.space) is None

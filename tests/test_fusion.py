@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcat import build_double, fusion, parse_group_spec
-from hopfcat.coideal import enumerate_coideals
-from hopfcat.cyclo import ONE, CycloNumber, as_cyclo
-from hopfcat.errors import (HopfcatError, InvariantViolation,
-                            MethodPreconditionViolated, NotClosed,
-                            OracleMismatch)
+from hopfcat import build_double, coideal, fusion, parse_group_spec
+from hopfcat.coideal import (coideal_triples, enumerate_coideals,
+                             quotient_dual, triple_coideal)
+from hopfcat.cyclo import ONE, ZERO, CycloNumber, as_cyclo
+from hopfcat.errors import (HopfcatError, InternalMismatch,
+                            InvariantViolation, MethodPreconditionViolated,
+                            NotClosed, OracleMismatch)
 from hopfcat.fusion import (
     _closure,
     _verify_module,
@@ -257,6 +258,53 @@ def test_quotient_failure_names_coideal(double_s3):
         quotient_irreps(double_s3, bad)
     assert str(err.value) == (
         f"D(S3): quotient dimension fails on {bad.label()}")
+
+
+# --- a forced disagreement of two routes names the algebra and its subject
+
+
+def test_quotient_dual_route_mismatch_names_coideal(double_s3, monkeypatch):
+    A = _fresh_copy(double_s3)
+    L = enumerate_coideals(A)[1]
+    monkeypatch.setattr(coideal, "left_quotients",
+                        lambda A: [[-1] * A.dim for _ in range(A.dim)])
+    with pytest.raises(InternalMismatch) as err:
+        quotient_dual(A, L)
+    assert str(err.value) == (
+        f"D(S3): agreement of the two (A//L)* routes fails on {L.label()}")
+
+
+def test_triple_quotient_mismatch_names_coideal(double_s3, monkeypatch):
+    A = _fresh_copy(double_s3)
+    M, H, bc = list(coideal_triples(A.group))[-1]
+    L = triple_coideal(A, M, H, bc.inverse())
+    original = fusion.quotient_irreps
+    monkeypatch.setattr(fusion, "quotient_irreps", lambda A, L: (
+        dataclasses.replace(original(A, L), indices=(0,))))
+    with pytest.raises(InternalMismatch) as err:
+        fusion.subcat_from_triple(A, M, H, bc)
+    message = str(err.value)
+    assert message.startswith("D(S3): quotient = S(M=")
+    assert message.endswith(f" fails on {L.label()}")
+
+
+def test_classes_centralizer_mismatch_names_coideal(double_s3, monkeypatch):
+    A = _fresh_copy(double_s3)
+    D = enumerate_subcats(A)[-1]
+    centralizer(A, D, "classes")
+    monkeypatch.setattr(fusion, "pair_eval", lambda f, a: ZERO)
+    with pytest.raises(InternalMismatch) as err:
+        centralizer(A, D, "classes")
+    assert str(err.value) == (
+        "D(S3): agreement of class membership and idempotent evaluation "
+        f"fails on {D.coideal.label()}")
+
+
+def test_catalog_lookup_names_the_algebra(double_s3):
+    with pytest.raises(InvariantViolation) as err:
+        fusion._catalog_lookup(double_s3, (99,))
+    assert str(err.value) == (
+        "D(S3): catalog membership fails on simple set [99]")
 
 
 def _double_character(s):

@@ -221,7 +221,7 @@ def test_K_A(double_s3, triangular_s3):
     # factorizable: the R-legs generate everything
     K = compute_K_A(double_s3)
     assert K.dim == double_s3.dim
-    assert is_left_coideal(double_s3, K)
+    assert is_left_coideal(double_s3, K, K.rows)
     Kt = compute_K_A(triangular_s3)
     assert Kt.dim == 1
     assert Kt.contains(triangular_s3.unit_row)
@@ -619,6 +619,37 @@ def test_reach_check_fails_when_generators_miss_the_group_part(
     with pytest.raises(InvariantViolation) as exc:
         verify_axioms(A)
     assert str(exc.value) == "D(S3): generator reach fails at p0h1"
+
+
+def test_generator_coproduct_legs_are_generators(doubles, triangular_s3):
+    # the hypothesis of ad_escape's lemma for generators of a subalgebra
+    for A in (doubles["S3"], doubles["D4"], doubles["Q8"], triangular_s3):
+        gens = set(generators(A))
+        assert all(i in gens and j in gens
+                   for x in gens for i, j in A.delta[x]), A.name
+
+
+def test_generator_legs_check_refuses_a_missing_leg(double_s3, monkeypatch):
+    import hopfcat.hopf as hopf
+    A = _fresh(double_s3)
+    full = generators(double_s3)
+    drop = full[-1]
+    kept = full[:-1]
+    monkeypatch.setattr(hopf, "generators", lambda A: kept)
+    first = next(x for x in kept if any(drop in t for t in A.delta[x]))
+    with pytest.raises(InvariantViolation) as exc:
+        verify_axioms(A)
+    assert str(exc.value) == (f"D(S3): generator coproduct legs fails at "
+                              f"{A.labels[first]}")
+
+
+def test_build_cache_keys_on_the_group_name():
+    z2, s2 = parse_group_spec("Z2"), parse_group_spec("S2")
+    assert z2.table == s2.table
+    assert build_double(z2).name == "D(Z2)"
+    assert build_double(s2).name == "D(S2)"
+    assert build_triangular(z2).name == "k[Z2]"
+    assert build_triangular(s2).name == "k[S2]"
 
 
 def test_central_idempotents_checked_on_the_diagonal(double_s3):
