@@ -17,92 +17,8 @@ from math import isqrt
 from .cyclo import CycloNumber, ONE, ZERO, as_cyclo
 from .errors import InconsistentCharacters
 from .groups import Group
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _find_prime(modulus: int, lower: int) -> int:
-    p = modulus + 1
-    while p <= lower or not _is_prime(p):
-        p += modulus
-    return p
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _primitive_root_of_unity(p: int, n: int) -> int:
-    """Smallest generator of F_p^*, raised to (p-1)/n."""
-    factors = _prime_factors(p - 1)
-    g = 2
-    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
-        g += 1
-    return pow(g, (p - 1) // n, p)
-
-
-# --- dense linear algebra over F_p -------------------------------------
-
-
-def _rref_modp(mat: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    rows = [r[:] for r in mat]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                c = rows[i][col]
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
-
-
-def _kernel_modp(mat: list[list[int]], p: int) -> list[list[int]]:
-    n = len(mat)
-    rr, pivots = _rref_modp(mat, p)
-    free = [j for j in range(n) if j not in pivots]
-    out = []
-    for f in free:
-        v = [0] * n
-        v[f] = 1
-        for r, pc in zip(rr, pivots):
-            v[pc] = (-r[f]) % p
-        out.append(v)
-    return out
-
-
-# --- character table ----------------------------------------------------
+from .linalg import (find_prime, kernel_modp, primitive_root_of_unity,
+                     rref_modp)
 
 
 class CharacterTable:
@@ -116,10 +32,12 @@ class CharacterTable:
         self.N = group.exponent()
         self.rows = rows
         if any(not row[0].is_rational() for row in rows):
-            raise InconsistentCharacters("degrees must be rational")
+            raise InconsistentCharacters(
+                f"{group.name}: degrees must be rational")
         degs = [row[0].rational_value() for row in rows]
         if any(d.denominator != 1 or d <= 0 for d in degs):
-            raise InconsistentCharacters("degrees must be positive integers")
+            raise InconsistentCharacters(
+                f"{group.name}: degrees must be positive integers")
         self.degrees = [int(d) for d in degs]
         self._verify()
         self.dual_row = self._compute_duals()
@@ -127,16 +45,21 @@ class CharacterTable:
     def _verify(self) -> None:
         G, r = self.group, self.r
         if len(self.rows) != r:
-            raise InconsistentCharacters(f"{len(self.rows)} rows for {r} classes")
+            raise InconsistentCharacters(
+                f"{G.name}: {len(self.rows)} rows for {r} classes")
         if sum(d * d for d in self.degrees) != G.n:
-            raise InconsistentCharacters("degree squares do not sum to group order")
+            raise InconsistentCharacters(
+                f"{G.name}: degree squares do not sum to group order")
         if any(v != 1 for v in self.rows[0]):
-            raise InconsistentCharacters("first row is not the trivial character")
+            raise InconsistentCharacters(
+                f"{G.name}: first row is not the trivial character")
         sizes = [c.size for c in self.classes]
         for i in range(r):
             for k in range(r):
                 if self.rows[i][k].conjugate() != self.rows[i][self.inv_class[k]]:
-                    raise InconsistentCharacters("conjugate/inverse mismatch")
+                    raise InconsistentCharacters(
+                        f"{G.name}: conjugate/inverse mismatch at row {i}, "
+                        f"class {k}")
             for j in range(i, r):
                 tot = ZERO
                 for k in range(r):
@@ -144,7 +67,8 @@ class CharacterTable:
                         * self.rows[j][self.inv_class[k]]
                 want = G.n if i == j else 0
                 if tot != want:
-                    raise InconsistentCharacters(f"orthogonality fails at rows {i},{j}")
+                    raise InconsistentCharacters(
+                        f"{G.name}: orthogonality fails at rows {i},{j}")
 
     def _compute_duals(self) -> list[int]:
         duals = []
@@ -152,7 +76,8 @@ class CharacterTable:
             target = [self.rows[i][self.inv_class[k]] for k in range(self.r)]
             hits = [j for j in range(self.r) if self.rows[j] == target]
             if len(hits) != 1:
-                raise InconsistentCharacters("dual character not unique")
+                raise InconsistentCharacters(
+                    f"{self.group.name}: dual character not unique")
             duals.append(hits[0])
         return duals
 
@@ -214,7 +139,7 @@ def _central_characters(G: Group, p: int) -> list[list[int]]:
             if d == 1:
                 nxt.append(basis)
                 continue
-            rr, pivots = _rref_modp(basis, p)
+            rr, pivots = rref_modp(basis, p)
             images = []
             for v in rr:
                 img = [sum(mat[j][k] * v[k] for k in range(r)) % p for j in range(r)]
@@ -230,7 +155,7 @@ def _central_characters(G: Group, p: int) -> list[list[int]]:
                 # eigenvectors in coordinates: images^T c = lam c
                 shifted = [[(images[t][s] - (lam if s == t else 0)) % p
                             for t in range(d)] for s in range(d)]
-                ker = _kernel_modp(shifted, p)
+                ker = kernel_modp(shifted, p)
                 if not ker:
                     continue
                 sub = [[sum(c * b[j] for c, b in zip(kv, rr)) % p for j in range(r)]
@@ -259,8 +184,8 @@ def character_table(G: Group) -> CharacterTable:
     r = len(classes)
     sizes = [c.size for c in classes]
     N = G.exponent()
-    p = _find_prime(N, G.n)
-    w = _primitive_root_of_unity(p, N)
+    p = find_prime(N, G.n)
+    w = primitive_root_of_unity(p, N)
     omegas = _central_characters(G, p)
     class_of = G.class_of()
     inv_class = [class_of[G.inv[c.representative]] for c in classes]

@@ -5,7 +5,10 @@ f_s^h = sum_{m in M} lambda(m, h) p_{ms} x h over a pair of normal,
 elementwise-commuting subgroups M, H and a G-invariant bicharacter
 lambda on M x H.  For the group algebra itself they are the spans of
 normal subgroups.  Every constructed object is re-verified against the
-defining coideal axioms rather than trusted.
+defining coideal axioms rather than trusted.  A product or intersection
+of two catalog entries is certified to be a given entry by a rank mod p
+(lemmas at _certified_product and _certified_intersection); the exact
+spans are the fallback.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from .hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode, convolve,
                    counit_value, drinfeld_map, failure, is_left_coideal,
                    left_quotients, leg_slices, lmul, memo, memoized,
                    mul_rows, pair_eval, right_adjoint, subalgebra_generators)
-from .linalg import (Echelon, Row, acc, intersect, nullspace, row_addmul,
-                     row_scale)
+from .linalg import (Echelon, Row, acc, common_order, find_prime, intersect,
+                     nullspace, primitive_root_of_unity, rank_modp,
+                     row_addmul, row_modp, row_scale)
 
 
 @dataclass(frozen=True)
@@ -364,6 +368,109 @@ def coideal_from_space(A: QTAlgebra, space: Echelon) -> CoidealSubalgebra:
 # --- derived constructions ----------------------------------------------
 
 
+@dataclass
+class _Catalog:
+    """What the certificates of coideal_product and coideal_intersect read,
+    built once per algebra from enumerate_coideals: each entry's position
+    by key, the containment order (below[i][j] when entry i lies in entry
+    j, by exact Echelon.__le__), a prime p = 1 (mod n) for n the common
+    order of the entries' values, with p > 2^20, and each entry's reduced
+    rows mod p (None when p divides one of their denominators)."""
+
+    entries: list[CoidealSubalgebra]
+    index: dict[tuple, int]
+    below: list[list[bool]]
+    p: int
+    rows: list[list[dict[int, int]] | None]
+
+
+@memoized
+def _catalog(A: QTAlgebra) -> _Catalog:
+    cos = enumerate_coideals(A)
+    # the catalog is deduplicated, so distinct entries of one dimension
+    # are incomparable
+    below = [[i == j or (L.dim < M.dim and L.space <= M.space)
+              for j, M in enumerate(cos)] for i, L in enumerate(cos)]
+    n = common_order([r for L in cos for r in L.space.rows])
+    p = find_prime(n, 1 << 20)
+    w = primitive_root_of_unity(p, n)
+    rows = []
+    for L in cos:
+        images = [row_modp(r, p, w, n) for r in L.space.rows]
+        rows.append(None if None in images else images)
+    return _Catalog(cos, {L.key(): i for i, L in enumerate(cos)}, below, p,
+                    rows)
+
+
+def _positions(A: QTAlgebra, L1: CoidealSubalgebra,
+               L2: CoidealSubalgebra) -> tuple[_Catalog, int | None, int | None]:
+    """The catalog, and the positions of L1 and L2 in it (None for no
+    entry)."""
+    cat = _catalog(A)
+    return cat, cat.index.get(L1.key()), cat.index.get(L2.key())
+
+
+def _within(cat: _Catalog, i: int | None, j: int | None,
+            L1: CoidealSubalgebra, L2: CoidealSubalgebra) -> bool:
+    """L1 <= L2, read off the catalog order when both are entries, at
+    positions i and j."""
+    if i is None or j is None:
+        return L1.space <= L2.space
+    return cat.below[i][j]
+
+
+def _certified_product(A: QTAlgebra, cat: _Catalog, i: int,
+                       j: int) -> CoidealSubalgebra | None:
+    """The catalog entry C equal to L1 L2 (and to L2 L1 unless C = A) for
+    the entries L1, L2 at positions i, j, or None when no certificate
+    holds.
+
+    Lemma: C is the smallest entry containing L1 and L2.  C is a
+    subalgebra, so L1 L2 <= C.  Reduction mod p (p = 1 mod n, prime to
+    the denominators) is a ring map, so the products mod p are the images
+    of the exact products, and rank_p{a b} <= dim L1 L2.  So rank_p =
+    dim C gives L1 L2 = C; and when L1 L2 is an entry, it is C, the
+    smallest entry containing both.  The products of the integer rows
+    mod p go through mul_rows, whose prod_idx products all carry
+    coefficient one; rank_modp reduces their sums mod p.
+    """
+    k = next((k for k in range(len(cat.entries))
+              if cat.below[i][k] and cat.below[j][k]), None)
+    if k is None or cat.rows[i] is None or cat.rows[j] is None:
+        return None
+    C = cat.entries[k]
+    orders = [(i, j)] if C.dim == A.dim else [(i, j), (j, i)]
+    for x, y in orders:
+        products = (mul_rows(A, a, b) for a in cat.rows[x]
+                    for b in cat.rows[y])
+        if rank_modp(products, cat.p, C.dim) < C.dim:
+            return None
+    return C
+
+
+def _certified_intersection(cat: _Catalog, i: int,
+                            j: int) -> CoidealSubalgebra | None:
+    """The catalog entry D equal to L1 & L2 for the entries L1, L2 at
+    positions i, j, or None when no certificate holds.
+
+    Lemma: D is the largest entry inside L1 and L2, so D <= L1 & L2.
+    dim(L1 & L2) = dim L1 + dim L2 - dim(L1 + L2), and the rank mod p of
+    the rows of L1 and L2 together is at most dim(L1 + L2) (reduction
+    mod p is a ring map).  So a rank mod p of dim L1 + dim L2 - dim D
+    bounds dim(L1 & L2) by dim D, and L1 & L2 = D.
+    """
+    k = next((k for k in reversed(range(len(cat.entries)))
+              if cat.below[k][i] and cat.below[k][j]), None)
+    if k is None or cat.rows[i] is None or cat.rows[j] is None:
+        return None
+    D = cat.entries[k]
+    target = cat.entries[i].dim + cat.entries[j].dim - D.dim
+    if rank_modp(itertools.chain(cat.rows[i], cat.rows[j]), cat.p,
+                 target) < target:
+        return None
+    return D
+
+
 def _span_product(A: QTAlgebra, L1: CoidealSubalgebra,
                   L2: CoidealSubalgebra) -> Echelon:
     # a loop rather than Echelon(A.dim, rows): it stops at full dimension
@@ -378,11 +485,21 @@ def _span_product(A: QTAlgebra, L1: CoidealSubalgebra,
 
 def coideal_product(A: QTAlgebra, L1: CoidealSubalgebra,
                     L2: CoidealSubalgebra) -> CoidealSubalgebra:
-    """The span of all products l1*l2, again a coideal subalgebra."""
-    if L1.space <= L2.space:
+    """The span of all products l1*l2, again a coideal subalgebra.
+
+    Two catalog entries give the catalog entry their product certifies
+    (_certified_product); otherwise, or when the certificate falls short,
+    the exact span is built and checked against L2 L1.
+    """
+    cat, i, j = _positions(A, L1, L2)
+    if _within(cat, i, j, L1, L2):
         return L2
-    if L2.space <= L1.space:
+    if _within(cat, j, i, L2, L1):
         return L1
+    if i is not None and j is not None:
+        C = _certified_product(A, cat, i, j)
+        if C is not None:
+            return C
     space = _span_product(A, L1, L2)
     if space.dim < A.dim:
         if space != _span_product(A, L2, L1):
@@ -394,10 +511,18 @@ def coideal_product(A: QTAlgebra, L1: CoidealSubalgebra,
 
 def coideal_intersect(A: QTAlgebra, L1: CoidealSubalgebra,
                       L2: CoidealSubalgebra) -> CoidealSubalgebra:
-    if L1.space <= L2.space:
+    """L1 & L2: for two catalog entries the entry it certifies
+    (_certified_intersection); otherwise, or when the certificate falls
+    short, the exact intersection."""
+    cat, i, j = _positions(A, L1, L2)
+    if _within(cat, i, j, L1, L2):
         return L1
-    if L2.space <= L1.space:
+    if _within(cat, j, i, L2, L1):
         return L2
+    if i is not None and j is not None:
+        D = _certified_intersection(cat, i, j)
+        if D is not None:
+            return D
     return coideal_from_space(A, intersect(L1.space, L2.space))
 
 

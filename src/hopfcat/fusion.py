@@ -120,7 +120,7 @@ def _induced_simples(A: QTAlgebra, ci: int, a: int,
                      start: int) -> list[SimpleObject]:
     G = A.group
     C = centralizer_subgroup(G, a)
-    CG, pos = C.as_group(f"cent{ci}")
+    CG, pos = C.as_group(f"cent{ci}of{G.name}")
     ctab = character_table(CG)
     coset_of: dict[int, int] = {}
     reps: list[int] = []

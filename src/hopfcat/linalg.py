@@ -10,6 +10,14 @@ nullspace(rows, ncols) returns the kernel as an Echelon, and
 intersect(x, y) meets two Echelons, reading their reduced rows as they
 are.
 
+The mod-p section at the end holds the one F_p kernel of the package:
+a prime p = 1 (mod n) with a primitive n-th root of unity, dense RREF
+and kernels (chartab's eigenspaces), the image of a cyclotomic row in
+F_p, and a sparse rank that stops at a target (coideal's certificates).
+Reduction mod p is a ring map on the values it accepts, so a rank mod p
+is at most the exact rank; no result of this section is trusted beyond
+that bound.
+
 Sparse accumulation goes through three helpers: acc adds one term into a
 row, row_sum adds whole rows, and apply_pairs applies a fixed (src, dst,
 coeff) table to a vector.
@@ -269,3 +277,134 @@ def common_order(rows: list[Row]) -> int:
         for v in r.values():
             n = lcm(n, v.order)
     return n
+
+
+# --- linear algebra over F_p ---------------------------------------------
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def find_prime(modulus: int, lower: int) -> int:
+    """The smallest prime p > lower with p = 1 (mod modulus)."""
+    p = lower + 1 + (-lower) % modulus
+    while not _is_prime(p):
+        p += modulus
+    return p
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def primitive_root_of_unity(p: int, n: int) -> int:
+    """Smallest generator of F_p^*, raised to (p-1)/n."""
+    factors = _prime_factors(p - 1)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+        g += 1
+    return pow(g, (p - 1) // n, p)
+
+
+def rref_modp(mat: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of the RREF of a dense matrix mod p, and their
+    pivot columns."""
+    rows = [r[:] for r in mat]
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] % p:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                c = rows[i][col]
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+def kernel_modp(mat: list[list[int]], p: int) -> list[list[int]]:
+    """A basis of {x : mat x = 0} mod p, for a square dense matrix."""
+    n = len(mat)
+    rr, pivots = rref_modp(mat, p)
+    free = [j for j in range(n) if j not in pivots]
+    out = []
+    for f in free:
+        v = [0] * n
+        v[f] = 1
+        for r, pc in zip(rr, pivots):
+            v[pc] = (-r[f]) % p
+        out.append(v)
+    return out
+
+
+def row_modp(row: Row, p: int, w: int, n: int) -> dict[int, int] | None:
+    """The image of row in F_p under zeta_m -> w^(n/m), for w a primitive
+    n-th root of unity mod p and every order m of row dividing n; None
+    when p divides a denominator, where the map is not defined."""
+    out: dict[int, int] = {}
+    for j, v in row.items():
+        if v.den % p == 0:
+            return None
+        step = n // v.order
+        x = sum(c * pow(w, step * e, p) for e, c in v.nums.items())
+        x = x * pow(v.den, -1, p) % p
+        if x:
+            out[j] = x
+    return out
+
+
+def rank_modp(rows, p: int, target: int) -> int:
+    """The rank mod p of the rows (dicts of any ints), read lazily; it
+    stops as soon as the rank reaches target.  A forward echelon: each
+    pivot row is scaled to lead with 1 and never reduced again."""
+    pivots: dict[int, dict[int, int]] = {}
+    if target <= 0:
+        return 0
+    for row in rows:
+        res = {k: r for k, v in row.items() if (r := v % p)}
+        while res:
+            j = min(res)
+            prow = pivots.get(j)
+            if prow is None:
+                inv = pow(res[j], -1, p)
+                pivots[j] = {k: v * inv % p for k, v in res.items()}
+                if len(pivots) >= target:
+                    return len(pivots)
+                break
+            c = res[j]
+            for k, v in prow.items():
+                s = (res.get(k, 0) - c * v) % p
+                if s:
+                    res[k] = s
+                else:
+                    del res[k]
+    return len(pivots)

@@ -94,18 +94,23 @@ def _verify(G: Group, table: CharacterTable, i: int, mats: list[Matrix]) -> None
         for c in range(d):
             want = ONE if r == c else as_cyclo(0)
             if mats[0][r][c] != want:
-                raise InvariantViolation("identity does not map to identity matrix")
+                raise InvariantViolation(
+                    f"{G.name}: identity does not map to identity matrix "
+                    f"in character {i}")
     for g in range(G.n):
         tr = mats[g][0][0]
         for r in range(1, d):
             tr = tr + mats[g][r][r]
         if tr != table.value_at(i, g):
-            raise InvariantViolation(f"trace mismatch at element {g}")
+            raise InvariantViolation(
+                f"{G.name}: trace mismatch at element {g} in character {i}")
     for a in range(G.n):
         for b in range(G.n):
             prod = mat_mul(mats[a], mats[b])
             if prod != mats[G.mul(a, b)]:
-                raise InvariantViolation("matrices do not respect the group law")
+                raise InvariantViolation(
+                    f"{G.name}: matrices of character {i} do not respect "
+                    f"the group law at ({a},{b})")
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -131,7 +136,8 @@ def matrix_irrep(G: Group, table: CharacterTable, i: int) -> list[Matrix]:
     ech = Echelon(G.n, (_translate(G, h, f) for h in range(G.n)))
     if ech.dim != d:
         raise InvariantViolation(
-            f"ideal of character {i} has dimension {ech.dim}, expected {d}")
+            f"{G.name}: ideal of character {i} has dimension {ech.dim}, "
+            f"expected {d}")
     basis = ech.rows
     mats = []
     for g in range(G.n):
@@ -139,7 +145,9 @@ def matrix_irrep(G: Group, table: CharacterTable, i: int) -> list[Matrix]:
         for b in basis:
             c = ech.coords(_translate(G, g, b))
             if c is None:
-                raise InvariantViolation("translate left the ideal")
+                raise InvariantViolation(
+                    f"{G.name}: translate by {g} left the ideal of "
+                    f"character {i}")
             cols.append(c)
         mats.append(tuple(tuple(cols[c][r] for c in range(d)) for r in range(d)))
     _verify(G, table, i, mats)

@@ -23,7 +23,7 @@ from .fusion import (centralizer, char_ring, enumerate_subcats, left_kernel,
                      smatrix)
 from .hopf import (QTAlgebra, all_classes, compute_K_A, convolve,
                    drinfeld_map, integrals, lmul, memo, mul_rows, pair_eval,
-                   rmul, verify_quasitriangular)
+                   rmul, subalgebra_generators, verify_quasitriangular)
 from .linalg import (Echelon, Row, acc, intersect, nullspace, row_addmul,
                      row_scale, row_sum)
 
@@ -429,7 +429,14 @@ def _check_coinvariants(ctx: _Context) -> Verdicts:
     normal exactly when the right coinvariants do too, and exactly when
     the R-matrix legs of the quotient functions land in the commutants of
     the coinvariant spaces.  Both directions of the equivalence are hit:
-    twisted coideals supply non-normal quotient maps."""
+    twisted coideals supply non-normal quotient maps.
+
+    Membership in the commutant of L is checked on the certified
+    generators of L (subalgebra_generators).  Lemma: the a with a x = x a
+    form a subalgebra ((ab)x = a(xb) = (xa)b = x(ab), and 1 passes), so x
+    commutes with L once it commutes with generators of L.  The right
+    coinvariants of a non-normal map are no certified subalgebra, so
+    their commutant is still solved for."""
     A = ctx.A
     for L in ctx.cos:
         aug = augmentation_ideal(A, L)
@@ -441,11 +448,13 @@ def _check_coinvariants(ctx: _Context) -> Verdicts:
         co_right = _coinvariants(ctx, aug, "right")
         normal = co_right == L.space
         dual_rows = quotient_dual(A, L).rows
-        comm_left = _commutant(A, L.space.rows)
-        c2 = all(comm_left.contains(ctx.dm.f_r21(f)) for f in dual_rows)
-        comm_right = (comm_left if normal
-                      else _commutant(A, co_right.rows))
-        c3 = all(comm_right.contains(ctx.dm.f_r(f)) for f in dual_rows)
+        gens = subalgebra_generators(A, L.space)
+        c2 = _commutes(A, (ctx.dm.f_r21(f) for f in dual_rows), gens)
+        if normal:
+            c3 = _commutes(A, (ctx.dm.f_r(f) for f in dual_rows), gens)
+        else:
+            comm_right = _commutant(A, co_right.rows)
+            c3 = all(comm_right.contains(ctx.dm.f_r(f)) for f in dual_rows)
         ok = ok and normal == c2 == c3
         yield (L.label(), ok, "normal quotient map" if normal
                else "non-normal quotient map, equivalences agree")

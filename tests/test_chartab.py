@@ -1,7 +1,10 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hopfcat import chartab, linalg
 from hopfcat.chartab import CharacterTable, character_table
 from hopfcat.cyclo import CycloNumber, as_cyclo
 from hopfcat.errors import InconsistentCharacters
@@ -109,3 +112,25 @@ def test_bad_rows_rejected():
     half = CycloNumber.rational(Fraction(1, 2))
     with pytest.raises(InconsistentCharacters):
         CharacterTable(G, [[one, one], [half, -half]])
+
+
+def test_chartab_defines_no_modp_helper_of_its_own():
+    """The F_p kernel lives in linalg; chartab only imports it."""
+    tree = ast.parse(Path(chartab.__file__).read_text())
+    defined = {n.name for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    helpers = {"is_prime", "find_prime", "prime_factors",
+               "primitive_root_of_unity", "rref_modp", "kernel_modp"}
+    assert not defined & (helpers | {"_" + h for h in helpers})
+    for name in ("find_prime", "primitive_root_of_unity", "rref_modp",
+                 "kernel_modp"):
+        assert getattr(chartab, name) is getattr(linalg, name)
+
+
+def test_verify_failure_names_its_group(monkeypatch):
+    """A conjugation that fixes every value breaks the table of Z3, whose
+    characters take the non-real values zeta_3 and zeta_3^2."""
+    monkeypatch.setattr(CycloNumber, "conjugate", lambda self: self)
+    with pytest.raises(InconsistentCharacters,
+                       match=r"^Z3: conjugate/inverse mismatch at row 1"):
+        character_table(parse_group_spec("Z3"))

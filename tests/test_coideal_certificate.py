@@ -1,0 +1,131 @@
+"""coideal_product and coideal_intersect certify their answer against the
+coideal catalog with a rank mod p; the exact spans are the fallback.
+
+Each test compares the answer with the exact route: the span of every
+product l1 l2, or the exact intersection, looked up in the catalog."""
+
+import pytest
+
+from hopfcat import build_double, coideal, parse_group_spec
+from hopfcat.coideal import (CoidealSubalgebra, coideal_from_space,
+                             coideal_intersect, coideal_product,
+                             enumerate_coideals)
+from hopfcat.cyclo import ONE
+from hopfcat.linalg import Echelon, intersect, rank_modp
+
+
+def _exact_product(A, L1, L2):
+    return coideal_from_space(A, coideal._span_product(A, L1, L2))
+
+
+def _exact_intersection(A, L1, L2):
+    return coideal_from_space(A, intersect(L1.space, L2.space))
+
+
+def _refuse(*args):
+    raise AssertionError("the exact route ran")
+
+
+def _certified_answers(A, monkeypatch):
+    """Product and intersection of every ordered catalog pair, with the
+    exact route patched to fail."""
+    with monkeypatch.context() as m:
+        m.setattr(coideal, "_span_product", _refuse)
+        m.setattr(coideal, "intersect", _refuse)
+        cos = enumerate_coideals(A)
+        return {(i, j): (coideal_product(A, L1, L2),
+                         coideal_intersect(A, L1, L2))
+                for i, L1 in enumerate(cos) for j, L2 in enumerate(cos)}
+
+
+def _assert_certificates_match_exact_route(name, monkeypatch):
+    A = build_double(parse_group_spec(name))
+    got = _certified_answers(A, monkeypatch)
+    cos = enumerate_coideals(A)
+    for (i, j), (P, I) in got.items():
+        L1, L2 = cos[i], cos[j]
+        assert P is _exact_product(A, L1, L2), (name, i, j)
+        assert I is _exact_intersection(A, L1, L2), (name, i, j)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "Z2xZ2"])
+def test_certificates_carry_every_catalog_pair(name, monkeypatch):
+    _assert_certificates_match_exact_route(name, monkeypatch)
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("name", ["A4", "D6"])
+def test_certificates_carry_every_catalog_pair_large(name, monkeypatch):
+    _assert_certificates_match_exact_route(name, monkeypatch)
+
+
+def _fallback_answers(A, monkeypatch, patches):
+    """Every ordered catalog pair under patches, which must send some
+    pairs down the exact route; the number of exact spans taken."""
+    A._cache.pop(coideal._catalog.__wrapped__, None)
+    calls = [0]
+    span = coideal._span_product
+
+    def counted(*args):
+        calls[0] += 1
+        return span(*args)
+    cos = enumerate_coideals(A)
+    with monkeypatch.context() as m:
+        m.setattr(coideal, "_span_product", counted)
+        for name, value in patches:
+            m.setattr(coideal, name, value)
+        got = {(i, j): (coideal_product(A, L1, L2),
+                        coideal_intersect(A, L1, L2))
+               for i, L1 in enumerate(cos) for j, L2 in enumerate(cos)}
+    # the catalog built under the patches is dropped with them
+    A._cache.pop(coideal._catalog.__wrapped__, None)
+    return got, calls[0]
+
+
+@pytest.mark.parametrize("patches", [
+    [("row_modp", lambda row, p, w, n: None)],
+    [("rank_modp", lambda rows, p, target:
+      rank_modp(rows, p, target) - 1)],
+], ids=["prime-divides-a-denominator", "rank-one-short"])
+def test_a_failed_certificate_takes_the_exact_route(patches, monkeypatch):
+    A = build_double(parse_group_spec("S3"))
+    want = _certified_answers(A, monkeypatch)
+    got, spans = _fallback_answers(A, monkeypatch, patches)
+    assert spans > 0
+    assert got == want
+
+
+def test_a_non_catalog_input_takes_the_exact_route(monkeypatch):
+    """k^G # k<s> for a reflection s of S3 is a Hopf subalgebra of D(S3)
+    but not a normal one, so it is no catalog entry; with k^G # k[A3] its
+    product is D(S3) and its intersection k^G, both catalog entries."""
+    A = build_double(parse_group_spec("S3"))
+    G = A.group
+    assert G.conj(3, 1) != 1 and G.mul(3, 3) == 4  # 1 a reflection, 3 a rotation
+
+    def span(hs):
+        return Echelon(A.dim, [{A.pair_index(g, h): ONE}
+                               for g in range(G.n) for h in hs])
+    K = CoidealSubalgebra(A, span((0, 1)), {})
+    cos = enumerate_coideals(A)
+    assert K.key() not in {L.key() for L in cos}
+    by_key = {L.key(): L for L in cos}
+    L = by_key[span((0, 3, 4)).key()]
+    k_fun = by_key[span((0,)).key()]
+    with monkeypatch.context() as m:
+        m.setattr(coideal, "rank_modp", _refuse)
+        assert coideal_product(A, K, L) is cos[-1]
+        assert coideal_product(A, L, K) is cos[-1]
+        assert coideal_intersect(A, K, L) is k_fun
+        assert coideal_intersect(A, L, K) is k_fun
+    assert cos[-1].dim == A.dim
+    assert _exact_product(A, K, L) is cos[-1]
+    assert _exact_intersection(A, K, L) is k_fun
+
+
+def test_catalog_order_is_exact_containment():
+    A = build_double(parse_group_spec("D4"))
+    cat = coideal._catalog(A)
+    for i, L1 in enumerate(cat.entries):
+        for j, L2 in enumerate(cat.entries):
+            assert cat.below[i][j] == (L1.space <= L2.space), (i, j)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,14 @@ from hopfcat.linalg import (
     Echelon,
     acc,
     apply_pairs,
+    find_prime,
     intersect,
+    kernel_modp,
     nullspace,
+    primitive_root_of_unity,
+    rank_modp,
     row_addmul,
+    row_modp,
     row_scale,
     solve_linear,
 )
@@ -230,3 +236,94 @@ def test_nullspace_is_the_annihilator(case):
                     CycloNumber.rational(0))
             assert s.is_zero()
     assert null.dim + Echelon(n, rows).dim == n
+
+
+def _walked_prime(modulus, lower):
+    """Reference: every p = 1 (mod modulus) from modulus + 1 upwards."""
+    p = modulus + 1
+    while p <= lower or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += modulus
+    return p
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 3, 4, 6, 8, 12, 24, 35])
+@pytest.mark.parametrize("lower", [0, 1, 2, 6, 12, 35, 100, 143])
+def test_find_prime_starts_at_the_first_admissible_residue(modulus, lower):
+    assert find_prime(modulus, lower) == _walked_prime(modulus, lower)
+
+
+def test_find_prime_above_two_to_the_twenty():
+    p = find_prime(12, 1 << 20)
+    assert p > 1 << 20 and p % 12 == 1
+    assert p == _walked_prime(12, 1 << 20)
+
+
+def test_primitive_root_of_unity_has_exact_order():
+    for n in (1, 2, 3, 4, 6, 8, 12):
+        p = find_prime(n, 100)
+        w = primitive_root_of_unity(p, n)
+        assert pow(w, n, p) == 1
+        assert all(pow(w, d, p) != 1 for d in range(1, n))
+
+
+def test_kernel_modp():
+    p = 7
+    mat = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    ker = kernel_modp(mat, p)
+    assert len(ker) == 1
+    assert all(sum(a * b for a, b in zip(r, ker[0])) % p == 0 for r in mat)
+
+
+def _images(rows, p, w, n):
+    return [row_modp(r, p, w, n) for r in rows]
+
+
+def test_row_modp_is_a_ring_map():
+    rng = random.Random(11)
+    n = 12
+    p = find_prime(n, 1 << 20)
+    w = primitive_root_of_unity(p, n)
+    for _ in range(40):
+        order = rng.choice((1, 2, 3, 4, 6, 12))
+        x, y = (CycloNumber(order, {rng.randrange(order): Fraction(
+            rng.randrange(-5, 6), rng.randrange(1, 5))}) for _ in range(2))
+        fx, fy = (row_modp({0: v}, p, w, n).get(0, 0) if v else 0
+                  for v in (x, y))
+        for value, want in ((x * y, fx * fy), (x + y, fx + fy)):
+            got = row_modp({0: value}, p, w, n).get(0, 0) if value else 0
+            assert got == want % p
+
+
+def test_row_modp_refuses_a_denominator_divisible_by_p():
+    p = find_prime(4, 10)
+    w = primitive_root_of_unity(p, 4)
+    assert row_modp({0: CycloNumber.rational(Fraction(1, p))}, p, w, 4) is None
+    assert row_modp({0: CycloNumber.rational(Fraction(1, 2 * p)),
+                     1: ONE}, p, w, 4) is None
+    assert row_modp({0: CycloNumber.rational(Fraction(3, 2))}, p, w, 4) \
+        == {0: 3 * pow(2, -1, p) % p}
+
+
+def test_rank_modp_matches_the_exact_rank_and_stops_at_target():
+    rng = random.Random(7)
+    n = 4
+    p = find_prime(n, 1 << 20)
+    w = primitive_root_of_unity(p, n)
+    for _ in range(30):
+        ncols = rng.randrange(2, 7)
+        rows = [_random_row(rng, ncols) for _ in range(rng.randrange(1, 8))]
+        dim = Echelon(ncols, rows).dim
+        images = _images(rows, p, w, n)
+        assert rank_modp(images, p, ncols) == dim
+        read = []
+
+        def lazily():
+            for r in images:
+                read.append(r)
+                yield r
+        assert rank_modp(lazily(), p, 1) == 1
+        assert len(read) == next(i for i, r in enumerate(images) if r) + 1
+
+
+def test_rank_modp_drops_zero_residues():
+    assert rank_modp([{0: 7, 1: 3}, {0: 14, 1: 6}, {1: 7}], 7, 3) == 1

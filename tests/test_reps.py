@@ -1,6 +1,12 @@
+import pytest
+
+from hopfcat import reps
 from hopfcat.chartab import character_table
 from hopfcat.cyclo import CycloNumber, as_cyclo
+from hopfcat.errors import InconsistentCharacters, InvariantViolation
+from hopfcat.fusion import _induced_simples
 from hopfcat.groups import all_subgroups, parse_group_spec
+from hopfcat.hopf import build_double
 from hopfcat.reps import linear_characters, mat_mul, matrix_irrep
 
 
@@ -65,3 +71,25 @@ def test_mat_mul():
     b = ((one, as_cyclo(0)), (z, one))
     ab = mat_mul(a, b)
     assert ab == ((one + z * z, z), (z, one))
+
+
+def test_matrix_irrep_failure_names_its_group(monkeypatch):
+    G = parse_group_spec("S3")
+    t = character_table(G)
+    i = t.degrees.index(2)
+    monkeypatch.setattr(reps, "mat_mul", lambda a, b: a)
+    with pytest.raises(InvariantViolation,
+                       match=rf"^S3: matrices of character {i} do not "
+                             r"respect the group law"):
+        matrix_irrep(G, t, i)
+
+
+def test_centralizer_table_failure_names_the_double_group(monkeypatch):
+    """The character table of a centralizer in D(Z3) is built on a group
+    named after its class and Z3, so its failure says where it came from."""
+    A = build_double(parse_group_spec("Z3"))
+    monkeypatch.setattr(CycloNumber, "conjugate", lambda self: self)
+    with pytest.raises(InconsistentCharacters,
+                       match=r"^cent1ofZ3: conjugate/inverse mismatch"):
+        _induced_simples(A, 1, A.group.conjugacy_classes()[1].representative,
+                         3)

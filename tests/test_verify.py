@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from hopfcat.verify import SMOKE_CHECKS, _REGISTRY, summarize, verify_identities
+from hopfcat.coideal import enumerate_coideals, quotient_dual
+from hopfcat.hopf import drinfeld_map, subalgebra_generators
+from hopfcat.verify import (SMOKE_CHECKS, _REGISTRY, _commutant, _commutes,
+                            summarize, verify_identities)
 
 ALL_IDS = {cid for cid, _, _ in _REGISTRY}
 FACTORIZABLE_IDS = {cid for cid, scope, _ in _REGISTRY if scope == "factorizable"}
@@ -86,3 +89,23 @@ def test_summarize_reports_failures():
                           "detail": "boom"}]}
     text = summarize(report)
     assert "FAIL a" in text and "boom" in text
+
+
+def test_commutant_membership_on_generators(doubles):
+    """x commutes with L exactly when it commutes with the generators of L:
+    the R-matrix legs that _check_coinvariants tests, and basis elements,
+    against the solved commutant of every coideal of D(D4)."""
+    A = doubles["D4"]
+    dm = drinfeld_map(A)
+    verdicts = set()
+    for L in enumerate_coideals(A):
+        comm = _commutant(A, L.space.rows)
+        gens = subalgebra_generators(A, L.space)
+        dual = quotient_dual(A, L).rows
+        probes = ([dm.f_r21(f) for f in dual] + [dm.f_r(f) for f in dual]
+                  + [A.basis(k) for k in range(0, A.dim, 7)])
+        for x in probes:
+            got = _commutes(A, [x], gens)
+            assert got == comm.contains(x), L.label()
+            verdicts.add(got)
+    assert verdicts == {True, False}
