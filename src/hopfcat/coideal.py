@@ -29,9 +29,8 @@ from .hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode, convolve,
                    counit_value, drinfeld_map, failure, is_left_coideal,
                    left_quotients, leg_slices, lmul, memo, memoized,
                    mul_rows, pair_eval, right_adjoint, subalgebra_generators)
-from .linalg import (Echelon, Row, acc, common_order, find_prime, intersect,
-                     nullspace, primitive_root_of_unity, rank_modp,
-                     row_addmul, row_modp, row_scale)
+from .linalg import (Echelon, Row, acc, intersect, modular_field, nullspace,
+                     rank_modp, row_addmul, row_modp, row_scale)
 
 
 @dataclass(frozen=True)
@@ -391,9 +390,7 @@ def _catalog(A: QTAlgebra) -> _Catalog:
     # are incomparable
     below = [[i == j or (L.dim < M.dim and L.space <= M.space)
               for j, M in enumerate(cos)] for i, L in enumerate(cos)]
-    n = common_order([r for L in cos for r in L.space.rows])
-    p = find_prime(n, 1 << 20)
-    w = primitive_root_of_unity(p, n)
+    p, w, n = modular_field([r for L in cos for r in L.space.rows])
     rows = []
     for L in cos:
         images = [row_modp(r, p, w, n) for r in L.space.rows]

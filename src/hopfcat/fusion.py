@@ -27,7 +27,8 @@ from .groups import Subgroup, centralizer_subgroup, normal_subgroups
 from .hopf import (QTAlgebra, all_classes, char_ring_idempotents, convolve,
                    drinfeld_map, dual_character, failure, generators,
                    harpoon_right, integrals, memoized, pair_eval)
-from .linalg import Echelon, Row, acc, intersect, nullspace, row_scale
+from .linalg import (Echelon, Row, acc, intersect, nullspace, row_rank,
+                     row_scale)
 from .reps import Matrix, mat_mul, matrix_irrep
 
 S_BOUND_TOL = 1e-9
@@ -265,6 +266,13 @@ def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
     zero where the support of chi_i * chi_j misses that of w_k: only the
     k whose w_k meets the convolution are paired, every other entry is
     an exact 0 (and 0 passes every check below).
+
+    Only the pairs i <= j are computed; row (j, i) is a copy of row
+    (i, j).  Lemma: the character ring of a quasitriangular algebra is
+    commutative.  chi_i * chi_j is the character of V_i x V_j, and the
+    braiding tau o R is a module isomorphism V_i x V_j -> V_j x V_i, so
+    chi_i * chi_j = chi_j * chi_i; verify_axioms checked R at build
+    time.  The duality check still reads both orders.
     """
     simples = simple_objects(A)
     dual = dual_index(A)
@@ -276,12 +284,11 @@ def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
         for b in w:
             meets[b].append(k)
     r = len(simples)
-    table: list[list[list[int]]] = []
+    table: list[list[list[int]]] = [[[] for _ in range(r)] for _ in range(r)]
     for i in range(r):
-        row_i = []
-        for j in range(r):
+        for j in range(i, r):
             conv = convolve(A, simples[i].character, simples[j].character)
-            row_j = [0] * r
+            row = [0] * r
             for k in sorted({k for b in conv for k in meets[b]}):
                 v = pair_eval(conv, ws[k])
                 q = v.rational_value() if v.is_rational() else None
@@ -289,16 +296,17 @@ def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
                     raise NonIntegerMultiplicity(failure(
                         A, "fusion integrality", None,
                         f"V{i} x V{j} -> V{k} (N = {fmt_cyclo(v)})"))
-                row_j[k] = int(q)
-            if row_j[0] != (1 if dual[i] == j else 0):
-                raise InvariantViolation(failure(A, "fusion duality", None,
-                                                 f"V{i} x V{j}"))
-            if (sum(n * simples[k].dim for k, n in enumerate(row_j))
+                row[k] = int(q)
+            for a, b in ((i, j), (j, i)):
+                if row[0] != (1 if dual[a] == b else 0):
+                    raise InvariantViolation(failure(
+                        A, "fusion duality", None, f"V{a} x V{b}"))
+            if (sum(n * simples[k].dim for k, n in enumerate(row))
                     != simples[i].dim * simples[j].dim):
                 raise InvariantViolation(failure(
                     A, "fusion dimension count", None, f"V{i} x V{j}"))
-            row_i.append(row_j)
-        table.append(row_i)
+            table[i][j] = row
+            table[j][i] = list(row)
     return table
 
 
@@ -403,8 +411,8 @@ def smatrix(A: QTAlgebra) -> SMatrix:
                 raise InvariantViolation(failure(
                     A, "S-matrix dimension bound", None, f"s[{i}][{j}]"))
 
-    rank = Echelon(r, [{k: v for k, v in enumerate(row) if v}
-                       for row in entries]).dim
+    rank = row_rank([{k: v for k, v in enumerate(row) if v}
+                     for row in entries], r)
     return SMatrix(simples, entries, dual, rank, phi_relation)
 
 

@@ -58,8 +58,8 @@ from .cyclo import CycloNumber, ONE, ZERO, as_cyclo, dot
 from .errors import (BoundExceeded, InconsistentCharacters,
                      InvariantViolation, NoIntegral, NotFactorizable)
 from .groups import DOUBLE_DIM_BOUND, Group, check_double_dim, double_name
-from .linalg import (Echelon, Row, acc, apply_pairs, row_scale, row_sum,
-                     solve_linear)
+from .linalg import (Echelon, Row, acc, apply_pairs, row_rank, row_scale,
+                     row_sum, solve_linear)
 
 def memo(A: QTAlgebra, key, build):
     """A._cache[key], calling build() on first use."""
@@ -1002,9 +1002,8 @@ def all_classes(A: QTAlgebra, ring: CharRing) -> list[ConjClass]:
     def build() -> list[ConjClass]:
         classes = [conjugacy_class(A, j, ring)
                    for j in range(len(ring.idempotents))]
-        total = sum(cls.space.dim for cls in classes)
-        ech = Echelon(A.dim, [row for cls in classes for row in cls.space.rows])
-        if not total == ech.dim == A.dim:
+        rows = [row for cls in classes for row in cls.space.rows]
+        if not (len(rows) == A.dim and row_rank(rows, A.dim) == A.dim):
             _fail(A, "class-span decomposition of the algebra")
         return classes
     return memo(A, all_classes, build)

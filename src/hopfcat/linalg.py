@@ -16,7 +16,8 @@ and kernels (chartab's eigenspaces), the image of a cyclotomic row in
 F_p, and a sparse rank that stops at a target (coideal's certificates).
 Reduction mod p is a ring map on the values it accepts, so a rank mod p
 is at most the exact rank; no result of this section is trusted beyond
-that bound.
+that bound.  row_rank reads an exact rank off it only where it reaches
+the rank's upper bound, and runs Echelon otherwise.
 
 Sparse accumulation goes through three helpers: acc adds one term into a
 row, row_sum adds whole rows, and apply_pairs applies a fixed (src, dst,
@@ -366,6 +367,15 @@ def kernel_modp(mat: list[list[int]], p: int) -> list[list[int]]:
     return out
 
 
+def modular_field(rows: list[Row]) -> tuple[int, int, int]:
+    """(p, w, n) for reducing the rows mod p: n the common order of their
+    values, p the smallest prime above 2^20 with p = 1 (mod n), and w a
+    primitive n-th root of unity mod p."""
+    n = common_order(rows)
+    p = find_prime(n, 1 << 20)
+    return p, primitive_root_of_unity(p, n), n
+
+
 def row_modp(row: Row, p: int, w: int, n: int) -> dict[int, int] | None:
     """The image of row in F_p under zeta_m -> w^(n/m), for w a primitive
     n-th root of unity mod p and every order m of row dividing n; None
@@ -408,3 +418,20 @@ def rank_modp(rows, p: int, target: int) -> int:
                 else:
                     del res[k]
     return len(pivots)
+
+
+def row_rank(rows: list[Row], ncols: int) -> int:
+    """The exact rank of the rows, certified mod p where it can be.
+
+    Lemma: reduction mod p is a ring map on the values row_modp accepts,
+    so rank mod p <= exact rank <= min(len(rows), ncols).  A rank mod p
+    that reaches that bound is therefore the exact rank (Dixon, Numer.
+    Math. 40, 1982).  A shortfall, or a prime that divides a denominator,
+    proves nothing, and the exact Echelon decides.
+    """
+    bound = min(len(rows), ncols)
+    p, w, n = modular_field(rows)
+    images = [row_modp(r, p, w, n) for r in rows]
+    if None not in images and rank_modp(images, p, bound) == bound:
+        return bound
+    return Echelon(ncols, rows).dim

@@ -1,15 +1,16 @@
 import dataclasses
 import json
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcat import build_double, coideal, fusion, parse_group_spec
+from hopfcat import build_double, coideal, fusion, linalg, parse_group_spec
 from hopfcat.coideal import (coideal_triples, enumerate_coideals,
                              quotient_dual, triple_coideal)
-from hopfcat.cyclo import ONE, ZERO, CycloNumber, as_cyclo
+from hopfcat.cyclo import ONE, ZERO, CycloNumber, as_cyclo, dot
 from hopfcat.errors import (HopfcatError, InternalMismatch,
                             InvariantViolation, MethodPreconditionViolated,
                             NotClosed, OracleMismatch)
@@ -421,11 +422,71 @@ def test_fusion_table_matches_full_scan(doubles, triangular_s3):
         assert fusion_table(A) == _full_scan_fusion_table(A), A.name
 
 
+def _verlinde_agrees(A):
+    """Reference from the S-matrix alone, by the Verlinde formula:
+    N_ij^k = (1/dim A) sum_m s_im s_jm conj(s_km) / s_0m, exactly.  It
+    reads neither convolve nor pair_eval."""
+    s = smatrix(A).entries
+    r = len(s)
+    scale = [CycloNumber.rational(Fraction(1, A.dim)) / s[0][m]
+             for m in range(r)]
+    conj = [[v.conjugate() for v in row] for row in s]
+    table = fusion_table(A)
+    for i in range(r):
+        for j in range(r):
+            u = [s[i][m] * s[j][m] * scale[m] for m in range(r)]
+            for k in range(r):
+                if dot(list(zip(u, conj[k]))) != as_cyclo(table[i][j][k]):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "Z2xZ2"])
+def test_fusion_table_satisfies_verlinde(doubles, name):
+    assert _verlinde_agrees(doubles[name])
+
+
 @pytest.mark.large
 @pytest.mark.parametrize("name", ["D6", "Z7"])
 def test_fusion_table_matches_full_scan_large(name):
     A = build_double(parse_group_spec(name))
     assert fusion_table(A) == _full_scan_fusion_table(A)
+    assert _verlinde_agrees(A)
+
+
+_rank_modp = linalg.rank_modp
+
+
+@pytest.mark.parametrize("patches, exact_spans", [
+    ([], []),
+    ([("rank_modp", lambda rows, p, target: _rank_modp(rows, p, target)
+       - 1)], [8]),
+    ([("row_modp", lambda row, p, w, n: None)], [8]),
+], ids=["certified", "rank-one-short", "prime-divides-a-denominator"])
+def test_smatrix_rank_falls_back_to_the_exact_path(double_s3, monkeypatch,
+                                                   patches, exact_spans):
+    A = _fresh_copy(double_s3)
+    dual_index(A)     # everything smatrix reads but its own rank,
+    drinfeld_map(A)   # built before Echelon is counted
+    built = []
+
+    class Counted(linalg.Echelon):
+        def __init__(self, ncols, rows=()):
+            built.append(ncols)
+            super().__init__(ncols, rows)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "Echelon", Counted)
+        for name, value in patches:
+            m.setattr(linalg, name, value)
+        assert smatrix(A).rank == 8
+    assert built == exact_spans
+
+
+def test_smatrix_rank_of_a_triangular_algebra_is_one(triangular_s3):
+    # s_ij = d_i d_j: a rank below the bound min(r, r) = 3, which the
+    # certificate cannot reach, so the exact path decides
+    sm = smatrix(triangular_s3)
+    assert len(sm.simples) == 3 and sm.rank == 1
 
 
 def test_module_checked_on_generators_rejects_a_corrupted_non_generator(

@@ -3,7 +3,7 @@
 import pytest
 
 from hopfcat import (build_double, centralizer, enumerate_subcats,
-                     parse_group_spec)
+                     parse_group_spec, smatrix)
 from hopfcat.coideal import enumerate_coideals, is_normal_hopf_subalgebra
 from hopfcat.hopf import adjoint, apply_antipode, leg_slices, right_adjoint
 
@@ -19,6 +19,9 @@ def test_subcats_and_centralizers(name, count):
         got = {centralizer(A, D, m).indices
                for m in ("smatrix", "phi", "classes")}
         assert len(got) == 1, D.label()
+    # the smatrix centralizer built the S-matrix; a double's is invertible
+    sm = smatrix(A)
+    assert sm.rank == len(sm.simples)
 
 
 def _ad_stable_exhaustive(A, space):

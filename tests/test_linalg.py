@@ -13,11 +13,13 @@ from hopfcat.linalg import (
     find_prime,
     intersect,
     kernel_modp,
+    modular_field,
     nullspace,
     primitive_root_of_unity,
     rank_modp,
     row_addmul,
     row_modp,
+    row_rank,
     row_scale,
     solve_linear,
 )
@@ -327,3 +329,45 @@ def test_rank_modp_matches_the_exact_rank_and_stops_at_target():
 
 def test_rank_modp_drops_zero_residues():
     assert rank_modp([{0: 7, 1: 3}, {0: 14, 1: 6}, {1: 7}], 7, 3) == 1
+
+
+def test_modular_field_reads_the_common_order():
+    rows = [{0: CycloNumber.zeta(3)}, {1: CycloNumber.zeta(4), 2: ONE}]
+    p, w, n = modular_field(rows)
+    assert n == 12 and p == find_prime(12, 1 << 20)
+    assert w == primitive_root_of_unity(p, 12)
+    assert modular_field([])[2] == 1
+
+
+@st.composite
+def _cyclo_matrices(draw):
+    """A few rows over Q(zeta_order), some of them combinations of the
+    others, so that rank-deficient matrices are common."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.sampled_from([1, 3, 4, 12]))
+    value = st.builds(lambda e, q: CycloNumber(order, {e: q}),
+                      st.integers(0, order - 1), _entries)
+    base = [{j: v for j, v in r.items() if v}
+            for r in draw(st.lists(st.dictionaries(
+                st.integers(0, n - 1), value, max_size=3), max_size=4))]
+    rows = list(base)
+    for coeffs in draw(st.lists(st.lists(value, min_size=len(base),
+                                         max_size=len(base)), max_size=3)):
+        combo = {}
+        for c, r in zip(coeffs, base):
+            combo = row_addmul(combo, r, c)
+        rows.append(combo)
+    return n, draw(st.permutations(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cyclo_matrices())
+def test_row_rank_is_the_exact_rank(case):
+    n, rows = case
+    assert row_rank(rows, n) == Echelon(n, rows).dim
+
+
+def test_row_rank_refuses_a_prime_that_divides_a_denominator():
+    p, _, _ = modular_field([])
+    rows = [{0: CycloNumber.rational(Fraction(1, p))}, {1: ONE}]
+    assert row_rank(rows, 2) == 2
