@@ -533,6 +533,11 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     (f(a l l') = eps(l') f(a l) = eps(l l') f(a), and 1 passes).  The two
     routes share only those generators, certified before either reads
     them (the integral is computed over them too).
+
+    Together the two checks certify A L+ = A (1 - Lambda_L), of dimension
+    dim A - dim A/dim L.  Lemma: the direct route is the annihilator of
+    A L+, the shifted one that of A (1 - Lambda_L), the a with
+    a Lambda_L = 0 (Lambda_L is idempotent, see coideal_integral).
     """
     def build() -> Echelon:
         eqs: list[Row] = []
@@ -566,16 +571,6 @@ def dual_coideal(A: QTAlgebra, L: CoidealSubalgebra) -> CoidealSubalgebra:
     dm = drinfeld_map(A)
     rows = [dm.phi(f) for f in quotient_dual(A, L).rows]
     return coideal_from_space(A, Echelon(A.dim, rows))
-
-
-def augmentation_ideal(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
-    """A L+ = A (1 - Lambda_L)."""
-    one_minus = row_addmul(A.unit_row, L.integral, -ONE)
-    rows = [lmul(A, k, one_minus) for k in range(A.dim)]
-    space = Echelon(A.dim, rows)
-    if space.dim != A.dim - A.dim // L.dim:
-        raise InvariantViolation(failure(A, "A L+ dimension", None, L.label()))
-    return space
 
 
 def recover_from_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:

@@ -12,20 +12,21 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .coideal import (CoidealSubalgebra, augmentation_ideal,
-                      coideal_from_space, coideal_intersect, coideal_product,
-                      dual_coideal, enumerate_coideals,
-                      is_normal_hopf_subalgebra, quotient_dual)
-from .cyclo import CycloNumber, ONE
+from .coideal import (CoidealSubalgebra, coideal_from_space,
+                      coideal_intersect, coideal_product, dual_coideal,
+                      enumerate_coideals, is_normal_hopf_subalgebra,
+                      quotient_dual)
+from .cyclo import CycloNumber
 from .errors import InvariantViolation
 from .fusion import (centralizer, char_ring, enumerate_subcats, left_kernel,
                      quotient_integral, quotient_irreps, simple_objects,
                      smatrix)
 from .hopf import (QTAlgebra, all_classes, compute_K_A, convolve,
-                   drinfeld_map, integrals, lmul, memo, mul_rows, pair_eval,
-                   rmul, subalgebra_generators, verify_quasitriangular)
-from .linalg import (Echelon, Row, acc, intersect, nullspace, row_addmul,
-                     row_scale, row_sum)
+                   drinfeld_map, integrals, lmul, memo, mul_rows,
+                   noncentral_generator, pair_eval, subalgebra_generators,
+                   verify_quasitriangular)
+from .linalg import (Echelon, Row, acc, intersect, nullspace, row_scale,
+                     row_sum)
 
 # Monodromy fixed-point checks build vectors in A (x) A and are the one
 # place where work grows with dim^2 * |Q|; past this bound they are skipped.
@@ -253,13 +254,20 @@ def _check_intersection_transport(ctx: _Context) -> Verdicts:
         Ls = ctx.star(L)
         inter = intersect(quotient_dual(A, L), quotient_dual(A, Ls))
         image = Echelon(A.dim, [ctx.dm.phi(f) for f in inter.rows])
-        ok = image == intersect(L.space, Ls.space)
+        ok = image == coideal_intersect(A, L, Ls).space
         prod = coideal_product(A, L, Ls)
         ok = ok and inter == quotient_dual(A, prod)
         yield L.label(), ok, f"dim phi(B meet B') = {image.dim}"
 
 
 def _commutes(A: QTAlgebra, rows1, rows2) -> bool:
+    """Whether every row of rows1 commutes with every row of rows2.
+
+    By bilinearity, that is whether the spans commute.  Lemma: the
+    centralizer of a set is a subalgebra ((ab)x = a(xb) = x(ab), and 1
+    passes), so rows commuting with generators of a subalgebra commute
+    with all of it; callers pass subalgebra_generators for subalgebras.
+    """
     for a in rows1:
         for b in rows2:
             if mul_rows(A, a, b) != mul_rows(A, b, a):
@@ -275,7 +283,8 @@ def _check_normal_commutation(ctx: _Context) -> Verdicts:
         if not ctx.is_normal(L):
             continue
         Ls = ctx.star(L)
-        ok = _commutes(A, L.space.rows, Ls.space.rows)
+        ok = _commutes(A, subalgebra_generators(A, L.space),
+                       subalgebra_generators(A, Ls.space))
         detail = f"L (dim {L.dim}) with L* (dim {Ls.dim})"
         if ok and ctx.factorizable:
             b1 = quotient_dual(A, L).rows
@@ -385,7 +394,8 @@ def _check_splitting_pairs(ctx: _Context) -> Verdicts:
         inter = coideal_intersect(A, K, L)
         ok = (prod.dim == A.dim and inter.dim == 1
               and K.dim * L.dim == A.dim
-              and _commutes(A, K.space.rows, L.space.rows)
+              and _commutes(A, subalgebra_generators(A, K.space),
+                            subalgebra_generators(A, L.space))
               and ctx.is_normal(L)
               and ctx.cent_of(K).indices == ctx.idx_of(L))
         yield (K.label(), ok,
@@ -394,34 +404,31 @@ def _check_splitting_pairs(ctx: _Context) -> Verdicts:
         yield "-", True, "no normal coideal has a nondegenerate quotient"
 
 
-def _coinvariants(ctx: _Context, aug: Echelon, side: str) -> Echelon:
+def _coinvariants(A: QTAlgebra, dual: Echelon, side: str) -> Echelon:
     """Solutions of a_(1) (x) pi(a_(2)) = a (x) pi(1) (or its mirror),
-    with pi the projection modulo the augmentation ideal."""
-    A = ctx.A
-    red = [aug.reduce(A.basis(k)) for k in range(A.dim)]
-    red_unit = aug.reduce(dict(A.unit_row))
+    with pi(x) = (f(x)) for f in the reduced rows of dual = (A//L)*.
+
+    Lemma: dual spans the annihilator of A L+ (quotient_dual), so pi has
+    kernel exactly A L+: it is the projection A -> A//L followed by an
+    injective map, and the solutions are those of the equations mod A L+.
+    """
+    # pi(e_k), by transposing the rows of dual
+    pi: list[Row] = [{} for _ in range(A.dim)]
+    for m, f in enumerate(dual.rows):
+        for k, c in f.items():
+            pi[k][m] = c
+    pi_unit = {m: v for m, f in enumerate(dual.rows)
+               if (v := pair_eval(f, A.unit_row))}
     eqs: dict[tuple[int, int], Row] = {}
     for k in range(A.dim):
         for l, r in A.delta[k]:
             slot, other = (l, r) if side == "left" else (r, l)
-            for m, c in red[other].items():
+            for m, c in pi[other].items():
                 acc(eqs.setdefault((slot, m), {}), k, c)
     for slot in range(A.dim):
-        for m, c in red_unit.items():
+        for m, c in pi_unit.items():
             acc(eqs.setdefault((slot, m), {}), slot, -c)
     return nullspace([r for r in eqs.values() if r], A.dim)
-
-
-def _commutant(A: QTAlgebra, rows) -> Echelon:
-    eqs: list[Row] = []
-    for s in rows:
-        diff: dict[int, Row] = {}
-        for k in range(A.dim):
-            d = row_addmul(lmul(A, k, s), rmul(A, s, k), -ONE)
-            for m, c in d.items():
-                diff.setdefault(m, {})[k] = c
-        eqs.extend(diff.values())
-    return nullspace(eqs, A.dim)
 
 
 def _check_coinvariants(ctx: _Context) -> Verdicts:
@@ -431,30 +438,26 @@ def _check_coinvariants(ctx: _Context) -> Verdicts:
     the coinvariant spaces.  Both directions of the equivalence are hit:
     twisted coideals supply non-normal quotient maps.
 
-    Membership in the commutant of L is checked on the certified
-    generators of L (subalgebra_generators).  Lemma: the a with a x = x a
-    form a subalgebra ((ab)x = a(xb) = (xa)b = x(ab), and 1 passes), so x
-    commutes with L once it commutes with generators of L.  The right
-    coinvariants of a non-normal map are no certified subalgebra, so
-    their commutant is still solved for."""
+    A//L is read only through (A//L)* (_coinvariants).  quotient_dual
+    certifies A L+ = A (1 - Lambda_L), of dimension dim A - dim A/dim L
+    (lemma there), and that ideal is two-sided exactly when Lambda_L is
+    central (noncentral_generator).  Lemma: an idempotent e has A e = e A
+    exactly when it is central (e a = a' e gives e a e = e a, and a e =
+    e a'' gives e a e = a e), and 1 - e is idempotent with e.
+    Commutation is checked on the generators of L, or on the rows of the
+    right coinvariants of a non-normal map (_commutes).
+    """
     A = ctx.A
     for L in ctx.cos:
-        aug = augmentation_ideal(A, L)
-        one_minus = row_addmul(A.unit_row, L.integral, -ONE)
-        right_ideal = Echelon(A.dim, [rmul(A, one_minus, k)
-                                      for k in range(A.dim)])
-        ok = right_ideal == aug
-        ok = ok and _coinvariants(ctx, aug, "left") == L.space
-        co_right = _coinvariants(ctx, aug, "right")
+        dual = quotient_dual(A, L)
+        ok = noncentral_generator(A, L.integral) is None
+        ok = ok and _coinvariants(A, dual, "left") == L.space
+        co_right = _coinvariants(A, dual, "right")
         normal = co_right == L.space
-        dual_rows = quotient_dual(A, L).rows
         gens = subalgebra_generators(A, L.space)
-        c2 = _commutes(A, (ctx.dm.f_r21(f) for f in dual_rows), gens)
-        if normal:
-            c3 = _commutes(A, (ctx.dm.f_r(f) for f in dual_rows), gens)
-        else:
-            comm_right = _commutant(A, co_right.rows)
-            c3 = all(comm_right.contains(ctx.dm.f_r(f)) for f in dual_rows)
+        c2 = _commutes(A, (ctx.dm.f_r21(f) for f in dual.rows), gens)
+        c3 = _commutes(A, (ctx.dm.f_r(f) for f in dual.rows),
+                       gens if normal else co_right.rows)
         ok = ok and normal == c2 == c3
         yield (L.label(), ok, "normal quotient map" if normal
                else "non-normal quotient map, equivalences agree")
