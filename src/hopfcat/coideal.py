@@ -23,12 +23,12 @@ from .cyclo import CycloNumber, ONE
 from .errors import (InternalMismatch, InvariantViolation, NoIntegral,
                      PreconditionViolated)
 from .groups import (Group, Subgroup, commutator_subgroup, commute_elementwise,
-                     exponent_tables, normal_subgroups, quotient_group,
-                     subgroup_generated)
+                     exponent_tables, memo, memoized, normal_subgroups,
+                     quotient_group, subgroup_generated)
 from .hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode, convolve,
                    counit_value, drinfeld_map, failure, is_left_coideal,
-                   left_quotients, leg_slices, lmul, memo, memoized,
-                   mul_rows, pair_eval, right_adjoint, subalgebra_generators)
+                   left_quotients, leg_slices, lmul, mul_rows, pair_eval,
+                   right_adjoint, subalgebra_generators)
 from .linalg import (Echelon, Row, acc, intersect, modular_field, nullspace,
                      rank_modp, row_addmul, row_modp, row_scale)
 
@@ -78,7 +78,8 @@ def _abelian_coordinates(G: Group, S: Subgroup):
 
 def enumerate_invariant_bicharacters(G: Group, M: Subgroup,
                                      H: Subgroup) -> list[Bicharacter]:
-    """All G-invariant bicharacters on M x H, in a deterministic order."""
+    """All G-invariant bicharacters on M x H, in a deterministic order,
+    enumerated anew; invariant_bicharacters is the memoized route."""
     m_orders, m_coords = _abelian_coordinates(G, M)
     h_orders, h_coords = _abelian_coordinates(G, H)
     pair_orders = [[math.gcd(dm, dh) for dh in h_orders] for dm in m_orders]
@@ -109,17 +110,24 @@ def enumerate_invariant_bicharacters(G: Group, M: Subgroup,
     return out
 
 
-def bichar_label(A: QTAlgebra, mspec, hspec, bc: Bicharacter) -> str:
-    """'triv' or 'B=<k>' with k the position in the canonical enumeration,
-    whose keys are listed once per algebra and (M, H)."""
-    if bc.is_trivial():
-        return "triv"
-    M = Subgroup(A.group, tuple(sorted(mspec)))
-    H = Subgroup(A.group, tuple(sorted(hspec)))
-    keys = memo(A, (bichar_label, M.members, H.members), lambda: [
-        c.key() for c in enumerate_invariant_bicharacters(A.group, M, H)])
-    key = bc.key()
-    return f"B={keys.index(key)}" if key in keys else "B=?"
+def invariant_bicharacters(
+        G: Group, M: Subgroup,
+        H: Subgroup) -> tuple[list[Bicharacter], dict[tuple, int]]:
+    """enumerate_invariant_bicharacters(G, M, H) and each one's position
+    by key, enumerated once per group and pair (M, H).  The position is
+    the B index of the labels and of the CLI's --triple."""
+    def build():
+        bcs = enumerate_invariant_bicharacters(G, M, H)
+        return bcs, {bc.key(): k for k, bc in enumerate(bcs)}
+    return memo(G, (invariant_bicharacters, M.members, H.members), build)
+
+
+def bichar_label(G: Group, M: Subgroup, H: Subgroup,
+                 bc: Bicharacter) -> str:
+    """'triv' or 'B=<k>' with k the position of the G-invariant bc in the
+    canonical enumeration, which starts with the trivial bicharacter."""
+    k = invariant_bicharacters(G, M, H)[1][bc.key()]
+    return f"B={k}" if k else "triv"
 
 
 def _bicharacter_checks(G: Group, M: Subgroup, H: Subgroup,
@@ -150,14 +158,13 @@ def _bicharacter_checks(G: Group, M: Subgroup, H: Subgroup,
 
 @dataclass
 class CoidealSubalgebra:
-    """A verified left normal coideal subalgebra with its integral."""
+    """A verified left normal coideal subalgebra with its integral, and
+    the name given by the catalog that built it, if any."""
 
     algebra: QTAlgebra
     space: Echelon
     integral: Row
-    mspec: tuple[int, ...] | None = None
-    hspec: tuple[int, ...] | None = None
-    bichar: Bicharacter | None = None
+    name: str | None = None
 
     @property
     def dim(self) -> int:
@@ -167,12 +174,7 @@ class CoidealSubalgebra:
         return self.space.key()
 
     def label(self) -> str:
-        if self.mspec is not None and self.hspec is None:
-            return f"k[N={list(self.mspec)}]"
-        if self.mspec is None:
-            return f"L(dim={self.dim})"
-        lam = bichar_label(self.algebra, self.mspec, self.hspec, self.bichar)
-        return (f"C(M={list(self.mspec)},H={list(self.hspec)},{lam})")
+        return self.name or f"L(dim={self.dim})"
 
     def __repr__(self) -> str:
         return f"Coideal({self.label()}, dim={self.dim})"
@@ -249,13 +251,13 @@ def coideal_integral(A: QTAlgebra, space: Echelon, label) -> Row:
     return best
 
 
-def _wrap(A: QTAlgebra, space: Echelon, mspec=None, hspec=None,
-          bichar=None) -> CoidealSubalgebra:
-    def label() -> str:
-        return CoidealSubalgebra(A, space, {}, mspec, hspec, bichar).label()
-    _verify_coideal(A, space, label)
-    lam = coideal_integral(A, space, label)
-    return CoidealSubalgebra(A, space, lam, mspec, hspec, bichar)
+def _wrap(A: QTAlgebra, space: Echelon,
+          name: str | None = None) -> CoidealSubalgebra:
+    """The verified coideal on space, under name, with its integral."""
+    L = CoidealSubalgebra(A, space, {}, name)
+    _verify_coideal(A, space, L.label)
+    L.integral = coideal_integral(A, space, L.label)
+    return L
 
 
 def coideal_triples(
@@ -266,7 +268,7 @@ def coideal_triples(
     for M in normals:
         for H in normals:
             if commute_elementwise(M, H):
-                for bc in enumerate_invariant_bicharacters(G, M, H):
+                for bc in invariant_bicharacters(G, M, H)[0]:
                     yield M, H, bc
 
 
@@ -303,12 +305,13 @@ def build_coideal(A: QTAlgebra, M: Subgroup, H: Subgroup,
                 v = bc.values[mpos[m]][hi]
                 row[A.pair_index(G.mul(m, s), h)] = v
             rows.append(row)
+    name = (f"C(M={list(M.members)},H={list(H.members)},"
+            f"{bichar_label(G, M, H, bc)})")
     space = Echelon(A.dim, rows)
     if space.dim != len(H.members) * len(cosets):
         raise InvariantViolation(failure(
-            A, "twisted sum independence", None, CoidealSubalgebra(
-                A, space, {}, M.members, H.members, bc).label()))
-    return _wrap(A, space, M.members, H.members, bc)
+            A, "twisted sum independence", None, name))
+    return _wrap(A, space, name)
 
 
 def _is_normal(G: Group, S: Subgroup) -> bool:
@@ -335,7 +338,8 @@ def group_coideal(A: QTAlgebra, N: Subgroup) -> CoidealSubalgebra:
     if not _is_normal(A.group, N):
         raise PreconditionViolated("subgroup is not normal")
     return memo(A, (group_coideal, N.members), lambda: _wrap(
-        A, Echelon(A.dim, [{g: ONE} for g in N.members]), mspec=N.members))
+        A, Echelon(A.dim, [{g: ONE} for g in N.members]),
+        f"k[N={list(N.members)}]"))
 
 
 @memoized

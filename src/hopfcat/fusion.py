@@ -12,7 +12,7 @@ requires to agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .chartab import CharacterTable, character_table
@@ -23,10 +23,11 @@ from .cyclo import CycloNumber, ONE, ZERO, fmt_cyclo
 from .errors import (InternalMismatch, InvariantViolation,
                      MethodPreconditionViolated, NonIntegerMultiplicity,
                      NotClosed, OracleMismatch, PreconditionViolated)
-from .groups import Subgroup, centralizer_subgroup, normal_subgroups
+from .groups import (Subgroup, centralizer_subgroup, memoized,
+                     normal_subgroups)
 from .hopf import (QTAlgebra, all_classes, char_ring_idempotents, convolve,
                    drinfeld_map, dual_character, failure, generators,
-                   harpoon_right, integrals, memoized, pair_eval)
+                   harpoon_right, integrals, pair_eval)
 from .linalg import (Echelon, Row, acc, intersect, nullspace, row_rank,
                      row_scale)
 from .reps import Matrix, mat_mul, matrix_irrep
@@ -421,22 +422,17 @@ def smatrix(A: QTAlgebra) -> SMatrix:
 
 @dataclass
 class FusionSubcat:
+    """A fusion-closed set of simples, with the name given by the catalog
+    that built it, if any, and the coideal L it is Rep(A//L) of."""
+
     algebra: QTAlgebra
     indices: tuple[int, ...]
     fpdim: int
-    mspec: tuple[int, ...] | None = None
-    hspec: tuple[int, ...] | None = None
-    bichar: Bicharacter | None = None
+    name: str | None = None
     coideal: CoidealSubalgebra | None = None
 
     def label(self) -> str:
-        if self.mspec is not None and self.hspec is not None:
-            lam = bichar_label(self.algebra, self.mspec, self.hspec,
-                               self.bichar)
-            return f"S(M={list(self.mspec)},H={list(self.hspec)},{lam})"
-        if self.mspec is not None:
-            return f"Rep(G/N={list(self.mspec)})"
-        return f"D{list(self.indices)}"
+        return self.name or f"D{list(self.indices)}"
 
     def __repr__(self) -> str:
         return f"Subcat({self.label()}, fpdim={self.fpdim})"
@@ -500,14 +496,14 @@ def _closure(supp: list[list[tuple[int, ...]]], dual: list[int],
     return frozenset(s)
 
 
-def _mk_subcat(A: QTAlgebra, indices, mspec=None, hspec=None, bichar=None,
+def _mk_subcat(A: QTAlgebra, indices, name=None,
                coideal=None) -> FusionSubcat:
     idx = tuple(sorted(indices))
     simples = simple_objects(A)
     if not _is_closed(A, frozenset(idx)):
         raise NotClosed(f"simple set {list(idx)} is not fusion closed")
     fp = sum(simples[i].dim ** 2 for i in idx)
-    return FusionSubcat(A, idx, fp, mspec, hspec, bichar, coideal)
+    return FusionSubcat(A, idx, fp, name, coideal)
 
 
 def subcat_from_triple(A: QTAlgebra, M: Subgroup, H: Subgroup,
@@ -516,6 +512,8 @@ def subcat_from_triple(A: QTAlgebra, M: Subgroup, H: Subgroup,
     to lambda(a, .) on H.  The paired coideal is C(M, H, lambda^{-1})."""
     if A.kind != "double":
         raise PreconditionViolated("triples parameterize double subcategories")
+    # built first: building it checks the triple
+    L = triple_coideal(A, M, H, bc.inverse())
     simples = simple_objects(A)
     mset = set(M.members)
     sel = []
@@ -526,17 +524,17 @@ def subcat_from_triple(A: QTAlgebra, M: Subgroup, H: Subgroup,
         if all(s.cent_char_value(h) == bc.value(s.a, h) * scale
                for h in H.members):
             sel.append(s.index)
-    sub = _mk_subcat(A, sel, M.members, H.members, bc)
+    name = (f"S(M={list(M.members)},H={list(H.members)},"
+            f"{bichar_label(A.group, M, H, bc)})")
+    sub = _mk_subcat(A, sel, name, L)
     want = len(M.members) * (A.group.n // len(H.members))
     if sub.fpdim != want:
         raise InvariantViolation(failure(A, "subcategory dimension", None,
-                                         sub.label()))
-    L = triple_coideal(A, M, H, bc.inverse())
+                                         name))
     quot = quotient_irreps(A, L)
     if quot.indices != sub.indices:
         raise InternalMismatch(failure(
-            A, f"quotient = {sub.label()}", None, L.label()))
-    sub.coideal = L
+            A, f"quotient = {name}", None, L.label()))
     return sub
 
 
@@ -602,9 +600,8 @@ def enumerate_subcats(A: QTAlgebra) -> list[FusionSubcat]:
             found.setdefault(sub.indices, sub)
     elif A.kind == "group":
         for N in normal_subgroups(A.group):
-            L = group_coideal(A, N)
-            sub = quotient_irreps(A, L)
-            sub.mspec = N.members
+            sub = replace(quotient_irreps(A, group_coideal(A, N)),
+                          name=f"Rep(G/N={list(N.members)})")
             found.setdefault(sub.indices, sub)
     else:
         raise PreconditionViolated("no subcategory catalog for this kind")

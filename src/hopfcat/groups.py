@@ -11,10 +11,18 @@ simple objects) is reproducible byte for byte:
 * ``D<n>`` (n = 3..6, order 2n): rotations r^0..r^(n-1) first, then
   reflections s*r^0..s*r^(n-1); (k1,f1)(k2,f2) = (k1+(-1)^f1 k2, f1^f2).
 * ``Q8``: 1, -1, i, -i, j, -j, k, -k.
+
+Whatever is built from a group or an algebra is built once per object,
+through one helper: `memo` keeps it in the object's `_cache`, keyed on
+the function that builds it, and `memoized` wraps the one-argument
+constructions.  A group keeps its classes, exponent, subgroups and the
+invariant bicharacters of each pair of normal subgroups there; an
+algebra (hopf.QTAlgebra) keeps everything built from it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -32,8 +40,25 @@ DOUBLE_DIM_BOUND = 144
 CAYLEY_FILE_BOUND = 1 << 20
 
 
+def memo(obj, key, build):
+    """obj._cache[key], calling build() on first use."""
+    if key not in obj._cache:
+        obj._cache[key] = build()
+    return obj._cache[key]
+
+
+def memoized(fn):
+    """fn(obj) built once per object, keyed on fn."""
+    @functools.wraps(fn)
+    def once(obj):
+        return memo(obj, fn, lambda: fn(obj))
+    return once
+
+
 class Group:
-    """Immutable finite group given by its Cayley table."""
+    """Immutable finite group given by its Cayley table.  What is built
+    from the group is kept in `_cache`, which only `memo` reads or
+    writes."""
 
     def __init__(self, table: list[list[int]], name: str = "", check: bool = True):
         self.table = tuple(tuple(row) for row in table)
@@ -49,9 +74,7 @@ class Group:
         if any(v is None for v in inv):
             raise NotAGroup(f"{self.name}: some element has no inverse")
         self.inv = tuple(inv)
-        self._classes: list[ConjClassG] | None = None
-        self._class_of: tuple[int, ...] | None = None
-        self._exponent: int | None = None
+        self._cache: dict = {}
 
     def _validate(self) -> None:
         n = self.n
@@ -86,13 +109,12 @@ class Group:
             k += 1
         return k
 
+    @memoized
     def exponent(self) -> int:
-        if self._exponent is None:
-            e = 1
-            for a in range(self.n):
-                e = lcm(e, self.element_order(a))
-            self._exponent = e
-        return self._exponent
+        e = 1
+        for a in range(self.n):
+            e = lcm(e, self.element_order(a))
+        return e
 
     def generators(self) -> tuple[int, ...]:
         """A small generating set with no redundant element: elements are
@@ -110,10 +132,9 @@ class Group:
                 gens = rest
         return tuple(gens)
 
+    @memoized
     def conjugacy_classes(self) -> list["ConjClassG"]:
         """Classes ordered with the identity class first, then by smallest member."""
-        if self._classes is not None:
-            return self._classes
         seen = [False] * self.n
         classes = []
         for a in range(self.n):
@@ -124,18 +145,16 @@ class Group:
                 seen[m] = True
             classes.append(ConjClassG(representative=members[0], members=tuple(members)))
         classes.sort(key=lambda c: c.members[0])
-        self._classes = classes
         return classes
 
+    @memoized
     def class_of(self) -> tuple[int, ...]:
         """The index of each element's class in conjugacy_classes()."""
-        if self._class_of is None:
-            out = [0] * self.n
-            for k, c in enumerate(self.conjugacy_classes()):
-                for g in c.members:
-                    out[g] = k
-            self._class_of = tuple(out)
-        return self._class_of
+        out = [0] * self.n
+        for k, c in enumerate(self.conjugacy_classes()):
+            for g in c.members:
+                out[g] = k
+        return tuple(out)
 
     def class_index_of(self, a: int) -> int:
         return self.class_of()[a]
@@ -199,6 +218,7 @@ def subgroup_generated(G: Group, gens: list[int]) -> Subgroup:
     return Subgroup(G, tuple(sorted(elems)))
 
 
+@memoized
 def all_subgroups(G: Group) -> list[Subgroup]:
     """Every subgroup, found by closing known subgroups with one element."""
     triv = subgroup_generated(G, [])
@@ -234,15 +254,17 @@ def commute_elementwise(M: Subgroup, H: Subgroup) -> bool:
     return all(G.mul(m, h) == G.mul(h, m) for m in M.members for h in H.members)
 
 
-def normal_subgroups(G: Group, bound: int = NORMAL_SUBGROUP_BOUND) -> list[Subgroup]:
-    """All normal subgroups of G.
+@memoized
+def normal_subgroups(G: Group) -> list[Subgroup]:
+    """All normal subgroups of G, for |G| up to NORMAL_SUBGROUP_BOUND.
 
     Every normal subgroup is generated by the conjugacy classes it
     contains, so the full set is the closure of {1} under joining with
     one class at a time.
     """
-    if G.n > bound:
-        raise BoundExceeded(f"normal subgroup enumeration limited to order {bound}")
+    if G.n > NORMAL_SUBGROUP_BOUND:
+        raise BoundExceeded("normal subgroup enumeration limited to order "
+                            f"{NORMAL_SUBGROUP_BOUND}")
     classes = G.conjugacy_classes()
     found = {(0,)}
     frontier = [(0,)]

@@ -42,14 +42,14 @@ arguments vary per call, and a table fixed in one costs an application
 to build.  delta_of, leg_slices and the adjoint actions expand Delta(a)
 on the element side; only verify_axioms scans delta, as it checks it.
 
-Whatever is built from an algebra is built once per algebra, through one
-helper: `memo` keeps it in the algebra's `_cache`, keyed on the function
-that builds it, and `memoized` wraps the one-argument constructions.
+Whatever is built from an algebra is built once per algebra, through the
+one helper that groups use too: `groups.memo` keeps it in the algebra's
+`_cache`, keyed on the function that builds it, and `groups.memoized`
+wraps the one-argument constructions.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,23 +57,10 @@ from fractions import Fraction
 from .cyclo import CycloNumber, ONE, ZERO, as_cyclo, dot
 from .errors import (BoundExceeded, InconsistentCharacters,
                      InvariantViolation, NoIntegral, NotFactorizable)
-from .groups import DOUBLE_DIM_BOUND, Group, check_double_dim, double_name
+from .groups import (DOUBLE_DIM_BOUND, Group, check_double_dim, double_name,
+                     memo, memoized)
 from .linalg import (Echelon, Row, acc, apply_pairs, row_rank, row_scale,
                      row_sum, solve_linear)
-
-def memo(A: QTAlgebra, key, build):
-    """A._cache[key], calling build() on first use."""
-    if key not in A._cache:
-        A._cache[key] = build()
-    return A._cache[key]
-
-
-def memoized(fn):
-    """fn(A) built once per algebra, keyed on fn."""
-    @functools.wraps(fn)
-    def once(A):
-        return memo(A, fn, lambda: fn(A))
-    return once
 
 
 class QTAlgebra:
@@ -1031,7 +1018,7 @@ def compute_K_A(A: QTAlgebra) -> Echelon:
     """The image of the Drinfeld map, verified to be an S-stable coideal
     subalgebra."""
     dm = drinfeld_map(A)
-    space = Echelon(A.dim, _columns(dm.matrix_rows(), A.dim))
+    space = Echelon(A.dim, [dm.phi({k: ONE}) for k in range(A.dim)])
     if not space.contains(A.unit_row):
         _fail(A, "K_A unit")
     gens = subalgebra_generators(A, space)
@@ -1042,14 +1029,6 @@ def compute_K_A(A: QTAlgebra) -> Echelon:
     if not is_left_coideal(A, space, gens):
         _fail(A, "K_A left coideal")
     return space
-
-
-def _columns(rows: list[Row], dim: int) -> list[Row]:
-    cols: list[Row] = [{} for _ in range(dim)]
-    for i, row in enumerate(rows):
-        for k, c in row.items():
-            cols[k][i] = c
-    return cols
 
 
 # --- quasitriangular structure checks ------------------------------------

@@ -19,10 +19,10 @@ from .coideal import (CoidealSubalgebra, coideal_from_space,
 from .cyclo import CycloNumber
 from .errors import InvariantViolation
 from .fusion import (centralizer, char_ring, enumerate_subcats, left_kernel,
-                     quotient_integral, quotient_irreps, simple_objects,
-                     smatrix)
+                     quotient_integral, simple_objects, smatrix)
+from .groups import memo
 from .hopf import (QTAlgebra, all_classes, compute_K_A, convolve,
-                   drinfeld_map, integrals, lmul, memo, mul_rows,
+                   drinfeld_map, integrals, lmul, mul_rows,
                    noncentral_generator, pair_eval, subalgebra_generators,
                    verify_quasitriangular)
 from .linalg import (Echelon, Row, acc, intersect, nullspace, row_scale,
@@ -54,14 +54,10 @@ class _Context:
         self.full = self.sub_by_idx[tuple(range(self.r))]
         self.cent = {D.indices: centralizer(A, D, "smatrix")
                      for D in self.subs}
-        # indices of Rep(A//L) for every cataloged coideal
-        self.idx: dict[tuple, tuple[int, ...]] = {}
-        for D in self.subs:
-            if D.coideal is not None:
-                self.idx[D.coideal.key()] = D.indices
-        for L in self.cos:
-            if L.key() not in self.idx:
-                self.idx[L.key()] = quotient_irreps(A, L).indices
+        # indices of Rep(A//L) for every cataloged coideal: each one is
+        # the coideal of a subcategory, C(M,H,lambda^-1) of S(M,H,lambda)
+        # and k[N] of Rep(G/N)
+        self.idx = {D.coideal.key(): D.indices for D in self.subs}
         self.Lstar = {L.key(): dual_coideal(A, L) for L in self.cos}
 
     def fpdim_of(self, indices) -> int:
@@ -382,13 +378,12 @@ def _check_centralizer_membership(ctx: _Context) -> Verdicts:
 
 def _check_splitting_pairs(ctx: _Context) -> Verdicts:
     """A normal Hopf subalgebra with nondegenerate quotient category splits
-    the algebra against its dual coideal."""
+    the algebra against its dual coideal.  K = A always qualifies: it is a
+    normal Hopf subalgebra and Rep(A//A) = Vec is nondegenerate."""
     A = ctx.A
-    found = 0
     for K in ctx.cos:
         if not ctx.is_normal(K) or not ctx.nondegenerate(ctx.idx_of(K)):
             continue
-        found += 1
         L = ctx.star(K)
         prod = coideal_product(A, K, L)
         inter = coideal_intersect(A, K, L)
@@ -400,8 +395,6 @@ def _check_splitting_pairs(ctx: _Context) -> Verdicts:
               and ctx.cent_of(K).indices == ctx.idx_of(L))
         yield (K.label(), ok,
                f"dims {K.dim}*{L.dim}={A.dim}, complement {L.label()}")
-    if not found:
-        yield "-", True, "no normal coideal has a nondegenerate quotient"
 
 
 def _coinvariants(A: QTAlgebra, dual: Echelon, side: str) -> Echelon:

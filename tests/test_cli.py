@@ -46,6 +46,17 @@ def test_group_info_text(tmp_path, capsys):
     assert "order" in out and "8" in out
 
 
+def test_group_info_refuses_above_the_normal_subgroup_bound(tmp_path,
+                                                            capsys):
+    # Z30 passes the group-order bound but not NORMAL_SUBGROUP_BOUND = 24
+    code, out, err = _run(capsys, "group", "info", "--group", "Z30",
+                          "--cache", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: normal subgroup enumeration limited to order 24"]
+
+
 def test_chartab(tmp_path, capsys):
     code, out, _ = _run(capsys, "chartab", "--group", "S3",
                         "--format", "json", "--cache", str(tmp_path))

@@ -1,10 +1,11 @@
-import dataclasses
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hopfcat import coideal, hopf
+from hopfcat.cli import parse_triple
 from hopfcat.coideal import (
     Bicharacter,
     CoidealSubalgebra,
@@ -14,6 +15,7 @@ from hopfcat.coideal import (
     coideal_integral,
     coideal_intersect,
     coideal_product,
+    coideal_triples,
     dual_coideal,
     enumerate_coideals,
     enumerate_invariant_bicharacters,
@@ -21,10 +23,12 @@ from hopfcat.coideal import (
     is_normal_hopf_subalgebra,
     quotient_dual,
     recover_from_dual,
+    triple_coideal,
 )
 from hopfcat.cyclo import ZERO, as_cyclo
 from hopfcat.errors import InvariantViolation, PreconditionViolated
-from hopfcat.groups import Subgroup, parse_group_spec, subgroup_generated
+from hopfcat.groups import (Group, Subgroup, parse_group_spec,
+                            subgroup_generated)
 from hopfcat.fusion import enumerate_subcats
 from hopfcat.hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode,
                           counit_value, generators, is_left_coideal,
@@ -85,18 +89,20 @@ def test_bicharacter_labels_distinct(double_s3):
     G = double_s3.group
     M = subgroup_generated(G, [3])
     bcs = enumerate_invariant_bicharacters(G, M, M)
-    labels = [bichar_label(double_s3, M.members, M.members, bc) for bc in bcs]
+    labels = [bichar_label(G, M, M, bc) for bc in bcs]
     assert labels[0] == "triv"
     assert len(set(labels)) == len(labels)
 
 
-def test_bicharacter_labels_enumerate_once(doubles, monkeypatch):
+def test_bicharacters_enumerate_once_per_pair(doubles, monkeypatch):
+    """The coideal and subcategory catalogs, every label and the CLI's
+    --triple parsing read one list of invariant bicharacters per pair
+    (M, H): the enumerations that run, not the memo hits, are counted."""
     A = doubles["D4"]
-    # the same catalog on a copy of D(D4) whose memo is still empty
-    fresh = QTAlgebra(A.name, A.kind, A.group, A.labels, A.prod_idx,
-                      A.delta, A.counit, A.s_idx, A.r_terms, A.unit_row)
-    objs = [dataclasses.replace(x, algebra=fresh)
-            for x in enumerate_coideals(A) + enumerate_subcats(A)]
+    # D(D4) on a new copy of D4, so the group's memo starts empty
+    G = Group(A.group.table, A.group.name, check=False)
+    fresh = QTAlgebra(A.name, A.kind, G, A.labels, A.prod_idx, A.delta,
+                      A.counit, A.s_idx, A.r_terms, A.unit_row)
     calls = Counter()
     original = coideal.enumerate_invariant_bicharacters
 
@@ -105,9 +111,17 @@ def test_bicharacter_labels_enumerate_once(doubles, monkeypatch):
         return original(G, M, H)
 
     monkeypatch.setattr(coideal, "enumerate_invariant_bicharacters", counted)
-    labels = [x.label() for x in objs] + [x.label() for x in objs]
+    cos = enumerate_coideals(fresh)
+    labels = [x.label() for x in cos + enumerate_subcats(fresh)]
+    for L in cos:
+        m, h, b = re.fullmatch(r"C\(M=\[(.*)\],H=\[(.*)\],(.*)\)",
+                               L.label()).groups()
+        triple = (f"M={m.replace(', ', '+')},H={h.replace(', ', '+')},"
+                  f"B={b.removeprefix('B=')}")
+        assert triple_coideal(fresh, *parse_triple(G, triple)) is L
     assert any("B=" in label for label in labels)
-    assert calls and max(calls.values()) == 1
+    pairs = {(M.members, H.members) for M, H, _ in coideal_triples(G)}
+    assert calls == Counter(dict.fromkeys(pairs, 1))
 
 
 def test_bicharacter_ops():
@@ -120,7 +134,8 @@ def test_bicharacter_ops():
         assert bc.op().op().key() == bc.key()
         for m in M.members:
             assert bc.value(m, 0) == ONE and bc.value(0, m) == ONE
-    assert sum(bc.is_trivial() for bc in bcs) == 1
+    # the trivial bicharacter comes first: its label is triv, index 0
+    assert bcs[0].is_trivial() and sum(bc.is_trivial() for bc in bcs) == 1
 
 
 def test_coideal_labels_unique(doubles):

@@ -7,6 +7,7 @@ product l1 l2, or the exact intersection, looked up in the catalog."""
 import pytest
 
 from hopfcat import build_double, coideal, parse_group_spec
+from hopfcat.errors import InvariantViolation
 from hopfcat.coideal import (CoidealSubalgebra, coideal_from_space,
                              coideal_intersect, coideal_product,
                              enumerate_coideals)
@@ -121,6 +122,26 @@ def test_a_non_catalog_input_takes_the_exact_route(monkeypatch):
     assert cos[-1].dim == A.dim
     assert _exact_product(A, K, L) is cos[-1]
     assert _exact_intersection(A, K, L) is k_fun
+
+
+def test_an_asymmetric_exact_product_is_refused(monkeypatch):
+    """The exact route checks L1 L2 = L2 L1 below full dimension: with
+    _span_product patched to keep only its left factor, the product of
+    k^G # k<s> (no catalog entry) and k^G # k[A3] is refused."""
+    A = build_double(parse_group_spec("S3"))
+    G = A.group
+
+    def span(hs):
+        return Echelon(A.dim, [{A.pair_index(g, h): ONE}
+                               for g in range(G.n) for h in hs])
+    K = CoidealSubalgebra(A, span((0, 1)), {})
+    L = next(L for L in enumerate_coideals(A)
+             if L.key() == span((0, 3, 4)).key())
+    monkeypatch.setattr(coideal, "_span_product", lambda A, a, b: a.space)
+    with pytest.raises(InvariantViolation) as err:
+        coideal_product(A, K, L)
+    assert str(err.value) == ("D(S3): coideal product symmetry fails on "
+                              f"L(dim=12) * {L.label()}")
 
 
 def test_catalog_order_is_exact_containment():

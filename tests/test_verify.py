@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hopfcat import coideal
+from hopfcat import coideal, hopf
 from hopfcat.coideal import (dual_coideal, enumerate_coideals,
                              is_normal_hopf_subalgebra, quotient_dual)
 from hopfcat.cyclo import ONE
@@ -11,8 +11,9 @@ from hopfcat.errors import InternalMismatch, InvariantViolation
 from hopfcat.hopf import drinfeld_map, subalgebra_generators
 from hopfcat.linalg import Echelon, nullspace
 from hopfcat.verify import (SMOKE_CHECKS, _REGISTRY, _Context,
-                            _check_coinvariants, _coinvariants, _commutes,
-                            summarize, verify_identities)
+                            _check_coinvariants, _check_drinfeld_laws,
+                            _coinvariants, _commutes, summarize,
+                            verify_identities)
 
 ALL_IDS = {cid for cid, _, _ in _REGISTRY}
 FACTORIZABLE_IDS = {cid for cid, scope, _ in _REGISTRY if scope == "factorizable"}
@@ -203,3 +204,17 @@ def test_coinvariants_read_the_right_coinvariants(double_s3, monkeypatch):
         monkeypatch.setattr(
             dm, "f_r", lambda f: x if f is first else dict(A.unit_row))
         assert _coinvariant_verdicts(A, [L]) == [True]
+
+
+def test_a_broken_drinfeld_law_is_one_failed_verdict(double_s3, monkeypatch):
+    """verify_quasitriangular raises on the first law that fails; the
+    check reports it as one failed verdict instead of raising."""
+    ctx = _Context(double_s3)
+    assert [ok for _, ok, _ in _check_drinfeld_laws(ctx)] == [True]
+    # every phi(chi) now looks noncentral, with generator 0 as witness
+    monkeypatch.setattr(hopf, "noncentral_generator", lambda A, z: 0)
+    verdicts = list(_check_drinfeld_laws(ctx))
+    assert len(verdicts) == 1
+    subject, ok, detail = verdicts[0]
+    assert (subject, ok) == ("D(S3)", False)
+    assert detail.startswith("D(S3): phi-of-character centrality fails")
