@@ -4,7 +4,8 @@ Keys mix the Cayley table of the group, the topic and the artifact
 version, so a change to any of them is a clean miss.  Values are JSON
 documents; an entry that does not parse, or does not fit the shape its
 caller expects, is corrupt: it is discarded with a warning and
-recomputed.
+recomputed.  An entry that cannot be written, as when the cache
+directory is a file or its name is too long, is skipped with a warning.
 """
 
 from __future__ import annotations
@@ -102,7 +103,12 @@ class ResultCache:
                 return hit
             self._discard(key)
         value = json.loads(_dump(compute()))
-        self.put(key, value)
+        try:
+            self.put(key, value)
+        except OSError as e:
+            # an unusable cache directory costs the entry, not the answer
+            warnings.warn(f"cannot write cache entry {self._path(key).name}: "
+                          f"{e}")
         return value
 
     def purge(self) -> int:

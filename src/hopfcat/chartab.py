@@ -81,21 +81,8 @@ class CharacterTable:
             duals.append(hits[0])
         return duals
 
-    def value(self, i: int, k: int) -> CycloNumber:
-        return self.rows[i][k]
-
     def value_at(self, i: int, g: int) -> CycloNumber:
         return self.rows[i][self.class_of[g]]
-
-    def to_json(self) -> dict:
-        return {"group": self.group.to_json(),
-                "rows": [[v.to_json() for v in row] for row in self.rows]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "CharacterTable":
-        G = Group.from_json(obj["group"])
-        rows = [[CycloNumber.from_json(v) for v in row] for row in obj["rows"]]
-        return CharacterTable(G, rows)
 
 
 def _class_matrices(G: Group) -> list[list[list[int]]]:

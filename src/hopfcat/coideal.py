@@ -22,9 +22,8 @@ from operator import itemgetter
 from .cyclo import CycloNumber, ONE
 from .errors import (InternalMismatch, InvariantViolation, NoIntegral,
                      PreconditionViolated)
-from .groups import (Group, Subgroup, commutator_subgroup, commute_elementwise,
-                     exponent_tables, memo, memoized, normal_subgroups,
-                     quotient_group, subgroup_generated)
+from .groups import (Group, Subgroup, abelian_coordinates, commute_elementwise,
+                     memo, memoized, normal_subgroups)
 from .hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode, convolve,
                    counit_value, drinfeld_map, failure, is_left_coideal,
                    left_quotients, leg_slices, lmul, mul_rows, pair_eval,
@@ -44,17 +43,9 @@ class Bicharacter:
     def value(self, m: int, h: int) -> CycloNumber:
         return self.values[self.m_members.index(m)][self.h_members.index(h)]
 
-    def op(self) -> "Bicharacter":
-        flipped = tuple(tuple(self.values[i][j] for i in range(len(self.m_members)))
-                        for j in range(len(self.h_members)))
-        return Bicharacter(self.h_members, self.m_members, flipped)
-
     def inverse(self) -> "Bicharacter":
         inv = tuple(tuple(v.conjugate() for v in row) for row in self.values)
         return Bicharacter(self.m_members, self.h_members, inv)
-
-    def is_trivial(self) -> bool:
-        return all(v == ONE for row in self.values for v in row)
 
     def key(self) -> tuple:
         order = 1
@@ -64,24 +55,12 @@ class Bicharacter:
         return tuple(tuple(v.sort_key(order) for v in row) for row in self.values)
 
 
-def _abelian_coordinates(G: Group, S: Subgroup):
-    """Cyclic generator orders and exponent coordinates of S modulo [S, S]."""
-    SG, pos = S.as_group()
-    full = subgroup_generated(SG, list(range(SG.n)))
-    derived = commutator_subgroup(full)
-    Q, coset_of = quotient_group(full, derived)
-    gens, coords = exponent_tables(Q)
-    orders = [d for _, d in gens]
-    member_coords = {m: coords[coset_of[pos[m]]] for m in S.members}
-    return orders, member_coords
-
-
 def enumerate_invariant_bicharacters(G: Group, M: Subgroup,
                                      H: Subgroup) -> list[Bicharacter]:
     """All G-invariant bicharacters on M x H, in a deterministic order,
     enumerated anew; invariant_bicharacters is the memoized route."""
-    m_orders, m_coords = _abelian_coordinates(G, M)
-    h_orders, h_coords = _abelian_coordinates(G, H)
+    m_orders, m_coords = abelian_coordinates(M)
+    h_orders, h_coords = abelian_coordinates(H)
     pair_orders = [[math.gcd(dm, dh) for dh in h_orders] for dm in m_orders]
     ranges = [range(pair_orders[i][j])
               for i in range(len(m_orders)) for j in range(len(h_orders))]
@@ -350,12 +329,10 @@ def enumerate_coideals(A: QTAlgebra) -> list[CoidealSubalgebra]:
         for M, H, bc in coideal_triples(A.group):
             L = triple_coideal(A, M, H, bc)
             found.setdefault(L.key(), L)
-    elif A.kind == "group":
+    else:  # "group", the only other kind
         for N in normal_subgroups(A.group):
             L = group_coideal(A, N)
             found.setdefault(L.key(), L)
-    else:
-        raise PreconditionViolated("no coideal catalog for this algebra kind")
     return sorted(found.values(), key=lambda L: (L.dim, L.key()))
 
 

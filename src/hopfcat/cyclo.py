@@ -198,9 +198,6 @@ class CycloNumber:
         return _from_ratios(n, ((e, 1, 1),))
 
     # --- predicates ----------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def __bool__(self) -> bool:
         return bool(self.nums)
 
@@ -253,9 +250,6 @@ class CycloNumber:
     def __sub__(self, other) -> "CycloNumber":
         # the same integer numerators as self + (-other), so the same form
         return _plus(self, other, -1)
-
-    def __rsub__(self, other) -> "CycloNumber":
-        return _plus(as_cyclo(other), self, -1)
 
     def __mul__(self, other) -> "CycloNumber":
         if other.__class__ is not CycloNumber:
@@ -327,16 +321,13 @@ class CycloNumber:
     def __truediv__(self, other) -> "CycloNumber":
         return self * as_cyclo(other).inverse()
 
-    def __rtruediv__(self, other) -> "CycloNumber":
-        return as_cyclo(other) * self.inverse()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, (CycloNumber, int, Fraction)):
             return NotImplemented
         other = as_cyclo(other)
         if self.order == other.order:
             return self.den == other.den and self.nums == other.nums
-        return (self - other).is_zero()
+        return not (self - other)
 
     # --- conversions ----------------------------------------------------
     def to_complex(self) -> complex:

@@ -25,11 +25,10 @@ from .errors import (InternalMismatch, InvariantViolation,
                      NotClosed, OracleMismatch, PreconditionViolated)
 from .groups import (Subgroup, centralizer_subgroup, memoized,
                      normal_subgroups)
-from .hopf import (QTAlgebra, all_classes, char_ring_idempotents, convolve,
-                   drinfeld_map, dual_character, failure, generators,
-                   harpoon_right, integrals, pair_eval)
-from .linalg import (Echelon, Row, acc, intersect, nullspace, row_rank,
-                     row_scale)
+from .hopf import (QTAlgebra, all_classes, char_ring_idempotents, coinvariants,
+                   convolve, drinfeld_map, dual_character, failure,
+                   generators, harpoon_right, integrals, pair_eval)
+from .linalg import Echelon, Row, acc, intersect, row_rank, row_scale
 from .reps import Matrix, mat_mul, matrix_irrep
 
 S_BOUND_TOL = 1e-9
@@ -211,7 +210,7 @@ def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
         for ci, cls in enumerate(G.conjugacy_classes()):
             simples.extend(_induced_simples(A, ci, cls.representative,
                                             len(simples)))
-    elif A.kind == "group":
+    else:  # "group", the only other kind
         tab = character_table(G)
         for ri in range(len(tab.rows)):
             mats = matrix_irrep(G, tab, ri)
@@ -222,8 +221,6 @@ def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
             s = SimpleObject(A, ri, -1, ri, -1, d, d, char, matrices)
             _verify_module(A, s)
             simples.append(s)
-    else:
-        raise PreconditionViolated("no simple module catalog for this kind")
     if sum(s.dim * s.dim for s in simples) != A.dim:
         raise InvariantViolation(failure(A, "sum of squared dimensions", None,
                                          f"{len(simples)} simples"))
@@ -598,13 +595,11 @@ def enumerate_subcats(A: QTAlgebra) -> list[FusionSubcat]:
         for M, H, bc in coideal_triples(A.group):
             sub = subcat_from_triple(A, M, H, bc)
             found.setdefault(sub.indices, sub)
-    elif A.kind == "group":
+    else:  # "group", the only other kind
         for N in normal_subgroups(A.group):
             sub = replace(quotient_irreps(A, group_coideal(A, N)),
                           name=f"Rep(G/N={list(N.members)})")
             found.setdefault(sub.indices, sub)
-    else:
-        raise PreconditionViolated("no subcategory catalog for this kind")
 
     r = len(simple_objects(A))
     supp = _fusion_supports(A)
@@ -701,22 +696,11 @@ def char_ring(A: QTAlgebra):
 def left_kernel(A: QTAlgebra, s: SimpleObject) -> Echelon:
     """Largest left coideal acting trivially on the first tensor leg:
     elements a with a_1 (x) a_2 v = a (x) v."""
-    d = s.dim
-    eqs: dict[tuple[int, int, int], Row] = {}
-    for k in range(A.dim):
-        for l, rr in A.delta[k]:
-            m = s.matrices.get(rr)
-            if m is None:
-                continue
-            for p in range(d):
-                for q in range(d):
-                    v = m[p][q]
-                    if v:
-                        acc(eqs.setdefault((l, p, q), {}), k, v)
-    for k in range(A.dim):
-        for p in range(d):
-            acc(eqs.setdefault((k, p, p), {}), k, -ONE)
-    return nullspace(list(eqs.values()), A.dim)
+    rho: list[Row] = [{} for _ in range(A.dim)]
+    for k, m in s.matrices.items():
+        rho[k] = {(p, q): v for p, row in enumerate(m)
+                  for q, v in enumerate(row) if v}
+    return coinvariants(A, rho, {(p, p): ONE for p in range(s.dim)})
 
 
 def generated_subcategory(A: QTAlgebra, indices) -> FusionSubcat:

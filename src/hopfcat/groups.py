@@ -95,9 +95,6 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def conj(self, x: int, a: int) -> int:
         """x a x^-1."""
         return self.table[self.table[x][a]][self.inv[x]]
@@ -156,16 +153,9 @@ class Group:
                 out[g] = k
         return tuple(out)
 
-    def class_index_of(self, a: int) -> int:
-        return self.class_of()[a]
-
     def to_json(self) -> dict:
         return {"name": self.name, "n": self.n,
                 "table": [list(row) for row in self.table]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Group":
-        return Group(obj["table"], name=obj.get("name", ""))
 
     def __repr__(self) -> str:
         return f"Group({self.name}, order {self.n})"
@@ -190,18 +180,12 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def index_map(self) -> dict[int, int]:
-        return {g: i for i, g in enumerate(self.members)}
-
     def as_group(self, name: str = "") -> tuple[Group, dict[int, int]]:
         """Standalone group on the members (sorted order keeps 0 first)."""
-        pos = self.index_map()
+        pos = {g: i for i, g in enumerate(self.members)}
         table = [[pos[self.parent.mul(a, b)] for b in self.members] for a in self.members]
         return Group(table, name=name or f"sub{len(self.members)}of{self.parent.name}",
                      check=False), pos
-
-    def contains(self, g: int) -> bool:
-        return g in self.members
 
 
 def subgroup_generated(G: Group, gens: list[int]) -> Subgroup:
@@ -316,7 +300,7 @@ def abelian_cyclic_decomposition(Q: Group) -> list[tuple[int, int]]:
         orders = {m: Q.element_order(m) for m in members}
         top = max(orders.values())
         g = min(m for m in members if orders[m] == top)
-        cyc = _cycle_of(Q, g)
+        cyc = set(subgroup_generated(Q, [g]).members)
         if len(cyc) == len(members):
             return [(g, top)]
         # find a complement among the subgroups of Q inside members
@@ -331,15 +315,6 @@ def abelian_cyclic_decomposition(Q: Group) -> list[tuple[int, int]]:
         raise NotAGroup("abelian decomposition failed")  # pragma: no cover
 
     return solve(tuple(range(Q.n)))
-
-
-def _cycle_of(Q: Group, g: int) -> set[int]:
-    out = {0}
-    x = g
-    while x != 0:
-        out.add(x)
-        x = Q.mul(x, g)
-    return out
 
 
 def exponent_tables(Q: Group) -> tuple[list[tuple[int, int]], dict[int, tuple[int, ...]]]:
@@ -364,6 +339,14 @@ def exponent_tables(Q: Group) -> tuple[list[tuple[int, int]], dict[int, tuple[in
     if len(coords) != Q.n:
         raise NotAGroup("cyclic decomposition is not direct")  # pragma: no cover
     return gens, coords
+
+
+def abelian_coordinates(S: Subgroup) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """The orders d_i of the cyclic factors of S/[S, S], and for each
+    member of S the exponent coordinates of its coset on their generators."""
+    Q, coset_of = quotient_group(S, commutator_subgroup(S))
+    gens, coords = exponent_tables(Q)
+    return [d for _, d in gens], {s: coords[coset_of[s]] for s in S.members}
 
 
 # --- catalog -----------------------------------------------------------

@@ -39,7 +39,10 @@ Constructions reach it through three bilinear maps: convolve (f * g in
 A*), harpoon_left (a <- f = f(a_1) a_2) and harpoon_right (f -> a =
 a_1 f(a_2)).  They stay loops over Delta, not pair tables: both
 arguments vary per call, and a table fixed in one costs an application
-to build.  delta_of, leg_slices and the adjoint actions expand Delta(a)
+to build.  coinvariants solves a_(1) (x) rho(a_(2)) = a (x) rho(1), or
+its mirror, for a map rho given on the basis: the left kernel of a
+simple module and the coinvariants of a quotient map are both that
+system.  delta_of, leg_slices and the adjoint actions expand Delta(a)
 on the element side; only verify_axioms scans delta, as it checks it.
 
 Whatever is built from an algebra is built once per algebra, through the
@@ -59,8 +62,8 @@ from .errors import (BoundExceeded, InconsistentCharacters,
                      InvariantViolation, NoIntegral, NotFactorizable)
 from .groups import (DOUBLE_DIM_BOUND, Group, check_double_dim, double_name,
                      memo, memoized)
-from .linalg import (Echelon, Row, acc, apply_pairs, row_rank, row_scale,
-                     row_sum, solve_linear)
+from .linalg import (Echelon, Row, acc, apply_pairs, nullspace, row_rank,
+                     row_scale, row_sum, solve_linear)
 
 
 class QTAlgebra:
@@ -239,10 +242,6 @@ def counit_value(A: QTAlgebra, a: Row) -> CycloNumber:
         if A.counit[k]:
             acc = acc + v
     return acc
-
-
-def counit_functional(A: QTAlgebra) -> Row:
-    return {k: ONE for k in range(A.dim) if A.counit[k]}
 
 
 def delta_of(A: QTAlgebra, a: Row) -> dict[tuple[int, int], CycloNumber]:
@@ -440,6 +439,27 @@ def convolve(A: QTAlgebra, f: Row, g: Row) -> Row:
     return out
 
 
+def coinvariants(A: QTAlgebra, rho: list[Row], rho_unit: Row,
+                 side: str = "left") -> Echelon:
+    """The a in A with a_(1) (x) rho(a_(2)) = a (x) rho(1), or with the
+    mirror rho(a_(1)) (x) a_(2) = rho(1) (x) a when side is "right".
+
+    rho[k] is rho(e_k) and rho_unit is rho(1), as sparse rows over the
+    coordinates of the target of rho; each pair of a basis index of A and
+    a coordinate gives one linear equation in the coefficients of a.
+    """
+    eqs: dict[tuple, Row] = {}
+    for k in range(A.dim):
+        for l, r in A.delta[k]:
+            slot, other = (l, r) if side == "left" else (r, l)
+            for m, c in rho[other].items():
+                acc(eqs.setdefault((slot, m), {}), k, c)
+    for slot in range(A.dim):
+        for m, c in rho_unit.items():
+            acc(eqs.setdefault((slot, m), {}), slot, -c)
+    return nullspace([r for r in eqs.values() if r], A.dim)
+
+
 def dual_character(A: QTAlgebra, chi: Row) -> Row:
     """chi composed with the antipode."""
     return {k: chi[A.s_idx[k]] for k in range(A.dim) if A.s_idx[k] in chi}
@@ -454,9 +474,9 @@ def dual_character(A: QTAlgebra, chi: Row) -> Row:
 _BUILD_CACHE: dict = {}
 
 
-def build_double(G: Group, max_dim: int = DOUBLE_DIM_BOUND) -> QTAlgebra:
+def build_double(G: Group) -> QTAlgebra:
     """The double of kG on the basis p_g x h, with its standard R-matrix."""
-    check_double_dim(G, max_dim)
+    check_double_dim(G)
     n = G.n
     dim = n * n
     key = ("double", G.name, G.table)
@@ -495,11 +515,12 @@ def build_double(G: Group, max_dim: int = DOUBLE_DIM_BOUND) -> QTAlgebra:
     return A
 
 
-def build_triangular(G: Group, max_dim: int = DOUBLE_DIM_BOUND) -> QTAlgebra:
+def build_triangular(G: Group) -> QTAlgebra:
     """The group algebra kG with the trivial R-matrix 1 x 1."""
     n = G.n
-    if n > max_dim:
-        raise BoundExceeded(f"group algebra dimension {n} > {max_dim}")
+    if n > DOUBLE_DIM_BOUND:
+        raise BoundExceeded(
+            f"group algebra dimension {n} > {DOUBLE_DIM_BOUND}")
     key = ("group", G.name, G.table)
     if key in _BUILD_CACHE:
         return _BUILD_CACHE[key]
@@ -788,10 +809,9 @@ class DrinfeldMap:
     def matrix_rows(self) -> list[Row]:
         """Row i of the matrix of phi over the dual basis."""
         def build() -> list[Row]:
-            dim = self.algebra.dim
-            rows: list[Row] = [{} for _ in range(dim)]
-            for k in range(dim):
-                for i, c in self.phi({k: ONE}).items():
+            rows: list[Row] = [{} for _ in range(self.algebra.dim)]
+            for k, image in enumerate(_phi_dual_basis(self.algebra)):
+                for i, c in image.items():
                     rows[i][k] = c
             return rows
         return memo(self.algebra, DrinfeldMap.matrix_rows, build)
@@ -815,6 +835,13 @@ class DrinfeldMap:
 @memoized
 def drinfeld_map(A: QTAlgebra) -> DrinfeldMap:
     return DrinfeldMap(A)
+
+
+@memoized
+def _phi_dual_basis(A: QTAlgebra) -> list[Row]:
+    """phi(e_k^*) for every k: the images of the dual basis."""
+    dm = drinfeld_map(A)
+    return [dm.phi({k: ONE}) for k in range(A.dim)]
 
 
 # --- idempotents, conjugacy classes, K_A --------------------------------
@@ -957,7 +984,7 @@ def _check_char_ring_idempotents(A: QTAlgebra, chars: list[Row],
             _fail(A, "character-ring membership", None, f"F_{j}")
         if convolve(A, fj, fj) != fj:
             _fail(A, "character-ring idempotent square", None, f"F_{j}")
-    if row_sum(F) != counit_functional(A):
+    if row_sum(F) != {k: ONE for k in range(A.dim) if A.counit[k]}:
         _fail(A, "character-ring idempotent sum (eps)")
     if F[0] != t:
         _fail(A, "F_0 = t (the integral of A*)")
@@ -1017,8 +1044,7 @@ def is_left_coideal(A: QTAlgebra, space: Echelon, gens: list[Row]) -> bool:
 def compute_K_A(A: QTAlgebra) -> Echelon:
     """The image of the Drinfeld map, verified to be an S-stable coideal
     subalgebra."""
-    dm = drinfeld_map(A)
-    space = Echelon(A.dim, [dm.phi({k: ONE}) for k in range(A.dim)])
+    space = Echelon(A.dim, _phi_dual_basis(A))
     if not space.contains(A.unit_row):
         _fail(A, "K_A unit")
     gens = subalgebra_generators(A, space)
@@ -1048,7 +1074,7 @@ def verify_quasitriangular(A: QTAlgebra, chars: list[Row],
     dm = drinfeld_map(A)
     _, t = integrals(A)
 
-    phis = [dm.phi({k: ONE}) for k in range(A.dim)]
+    phis = _phi_dual_basis(A)
     # phi restricted to the character ring is multiplicative and central
     for c, chi in enumerate(chars):
         img = dm.phi(chi)

@@ -16,8 +16,7 @@ from fractions import Fraction
 from .chartab import CharacterTable
 from .cyclo import CycloNumber, ONE, as_cyclo
 from .errors import InvariantViolation, NoSplittingPair
-from .groups import (Group, all_subgroups, commutator_subgroup,
-                     exponent_tables, quotient_group, subgroup_generated)
+from .groups import Group, Subgroup, abelian_coordinates, all_subgroups
 from .linalg import Echelon, Row, acc
 
 Matrix = tuple[tuple[CycloNumber, ...], ...]
@@ -25,20 +24,17 @@ Matrix = tuple[tuple[CycloNumber, ...], ...]
 
 def linear_characters(H: Group) -> list[tuple[CycloNumber, ...]]:
     """All degree-one characters as value tuples indexed by element."""
-    full = subgroup_generated(H, list(range(H.n)))
-    derived = commutator_subgroup(full)
-    Q, coset_of = quotient_group(full, derived)
-    gens, coords = exponent_tables(Q)
+    orders, coords = abelian_coordinates(Subgroup(H, tuple(range(H.n))))
     out: list[tuple[CycloNumber, ...]] = []
-    for choice in itertools.product(*[range(d) for _, d in gens]):
-        on_q = []
-        for q in range(Q.n):
+    for choice in itertools.product(*[range(d) for d in orders]):
+        values = []
+        for h in range(H.n):
             v = ONE
-            for (_, d), r, e in zip(gens, choice, coords[q]):
+            for d, r, e in zip(orders, choice, coords[h]):
                 if (r * e) % d:
                     v = v * CycloNumber.zeta(d, (r * e) % d)
-            on_q.append(v)
-        out.append(tuple(on_q[coset_of[h]] for h in range(H.n)))
+            values.append(v)
+        out.append(tuple(values))
     return out
 
 

@@ -21,12 +21,11 @@ from .errors import InvariantViolation
 from .fusion import (centralizer, char_ring, enumerate_subcats, left_kernel,
                      quotient_integral, simple_objects, smatrix)
 from .groups import memo
-from .hopf import (QTAlgebra, all_classes, compute_K_A, convolve,
-                   drinfeld_map, integrals, lmul, mul_rows,
+from .hopf import (QTAlgebra, all_classes, coinvariants, compute_K_A,
+                   convolve, drinfeld_map, integrals, lmul, mul_rows,
                    noncentral_generator, pair_eval, subalgebra_generators,
                    verify_quasitriangular)
-from .linalg import (Echelon, Row, acc, intersect, nullspace, row_scale,
-                     row_sum)
+from .linalg import Echelon, Row, acc, intersect, row_scale, row_sum
 
 # Monodromy fixed-point checks build vectors in A (x) A and are the one
 # place where work grows with dim^2 * |Q|; past this bound they are skipped.
@@ -412,16 +411,7 @@ def _coinvariants(A: QTAlgebra, dual: Echelon, side: str) -> Echelon:
             pi[k][m] = c
     pi_unit = {m: v for m, f in enumerate(dual.rows)
                if (v := pair_eval(f, A.unit_row))}
-    eqs: dict[tuple[int, int], Row] = {}
-    for k in range(A.dim):
-        for l, r in A.delta[k]:
-            slot, other = (l, r) if side == "left" else (r, l)
-            for m, c in pi[other].items():
-                acc(eqs.setdefault((slot, m), {}), k, c)
-    for slot in range(A.dim):
-        for m, c in pi_unit.items():
-            acc(eqs.setdefault((slot, m), {}), slot, -c)
-    return nullspace([r for r in eqs.values() if r], A.dim)
+    return coinvariants(A, pi, pi_unit, side)
 
 
 def _check_coinvariants(ctx: _Context) -> Verdicts:

@@ -16,6 +16,7 @@ import pytest
 
 from hopfcat.chartab import character_table
 from hopfcat.coideal import (
+    Bicharacter,
     build_coideal,
     coideal_intersect,
     coideal_product,
@@ -146,7 +147,10 @@ def test_c4_triple_conventions_frozen(doubles):
                     if quotient_irreps(A, L).indices != want.indices:
                         bad.append((name, "pairing", M.members, H.members))
                     S = subcat_from_triple(A, M, H, bc)
-                    swap = subcat_from_triple(A, H, M, bc.op().inverse())
+                    # bc^op, the transpose bc(h, m) on H x M
+                    op = Bicharacter(H.members, M.members,
+                                     tuple(zip(*bc.values)))
+                    swap = subcat_from_triple(A, H, M, op.inverse())
                     if centralizer(A, S, "smatrix").indices != swap.indices:
                         bad.append((name, "centralizer", M.members, H.members))
     conventions_ok = (

@@ -376,9 +376,9 @@ def test_parse_triple():
     G = parse_group_spec("S3")
     M, H, bc = parse_triple(G, "M=3,H=3,B=1")
     assert M.members == (0, 3, 4) and H.members == (0, 3, 4)
-    assert not bc.is_trivial()
+    assert any(v != 1 for row in bc.values for v in row)
     M, H, bc = parse_triple(G, "M=,H=,B=triv")
-    assert M.members == (0,) and bc.is_trivial()
+    assert M.members == (0,) and bc.values == ((1,),)
     # M=1 generates a subgroup of order 2, which is not normal in S3
     for bad in ("M=3,H=3", "X=3,H=3,B=0", "M=a,H=3,B=0", "M=9,H=3,B=0",
                 "M=3,H=3,B=7", "M=3,H=3,B=x", "M=1,H=1,B=0",
@@ -435,6 +435,32 @@ def test_cache_corruption_recovery(tmp_path, capsys):
     with pytest.warns(UserWarning, match="corrupt cache entry"):
         code, out2, _ = _run(capsys, *args)
     assert code == 0 and out2 == out1
+
+
+@pytest.mark.parametrize("where", ["file", "long-name", "env-file"])
+def test_unusable_cache_dir_warns_once(tmp_path, where):
+    """A cache directory that cannot be made, because a file holds its
+    path or its name is too long, costs the cache entry: the command
+    prints what it prints with a good cache directory, exits 0 and warns
+    once, with no traceback."""
+    def cli(*extra, **env):
+        return subprocess.run(
+            [sys.executable, "-m", "hopfcat.cli", "chartab", "--group", "S3",
+             *extra], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(_SRC), **env))
+    good = cli("--cache", str(tmp_path / "good"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if where == "file":
+        res = cli("--cache", str(blocker))
+    elif where == "long-name":
+        res = cli("--cache", str(tmp_path / ("x" * 300)))
+    else:
+        res = cli(HOPFCAT_CACHE=str(blocker))
+    assert good.returncode == 0 and good.stderr == ""
+    assert res.returncode == 0 and res.stdout == good.stdout
+    assert res.stderr.count("UserWarning: cannot write cache entry") == 1
+    assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("argv, bad", [

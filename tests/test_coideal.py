@@ -129,13 +129,18 @@ def test_bicharacter_ops():
     M = subgroup_generated(G, [1])
     bcs = enumerate_invariant_bicharacters(G, M, M)
     assert len(bcs) == 4
+    keys = {bc.key() for bc in bcs}
     for bc in bcs:
         assert bc.inverse().inverse().key() == bc.key()
-        assert bc.op().op().key() == bc.key()
+        # the transpose, lambda(h, m), is again invariant on M x M
+        flipped = Bicharacter(bc.h_members, bc.m_members,
+                              tuple(zip(*bc.values)))
+        assert flipped.key() in keys
         for m in M.members:
             assert bc.value(m, 0) == ONE and bc.value(0, m) == ONE
     # the trivial bicharacter comes first: its label is triv, index 0
-    assert bcs[0].is_trivial() and sum(bc.is_trivial() for bc in bcs) == 1
+    trivial = [all(v == ONE for row in bc.values for v in row) for bc in bcs]
+    assert trivial[0] and sum(trivial) == 1
 
 
 def test_coideal_labels_unique(doubles):

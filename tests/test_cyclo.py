@@ -87,7 +87,7 @@ def test_inverse_and_division():
     for order in (3, 4, 5, 8):
         for _ in range(6):
             a = _random_cyclo(rng, order)
-            if a.is_zero():
+            if not a:
                 continue
             assert a * a.inverse() == ONE
             assert (ONE / a) * a == ONE

@@ -78,7 +78,7 @@ def test_not_a_group():
 def test_basic_operations_s3():
     G = parse_group_spec("S3")
     for a in range(G.n):
-        assert G.mul(a, G.inverse(a)) == 0
+        assert G.mul(a, G.inv[a]) == 0
         assert G.mul(0, a) == a
     orders = sorted(G.element_order(a) for a in range(G.n))
     assert orders == [1, 2, 2, 2, 3, 3]
@@ -92,7 +92,7 @@ def test_conjugacy_classes_s3():
     assert sum(c.size for c in classes) == 6
     assert G.class_of() == (0, 1, 1, 2, 2, 1)
     for c in classes:
-        assert G.class_index_of(c.representative) == classes.index(c)
+        assert G.class_of()[c.representative] == classes.index(c)
 
 
 def test_conjugacy_classes_q8():
@@ -142,12 +142,6 @@ def test_quotient_group():
     assert Q.n == 2
     assert proj[1] == proj[2] == proj[5]
     assert proj[0] == proj[3] == proj[4] == 0
-
-
-def test_json_round_trip():
-    G = parse_group_spec("D4")
-    H = Group.from_json(G.to_json())
-    assert H.table == G.table and H.name == G.name
 
 
 def test_as_group():

@@ -63,7 +63,7 @@ def test_build_double_shape(doubles):
 def test_dim_bound():
     with pytest.raises(BoundExceeded):
         build_double(parse_group_spec("Z13"))
-    assert build_double(parse_group_spec("Z4"), max_dim=16).dim == 16
+    assert build_double(parse_group_spec("Z4")).dim == 16
     assert DOUBLE_DIM_BOUND == 144
 
 
@@ -83,7 +83,7 @@ def test_product_structure_s3(double_s3):
                 k = A.pair_index(g, h)
                 k2 = A.pair_index(g2, h)
                 prod = mul_rows(A, A.basis(k), A.basis(k2))
-                if g == G.mul(G.mul(h, g2), G.inverse(h)):
+                if g == G.mul(G.mul(h, g2), G.inv[h]):
                     assert prod == {A.pair_index(g, G.mul(h, h)): ONE}
                 else:
                     assert prod == {}

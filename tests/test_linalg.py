@@ -167,7 +167,7 @@ def test_nullspace_orthogonality():
             for row in rows:
                 s = sum((row[i] * v[i] for i in row if i in v),
                         CycloNumber.rational(0))
-                assert s.is_zero()
+                assert not s
 
 
 def test_solve_linear():
@@ -236,7 +236,7 @@ def test_nullspace_is_the_annihilator(case):
         for row in rows:
             s = sum((row[i] * v[i] for i in row if i in v),
                     CycloNumber.rational(0))
-            assert s.is_zero()
+            assert not s
     assert null.dim + Echelon(n, rows).dim == n
 
 

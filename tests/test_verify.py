@@ -3,15 +3,19 @@ import json
 
 import pytest
 
-from hopfcat import coideal, hopf
+from hopfcat import coideal, hopf, verify
 from hopfcat.coideal import (dual_coideal, enumerate_coideals,
                              is_normal_hopf_subalgebra, quotient_dual)
-from hopfcat.cyclo import ONE
+from hopfcat.cyclo import ONE, ZERO
 from hopfcat.errors import InternalMismatch, InvariantViolation
-from hopfcat.hopf import drinfeld_map, subalgebra_generators
+from hopfcat.hopf import ConjClass, drinfeld_map, subalgebra_generators
 from hopfcat.linalg import Echelon, nullspace
 from hopfcat.verify import (SMOKE_CHECKS, _REGISTRY, _Context,
-                            _check_coinvariants, _check_drinfeld_laws,
+                            _check_block_divisibility,
+                            _check_centralizer_exchange,
+                            _check_centralizer_membership,
+                            _check_centralizing_pairs, _check_coinvariants,
+                            _check_drinfeld_laws, _check_lattice_duality,
                             _coinvariants, _commutes, summarize,
                             verify_identities)
 
@@ -218,3 +222,122 @@ def test_a_broken_drinfeld_law_is_one_failed_verdict(double_s3, monkeypatch):
     subject, ok, detail = verdicts[0]
     assert (subject, ok) == ("D(S3)", False)
     assert detail.startswith("D(S3): phi-of-character centrality fails")
+
+
+# Each check below is fed one corrupted input of its _Context and must
+# report a failed verdict naming the subject and what went wrong.  The
+# corruptions replace attributes of the context or names of the verify
+# module; none writes into the per-algebra memo, which later tests read.
+
+
+def _failures(check, ctx) -> list[tuple[str, bool, str]]:
+    return [v for v in check(ctx) if not v[1]]
+
+
+@pytest.fixture
+def ctx_s3(double_s3):
+    ctx = _Context(double_s3)
+    for L in ctx.cos:   # memoized before any test corrupts ctx.classes
+        ctx.blocks_in(L)
+    return ctx
+
+
+@pytest.mark.parametrize("corrupt, detail", [
+    ("coideal_product", "product vs meet fails against {}"),
+    ("coideal_intersect", "intersection vs join fails against {}"),
+], ids=["product", "intersection"])
+def test_lattice_duality_fails_on_a_wrong_product_or_meet(
+        ctx_s3, monkeypatch, corrupt, detail):
+    """k1 (the first coideal) against the next one: the product returned
+    as its left factor breaks the meet, the intersection returned as its
+    right factor breaks the join."""
+    assert not _failures(_check_lattice_duality, ctx_s3)
+    monkeypatch.setattr(verify, corrupt, lambda A, L1, L2:
+                        L1 if corrupt == "coideal_product" else L2)
+    first, second = ctx_s3.cos[:2]
+    assert _failures(_check_lattice_duality, ctx_s3)[0] == (
+        first.label(), False, detail.format(second.label()))
+
+
+def _swap_vec_and_full_centralizers(ctx, monkeypatch):
+    """cent(Vec), which is everything, and cent(Rep A), which is Vec on a
+    nondegenerate double, exchanged."""
+    vec, full = ctx.subs[0].indices, ctx.full.indices
+    cent = dict(ctx.cent)
+    cent[vec], cent[full] = cent[full], cent[vec]
+    monkeypatch.setattr(ctx, "cent", cent)
+
+
+def test_centralizer_exchange_fails_on_swapped_centralizers(ctx_s3,
+                                                            monkeypatch):
+    assert not _failures(_check_centralizer_exchange, ctx_s3)
+    _swap_vec_and_full_centralizers(ctx_s3, monkeypatch)
+    vec, second = ctx_s3.subs[:2]
+    # fpdim(Vec meet D') fpdim(D) against fpdim(Vec' meet D) fpdim(Vec)
+    assert _failures(_check_centralizer_exchange, ctx_s3)[0] == (
+        vec.label(), False, f"against {second.label()}: {second.fpdim} != 1")
+
+
+def test_centralizer_membership_fails_on_swapped_centralizers(ctx_s3,
+                                                              monkeypatch):
+    """cent(Rep(A//k1)) = cent(Rep A) now claims every simple, while the
+    block and left-kernel routes still find V0 alone."""
+    assert not _failures(_check_centralizer_membership, ctx_s3)
+    _swap_vec_and_full_centralizers(ctx_s3, monkeypatch)
+    k1 = ctx_s3.cos[0]
+    assert _failures(_check_centralizer_membership, ctx_s3)[0] == (
+        k1.label(), False, "routes disagree on V1: True/False/False")
+
+
+def test_block_divisibility_fails_on_a_block_outside_its_coideal(
+        ctx_s3, monkeypatch):
+    """Block 2, of dimension 2^2, claimed by every coideal: d_2 = 2 does
+    not divide dim k1 = 1."""
+    assert not _failures(_check_block_divisibility, ctx_s3)
+    assert ctx_s3.classes[2].space.dim == 4
+    monkeypatch.setattr(ctx_s3, "blocks_in", lambda L: {2})
+    k1 = ctx_s3.cos[0]
+    assert _failures(_check_block_divisibility, ctx_s3)[0] == (
+        k1.label(), False, "d_2=2 does not divide 1")
+
+
+def test_block_divisibility_fails_on_a_false_nondegenerate_quotient(
+        ctx_s3, monkeypatch):
+    """The first coideal holding block 2 has dimension 6: 2 divides it,
+    but 2^2 must too once its quotient is called nondegenerate."""
+    monkeypatch.setattr(ctx_s3, "nondegenerate", lambda indices: True)
+    L = next(L for L in ctx_s3.cos if 2 in ctx_s3.blocks_in(L))
+    assert L.dim == 6
+    assert _failures(_check_block_divisibility, ctx_s3)[0] == (
+        L.label(), False, "d_2^2=4 does not divide 6")
+
+
+def test_block_divisibility_fails_on_a_non_square_block(ctx_s3, monkeypatch):
+    classes = list(ctx_s3.classes)
+    rows = classes[2].space.rows[:2]
+    classes[2] = ConjClass(Echelon(ctx_s3.A.dim, rows), classes[2].class_sum)
+    monkeypatch.setattr(ctx_s3, "classes", classes)
+    L = next(L for L in ctx_s3.cos if 2 in ctx_s3.blocks_in(L))
+    assert _failures(_check_block_divisibility, ctx_s3)[0] == (
+        L.label(), False, "block 2 is not square")
+
+
+def test_centralizing_pairs_fail_on_a_changed_smatrix_entry(ctx_s3,
+                                                            monkeypatch):
+    """s_01 set to 0: V0 = k still centralizes V1 by the four other
+    routes, so the equivalences split.  An entry that is neither 0 nor
+    d_i d_m set to 0 keeps them equivalent, but not the expansion of s
+    through the block coefficients of the characters."""
+    assert not _failures(_check_centralizing_pairs, ctx_s3)
+    sm = ctx_s3.sm
+    dims = ctx_s3.dims
+    i, m = next((i, m) for i in range(ctx_s3.r) for m in range(ctx_s3.r)
+                if sm.entries[i][m] not in (0, dims[i] * dims[m]))
+    for (a, b), detail in [((0, 1), "equivalences split against V1"),
+                           ((i, m), f"s-matrix expansion fails against V{m}")]:
+        entries = [list(row) for row in sm.entries]
+        entries[a][b] = ZERO
+        monkeypatch.setattr(ctx_s3, "sm",
+                            dataclasses.replace(sm, entries=entries))
+        assert _failures(_check_centralizing_pairs, ctx_s3)[0] == (
+            ctx_s3.simples[a].label(), False, detail)
