@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .cyclo import CycloNumber, ONE, ZERO, as_cyclo
-from .errors import InconsistentCharacters
+from .errors import fail
 from .groups import Group
 from .linalg import (find_prime, kernel_modp, primitive_root_of_unity,
                      rref_modp)
@@ -32,12 +32,10 @@ class CharacterTable:
         self.N = group.exponent()
         self.rows = rows
         if any(not row[0].is_rational() for row in rows):
-            raise InconsistentCharacters(
-                f"{group.name}: degrees must be rational")
+            fail(group, "rational degrees")
         degs = [row[0].rational_value() for row in rows]
         if any(d.denominator != 1 or d <= 0 for d in degs):
-            raise InconsistentCharacters(
-                f"{group.name}: degrees must be positive integers")
+            fail(group, "positive integer degrees")
         self.degrees = [int(d) for d in degs]
         self._verify()
         self.dual_row = self._compute_duals()
@@ -45,21 +43,18 @@ class CharacterTable:
     def _verify(self) -> None:
         G, r = self.group, self.r
         if len(self.rows) != r:
-            raise InconsistentCharacters(
-                f"{G.name}: {len(self.rows)} rows for {r} classes")
+            fail(G, "one row per class", None,
+                 f"{len(self.rows)} rows for {r} classes")
         if sum(d * d for d in self.degrees) != G.n:
-            raise InconsistentCharacters(
-                f"{G.name}: degree squares do not sum to group order")
+            fail(G, "sum of squared degrees = group order")
         if any(v != 1 for v in self.rows[0]):
-            raise InconsistentCharacters(
-                f"{G.name}: first row is not the trivial character")
+            fail(G, "trivial first row")
         sizes = [c.size for c in self.classes]
         for i in range(r):
             for k in range(r):
                 if self.rows[i][k].conjugate() != self.rows[i][self.inv_class[k]]:
-                    raise InconsistentCharacters(
-                        f"{G.name}: conjugate/inverse mismatch at row {i}, "
-                        f"class {k}")
+                    fail(G, "conjugate/inverse agreement", None,
+                         f"row {i}, class {k}")
             for j in range(i, r):
                 tot = ZERO
                 for k in range(r):
@@ -67,8 +62,7 @@ class CharacterTable:
                         * self.rows[j][self.inv_class[k]]
                 want = G.n if i == j else 0
                 if tot != want:
-                    raise InconsistentCharacters(
-                        f"{G.name}: orthogonality fails at rows {i},{j}")
+                    fail(G, "orthogonality", None, f"rows {i},{j}")
 
     def _compute_duals(self) -> list[int]:
         duals = []
@@ -76,8 +70,7 @@ class CharacterTable:
             target = [self.rows[i][self.inv_class[k]] for k in range(self.r)]
             hits = [j for j in range(self.r) if self.rows[j] == target]
             if len(hits) != 1:
-                raise InconsistentCharacters(
-                    f"{self.group.name}: dual character not unique")
+                fail(self.group, "dual uniqueness", None, f"row {i}")
             duals.append(hits[0])
         return duals
 
@@ -104,7 +97,8 @@ def _class_matrices(G: Group) -> list[list[list[int]]]:
             for k in range(r):
                 q, rem = divmod(mats[i][j][k], classes[k].size)
                 if rem:
-                    raise InconsistentCharacters("class product tally not divisible")
+                    fail(G, "class product tally divisibility", None,
+                         f"classes {i},{j} -> {k}")
                 mats[i][j][k] = q
     return mats
 
@@ -133,7 +127,7 @@ def _central_characters(G: Group, p: int) -> list[list[int]]:
                 coords = [img[pc] for pc in pivots]
                 back = [sum(c * b[j] for c, b in zip(coords, rr)) % p for j in range(r)]
                 if back != img:
-                    raise InconsistentCharacters("subspace not invariant mod p")
+                    fail(G, "invariance mod p", None, f"class matrix {i}")
                 images.append(coords)
             remaining = d
             for lam in range(p):
@@ -150,15 +144,15 @@ def _central_characters(G: Group, p: int) -> list[list[int]]:
                 nxt.append(sub)
                 remaining -= len(ker)
             if remaining:
-                raise InconsistentCharacters("class matrix not diagonalizable mod p")
+                fail(G, "diagonalizability mod p", None, f"class matrix {i}")
         spaces = nxt
     if len(spaces) != r or any(len(v) != 1 for v in spaces):
-        raise InconsistentCharacters("could not separate all characters mod p")
+        fail(G, "separation of the characters mod p")
     out = []
     for basis in spaces:
         v = basis[0]
         if v[0] % p == 0:
-            raise InconsistentCharacters("central character vanishes at identity")
+            fail(G, "central character normalization")
         inv = pow(v[0], p - 2, p)
         out.append([x * inv % p for x in v])
     return out
@@ -182,11 +176,11 @@ def character_table(G: Group) -> CharacterTable:
         s = sum(om[k] * om[inv_class[k]] * pow(sizes[k], p - 2, p)
                 for k in range(r)) % p
         if s == 0:
-            raise InconsistentCharacters("degree formula degenerate mod p")
+            fail(G, "degree formula nondegeneracy mod p")
         d2 = G.n * pow(s, p - 2, p) % p
         d = _exact_isqrt(d2)
         if d is None or not 1 <= d * d <= G.n:
-            raise InconsistentCharacters("degree is not a small integer square root")
+            fail(G, "integer degree")
         chi_p = [d * om[k] * pow(sizes[k], p - 2, p) % p for k in range(r)]
         row = []
         for k, c in enumerate(classes):
@@ -205,18 +199,18 @@ def character_table(G: Group) -> CharacterTable:
             for e in range(dg):
                 m = sum(powers[t] * pow(zinv, e * t, p) for t in range(dg)) * dginv % p
                 if m > d:
-                    raise InconsistentCharacters("root multiplicity exceeds degree")
+                    fail(G, "root multiplicity <= degree", None, f"class {k}")
                 if m:
                     val = val + as_cyclo(m) * CycloNumber.zeta(dg, e)
                     total += m
             if total != d:
-                raise InconsistentCharacters("root multiplicities do not sum to degree")
+                fail(G, "root multiplicity sum = degree", None, f"class {k}")
             row.append(val)
         rows.append(row)
 
     trivial = [ONE] * r
     if trivial not in rows:
-        raise InconsistentCharacters("trivial character missing")
+        fail(G, "trivial character presence")
     rows.remove(trivial)
     rows.sort(key=lambda row: (row[0].rational_value(),
                                [v.sort_key(N) for v in row]))

@@ -541,6 +541,8 @@ def run(argv) -> int:
         if not 1 <= args.max_dim <= DOUBLE_DIM_BOUND:
             raise ParseError("max algebra dimension must be between 1 and "
                              f"{DOUBLE_DIM_BOUND}")
+        if args.format == "dot" and getattr(args, "action", "") != "lattice":
+            raise ParseError("--format dot is for subcats lattice only")
         if args.command == "cache":
             print(f"removed {_cache(args).purge()} cache entries")
             return 0

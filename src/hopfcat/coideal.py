@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .cyclo import CycloNumber, ONE
-from .errors import (InternalMismatch, InvariantViolation, NoIntegral,
-                     PreconditionViolated)
+from .errors import PreconditionViolated, fail
 from .groups import (Group, Subgroup, abelian_coordinates, commute_elementwise,
                      memo, memoized, normal_subgroups)
 from .hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode, convolve,
-                   counit_value, drinfeld_map, failure, is_left_coideal,
-                   left_quotients, leg_slices, lmul, mul_rows, pair_eval,
-                   right_adjoint, subalgebra_generators)
+                   counit_value, drinfeld_map, is_left_coideal, left_quotients,
+                   leg_slices, lmul, mul_rows, pair_eval, right_adjoint,
+                   subalgebra_generators)
 from .linalg import (Echelon, Row, acc, intersect, modular_field, nullspace,
                      rank_modp, row_addmul, row_modp, row_scale)
 
@@ -164,8 +163,7 @@ def _generators(A: QTAlgebra, space: Echelon, label) -> list[Row]:
     (subalgebra_generators); label() names the space when it is none."""
     gens = subalgebra_generators(A, space)
     if gens is None:
-        raise InvariantViolation(failure(
-            A, "coideal product closure", None, label()))
+        fail(A, "coideal product closure", None, label())
     return gens
 
 
@@ -176,14 +174,13 @@ def _verify_coideal(A: QTAlgebra, space: Echelon, label) -> None:
     checked on the space's own generators (lemmas in is_left_coideal and
     ad_escape), ad-stability also on the generators of A."""
     if not space.contains(A.unit_row):
-        raise InvariantViolation(failure(A, "coideal unit", None, label()))
+        fail(A, "coideal unit", None, label())
     gens = _generators(A, space, label)
     if not is_left_coideal(A, space, gens):
-        raise InvariantViolation(failure(A, "left coideal", None, label()))
+        fail(A, "left coideal", None, label())
     x = ad_escape(A, space, adjoint, gens)
     if x is not None:
-        raise InvariantViolation(failure(
-            A, "coideal adjoint stability", x, label()))
+        fail(A, "coideal adjoint stability", x, label())
 
 
 def coideal_integral(A: QTAlgebra, space: Echelon, label) -> Row:
@@ -218,15 +215,12 @@ def coideal_integral(A: QTAlgebra, space: Echelon, label) -> Row:
             best = row_scale(u, e.inverse())
             break
     if best is None or kernel.dim != 1:
-        raise NoIntegral(failure(
-            A, "unique normalizable integral", None, label()))
+        fail(A, "unique normalizable integral", None, label())
     if mul_rows(A, best, best) != best:
-        raise InvariantViolation(failure(
-            A, "coideal integral idempotence", None, label()))
+        fail(A, "coideal integral idempotence", None, label())
     for ell in gens:
         if mul_rows(A, ell, best) != row_scale(best, counit_value(A, ell)):
-            raise InvariantViolation(failure(
-                A, "coideal left integral", None, label()))
+            fail(A, "coideal left integral", None, label())
     return best
 
 
@@ -288,8 +282,7 @@ def build_coideal(A: QTAlgebra, M: Subgroup, H: Subgroup,
             f"{bichar_label(G, M, H, bc)})")
     space = Echelon(A.dim, rows)
     if space.dim != len(H.members) * len(cosets):
-        raise InvariantViolation(failure(
-            A, "twisted sum independence", None, name))
+        fail(A, "twisted sum independence", None, name)
     return _wrap(A, space, name)
 
 
@@ -481,9 +474,8 @@ def coideal_product(A: QTAlgebra, L1: CoidealSubalgebra,
     space = _span_product(A, L1, L2)
     if space.dim < A.dim:
         if space != _span_product(A, L2, L1):
-            raise InvariantViolation(failure(
-                A, "coideal product symmetry", None,
-                f"{L1.label()} * {L2.label()}"))
+            fail(A, "coideal product symmetry", None,
+                 f"{L1.label()} * {L2.label()}")
     return coideal_from_space(A, space)
 
 
@@ -538,11 +530,9 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
                          if lq[k][j] >= 0), key=itemgetter(0)))
             for k in range(A.dim)])
         if direct != shifted:
-            raise InternalMismatch(failure(
-                A, "agreement of the two (A//L)* routes", None, L.label()))
+            fail(A, "agreement of the two (A//L)* routes", None, L.label())
         if not (A.dim % L.dim == 0 and direct.dim == A.dim // L.dim):
-            raise InvariantViolation(failure(
-                A, "(A//L)* dimension", None, L.label()))
+            fail(A, "(A//L)* dimension", None, L.label())
         return direct
     return memo(A, (quotient_dual, L.key()), build)
 

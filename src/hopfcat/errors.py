@@ -1,6 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per thing a caller
+tells apart, and `fail`, through which every failed self-check raises.
+
+The command line maps them to exit codes: InvariantViolation to 1 (a
+failed check); ParseError, PreconditionViolated and
+MethodPreconditionViolated to 2 (a usage error); BoundExceeded to 3.
+"""
 
 from __future__ import annotations
+
+from typing import NoReturn
 
 
 class HopfcatError(Exception):
@@ -20,10 +28,6 @@ class ParseError(HopfcatError):
         self.offset = offset
 
 
-class UnknownName(ParseError):
-    """Catalog name not recognized."""
-
-
 class NotAGroup(HopfcatError):
     """A Cayley table failed the group axioms."""
 
@@ -32,36 +36,9 @@ class BoundExceeded(HopfcatError):
     """A size bound was exceeded (group order or algebra dimension)."""
 
 
-class NoIntegral(HopfcatError):
-    """The requested integral does not exist or is not unique."""
-
-
-class NotFactorizable(HopfcatError):
-    """Operation requires a bijective Drinfeld map."""
-
-
-class InconsistentCharacters(HopfcatError):
-    """Supplied characters fail an exact orthogonality or idempotent check."""
-
-
 class InvariantViolation(HopfcatError):
-    """A constructed object failed one of its defining invariants."""
-
-
-class NonIntegerMultiplicity(HopfcatError):
-    """A fusion multiplicity came out non-integer or negative."""
-
-
-class NotClosed(HopfcatError):
-    """A candidate simple-object set is not closed under fusion or duals."""
-
-
-class OracleMismatch(HopfcatError):
-    """Two independent computations of the same object disagree."""
-
-
-class InternalMismatch(OracleMismatch):
-    """Two internal routes to the same matrix disagree."""
+    """A constructed object failed one of its defining invariants, or two
+    independent computations of the same object disagree."""
 
 
 class PreconditionViolated(HopfcatError):
@@ -72,5 +49,11 @@ class MethodPreconditionViolated(HopfcatError):
     """A centralizer method was called outside its domain of validity."""
 
 
-class NoSplittingPair(HopfcatError):
-    """No abelian subgroup with multiplicity-one restriction was found."""
+def fail(owner, check: str, x: int | None = None,
+         subject: str = "") -> NoReturn:
+    """Raise InvariantViolation naming the owner (a QTAlgebra or a
+    Group), the check and, when there is one, the subject checked and
+    the basis element x of an algebra where it fails."""
+    on = f" on {subject}" if subject else ""
+    at = f" at {owner.labels[x]}" if x is not None else ""
+    raise InvariantViolation(f"{owner.name}: {check} fails{on}{at}")

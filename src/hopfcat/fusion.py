@@ -20,14 +20,12 @@ from .coideal import (Bicharacter, CoidealSubalgebra, bichar_label,
                       coideal_from_space, coideal_triples, dual_coideal,
                       group_coideal, quotient_dual, triple_coideal)
 from .cyclo import CycloNumber, ONE, ZERO, fmt_cyclo
-from .errors import (InternalMismatch, InvariantViolation,
-                     MethodPreconditionViolated, NonIntegerMultiplicity,
-                     NotClosed, OracleMismatch, PreconditionViolated)
+from .errors import MethodPreconditionViolated, PreconditionViolated, fail
 from .groups import (Subgroup, centralizer_subgroup, memoized,
                      normal_subgroups)
 from .hopf import (QTAlgebra, all_classes, char_ring_idempotents, coinvariants,
-                   convolve, drinfeld_map, dual_character, failure,
-                   generators, harpoon_right, integrals, pair_eval)
+                   convolve, drinfeld_map, dual_character, generators,
+                   harpoon_right, integrals, pair_eval)
 from .linalg import Echelon, Row, acc, intersect, row_rank, row_scale
 from .reps import Matrix, mat_mul, matrix_irrep
 
@@ -97,8 +95,7 @@ def _verify_module(A: QTAlgebra, s: SimpleObject) -> None:
     map.
     """
     if tuple(tuple(r) for r in s.act(A.unit_row)) != _identity(s.dim):
-        raise InvariantViolation(failure(A, "module unit", None,
-                                         f"V{s.index}"))
+        fail(A, "module unit", None, f"V{s.index}")
     mats = s.matrices
     for k in generators(A):
         mk = mats.get(k)
@@ -113,8 +110,7 @@ def _verify_module(A: QTAlgebra, s: SimpleObject) -> None:
                 prod = mat_mul(mk, ml)
                 ok = _zero_matrix(prod) if mt is None else prod == mt
             if not ok:
-                raise InvariantViolation(failure(
-                    A, "module multiplicativity", k, f"V{s.index}"))
+                fail(A, "module multiplicativity", k, f"V{s.index}")
 
 
 def _induced_simples(A: QTAlgebra, ci: int, a: int,
@@ -197,8 +193,7 @@ def _frobenius_check(A: QTAlgebra, s: SimpleObject, reps: list[int],
             if y in members:
                 rhs = rhs + ctab.value_at(s.rep_index, pos[y])
         if lhs != corder * rhs:
-            raise InvariantViolation(failure(
-                A, "induced character", None, f"V{s.index} at g{g}"))
+            fail(A, "induced character", None, f"V{s.index} at g{g}")
 
 
 @memoized
@@ -222,8 +217,7 @@ def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
             _verify_module(A, s)
             simples.append(s)
     if sum(s.dim * s.dim for s in simples) != A.dim:
-        raise InvariantViolation(failure(A, "sum of squared dimensions", None,
-                                         f"{len(simples)} simples"))
+        fail(A, "sum of squared dimensions", None, f"{len(simples)} simples")
     # f(Lambda_1) g(Lambda_2) = f(g -> Lambda), one harpoon per simple
     lam, _ = integrals(A)
     ws = [harpoon_right(A, s.character, lam) for s in simples]
@@ -232,8 +226,7 @@ def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
         for j, w in enumerate(ws):
             want = ONE if i == j else ZERO
             if pair_eval(dchar, w) != want:
-                raise InvariantViolation(failure(
-                    A, "character orthonormality", None, f"V{i} against V{j}"))
+                fail(A, "character orthonormality", None, f"V{i} against V{j}")
     return simples
 
 
@@ -246,8 +239,7 @@ def dual_index(A: QTAlgebra) -> list[int]:
         d = dual_character(A, s.character)
         matches = [j for j, t in enumerate(simples) if t.character == d]
         if len(matches) != 1:
-            raise InvariantViolation(failure(A, "dual uniqueness", None,
-                                             f"V{i}"))
+            fail(A, "dual uniqueness", None, f"V{i}")
         out.append(matches[0])
     return out
 
@@ -291,18 +283,15 @@ def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
                 v = pair_eval(conv, ws[k])
                 q = v.rational_value() if v.is_rational() else None
                 if q is None or q.denominator != 1 or q < 0:
-                    raise NonIntegerMultiplicity(failure(
-                        A, "fusion integrality", None,
-                        f"V{i} x V{j} -> V{k} (N = {fmt_cyclo(v)})"))
+                    fail(A, "fusion integrality", None,
+                         f"V{i} x V{j} -> V{k} (N = {fmt_cyclo(v)})")
                 row[k] = int(q)
             for a, b in ((i, j), (j, i)):
                 if row[0] != (1 if dual[a] == b else 0):
-                    raise InvariantViolation(failure(
-                        A, "fusion duality", None, f"V{a} x V{b}"))
+                    fail(A, "fusion duality", None, f"V{a} x V{b}")
             if (sum(n * simples[k].dim for k, n in enumerate(row))
                     != simples[i].dim * simples[j].dim):
-                raise InvariantViolation(failure(
-                    A, "fusion dimension count", None, f"V{i} x V{j}"))
+                fail(A, "fusion dimension count", None, f"V{i} x V{j}")
             table[i][j] = row
             table[j][i] = list(row)
     return table
@@ -377,9 +366,8 @@ def smatrix(A: QTAlgebra) -> SMatrix:
             for rr in range(di * dj):
                 tr = tr + acc[rr][rr]
             if tr != entries[i][j]:
-                raise InternalMismatch(failure(
-                    A, "S-matrix character/trace agreement", None,
-                    f"s[{i}][{j}]"))
+                fail(A, "S-matrix character/trace agreement", None,
+                     f"s[{i}][{j}]")
 
     images = [dm.phi(dual_character(A, s.character)) for s in simples]
     phi_entries = [[pair_eval(simples[i].character, images[j])
@@ -391,23 +379,18 @@ def smatrix(A: QTAlgebra) -> SMatrix:
              for i in range(r) for j in range(r)):
         phi_relation = "dual-flip"
     else:
-        raise InternalMismatch(failure(
-            A, "S-matrix Drinfeld-map form (plain or dual-flip convention)",
-            None))
+        fail(A, "S-matrix Drinfeld-map form (plain or dual-flip convention)")
 
     for j in range(r):
         if entries[0][j] != CycloNumber.rational(simples[j].dim):
-            raise InvariantViolation(failure(
-                A, "S-matrix first row (dimensions)", None, f"s[0][{j}]"))
+            fail(A, "S-matrix first row (dimensions)", None, f"s[0][{j}]")
     for i in range(r):
         for j in range(r):
             if entries[i][j] != entries[j][i]:
-                raise InvariantViolation(failure(
-                    A, "S-matrix symmetry", None, f"s[{i}][{j}]"))
+                fail(A, "S-matrix symmetry", None, f"s[{i}][{j}]")
             z = entries[i][j].to_complex()
             if abs(z) > simples[i].dim * simples[j].dim + S_BOUND_TOL:
-                raise InvariantViolation(failure(
-                    A, "S-matrix dimension bound", None, f"s[{i}][{j}]"))
+                fail(A, "S-matrix dimension bound", None, f"s[{i}][{j}]")
 
     rank = row_rank([{k: v for k, v in enumerate(row) if v}
                      for row in entries], r)
@@ -498,7 +481,7 @@ def _mk_subcat(A: QTAlgebra, indices, name=None,
     idx = tuple(sorted(indices))
     simples = simple_objects(A)
     if not _is_closed(A, frozenset(idx)):
-        raise NotClosed(f"simple set {list(idx)} is not fusion closed")
+        fail(A, "fusion closure", None, f"simple set {list(idx)}")
     fp = sum(simples[i].dim ** 2 for i in idx)
     return FusionSubcat(A, idx, fp, name, coideal)
 
@@ -526,12 +509,10 @@ def subcat_from_triple(A: QTAlgebra, M: Subgroup, H: Subgroup,
     sub = _mk_subcat(A, sel, name, L)
     want = len(M.members) * (A.group.n // len(H.members))
     if sub.fpdim != want:
-        raise InvariantViolation(failure(A, "subcategory dimension", None,
-                                         name))
+        fail(A, "subcategory dimension", None, name)
     quot = quotient_irreps(A, L)
     if quot.indices != sub.indices:
-        raise InternalMismatch(failure(
-            A, f"quotient = {name}", None, L.label()))
+        fail(A, f"quotient = {name}", None, L.label())
     return sub
 
 
@@ -542,18 +523,16 @@ def quotient_irreps(A: QTAlgebra, L: CoidealSubalgebra) -> FusionSubcat:
     for s in simples:
         v = pair_eval(s.character, L.integral)
         if not v.is_rational():
-            raise InvariantViolation(failure(A, "rational integral trace",
-                                             None, f"V{s.index} by {L.label()}"))
+            fail(A, "rational integral trace", None,
+                 f"V{s.index} by {L.label()}")
         q = v.rational_value()
         if not (q.denominator == 1 and 0 <= q <= s.dim):
-            raise InvariantViolation(failure(
-                A, "invariant count", None, f"V{s.index} by {L.label()}"))
+            fail(A, "invariant count", None, f"V{s.index} by {L.label()}")
         if q == s.dim:
             sel.append(s.index)
     sub = _mk_subcat(A, sel, coideal=L)
     if not (A.dim % L.dim == 0 and sub.fpdim == A.dim // L.dim):
-        raise InvariantViolation(failure(A, "quotient dimension", None,
-                                         L.label()))
+        fail(A, "quotient dimension", None, L.label())
     return sub
 
 
@@ -571,18 +550,15 @@ def quotient_integral(A: QTAlgebra, L: CoidealSubalgebra) -> Row:
         for k, v in simples[i].character.items():
             acc(lam, k, c * v)
     if pair_eval(lam, A.unit_row) != ONE:
-        raise InvariantViolation(failure(
-            A, "quotient integral normalization", None, L.label()))
+        fail(A, "quotient integral normalization", None, L.label())
     dual = quotient_dual(A, L)
     if not dual.contains(lam):
-        raise InvariantViolation(failure(
-            A, "quotient integral membership in (A//L)*", None, L.label()))
+        fail(A, "quotient integral membership in (A//L)*", None, L.label())
     for f in dual.rows:
         f1 = pair_eval(f, A.unit_row)
         want = row_scale(lam, f1) if f1 else {}
         if convolve(A, f, lam) != want or convolve(A, lam, f) != want:
-            raise InvariantViolation(failure(
-                A, "quotient integral two-sidedness", None, L.label()))
+            fail(A, "quotient integral two-sidedness", None, L.label())
     return lam
 
 
@@ -619,9 +595,8 @@ def enumerate_subcats(A: QTAlgebra) -> list[FusionSubcat]:
         frontier = fresh
     brute = {tuple(sorted(s)) for s in family}
     if brute != set(found):
-        raise OracleMismatch(
-            "parameterized and brute-force subcategory enumerations differ: "
-            f"{sorted(brute)} vs {sorted(found)}")
+        fail(A, "agreement of the parameterized and brute-force subcategory "
+             "enumerations", None, f"{sorted(brute)} vs {sorted(found)}")
 
     return sorted(found.values(), key=lambda d: (d.fpdim, d.indices))
 
@@ -633,8 +608,7 @@ def _catalog_lookup(A: QTAlgebra, indices: tuple[int, ...]) -> FusionSubcat:
     for sub in enumerate_subcats(A):
         if sub.indices == indices:
             return sub
-    raise InvariantViolation(failure(
-        A, "catalog membership", None, f"simple set {list(indices)}"))
+    fail(A, "catalog membership", None, f"simple set {list(indices)}")
 
 
 def centralizer(A: QTAlgebra, D: FusionSubcat, method: str) -> FusionSubcat:
@@ -681,9 +655,8 @@ def centralizer(A: QTAlgebra, D: FusionSubcat, method: str) -> FusionSubcat:
         sel2 = [i for i in range(len(simples))
                 if pair_eval(ring.idempotents[ring.j_of[i]], L.integral)]
         if sel != sel2:
-            raise InternalMismatch(failure(
-                A, "agreement of class membership and idempotent evaluation",
-                None, L.label()))
+            fail(A, "agreement of class membership and idempotent evaluation",
+                 None, L.label())
         return _catalog_lookup(A, tuple(sorted(sel)))
     raise PreconditionViolated(f"unknown centralizer method {method!r}")
 
@@ -718,6 +691,6 @@ def generated_subcategory(A: QTAlgebra, indices) -> FusionSubcat:
     want = tuple(sorted(_closure(_fusion_supports(A), dual_index(A),
                                  frozenset(indices))))
     if sub.indices != want:
-        raise OracleMismatch("kernel route and fusion closure disagree on "
-                             "the generated subcategory")
+        fail(A, "agreement of the kernel route and the fusion closure", None,
+             f"the subcategory generated by {list(indices)}")
     return sub

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import lcm
 
-from .errors import BoundExceeded, NotAGroup, ParseError, UnknownName
+from .errors import BoundExceeded, NotAGroup, ParseError, fail
 
 NORMAL_SUBGROUP_BOUND = 24
 # the largest algebra built: D(G) has dimension |G|^2 and kG dimension |G|,
@@ -312,7 +312,7 @@ def abelian_cyclic_decomposition(Q: Group) -> list[tuple[int, int]]:
             k = set(K.members)
             if K.order == target and k <= inside and not (k & cyc - {0}):
                 return [(g, top)] + solve(K.members)
-        raise NotAGroup("abelian decomposition failed")  # pragma: no cover
+        fail(Q, "abelian decomposition")  # pragma: no cover
 
     return solve(tuple(range(Q.n)))
 
@@ -337,7 +337,7 @@ def exponent_tables(Q: Group) -> tuple[list[tuple[int, int]], dict[int, tuple[in
 
     rec(0, 0, ())
     if len(coords) != Q.n:
-        raise NotAGroup("cyclic decomposition is not direct")  # pragma: no cover
+        fail(Q, "directness of the cyclic decomposition")  # pragma: no cover
     return gens, coords
 
 
@@ -568,4 +568,4 @@ def parse_group_spec(spec: str) -> Group:
         return _cyclic(n)
     if spec in _CATALOG:
         return _CATALOG[spec]()
-    raise UnknownName(f"unknown group name {spec!r}", 0)
+    raise ParseError(f"unknown group name {spec!r}", 0)

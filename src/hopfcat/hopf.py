@@ -58,8 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycloNumber, ONE, ZERO, as_cyclo, dot
-from .errors import (BoundExceeded, InconsistentCharacters,
-                     InvariantViolation, NoIntegral, NotFactorizable)
+from .errors import BoundExceeded, fail
 from .groups import (DOUBLE_DIM_BOUND, Group, check_double_dim, double_name,
                      memo, memoized)
 from .linalg import (Echelon, Row, acc, apply_pairs, nullspace, row_rank,
@@ -203,20 +202,6 @@ def generators(A: QTAlgebra) -> list[int]:
         return [A.pair_index(g, h) for h in (0, *S)
                 for g in range(A.group.n)]
     return list(S)
-
-
-def failure(A: QTAlgebra, check: str, x: int | None,
-            subject: str = "") -> str:
-    """A failure message naming the algebra, the check and, when there is
-    one, the subject checked and the basis element x where it fails."""
-    on = f" on {subject}" if subject else ""
-    at = f" at {A.labels[x]}" if x is not None else ""
-    return f"{A.name}: {check} fails{on}{at}"
-
-
-def _fail(A: QTAlgebra, check: str, x: int | None = None, subject: str = ""):
-    """Raise InvariantViolation with the failure message of its arguments."""
-    raise InvariantViolation(failure(A, check, x, subject))
 
 
 def noncentral_generator(A: QTAlgebra, z: Row) -> int | None:
@@ -606,10 +591,10 @@ def verify_axioms(A: QTAlgebra) -> None:
     prod = A.prod_idx
 
     if sorted(A.s_idx) != list(range(dim)):
-        _fail(A, "antipode bijectivity")
+        fail(A, "antipode bijectivity")
     for i, row in enumerate(prod):
         if not all(-1 <= k < dim for k in row):
-            _fail(A, "product-table range", i)
+            fail(A, "product-table range", i)
 
     # products by a basis element are relabels (lmul, rmul): each must be
     # injective on the basis elements it does not kill
@@ -618,22 +603,22 @@ def verify_axioms(A: QTAlgebra) -> None:
                            ("right", [row[k] for row in prod])):
             hits = [m for m in hits if m >= 0]
             if len(set(hits)) != len(hits):
-                _fail(A, f"basis-product injectivity ({side} multiplication)", k)
+                fail(A, f"basis-product injectivity ({side} multiplication)", k)
 
     for x in range(dim):
         if rmul(A, A.unit_row, x) != A.basis(x):
-            _fail(A, "left unit", x)
+            fail(A, "left unit", x)
         if lmul(A, x, A.unit_row) != A.basis(x):
-            _fail(A, "right unit", x)
+            fail(A, "right unit", x)
 
     gens = generators(A)
     members = set(gens)
     for x in gens:
         if not all(i in members and j in members for i, j in A.delta[x]):
-            _fail(A, "generator coproduct legs", x)
+            fail(A, "generator coproduct legs", x)
     missing = _first_unreached(A, gens)
     if missing is not None:
-        _fail(A, "generator reach", missing)
+        fail(A, "generator reach", missing)
 
     # associativity: Light's test over the table with -1 (zero) adjoined
     # as a last row and column, so that row[-1] is the zero product
@@ -647,7 +632,7 @@ def verify_axioms(A: QTAlgebra) -> None:
             right = list(map(px.__getitem__, right_of_s))
             if left != right:
                 y = next(y for y in range(dim) if left[y] != right[y])
-                _fail(A, "associativity", None, f"basis triple ({x},{s},{y})")
+                fail(A, "associativity", None, f"basis triple ({x},{s},{y})")
 
     # counit is an algebra map
     eps = A.counit
@@ -656,21 +641,22 @@ def verify_axioms(A: QTAlgebra) -> None:
         for j in range(dim):
             k = row[j]
             if (0 if k < 0 else eps[k]) != eps[i] * eps[j]:
-                _fail(A, "counit multiplicativity", None, f"basis pair ({i},{j})")
+                fail(A, "counit multiplicativity", None,
+                     f"basis pair ({i},{j})")
     if counit_value(A, A.unit_row) != ONE:
-        _fail(A, "counit of the unit")
+        fail(A, "counit of the unit")
 
     # counit and coassociativity axioms, as integer multisets of terms
     for k in range(dim):
         terms = A.delta[k]
         if Counter(j for i, j in terms if eps[i]) != Counter([k]):
-            _fail(A, "left counit axiom", k)
+            fail(A, "left counit axiom", k)
         if Counter(i for i, j in terms if eps[j]) != Counter([k]):
-            _fail(A, "right counit axiom", k)
+            fail(A, "right counit axiom", k)
         if (Counter((a, b, j) for i, j in terms for a, b in A.delta[i])
                 != Counter((i, a, b) for i, j in terms
                            for a, b in A.delta[j])):
-            _fail(A, "coassociativity", k)
+            fail(A, "coassociativity", k)
 
     # coproduct is an algebra map
     for x in gens:
@@ -678,11 +664,11 @@ def verify_axioms(A: QTAlgebra) -> None:
             k = prod[x][y]
             want = Counter(A.delta[k]) if k >= 0 else Counter()
             if _tensor_mul(A, A.delta[x], A.delta[y]) != want:
-                _fail(A, "coproduct multiplicativity", None,
-                      f"basis pair ({x},{y})")
+                fail(A, "coproduct multiplicativity", None,
+                     f"basis pair ({x},{y})")
     one_one = Counter((i, j) for i in A.unit_row for j in A.unit_row)
     if Counter(t for k in A.unit_row for t in A.delta[k]) != one_one:
-        _fail(A, "coproduct of the unit")
+        fail(A, "coproduct of the unit")
 
     # antipode
     s = A.s_idx
@@ -691,40 +677,40 @@ def verify_axioms(A: QTAlgebra) -> None:
         for j in range(dim):
             k = row[j]
             if (-1 if k < 0 else s[k]) != prod[s[j]][s[i]]:
-                _fail(A, "antipode anti-multiplicativity", None,
-                      f"basis pair ({i},{j})")
+                fail(A, "antipode anti-multiplicativity", None,
+                     f"basis pair ({i},{j})")
     if apply_antipode(A, A.unit_row) != A.unit_row:
-        _fail(A, "antipode of the unit")
+        fail(A, "antipode of the unit")
     unit = Counter(A.unit_row)
     for k in range(dim):
         if eps[s[k]] != eps[k]:
-            _fail(A, "counit antipode-invariance", k)
+            fail(A, "counit antipode-invariance", k)
         want = unit if eps[k] else Counter()
         if Counter(u for i, j in A.delta[k]
                    if (u := prod[s[i]][j]) >= 0) != want:
-            _fail(A, "left antipode axiom", k)
+            fail(A, "left antipode axiom", k)
         if Counter(v for i, j in A.delta[k]
                    if (v := prod[i][s[j]]) >= 0) != want:
-            _fail(A, "right antipode axiom", k)
+            fail(A, "right antipode axiom", k)
 
     # R-matrix axioms
     r = A.r_terms
     if (Counter((i1, i2, u) for i1, j1 in r for i2, j2 in r
                 if (u := prod[j1][j2]) >= 0)
             != Counter((a, b, j) for i, j in r for a, b in A.delta[i])):
-        _fail(A, "(Delta x id)(R) = R13 R23")
+        fail(A, "(Delta x id)(R) = R13 R23")
     if (Counter((u, j2, j1) for i1, j1 in r for i2, j2 in r
                 if (u := prod[i1][i2]) >= 0)
             != Counter((i, a, b) for i, j in r for a, b in A.delta[j])):
-        _fail(A, "(id x Delta)(R) = R13 R12")
+        fail(A, "(id x Delta)(R) = R13 R12")
 
     for x in gens:
         flip = [(b, a) for a, b in A.delta[x]]
         if _tensor_mul(A, flip, r) != _tensor_mul(A, r, A.delta[x]):
-            _fail(A, "R intertwining of Delta^op and Delta", x)
+            fail(A, "R intertwining of Delta^op and Delta", x)
 
     if _tensor_mul(A, r, [(s[i], j) for i, j in r]) != one_one:
-        _fail(A, "(S x id)(R) inverse to R")
+        fail(A, "(S x id)(R) inverse to R")
 
 
 # --- integrals ----------------------------------------------------------
@@ -747,21 +733,21 @@ def integrals(A: QTAlgebra) -> tuple[Row, Row]:
 
 def _check_integrals(A: QTAlgebra, lam: Row, t: Row) -> None:
     if counit_value(A, lam) != ONE:
-        raise NoIntegral(failure(A, "normalization", None, "Lambda"))
+        fail(A, "normalization", None, "Lambda")
     if pair_eval(t, A.unit_row) != ONE:
-        raise NoIntegral(failure(A, "normalization", None, "t"))
+        fail(A, "normalization", None, "t")
     for x in range(A.dim):
         ex = A.basis(x)
         want = row_scale(lam, as_cyclo(1 if A.counit[x] else 0))
         if lmul(A, x, lam) != want or rmul(A, lam, x) != want:
-            raise NoIntegral(failure(A, "two-sided integral", x, "Lambda"))
+            fail(A, "two-sided integral", x, "Lambda")
         want_f = row_scale(A.unit_row, t.get(x, ZERO))
         if harpoon_left(A, ex, t) != want_f:
-            raise NoIntegral(failure(A, "left cointegral", x, "t"))
+            fail(A, "left cointegral", x, "t")
         if harpoon_right(A, t, ex) != want_f:
-            raise NoIntegral(failure(A, "right cointegral", x, "t"))
+            fail(A, "right cointegral", x, "t")
     if pair_eval(t, lam) != as_cyclo(Fraction(1, A.dim)):
-        raise NoIntegral(failure(A, f"t(Lambda) = 1/{A.dim}", None))
+        fail(A, f"t(Lambda) = 1/{A.dim}")
 
 
 # --- Drinfeld map -------------------------------------------------------
@@ -785,7 +771,7 @@ class DrinfeldMap:
             want = {(A.pair_index(g, h), A.pair_index(G.conj(g, h), g)): ONE
                     for g in range(G.n) for h in range(G.n)}
             if q != want:
-                _fail(A, "monodromy Q = R21 R of the double")
+                fail(A, "monodromy Q = R21 R of the double")
         self._phi = [(a, b, c) for (a, b), c in q.items()]
         self._rphi = [(b, a, c) for (a, b), c in q.items()]
         self._f_r = [(i, j, ONE) for i, j in A.r_terms]
@@ -872,20 +858,17 @@ def _check_central_idempotents(A: QTAlgebra, chars: list[Row],
     degrees = [pair_eval(chi, A.unit_row) for chi in chars]
     for j, ej in enumerate(E):
         if mul_rows(A, ej, ej) != ej:
-            raise InconsistentCharacters(failure(
-                A, "central idempotent square", None, f"idempotent {j}"))
+            fail(A, "central idempotent square", None, f"idempotent {j}")
         x = noncentral_generator(A, ej)
         if x is not None:
-            raise InconsistentCharacters(failure(
-                A, "idempotent centrality", x, f"idempotent {j}"))
+            fail(A, "idempotent centrality", x, f"idempotent {j}")
         for i, chi in enumerate(chars):
             want_val = degrees[i] if i == j else ZERO
             if pair_eval(chi, ej) != want_val:
-                raise InconsistentCharacters(failure(
-                    A, "character value", None,
-                    f"character {i} on idempotent {j}"))
+                fail(A, "character value", None,
+                     f"character {i} on idempotent {j}")
     if row_sum(E) != A.unit_row:
-        raise InconsistentCharacters(failure(A, "central idempotent sum", None))
+        fail(A, "central idempotent sum")
 
 
 @dataclass
@@ -914,16 +897,14 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
         for j, ej in enumerate(E):
             fj = dm.invert(ej)
             if fj is None or dm.phi(fj) != ej:
-                _fail(A, "Drinfeld-map preimage", None, f"idempotent {j}")
+                fail(A, "Drinfeld-map preimage", None, f"idempotent {j}")
             F.append(fj)
     elif A.kind == "group":
         F = [{g: ONE for g in cls.members} for cls in A.group.conjugacy_classes()]
         if len(F) != r:
-            raise InconsistentCharacters(failure(
-                A, "class count = character count", None))
-    else:
-        raise NotFactorizable(
-            "character ring idempotents need a factorizable double or kG")
+            fail(A, "class count = character count")
+    else:  # a double whose Drinfeld map is not bijective
+        fail(A, "factorizability of the double")
 
     lam, t = integrals(A)
     _check_char_ring_idempotents(A, chars, F, t)
@@ -939,18 +920,17 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
             if c == ZERO:
                 continue
             if c != ONE:
-                _fail(A, "phi(F_j) 0/1 coefficient", None,
-                      f"F_{j}, idempotent {s}")
+                fail(A, "phi(F_j) 0/1 coefficient", None,
+                     f"F_{j}, idempotent {s}")
             block.append(s)
         if row_sum(E[s] for s in block) != image:
-            _fail(A, "phi(F_j) is a sum of central idempotents", None,
-                  f"F_{j}")
+            fail(A, "phi(F_j) is a sum of central idempotents", None, f"F_{j}")
         if set(block) & seen:
-            _fail(A, "partition block disjointness", None, f"F_{j}")
+            fail(A, "partition block disjointness", None, f"F_{j}")
         seen.update(block)
         partition.append(block)
     if len(seen) != r:
-        _fail(A, "partition cover of the simples")
+        fail(A, "partition cover of the simples")
     j_of = [-1] * r
     for j, block in enumerate(partition):
         for s in block:
@@ -961,10 +941,10 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
         size = Echelon(A.dim, (convolve(A, {k: ONE}, fj)
                                for k in range(A.dim))).dim
         if not (size > 0 and A.dim % size == 0):
-            _fail(A, f"dim(A* F_j) = {size} divides {A.dim}", None, f"F_{j}")
+            fail(A, f"dim(A* F_j) = {size} divides {A.dim}", None, f"F_{j}")
         nj = A.dim // size
         if pair_eval(fj, lam) != as_cyclo(Fraction(1, nj)):
-            _fail(A, f"F_j(Lambda) = 1/{nj}", None, f"F_{j}")
+            fail(A, f"F_j(Lambda) = 1/{nj}", None, f"F_{j}")
         n_values.append(nj)
     return CharRing(F, E, partition, j_of, n_values)
 
@@ -981,13 +961,13 @@ def _check_char_ring_idempotents(A: QTAlgebra, chars: list[Row],
     span = Echelon(A.dim, chars)
     for j, fj in enumerate(F):
         if not span.contains(fj):
-            _fail(A, "character-ring membership", None, f"F_{j}")
+            fail(A, "character-ring membership", None, f"F_{j}")
         if convolve(A, fj, fj) != fj:
-            _fail(A, "character-ring idempotent square", None, f"F_{j}")
+            fail(A, "character-ring idempotent square", None, f"F_{j}")
     if row_sum(F) != {k: ONE for k in range(A.dim) if A.counit[k]}:
-        _fail(A, "character-ring idempotent sum (eps)")
+        fail(A, "character-ring idempotent sum (eps)")
     if F[0] != t:
-        _fail(A, "F_0 = t (the integral of A*)")
+        fail(A, "F_0 = t (the integral of A*)")
 
 
 @dataclass
@@ -1005,10 +985,10 @@ def conjugacy_class(A: QTAlgebra, j: int, ring: CharRing) -> ConjClass:
                             for k in range(A.dim)])
     class_sum = row_scale(harpoon_left(A, lam, fj), as_cyclo(A.dim))
     if not space.contains(class_sum):
-        _fail(A, "class sum in its class span", None, f"class {j}")
+        fail(A, "class sum in its class span", None, f"class {j}")
     nj = ring.n_values[j]
     if counit_value(A, class_sum) != as_cyclo(Fraction(A.dim, nj)):
-        _fail(A, f"eps(C_j) = {A.dim}/{nj}", None, f"class {j}")
+        fail(A, f"eps(C_j) = {A.dim}/{nj}", None, f"class {j}")
     return ConjClass(space, class_sum)
 
 
@@ -1018,7 +998,7 @@ def all_classes(A: QTAlgebra, ring: CharRing) -> list[ConjClass]:
                    for j in range(len(ring.idempotents))]
         rows = [row for cls in classes for row in cls.space.rows]
         if not (len(rows) == A.dim and row_rank(rows, A.dim) == A.dim):
-            _fail(A, "class-span decomposition of the algebra")
+            fail(A, "class-span decomposition of the algebra")
         return classes
     return memo(A, all_classes, build)
 
@@ -1046,14 +1026,14 @@ def compute_K_A(A: QTAlgebra) -> Echelon:
     subalgebra."""
     space = Echelon(A.dim, _phi_dual_basis(A))
     if not space.contains(A.unit_row):
-        _fail(A, "K_A unit")
+        fail(A, "K_A unit")
     gens = subalgebra_generators(A, space)
     if gens is None:
-        _fail(A, "K_A product closure")
+        fail(A, "K_A product closure")
     if not all(space.contains(apply_antipode(A, a)) for a in space.rows):
-        _fail(A, "K_A antipode stability")
+        fail(A, "K_A antipode stability")
     if not is_left_coideal(A, space, gens):
-        _fail(A, "K_A left coideal")
+        fail(A, "K_A left coideal")
     return space
 
 
@@ -1080,29 +1060,29 @@ def verify_quasitriangular(A: QTAlgebra, chars: list[Row],
         img = dm.phi(chi)
         x = noncentral_generator(A, img)
         if x is not None:
-            _fail(A, "phi-of-character centrality", x, f"character {c}")
+            fail(A, "phi-of-character centrality", x, f"character {c}")
         for k, phi_k in enumerate(phis):
             if dm.phi(convolve(A, chi, {k: ONE})) != mul_rows(A, img, phi_k):
-                _fail(A, "phi multiplicativity", None,
-                      f"character {c} against {A.labels[k]}^*")
+                fail(A, "phi multiplicativity", None,
+                     f"character {c} against {A.labels[k]}^*")
         if dm.rphi(chi) != img:
-            _fail(A, "rphi = phi", None, f"character {c}")
+            fail(A, "rphi = phi", None, f"character {c}")
 
     # rphi = S o phi o S* on the whole dual
     for k in range(A.dim):
         if dm.rphi({k: ONE}) != apply_antipode(A, phis[A.s_idx[k]]):
-            _fail(A, "rphi = S phi S*", None, f"{A.labels[k]}^*")
+            fail(A, "rphi = S phi S*", None, f"{A.labels[k]}^*")
 
     # phi is the convolution of the two half maps, summed over the (m, j)
     # with e_m e_j = e_k
     for k, quotients in enumerate(left_quotients(A)):
         if row_sum(mul_rows(A, dm.f_r21({m: ONE}), dm.f_r({j: ONE}))
                    for j, m in enumerate(quotients) if m >= 0) != phis[k]:
-            _fail(A, "phi = f_R21 * f_R", None, f"{A.labels[k]}^*")
+            fail(A, "phi = f_R21 * f_R", None, f"{A.labels[k]}^*")
 
     # the image of the dual integral matches block 0 of the partition
     if dm.phi(t) != row_sum(ring.central[s] for s in ring.partition[0]):
-        _fail(A, "phi(t) = block-0 idempotent sum")
+        fail(A, "phi(t) = block-0 idempotent sum")
 
     _check_class_spans(A, all_classes(A, ring))
 
@@ -1114,12 +1094,12 @@ def _check_class_spans(A: QTAlgebra, classes: list[ConjClass]) -> None:
     for j, cls in enumerate(classes):
         x = ad_escape(A, cls.space, adjoint, cls.space.rows)
         if x is not None:
-            _fail(A, "class-span adjoint stability", x, f"class {j}")
+            fail(A, "class-span adjoint stability", x, f"class {j}")
     for j, cls in enumerate(classes):
         space = cls.space
         for row in space.rows:
             for k in range(A.dim):
                 if not space.contains(
                         harpoon_left(A, row, {A.s_idx[k]: ONE})):
-                    _fail(A, "class-span dual translation", None,
-                          f"class {j} against {A.labels[k]}^*")
+                    fail(A, "class-span dual translation", None,
+                         f"class {j} against {A.labels[k]}^*")

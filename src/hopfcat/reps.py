@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .chartab import CharacterTable
 from .cyclo import CycloNumber, ONE, as_cyclo
-from .errors import InvariantViolation, NoSplittingPair
+from .errors import fail
 from .groups import Group, Subgroup, abelian_coordinates, all_subgroups
 from .linalg import Echelon, Row, acc
 
@@ -80,8 +80,7 @@ def _splitting_idempotent(G: Group, table: CharacterTable, i: int) -> Row:
             f = _mul_in_group_algebra(G, central, ek)
             if f:
                 return f
-    raise NoSplittingPair(
-        f"no subgroup/linear-character pair splits character {i} of {G.name}")
+    fail(G, "splitting pair existence", None, f"character {i}")
 
 
 def _verify(G: Group, table: CharacterTable, i: int, mats: list[Matrix]) -> None:
@@ -90,23 +89,21 @@ def _verify(G: Group, table: CharacterTable, i: int, mats: list[Matrix]) -> None
         for c in range(d):
             want = ONE if r == c else as_cyclo(0)
             if mats[0][r][c] != want:
-                raise InvariantViolation(
-                    f"{G.name}: identity does not map to identity matrix "
-                    f"in character {i}")
+                fail(G, "identity matrix at the identity", None,
+                     f"character {i}")
     for g in range(G.n):
         tr = mats[g][0][0]
         for r in range(1, d):
             tr = tr + mats[g][r][r]
         if tr != table.value_at(i, g):
-            raise InvariantViolation(
-                f"{G.name}: trace mismatch at element {g} in character {i}")
+            fail(G, "trace = character value", None,
+                 f"character {i} at element {g}")
     for a in range(G.n):
         for b in range(G.n):
             prod = mat_mul(mats[a], mats[b])
             if prod != mats[G.mul(a, b)]:
-                raise InvariantViolation(
-                    f"{G.name}: matrices of character {i} do not respect "
-                    f"the group law at ({a},{b})")
+                fail(G, "group law", None,
+                     f"matrices of character {i} at ({a},{b})")
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -131,9 +128,8 @@ def matrix_irrep(G: Group, table: CharacterTable, i: int) -> list[Matrix]:
     f = _splitting_idempotent(G, table, i)
     ech = Echelon(G.n, (_translate(G, h, f) for h in range(G.n)))
     if ech.dim != d:
-        raise InvariantViolation(
-            f"{G.name}: ideal of character {i} has dimension {ech.dim}, "
-            f"expected {d}")
+        fail(G, f"ideal dimension {ech.dim} = degree {d}", None,
+             f"character {i}")
     basis = ech.rows
     mats = []
     for g in range(G.n):
@@ -141,9 +137,8 @@ def matrix_irrep(G: Group, table: CharacterTable, i: int) -> list[Matrix]:
         for b in basis:
             c = ech.coords(_translate(G, g, b))
             if c is None:
-                raise InvariantViolation(
-                    f"{G.name}: translate by {g} left the ideal of "
-                    f"character {i}")
+                fail(G, "translate stability of the ideal", None,
+                     f"character {i} by element {g}")
             cols.append(c)
         mats.append(tuple(tuple(cols[c][r] for c in range(d)) for r in range(d)))
     _verify(G, table, i, mats)

@@ -7,7 +7,7 @@ import pytest
 from hopfcat import chartab, linalg
 from hopfcat.chartab import CharacterTable, character_table
 from hopfcat.cyclo import CycloNumber, as_cyclo
-from hopfcat.errors import InconsistentCharacters
+from hopfcat.errors import InvariantViolation
 from hopfcat.groups import parse_group_spec
 
 CATALOG = ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z6", "S3", "D4", "Q8"]
@@ -94,12 +94,16 @@ def test_value_at():
 def test_bad_rows_rejected():
     G = parse_group_spec("Z2")
     one = CycloNumber.rational(1)
-    with pytest.raises(InconsistentCharacters):
+    with pytest.raises(InvariantViolation,
+                       match=r"^Z2: orthogonality fails on rows 0,1$"):
         CharacterTable(G, [[one, one], [one, one]])
-    with pytest.raises(InconsistentCharacters):
+    with pytest.raises(InvariantViolation,
+                       match=r"^Z2: one row per class fails on 1 rows for 2 "
+                             r"classes$"):
         CharacterTable(G, [[one, one]])
     half = CycloNumber.rational(Fraction(1, 2))
-    with pytest.raises(InconsistentCharacters):
+    with pytest.raises(InvariantViolation,
+                       match=r"^Z2: positive integer degrees fails$"):
         CharacterTable(G, [[one, one], [half, -half]])
 
 
@@ -120,6 +124,21 @@ def test_verify_failure_names_its_group(monkeypatch):
     """A conjugation that fixes every value breaks the table of Z3, whose
     characters take the non-real values zeta_3 and zeta_3^2."""
     monkeypatch.setattr(CycloNumber, "conjugate", lambda self: self)
-    with pytest.raises(InconsistentCharacters,
-                       match=r"^Z3: conjugate/inverse mismatch at row 1"):
+    with pytest.raises(InvariantViolation,
+                       match=r"^Z3: conjugate/inverse agreement fails on "
+                             r"row 1, class "):
         character_table(parse_group_spec("Z3"))
+
+
+def test_modular_failure_names_its_group(monkeypatch):
+    """With every class matrix the identity, no eigenvalue splits the
+    class functions of S3 apart; the error names the group."""
+    G = parse_group_spec("S3")
+    r = len(G.conjugacy_classes())
+    identity = [[int(i == j) for j in range(r)] for i in range(r)]
+    monkeypatch.setattr(chartab, "_class_matrices",
+                        lambda G: [identity] * r)
+    with pytest.raises(InvariantViolation,
+                       match=r"^S3: separation of the characters mod p "
+                             r"fails$"):
+        character_table(G)

@@ -393,6 +393,12 @@ def test_option_validation():
         assert run(["verify", "--group", "S3", *bad]) == 2, bad
     # --suite belongs to verify alone
     assert run(["chartab", "--group", "S3", "--suite", "smoke"]) == 2
+    # --format dot belongs to subcats lattice alone: one error line
+    for cmd in (("double", "irreps"), ("subcats", "list"), ("chartab",)):
+        code, out, err, _ = _quiet_run([*cmd, "--group", "Z2", "--format",
+                                        "dot"])
+        assert (code, out) == (2, ""), cmd
+        assert err == "error: --format dot is for subcats lattice only\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -683,12 +689,12 @@ def test_warm_call_over_damaged_entry(cmd, fmt, data):
 def test_closed_stdout_ends_quietly(tmp_path):
     # `hopfcat subcats list --group D4 | head -1`: the reader is gone before
     # the first line is written, so every write meets a broken pipe
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "hopfcat.cli", "subcats", "list", "--group",
-         "D4", "--cache", str(tmp_path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=str(_SRC)))
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait() == 0
+    with subprocess.Popen(
+            [sys.executable, "-m", "hopfcat.cli", "subcats", "list",
+             "--group", "D4", "--cache", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(_SRC))) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 0
     assert err == b""

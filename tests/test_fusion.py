@@ -11,9 +11,8 @@ from hopfcat import build_double, coideal, fusion, linalg, parse_group_spec
 from hopfcat.coideal import (coideal_triples, enumerate_coideals,
                              quotient_dual, triple_coideal)
 from hopfcat.cyclo import ONE, ZERO, CycloNumber, as_cyclo, dot
-from hopfcat.errors import (HopfcatError, InternalMismatch,
-                            InvariantViolation, MethodPreconditionViolated,
-                            NotClosed, OracleMismatch)
+from hopfcat.errors import (HopfcatError, InvariantViolation,
+                            MethodPreconditionViolated)
 from hopfcat.fusion import (
     _closure,
     _verify_module,
@@ -228,7 +227,9 @@ def test_generated_subcategory(double_s3):
 
 def test_not_closed_rejected(double_s3):
     from hopfcat.fusion import _mk_subcat
-    with pytest.raises(NotClosed):
+    with pytest.raises(InvariantViolation,
+                       match=r"^D\(S3\): fusion closure fails on simple set "
+                             r"\[0, 2\]$"):
         _mk_subcat(double_s3, (0, 2))
 
 
@@ -269,7 +270,8 @@ def test_quotient_dual_route_mismatch_names_coideal(double_s3, monkeypatch):
     L = enumerate_coideals(A)[1]
     monkeypatch.setattr(coideal, "left_quotients",
                         lambda A: [[-1] * A.dim for _ in range(A.dim)])
-    with pytest.raises(InternalMismatch) as err:
+    with pytest.raises(InvariantViolation,
+                       match="agreement of the two") as err:
         quotient_dual(A, L)
     assert str(err.value) == (
         f"D(S3): agreement of the two (A//L)* routes fails on {L.label()}")
@@ -282,7 +284,7 @@ def test_triple_quotient_mismatch_names_coideal(double_s3, monkeypatch):
     original = fusion.quotient_irreps
     monkeypatch.setattr(fusion, "quotient_irreps", lambda A, L: (
         dataclasses.replace(original(A, L), indices=(0,))))
-    with pytest.raises(InternalMismatch) as err:
+    with pytest.raises(InvariantViolation, match="quotient = S") as err:
         fusion.subcat_from_triple(A, M, H, bc)
     message = str(err.value)
     assert message.startswith("D(S3): quotient = S(M=")
@@ -294,7 +296,8 @@ def test_classes_centralizer_mismatch_names_coideal(double_s3, monkeypatch):
     D = enumerate_subcats(A)[-1]
     centralizer(A, D, "classes")
     monkeypatch.setattr(fusion, "pair_eval", lambda f, a: ZERO)
-    with pytest.raises(InternalMismatch) as err:
+    with pytest.raises(InvariantViolation,
+                       match="agreement of class membership") as err:
         centralizer(A, D, "classes")
     assert str(err.value) == (
         "D(S3): agreement of class membership and idempotent evaluation "
@@ -397,7 +400,9 @@ def test_closure_defect_reaches_oracle(doubles, monkeypatch):
     bad = [list(row) for row in supp]
     bad[1][2] = bad[2][1] = ()
     monkeypatch.setattr(fusion, "_fusion_supports", lambda A: bad)
-    with pytest.raises(OracleMismatch):
+    with pytest.raises(InvariantViolation,
+                       match=r"^D\(D4\): agreement of the parameterized and "
+                             r"brute-force subcategory enumerations fails on "):
         enumerate_subcats(A)
 
 

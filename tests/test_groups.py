@@ -1,6 +1,6 @@
 import pytest
 
-from hopfcat.errors import NotAGroup, ParseError, UnknownName
+from hopfcat.errors import NotAGroup, ParseError
 from hopfcat.groups import (
     Group,
     Subgroup,
@@ -28,7 +28,8 @@ def test_catalog_orders_and_validity():
 
 
 def test_parse_errors(tmp_path):
-    with pytest.raises(UnknownName):
+    with pytest.raises(ParseError,
+                       match=r"^unknown group name 'E8' \(at offset 0\)$"):
         parse_group_spec("E8")
     with pytest.raises(ParseError):
         parse_group_spec("")

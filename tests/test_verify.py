@@ -7,7 +7,7 @@ from hopfcat import coideal, hopf, verify
 from hopfcat.coideal import (dual_coideal, enumerate_coideals,
                              is_normal_hopf_subalgebra, quotient_dual)
 from hopfcat.cyclo import ONE, ZERO
-from hopfcat.errors import InternalMismatch, InvariantViolation
+from hopfcat.errors import InvariantViolation
 from hopfcat.hopf import ConjClass, drinfeld_map, subalgebra_generators
 from hopfcat.linalg import Echelon, nullspace
 from hopfcat.verify import (SMOKE_CHECKS, _REGISTRY, _Context,
@@ -180,7 +180,7 @@ def test_quotient_dual_refuses_a_dropped_row(double_s3, monkeypatch):
         return Echelon(space.ncols, space.rows[1:])
     monkeypatch.setattr(coideal, "nullspace",
                         lambda eqs, n: dropped(nullspace(eqs, n)))
-    with pytest.raises(InternalMismatch, match="agreement of the two"):
+    with pytest.raises(InvariantViolation, match="agreement of the two"):
         quotient_dual(A, L)
     monkeypatch.setattr(coideal, "Echelon",
                         lambda n, rows: dropped(Echelon(n, rows)))
