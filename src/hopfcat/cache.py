@@ -96,7 +96,7 @@ class ResultCache:
         os.replace(tmp, path)
 
     def get_or_compute(self, key: str, compute: Callable[[], object],
-                       shape=object):
+                       shape):
         hit = self.get(key)
         if hit is not None:
             if fits(hit, shape):

@@ -8,7 +8,8 @@ normal subgroups.  Every constructed object is re-verified against the
 defining coideal axioms rather than trusted.  A product or intersection
 of two catalog entries is certified to be a given entry by a rank mod p
 (lemmas at _certified_product and _certified_intersection); the exact
-spans are the fallback.
+spans are the fallback.  The two routes to (A//L)* are certified equal
+the same way, with the exact nullspace as the fallback (quotient_dual).
 """
 
 from __future__ import annotations
@@ -110,22 +111,38 @@ def bichar_label(G: Group, M: Subgroup, H: Subgroup,
 
 def _bicharacter_checks(G: Group, M: Subgroup, H: Subgroup,
                         bc: Bicharacter) -> bool:
+    """lambda is multiplicative in each argument and G-invariant,
+    lambda(x^-1 m x, h) = lambda(m, x h x^-1), for normal M and H.
+
+    Each law is checked with its second factor m2, h2 or its x over
+    generators only (Subgroup.generators, Group.generators).  Lemma: the
+    m2 with lambda(m m2, h) = lambda(m, h) lambda(m2, h) for all m, h are
+    closed under products: for two of them, lambda(m m2 m3, h) =
+    lambda(m m2, h) lambda(m3, h) = lambda(m, h) lambda(m2, h) lambda(m3, h)
+    = lambda(m, h) lambda(m2 m3, h).  In a finite group they therefore
+    form a subgroup, all of M once it holds the generators; likewise for
+    the h2 of H.  Conjugation of both arguments is an action of G on the
+    functions on M x H (M and H are normal), and x passes exactly when it
+    fixes lambda; so the x that pass form its stabilizer, a subgroup, all
+    of G once it holds the generators.
+    """
     mpos = {m: i for i, m in enumerate(M.members)}
     hpos = {h: i for i, h in enumerate(H.members)}
     val = bc.values
+    mgens, hgens = M.generators(), H.generators()
     for m in M.members:
-        for m2 in M.members:
+        for m2 in mgens:
             for h in H.members:
                 if val[mpos[G.mul(m, m2)]][hpos[h]] != \
                         val[mpos[m]][hpos[h]] * val[mpos[m2]][hpos[h]]:
                     return False
     for m in M.members:
         for h in H.members:
-            for h2 in H.members:
+            for h2 in hgens:
                 if val[mpos[m]][hpos[G.mul(h, h2)]] != \
                         val[mpos[m]][hpos[h]] * val[mpos[m]][hpos[h2]]:
                     return False
-    for x in range(G.n):
+    for x in G.generators():
         xi = G.inv[x]
         for m in M.members:
             for h in H.members:
@@ -496,44 +513,105 @@ def coideal_intersect(A: QTAlgebra, L1: CoidealSubalgebra,
     return coideal_from_space(A, intersect(L1.space, L2.space))
 
 
+def _left_quotients(A: QTAlgebra) -> list[list[int]]:
+    """left_quotients(A), scanned once per algebra to invert prod_idx:
+    lq[k][j] = m for every e_m e_j = e_k, and lq holds no other entry
+    (it holds as many as prod_idx)."""
+    def build() -> list[list[int]]:
+        lq = left_quotients(A)
+        held = 0
+        for m, row in enumerate(A.prod_idx):
+            for j, k in enumerate(row):
+                if k >= 0:
+                    held += 1
+                    if lq[k][j] != m:
+                        fail(A, "left-quotient table", k, f"e{m} e{j}")
+        if held != sum(1 for row in lq for m in row if m >= 0):
+            fail(A, "left-quotient table", None, "its entry count")
+        return lq
+    return memo(A, _left_quotients, build)
+
+
+def _direct_rank_modp(A: QTAlgebra, gens: list[Row]) -> int | None:
+    """The rank mod p of the direct route's equations e_k l - eps(l) e_k,
+    each the relabel of its generator l's image mod p through row k of
+    prod_idx; run to the end, not stopped at any smaller target.  None
+    when p divides a denominator of a generator."""
+    p, w, n = modular_field(gens)
+    images = [row_modp(ell, p, w, n) for ell in gens]
+    if None in images:
+        return None
+    prod = A.prod_idx
+
+    def equations():
+        for img in images:
+            eps = sum(v for j, v in img.items() if A.counit[j])
+            for k in range(A.dim):
+                pk = prod[k]
+                row = {m: v for j, v in img.items() if (m := pk[j]) >= 0}
+                row[k] = row.get(k, 0) - eps
+                yield row
+    return rank_modp(equations(), p, A.dim)
+
+
 def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     """(A//L)* as functionals killing the augmentation ideal of L.
 
-    Computed two ways: as the solution space of f(a l) = eps(l) f(a)
-    and as the translate Lambda_L -> A*; the two must agree.  The direct
-    route takes l over the certified generators of L only.  Lemma: for
-    each f, the l with f(a l) = eps(l) f(a) for every a form a subalgebra
-    (f(a l l') = eps(l') f(a l) = eps(l l') f(a), and 1 passes).  The two
-    routes share only those generators, certified before either reads
-    them (the integral is computed over them too).
+    Two routes: the direct one, the solution space of f(a l) = eps(l)
+    f(a), and the shifted one, the translate Lambda_L -> A*, spanned by
+    the a |-> e_k^*(a Lambda_L); the two must agree.  The direct route
+    takes l over the certified generators of L only.  Lemma: for each f,
+    the l with f(a l) = eps(l) f(a) for every a form a subalgebra (f(a l
+    l') = eps(l') f(a l) = eps(l l') f(a), and 1 passes).  The two routes
+    share only those generators, certified before either reads them (the
+    integral is computed over them too).
 
-    Together the two checks certify A L+ = A (1 - Lambda_L), of dimension
+    The agreement is certified mod p, with no exact nullspace.  Lemma:
+    shifted <= direct.  For every generator l, l Lambda_L = eps(l)
+    Lambda_L (coideal_integral checks it, and it is checked again here),
+    so e_k^*(a l Lambda_L) = eps(l) e_k^*(a Lambda_L); and the shifted
+    rows read Lambda_L through left_quotients, scanned once per algebra
+    to invert prod_idx (_left_quotients).  Reduction mod p is a ring map,
+    so rank_p <= rank of the equations, and dim direct = dim A - rank <=
+    dim A - rank_p.  A rank mod p of dim A - dim shifted therefore gives
+    dim direct <= dim shifted, and direct = shifted.  The rank is run to
+    the end, so a rank above that, which shifted <= direct rules out,
+    shows; a prime dividing a denominator, a shortfall, an excess or a
+    generator failing the premise runs the exact nullspace and compares.
+
+    Together the two routes certify A L+ = A (1 - Lambda_L), of dimension
     dim A - dim A/dim L.  Lemma: the direct route is the annihilator of
     A L+, the shifted one that of A (1 - Lambda_L), the a with
     a Lambda_L = 0 (Lambda_L is idempotent, see coideal_integral).
     """
     def build() -> Echelon:
-        eqs: list[Row] = []
-        for ell in _generators(A, L.space, L.label):
-            neg_epsl = -counit_value(A, ell)
-            for k in range(A.dim):
-                row = lmul(A, k, ell)
-                acc(row, k, neg_epsl)
-                if row:
-                    eqs.append(row)
-        direct = nullspace(eqs, A.dim)
+        gens = _generators(A, L.space, L.label)
         # Lambda_L -> e_k^* is a |-> e_k^*(a Lambda_L): on e_m it reads
         # the coefficient of Lambda_L at the j with e_m e_j = e_k
-        lq = left_quotients(A)
+        lq = _left_quotients(A)
         shifted = Echelon(A.dim, [
             dict(sorted(((lq[k][j], v) for j, v in L.integral.items()
                          if lq[k][j] >= 0), key=itemgetter(0)))
             for k in range(A.dim)])
-        if direct != shifted:
-            fail(A, "agreement of the two (A//L)* routes", None, L.label())
-        if not (A.dim % L.dim == 0 and direct.dim == A.dim // L.dim):
+        premise = all(
+            mul_rows(A, ell, L.integral)
+            == row_scale(L.integral, counit_value(A, ell)) for ell in gens)
+        if not (premise and _direct_rank_modp(A, gens)
+                == A.dim - shifted.dim):
+            eqs: list[Row] = []
+            for ell in gens:
+                neg_epsl = -counit_value(A, ell)
+                for k in range(A.dim):
+                    row = lmul(A, k, ell)
+                    acc(row, k, neg_epsl)
+                    if row:
+                        eqs.append(row)
+            if nullspace(eqs, A.dim) != shifted:
+                fail(A, "agreement of the two (A//L)* routes", None,
+                     L.label())
+        if not (A.dim % L.dim == 0 and shifted.dim == A.dim // L.dim):
             fail(A, "(A//L)* dimension", None, L.label())
-        return direct
+        return shifted
     return memo(A, (quotient_dual, L.key()), build)
 
 

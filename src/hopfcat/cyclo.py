@@ -194,7 +194,7 @@ class CycloNumber:
         return _rational(q.numerator, q.denominator)
 
     @staticmethod
-    def zeta(n: int, e: int = 1) -> "CycloNumber":
+    def zeta(n: int, e: int) -> "CycloNumber":
         return _from_ratios(n, ((e, 1, 1),))
 
     # --- predicates ----------------------------------------------------

@@ -21,11 +21,12 @@ from .coideal import (Bicharacter, CoidealSubalgebra, bichar_label,
                       group_coideal, quotient_dual, triple_coideal)
 from .cyclo import CycloNumber, ONE, ZERO, fmt_cyclo
 from .errors import MethodPreconditionViolated, PreconditionViolated, fail
-from .groups import (Subgroup, centralizer_subgroup, memoized,
-                     normal_subgroups)
+from .groups import (Subgroup, center_subgroup, centralizer_subgroup,
+                     memoized, normal_subgroups)
 from .hopf import (QTAlgebra, all_classes, char_ring_idempotents, coinvariants,
-                   convolve, drinfeld_map, dual_character, generators,
-                   harpoon_right, integrals, pair_eval)
+                   convolve, delta_of, drinfeld_map, dual_character,
+                   generators, harpoon_right, integrals, mul_rows,
+                   noncentral_generator, pair_eval, rmul)
 from .linalg import Echelon, Row, acc, intersect, row_rank, row_scale
 from .reps import Matrix, mat_mul, matrix_irrep
 
@@ -247,6 +248,59 @@ def dual_index(A: QTAlgebra) -> list[int]:
 # --- fusion multiplicities -----------------------------------------------
 
 
+def _central_charges(A: QTAlgebra, simples: list[SimpleObject]
+                     ) -> tuple[list[int], list[list[int | None]]]:
+    """The central charges of the simples, as classes: charge[i] is the
+    class of the tuple of omega_i(g) over the central group-likes g, and
+    product[c][d] the class of the product of classes c and d, or None
+    when no simple has it.
+
+    The g are 1 x z (z itself in kG) for z over the generators of Z(G).
+    Each g is checked to be central, group-like and to fix Lambda, and
+    left multiplication by g to permute the basis (rmul: a relabel).
+    Then every simple is checked for chi_i(g e_k) = omega_i(g) chi_i(e_k)
+    on every basis element e_k, with omega_i(g) = chi_i(g) / dim V_i,
+    which is chi_i(g b) = omega_i(g) chi_i(b) for every b, by linearity.
+    omega_i(g) is a root of unity, so nonzero: g^m = 1 for the order m of
+    its relabel, and chi_i(1) = omega_i(g)^m chi_i(1).
+    """
+    G = A.group
+    lam, _ = integrals(A)
+    vecs: list[list[CycloNumber]] = [[] for _ in simples]
+    for z in center_subgroup(G).generators():
+        if A.kind == "double":
+            g, name = {A.pair_index(x, z): ONE for x in range(G.n)}, f"1 x g{z}"
+        else:  # "group", the only other kind
+            g, name = {z: ONE}, f"g{z}"
+        images = [rmul(A, g, k) for k in range(A.dim)]
+        perm = [next(iter(row), -1) for row in images]
+        if (any(len(row) != 1 for row in images)
+                or len(set(perm)) != A.dim
+                or noncentral_generator(A, g) is not None
+                or mul_rows(A, g, lam) != lam
+                or delta_of(A, g) != {(a, b): ONE for a in g for b in g}):
+            fail(A, "central group-like", None, name)
+        for i, s in enumerate(simples):
+            chi = s.character
+            omega = pair_eval(chi, g) / s.dim
+            for k, m in enumerate(perm):
+                v, w = chi.get(k), chi.get(m)
+                if (omega * v != w) if v else (w is not None):
+                    fail(A, "central charge", k, f"V{i} by {name}")
+            vecs[i].append(omega)
+    reps: list[list[CycloNumber]] = []
+    charge: list[int] = []
+    for vec in vecs:
+        c = next((c for c, rep in enumerate(reps) if rep == vec), len(reps))
+        if c == len(reps):
+            reps.append(vec)
+        charge.append(c)
+    product = [[next((c for c, rep in enumerate(reps)
+                      if rep == [x * y for x, y in zip(u, v)]), None)
+                for v in reps] for u in reps]
+    return charge, product
+
+
 @memoized
 def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
     """N[i][j][k], the multiplicity of the k-th simple in V_i x V_j.
@@ -256,6 +310,17 @@ def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
     zero where the support of chi_i * chi_j misses that of w_k: only the
     k whose w_k meets the convolution are paired, every other entry is
     an exact 0 (and 0 passes every check below).
+
+    Of those k, only the ones whose central charges agree are paired,
+    omega_k(g) = omega_i(g) omega_j(g) for every central group-like g of
+    _central_charges; the others are exact zeros.  Lemma: g Lambda =
+    Lambda, so Delta(Lambda) = (g x g) Delta(Lambda) and N = (chi_i *
+    chi_j)(g Lambda_1) chi_k*(g Lambda_2).  With chi_i(g b) = omega_i
+    chi_i(b) for every b (checked there) and Delta(g b) = (g x g)
+    Delta(b), (chi_i * chi_j)(g b) = omega_i omega_j (chi_i * chi_j)(b);
+    and chi_k*(g b) = chi_k(S(b) g^-1) = chi_k(g^-1 S(b)) = chi_k*(b) /
+    omega_k, as g is central and S(g) = g^-1.  So (1 - omega_i omega_j /
+    omega_k) N = 0.
 
     Only the pairs i <= j are computed; row (j, i) is a copy of row
     (i, j).  Lemma: the character ring of a quasitriangular algebra is
@@ -269,17 +334,23 @@ def fusion_table(A: QTAlgebra) -> list[list[list[int]]]:
     lam, _ = integrals(A)
     ws = [harpoon_right(A, dual_character(A, s.character), lam)
           for s in simples]
-    meets: list[list[int]] = [[] for _ in range(A.dim)]
+    charge, product = _central_charges(A, simples)
+    # meets[c][b]: the k of charge class c whose w_k has b in its support
+    meets: list[list[list[int]]] = [[[] for _ in range(A.dim)]
+                                    for _ in product]
     for k, w in enumerate(ws):
         for b in w:
-            meets[b].append(k)
+            meets[charge[k]][b].append(k)
     r = len(simples)
     table: list[list[list[int]]] = [[[] for _ in range(r)] for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
             conv = convolve(A, simples[i].character, simples[j].character)
             row = [0] * r
-            for k in sorted({k for b in conv for k in meets[b]}):
+            c = product[charge[i]][charge[j]]
+            paired = ([] if c is None else
+                      sorted({k for b in conv for k in meets[c][b]}))
+            for k in paired:
                 v = pair_eval(conv, ws[k])
                 q = v.rational_value() if v.is_rational() else None
                 if q is None or q.denominator != 1 or q < 0:
@@ -309,22 +380,6 @@ class SMatrix:
     phi_relation: str
 
 
-def _kron(a: Matrix, b: Matrix) -> list[list[CycloNumber]]:
-    da, db = len(a), len(b)
-    out = [[ZERO] * (da * db) for _ in range(da * db)]
-    for i in range(da):
-        for j in range(da):
-            v = a[i][j]
-            if not v:
-                continue
-            for p in range(db):
-                for q in range(db):
-                    w = b[p][q]
-                    if w:
-                        out[i * db + p][j * db + q] = v * w
-    return out
-
-
 @memoized
 def smatrix(A: QTAlgebra) -> SMatrix:
     """s_ij = (chi_i x chi_j)(Q), cross-checked against a trace over the
@@ -344,27 +399,32 @@ def smatrix(A: QTAlgebra) -> SMatrix:
                 if gj:
                     entries[i][j] = entries[i][j] + c * fi * gj
 
+    # the trace route reads the module matrices, not the characters: the
+    # diagonal of sum c (rho_i(a) x rho_j(b)) over the terms of Q, which is
+    # all its trace reads (entry (p dj + q) of the diagonal of a Kronecker
+    # product is a[p][p] b[q][q])
+    diagonals = [{a: [m[p][p] for p in range(s.dim)]
+                  for a, m in s.matrices.items()} for s in simples]
     for i in range(r):
+        # the terms of Q whose left leg acts on V_i, in the order of Q
+        terms = [(b, c, xa) for (a, b), c in dm.q_terms.items()
+                 if (xa := diagonals[i].get(a)) is not None]
         for j in range(r):
-            di, dj = simples[i].dim, simples[j].dim
-            acc = [[ZERO] * (di * dj) for _ in range(di * dj)]
-            for (a, b), c in dm.q_terms.items():
-                ma = simples[i].matrices.get(a)
-                if ma is None:
+            dj = simples[j].dim
+            diag = [ZERO] * (simples[i].dim * dj)
+            for b, c, xa in terms:
+                yb = diagonals[j].get(b)
+                if yb is None:
                     continue
-                mb = simples[j].matrices.get(b)
-                if mb is None:
-                    continue
-                kr = _kron(ma, mb)
-                for rr in range(di * dj):
-                    arow = acc[rr]
-                    krow = kr[rr]
-                    for cc in range(di * dj):
-                        if krow[cc]:
-                            arow[cc] = arow[cc] + c * krow[cc]
+                for p, x in enumerate(xa):
+                    if not x:
+                        continue
+                    for q, y in enumerate(yb):
+                        if y:
+                            diag[p * dj + q] = diag[p * dj + q] + c * (x * y)
             tr = ZERO
-            for rr in range(di * dj):
-                tr = tr + acc[rr][rr]
+            for v in diag:
+                tr = tr + v
             if tr != entries[i][j]:
                 fail(A, "S-matrix character/trace agreement", None,
                      f"s[{i}][{j}]")
@@ -577,17 +637,22 @@ def enumerate_subcats(A: QTAlgebra) -> list[FusionSubcat]:
                           name=f"Rep(G/N={list(N.members)})")
             found.setdefault(sub.indices, sub)
 
+    # brute force: every join of single-simple closures.  Lemma: a closed
+    # set is the join of the closures of its members; join(s, t) = s when
+    # t <= s, and equal seeds give equal joins, so joining each set with
+    # the distinct single-simple closures not inside it finds every one
     r = len(simple_objects(A))
     supp = _fusion_supports(A)
     dual = dual_index(A)
-    family = {_closure(supp, dual, frozenset())}
-    singles = [_closure(supp, dual, frozenset([i])) for i in range(r)]
-    family.update(singles)
+    singles = {_closure(supp, dual, frozenset([i])) for i in range(r)}
+    family = {_closure(supp, dual, frozenset())} | singles
     frontier = set(family)
     while frontier:
         fresh = set()
         for s in frontier:
             for t in singles:
+                if t <= s:
+                    continue
                 u = _closure(supp, dual, t, s)
                 if u not in family:
                     fresh.add(u)

@@ -113,6 +113,7 @@ class Group:
             e = lcm(e, self.element_order(a))
         return e
 
+    @memoized
     def generators(self) -> tuple[int, ...]:
         """A small generating set with no redundant element: elements are
         taken greedily by descending order while they enlarge the span,
@@ -186,6 +187,14 @@ class Subgroup:
         table = [[pos[self.parent.mul(a, b)] for b in self.members] for a in self.members]
         return Group(table, name=name or f"sub{len(self.members)}of{self.parent.name}",
                      check=False), pos
+
+    def generators(self) -> tuple[int, ...]:
+        """Group.generators() of the subgroup, as members of the parent;
+        chosen once per parent group and subgroup."""
+        def build() -> tuple[int, ...]:
+            H, _ = self.as_group()
+            return tuple(self.members[g] for g in H.generators())
+        return memo(self.parent, (Subgroup.generators, self.members), build)
 
 
 def subgroup_generated(G: Group, gens: list[int]) -> Subgroup:

@@ -62,7 +62,7 @@ from .errors import BoundExceeded, fail
 from .groups import (DOUBLE_DIM_BOUND, Group, check_double_dim, double_name,
                      memo, memoized)
 from .linalg import (Echelon, Row, acc, apply_pairs, nullspace, row_rank,
-                     row_scale, row_sum, solve_linear)
+                     row_scale, row_sum)
 
 
 class QTAlgebra:
@@ -802,20 +802,41 @@ class DrinfeldMap:
             return rows
         return memo(self.algebra, DrinfeldMap.matrix_rows, build)
 
+    def _eliminate(self) -> Echelon:
+        """[M | I] in reduced form, for M the matrix of phi (matrix_rows):
+        the one elimination of M.  Its pivots in the first dim columns
+        are those of M, so they count its rank; when M is invertible the
+        reduced rows are [I | M^-1], row p of M^-1 in the columns from
+        dim on."""
+        dim = self.algebra.dim
+        return Echelon(2 * dim, ({**row, dim + i: ONE}
+                                 for i, row in enumerate(self.matrix_rows())))
+
+    def _reduced(self) -> Echelon:
+        return memo(self.algebra, DrinfeldMap._eliminate, self._eliminate)
+
     @property
     def rank(self) -> int:
-        return memo(self.algebra, DrinfeldMap.rank,
-                    lambda: Echelon(self.algebra.dim, self.matrix_rows()).dim)
+        dim = self.algebra.dim
+        return sum(1 for p in self._reduced().pivots if p < dim)
 
     @property
     def is_factorizable(self) -> bool:
         return self.rank == self.algebra.dim
 
     def invert(self, target: Row) -> Row | None:
-        """Solve phi(f) = target for f."""
+        """The f with phi(f) = target, f_p = sum_c M^-1[p][c] target_c,
+        read off the one elimination; None when phi is not bijective."""
+        if not self.is_factorizable:
+            return None
         dim = self.algebra.dim
-        rhs = [target.get(i, ZERO) for i in range(dim)]
-        return solve_linear(self.matrix_rows(), dim, rhs)
+        out: Row = {}
+        for p, row in sorted(self._reduced().pivots.items()):
+            v = dot([(c, t) for k, c in row.items()
+                     if k >= dim and (t := target.get(k - dim))])
+            if v:
+                out[p] = v
+        return out
 
 
 @memoized
@@ -889,6 +910,10 @@ class CharRing:
 
 
 def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
+    """The central idempotents E_j of the characters and the F_j of the
+    character ring.  In the factorizable case F_j = phi^-1(E_j), every
+    one read off the one memoized elimination of the matrix of phi
+    (DrinfeldMap.invert), and phi(F_j) = E_j is checked for each."""
     E = central_idempotents(A, chars)
     dm = drinfeld_map(A)
     r = len(chars)

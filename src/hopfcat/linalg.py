@@ -221,25 +221,6 @@ def nullspace(rows: list[Row], ncols: int) -> Echelon:
     return Echelon(ncols, out)
 
 
-def solve_linear(rows: list[Row], ncols: int, rhs: list[CycloNumber]) -> Row | None:
-    """One solution x of rows[i] . x = rhs[i] (free variables 0), or None."""
-    aug = ncols
-    ech = Echelon(ncols + 1)
-    for r, b in zip(rows, rhs):
-        row = dict(r)
-        if b:
-            row[aug] = b
-        ech.insert(row)
-    if aug in ech.pivots:
-        return None
-    x: Row = {}
-    for p, row in ech.pivots.items():
-        b = row.get(aug)
-        if b:
-            x[p] = b
-    return x
-
-
 def intersect(x: Echelon, y: Echelon) -> Echelon:
     """The space x & y, from the kernel of u.x - v.y on the stacked rows."""
     n = x.ncols

@@ -509,7 +509,7 @@ SMOKE_CHECKS = frozenset((
     "kernel-image-intersection", "double-dual", "integral-transport"))
 
 
-def verify_identities(A: QTAlgebra, suite: str = "full",
+def verify_identities(A: QTAlgebra, suite: str,
                       seed: int = 0) -> dict:
     """Run the identity suite and return a JSON-ready report.
 

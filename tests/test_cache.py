@@ -37,8 +37,8 @@ def test_get_or_compute_runs_once(tmp_path):
         calls.append(1)
         return {"n": 3}
 
-    assert c.get_or_compute("k", compute) == {"n": 3}
-    assert c.get_or_compute("k", compute) == {"n": 3}
+    assert c.get_or_compute("k", compute, object) == {"n": 3}
+    assert c.get_or_compute("k", compute, object) == {"n": 3}
     assert len(calls) == 1
 
 
@@ -46,8 +46,8 @@ def test_get_or_compute_normalizes(tmp_path):
     # computed values round-trip through JSON, so a miss and a hit
     # return identical objects (tuples become lists on both paths)
     c = ResultCache(tmp_path)
-    first = c.get_or_compute("k", lambda: {"t": (1, 2)})
-    second = c.get_or_compute("k", lambda: {"t": (1, 2)})
+    first = c.get_or_compute("k", lambda: {"t": (1, 2)}, object)
+    second = c.get_or_compute("k", lambda: {"t": (1, 2)}, object)
     assert first == second == {"t": [1, 2]}
 
 
@@ -58,7 +58,7 @@ def test_corrupt_entry_discarded(tmp_path):
     with pytest.warns(UserWarning, match="corrupt cache entry"):
         assert c.get("k") is None
     assert not (tmp_path / "k.json").exists()
-    assert c.get_or_compute("k", lambda: [2]) == [2]
+    assert c.get_or_compute("k", lambda: [2], object) == [2]
 
 
 @pytest.mark.parametrize("data", [b"\xff{}", b"[" * 5000 + b"]" * 5000,

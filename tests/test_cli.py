@@ -224,7 +224,7 @@ def test_benchmark_tracer_binds(tmp_path, capsys):
 def test_benchmark_tracer_counts_scalar_ops():
     """The tracer counts CycloNumber + and * by wrapping the operators in
     the class dict; a kernel that bypassed them would zero those counts."""
-    z = CycloNumber.zeta(3)
+    z = CycloNumber.zeta(3, 1)
     tracer = _benchmark_worker().Tracer(time_builds=False)
     tracer.start()
     try:

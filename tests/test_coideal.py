@@ -1,10 +1,11 @@
+import itertools
 import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from hopfcat import coideal, hopf
+from hopfcat import build_double, coideal, hopf
 from hopfcat.cli import parse_triple
 from hopfcat.coideal import (
     Bicharacter,
@@ -25,7 +26,7 @@ from hopfcat.coideal import (
     recover_from_dual,
     triple_coideal,
 )
-from hopfcat.cyclo import ZERO, as_cyclo
+from hopfcat.cyclo import ZERO, CycloNumber, as_cyclo
 from hopfcat.errors import InvariantViolation, PreconditionViolated
 from hopfcat.groups import (Group, Subgroup, parse_group_spec,
                             subgroup_generated)
@@ -225,6 +226,53 @@ def test_invalid_bicharacter_rejected(double_s3):
     bad = Bicharacter(M.members, (0, 1), vals[:2])
     with pytest.raises(Exception):
         build_coideal(double_s3, M, Subgroup(G, (0, 1)), bad)
+
+
+def _bicharacter_laws_everywhere(G, M, H, bc):
+    """Reference: both multiplicativity laws over every pair and
+    invariance under every x in G."""
+    val = {(m, h): bc.value(m, h) for m in M.members for h in H.members}
+    return (all(val[G.mul(m, m2), h] == val[m, h] * val[m2, h]
+                for m in M.members for m2 in M.members for h in H.members)
+            and all(val[m, G.mul(h, h2)] == val[m, h] * val[m, h2]
+                    for m in M.members for h in H.members
+                    for h2 in H.members)
+            and all(val[G.conj(G.inv[x], m), h] == val[m, G.conj(x, h)]
+                    for x in range(G.n) for m in M.members
+                    for h in H.members))
+
+
+def test_bicharacter_checks_on_generators_refuse_both_defects():
+    """On D4, M the rotations <r> and H the center {1, r^2}.  A lambda
+    multiplicative in h but not in m, whose first failing pair in the
+    full loop has m2 = r^2, no generator of M; and a bimultiplicative
+    lambda that a reflection moves.  Both are refused, and the checks
+    on generators agree with the full loops on every lambda with values
+    +-1, +-i that is trivial at h = 1."""
+    A = build_double(parse_group_spec("D4"))
+    G = A.group
+    rot, center = Subgroup(G, (0, 1, 2, 3)), Subgroup(G, (0, 2))
+    assert 2 not in rot.generators()
+    i = CycloNumber.zeta(4, 1)
+
+    def bichar(f):
+        return Bicharacter(rot.members, center.members,
+                           tuple((ONE, f[m]) for m in rot.members))
+    non_multiplicative = bichar([ONE, ONE, ONE, -ONE])
+    non_invariant = bichar([ONE, i, -ONE, -i])
+    for bc in (non_multiplicative, non_invariant):
+        assert not _bicharacter_laws_everywhere(G, rot, center, bc)
+        with pytest.raises(PreconditionViolated,
+                           match="not a G-invariant bicharacter"):
+            build_coideal(A, rot, center, bc)
+    values = [ONE, -ONE, i, -i]
+    verdicts = set()
+    for f in itertools.product(values, repeat=4):
+        bc = bichar(f)
+        want = _bicharacter_laws_everywhere(G, rot, center, bc)
+        assert coideal._bicharacter_checks(G, rot, center, bc) == want, f
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def _group_algebra_of_involution(A):

@@ -1,8 +1,10 @@
 """coideal_product and coideal_intersect certify their answer against the
-coideal catalog with a rank mod p; the exact spans are the fallback.
+coideal catalog with a rank mod p, and quotient_dual its direct route
+against the shifted one; the exact spans and nullspace are the fallback.
 
 Each test compares the answer with the exact route: the span of every
-product l1 l2, or the exact intersection, looked up in the catalog."""
+product l1 l2, the exact intersection, looked up in the catalog, or the
+exact nullspace of the direct route's equations."""
 
 import pytest
 
@@ -10,9 +12,12 @@ from hopfcat import build_double, coideal, parse_group_spec
 from hopfcat.errors import InvariantViolation
 from hopfcat.coideal import (CoidealSubalgebra, coideal_from_space,
                              coideal_intersect, coideal_product,
-                             enumerate_coideals)
+                             enumerate_coideals, quotient_dual)
 from hopfcat.cyclo import ONE
-from hopfcat.linalg import Echelon, intersect, rank_modp
+from hopfcat.hopf import (counit_value, left_quotients, lmul,
+                          subalgebra_generators)
+from hopfcat.linalg import (Echelon, intersect, nullspace, rank_modp,
+                            row_addmul)
 
 
 def _exact_product(A, L1, L2):
@@ -150,3 +155,98 @@ def test_catalog_order_is_exact_containment():
     for i, L1 in enumerate(cat.entries):
         for j, L2 in enumerate(cat.entries):
             assert cat.below[i][j] == (L1.space <= L2.space), (i, j)
+
+
+# --- (A//L)*: the direct route certified mod p against the shifted one
+
+
+def _exact_direct_route(A, L):
+    """Reference: the nullspace of f(e_k l) = eps(l) f(e_k) over the
+    generators l of L."""
+    eqs = []
+    for ell in subalgebra_generators(A, L.space):
+        eps = counit_value(A, ell)
+        for k in range(A.dim):
+            row = row_addmul(lmul(A, k, ell), {k: ONE}, -eps)
+            if row:
+                eqs.append(row)
+    return nullspace(eqs, A.dim)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
+def test_quotient_dual_certificate_carries_every_catalog_entry(
+        name, monkeypatch):
+    A = build_double(parse_group_spec(name))
+    cos = enumerate_coideals(A)
+    with monkeypatch.context() as m:
+        m.setattr(coideal, "memo", lambda A, key, build: build())
+        m.setattr(coideal, "nullspace", _refuse)
+        got = [quotient_dual(A, L) for L in cos]
+    for L, space in zip(cos, got):
+        assert space == _exact_direct_route(A, L), (name, L.label())
+
+
+@pytest.mark.parametrize("corrupt", ["changed", "added"])
+def test_quotient_dual_refuses_a_corrupted_left_quotient(corrupt, double_s3,
+                                                        monkeypatch):
+    """One entry of the left-quotient table moved (m -> m + 1), or one
+    added where e_m e_j = e_k has no solution: the once-per-algebra scan
+    of the table against prod_idx refuses it before any route reads it."""
+    A = double_s3
+    L = enumerate_coideals(A)[1]
+    lq = [list(row) for row in left_quotients(A)]
+    held = corrupt == "changed"
+    k, j = next((k, j) for k in range(A.dim) for j in range(A.dim)
+                if (lq[k][j] >= 0) == held)
+    lq[k][j] = (lq[k][j] + 1) % A.dim if held else 0
+    monkeypatch.setattr(coideal, "memo", lambda A, key, build: build())
+    monkeypatch.setattr(coideal, "left_quotients", lambda A: lq)
+    with pytest.raises(InvariantViolation,
+                       match=r"^D\(S3\): left-quotient table fails on "):
+        quotient_dual(A, L)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("rank_modp", lambda rows, p, target: rank_modp(rows, p, target) - 1),
+    ("rank_modp", lambda rows, p, target: rank_modp(rows, p, target) + 1),
+    ("row_modp", lambda row, p, w, n: None),
+], ids=["rank-one-short", "rank-one-over", "prime-divides-a-denominator"])
+def test_a_failed_quotient_dual_certificate_takes_the_exact_route(
+        name, value, double_s3, monkeypatch):
+    A = double_s3
+    cos = enumerate_coideals(A)
+    want = [quotient_dual(A, L) for L in cos]
+    calls = [0]
+
+    def counted(eqs, n):
+        calls[0] += 1
+        return nullspace(eqs, n)
+    monkeypatch.setattr(coideal, "memo", lambda A, key, build: build())
+    monkeypatch.setattr(coideal, "nullspace", counted)
+    monkeypatch.setattr(coideal, name, value)
+    assert [quotient_dual(A, L) for L in cos] == want
+    # k1 has no generator, so no equation: no image mod p to refuse
+    assert calls[0] == sum(1 for L in cos if name == "rank_modp"
+                           or subalgebra_generators(A, L.space))
+
+
+def test_quotient_dual_refuses_an_integral_of_another_coideal(double_s3,
+                                                             monkeypatch):
+    """L given the integral of another coideal K of its dimension: the
+    shifted route is then (A//K)*, whose dimension is the one the rank
+    mod p of L's equations certifies, so only the premise l Lambda =
+    eps(l) Lambda on L's generators stops the certificate; the exact
+    route runs and disagrees."""
+    A = double_s3
+    cos = enumerate_coideals(A)
+    L, K = next((L, K) for L in cos for K in cos
+                if K is not L and K.dim == L.dim)
+    gens = subalgebra_generators(A, L.space)
+    assert (coideal._direct_rank_modp(A, gens)
+            == A.dim - quotient_dual(A, K).dim)
+    bad = CoidealSubalgebra(A, L.space, K.integral, "L with K's integral")
+    monkeypatch.setattr(coideal, "memo", lambda A, key, build: build())
+    with pytest.raises(InvariantViolation) as err:
+        quotient_dual(A, bad)
+    assert str(err.value) == ("D(S3): agreement of the two (A//L)* routes "
+                              "fails on L with K's integral")

@@ -127,7 +127,7 @@ def test_convolution_unit(double_s3):
 def _rows_for(A, seed):
     """A basis row, a two-term row and a dense row with cyclotomic values."""
     rnd = random.Random(seed)
-    z = CycloNumber.zeta(4)
+    z = CycloNumber.zeta(4, 1)
     dense = {k: as_cyclo(rnd.randint(-2, 2)) + rnd.randint(-1, 1) * z
              for k in range(A.dim)}
     return [{rnd.randrange(A.dim): ONE},
@@ -215,6 +215,47 @@ def test_drinfeld_map_triangular(triangular_s3):
     img = dm.phi(f)
     assert img == {k: pair_eval(f, triangular_s3.unit_row) * v
                    for k, v in triangular_s3.unit_row.items() if v}
+
+
+def test_drinfeld_invert_solves_phi(doubles, triangular_s3):
+    """invert reads phi^-1 off the one elimination of [M | I]: phi of its
+    answer is the target, for targets with cyclotomic values; and it is
+    None where phi is not bijective.  The elimination's rank is M's."""
+    rng = random.Random(5)
+    values = [ONE, as_cyclo(-2), as_cyclo(Fraction(1, 3)),
+              CycloNumber.zeta(3, 1), CycloNumber.zeta(4, 3)]
+    for name in ("S3", "Q8", "Z6"):
+        A = doubles[name]
+        dm = drinfeld_map(A)
+        for _ in range(3):
+            target = {k: rng.choice(values)
+                      for k in rng.sample(range(A.dim), 5)}
+            assert dm.phi(dm.invert(target)) == target, name
+        assert dm.invert({}) == {}
+    dm = drinfeld_map(triangular_s3)
+    assert dm.rank == Echelon(triangular_s3.dim, dm.matrix_rows()).dim == 1
+    assert dm.invert(dict(triangular_s3.unit_row)) is None
+
+
+def test_char_ring_refuses_a_corrupted_drinfeld_inverse(double_s3,
+                                                        monkeypatch):
+    """Row 0 of M^-1 doubled in the one elimination: every F_j is read
+    off it, and phi(F_j) = E_j fails for the first E_j it touches."""
+    A = QTAlgebra(double_s3.name, double_s3.kind, double_s3.group,
+                  double_s3.labels, double_s3.prod_idx, double_s3.delta,
+                  double_s3.counit, double_s3.s_idx, double_s3.r_terms,
+                  double_s3.unit_row)
+    chars = [s.character for s in simple_objects(double_s3)]
+    reduced = drinfeld_map(A)._reduced()
+    bad = Echelon(reduced.ncols)
+    bad.pivots = dict(reduced.pivots)
+    bad.pivots[0] = {k: (v + v if k >= A.dim else v)
+                     for k, v in reduced.pivots[0].items()}
+    monkeypatch.setattr(type(drinfeld_map(A)), "_reduced", lambda self: bad)
+    with pytest.raises(InvariantViolation,
+                       match=r"^D\(S3\): Drinfeld-map preimage fails on "
+                             r"idempotent \d+$"):
+        char_ring_idempotents(A, chars)
 
 
 def test_K_A(double_s3, triangular_s3):
@@ -310,8 +351,8 @@ def test_triangular_r_is_unit(triangular_s3):
 
 
 _SCALARS = st.sampled_from([as_cyclo(1), as_cyclo(-2), as_cyclo(Fraction(1, 3)),
-                            CycloNumber.zeta(4), CycloNumber.zeta(3, 2)
-                            + as_cyclo(1), CycloNumber.zeta(8)])
+                            CycloNumber.zeta(4, 1), CycloNumber.zeta(3, 2)
+                            + as_cyclo(1), CycloNumber.zeta(8, 1)])
 
 
 def _stored(row):
@@ -773,7 +814,7 @@ def _pairing_rows(draw):
     return f, a
 
 
-_Z3, _Z4, _Z6 = CycloNumber.zeta(3), CycloNumber.zeta(4), CycloNumber.zeta(6)
+_Z3, _Z4, _Z6 = CycloNumber.zeta(3, 1), CycloNumber.zeta(4, 1), CycloNumber.zeta(6, 1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,9 @@
 """Every module-level import in the package is used by its module,
 every public function, class and method of the package has a caller in
 the package or the benchmark (perfbench), unless it is listed below with
-its reason, and every exception class is told apart by some code.
+its reason, every parameter default of a public function is left unset
+by one of those callers, and every exception class is told apart by
+some code.
 
 No linter ships with the project, so this reads each module's syntax
 tree with the standard library's ast."""
@@ -123,6 +125,8 @@ _SHARED_NAME_CALLERS = {
     "CoidealSubalgebra.label": "cli._coideal_payload",
     "SimpleObject.label": "cli._irreps_payload",
     "FusionSubcat.label": "cli._subcat_payload",
+    "Group.generators": "hopf.generators",
+    "Subgroup.generators": "coideal._bicharacter_checks",
     "CycloNumber.to_json": "cli._chartab_payload",
     "Group.to_json": "hopf.QTAlgebra.to_json",
     "QTAlgebra.to_json": "worker.run_stages",
@@ -171,6 +175,79 @@ def test_a_shared_method_name_is_found():
                      "    def only(self): pass\n"
                      "class B:\n    def run(self): pass\n")
     assert _shared_method_names([tree]) == {"A.run", "B.run"}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(Class.name or name, name, parameter, position) for each parameter
+    with a default of a public function or method of tree; position is
+    the index of a positional parameter among the arguments a call
+    passes (self and cls not counted), or None for a keyword-only one."""
+    defs = [(node.name, node, 0) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{m.name}", m, 0 if any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in m.decorator_list) else 1)
+                for m in node.body if isinstance(m, ast.FunctionDef)]
+    for qual, fn, skip in defs:
+        if fn.name.startswith("_"):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        for i, a in enumerate(positional):
+            if i >= len(positional) - len(args.defaults):
+                yield qual, fn.name, a.arg, i - skip
+        for a, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                yield qual, fn.name, a.arg, None
+
+
+def _never_omitted(tree: ast.Module, callers: list[ast.Module]) -> list[str]:
+    """The defaulted parameters of tree's public functions that every
+    call in callers passes: a call by the function's name, bare or as an
+    attribute, omits a parameter when it passes fewer positional
+    arguments than its position and no keyword of its name (a call with
+    *args or **kwargs passes everything)."""
+    calls = [n for caller in callers for n in ast.walk(caller)
+             if isinstance(n, ast.Call)]
+
+    def name_of(call: ast.Call) -> str | None:
+        f = call.func
+        return (f.id if isinstance(f, ast.Name)
+                else f.attr if isinstance(f, ast.Attribute) else None)
+
+    def omits(call: ast.Call, param: str, position: int | None) -> bool:
+        if (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords)):
+            return False
+        return ((position is None or len(call.args) <= position)
+                and param not in {k.arg for k in call.keywords})
+
+    return [f"{qual}({param})"
+            for qual, name, param, position in _defaulted_parameters(tree)
+            if not any(name_of(c) == name and omits(c, param, position)
+                       for c in calls)]
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_default_is_used_by_a_caller(path):
+    # a default that every caller in the package and the benchmark
+    # overrides is a knob that only tests could leave unset
+    assert _never_omitted(ast.parse(path.read_text()), _CALLERS) == []
+
+
+def test_a_default_every_caller_passes_is_found():
+    tree = ast.parse("def f(a, b=1, *, c=2): pass\n"
+                     "class K:\n"
+                     "    def m(self, x, y=0): pass\n"
+                     "    @staticmethod\n"
+                     "    def s(x, y=0): pass\n"
+                     "    def _hidden(self, z=0): pass\n")
+    callers = [ast.parse("f(1, 2, c=3)\nf(0, c=1)\nK().m(1)\n"
+                         "K.s(1, 2)\nK.s(*xs)\n")]
+    assert _never_omitted(tree, callers) == ["f(c)", "K.s(y)"]
 
 
 def _untold(errors: ast.Module, trees: list[ast.Module]) -> list[str]:

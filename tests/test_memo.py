@@ -58,6 +58,7 @@ def test_a_lazy_cache_is_found():
 def test_group_data_is_built_once():
     G = parse_group_spec("D4")
     for build in (normal_subgroups, all_subgroups, Group.conjugacy_classes,
-                  Group.class_of):
+                  Group.class_of, Group.generators,
+                  lambda G: normal_subgroups(G)[2].generators()):
         assert build(G) is build(G), build.__name__
     assert G.exponent() == 4

@@ -66,7 +66,7 @@ def test_matrix_irrep_has_right_character():
 
 def test_mat_mul():
     one = as_cyclo(1)
-    z = CycloNumber.zeta(4)
+    z = CycloNumber.zeta(4, 1)
     a = ((one, z), (as_cyclo(0), one))
     b = ((one, as_cyclo(0)), (z, one))
     ab = mat_mul(a, b)

@@ -170,20 +170,22 @@ def test_coinvariants_refuse_a_noncentral_idempotent(double_s3):
 
 
 def test_quotient_dual_refuses_a_dropped_row(double_s3, monkeypatch):
-    # the (A//L)* basis with one row dropped fails the route agreement;
-    # dropped from both routes, it fails the dimension check
+    # the shifted (A//L)* basis with one row dropped leaves the rank mod p
+    # of the direct equations short of dim A - dim(shifted), so the exact
+    # route runs and disagrees; dropped from both routes, it fails the
+    # dimension check
     A = double_s3
     L = enumerate_coideals(A)[1]
     monkeypatch.setattr(coideal, "memo", lambda A, key, build: build())
 
     def dropped(space):
         return Echelon(space.ncols, space.rows[1:])
-    monkeypatch.setattr(coideal, "nullspace",
-                        lambda eqs, n: dropped(nullspace(eqs, n)))
-    with pytest.raises(InvariantViolation, match="agreement of the two"):
-        quotient_dual(A, L)
     monkeypatch.setattr(coideal, "Echelon",
                         lambda n, rows: dropped(Echelon(n, rows)))
+    with pytest.raises(InvariantViolation, match="agreement of the two"):
+        quotient_dual(A, L)
+    monkeypatch.setattr(coideal, "nullspace",
+                        lambda eqs, n: dropped(nullspace(eqs, n)))
     with pytest.raises(InvariantViolation, match=r"\(A//L\)\* dimension"):
         quotient_dual(A, L)
 
