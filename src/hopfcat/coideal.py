@@ -18,7 +18,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import itemgetter
+from fractions import Fraction
 
 from .cyclo import CycloNumber, ONE
 from .errors import PreconditionViolated, fail
@@ -29,7 +29,7 @@ from .hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode, convolve,
                    leg_slices, lmul, mul_rows, pair_eval, right_adjoint,
                    subalgebra_generators)
 from .linalg import (Echelon, Row, acc, intersect, modular_field, nullspace,
-                     rank_modp, row_addmul, row_modp, row_scale)
+                     rank_modp, row_addmul, row_keys, row_modp, row_scale)
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,8 @@ def _verify_coideal(A: QTAlgebra, space: Echelon, label) -> None:
         fail(A, "coideal adjoint stability", x, label())
 
 
-def coideal_integral(A: QTAlgebra, space: Echelon, label) -> Row:
+def coideal_integral(A: QTAlgebra, space: Echelon, label,
+                     proposal: Row | None) -> Row:
     """The unique idempotent left integral: l u = eps(l) u, eps(u) = 1;
     label() names the space in a failure.
 
@@ -209,10 +210,27 @@ def coideal_integral(A: QTAlgebra, space: Echelon, label) -> Row:
     multiplicative, so the l with l u = eps(l) u form a subalgebra
     ((l l') u = eps(l') l u = eps(l l') u, and 1 passes); holding on the
     generators, it holds on all of L.
+
+    A proposal (build_coideal gives one, None for no proposal) is
+    returned when it passes the checks the computed integral passes (in
+    L, eps = 1, idempotent, l u = eps(l) u on the generators) and the
+    equations over the d reduced rows of L have rank d - 1 mod p
+    (_integral_rank_modp).  Lemma: reduction mod p is a ring map, so the
+    exact rank is at least d - 1 and the solutions form at most a line;
+    the proposal's coordinates lie in it, so it is the one solution with
+    eps = 1.  Otherwise the exact nullspace below decides.
     """
     gens = _generators(A, space, label)
     rows = space.rows
     d = len(rows)
+    if (proposal is not None and space.contains(proposal)
+            and counit_value(A, proposal) == ONE
+            and mul_rows(A, proposal, proposal) == proposal
+            and all(mul_rows(A, ell, proposal)
+                    == row_scale(proposal, counit_value(A, ell))
+                    for ell in gens)
+            and _integral_rank_modp(A, gens, rows) == d - 1):
+        return proposal
     eqs: dict[tuple[int, int], Row] = {}
     for li, ell in enumerate(gens):
         neg_epsl = -counit_value(A, ell)
@@ -241,12 +259,41 @@ def coideal_integral(A: QTAlgebra, space: Echelon, label) -> Row:
     return best
 
 
-def _wrap(A: QTAlgebra, space: Echelon,
-          name: str | None = None) -> CoidealSubalgebra:
-    """The verified coideal on space, under name, with its integral."""
+def _integral_rank_modp(A: QTAlgebra, gens: list[Row],
+                        rows: list[Row]) -> int | None:
+    """The rank mod p, up to len(rows) - 1, of coideal_integral's
+    equations l c - eps(l) c in the coefficients of the rows c, formed
+    one generator l at a time until the rank reaches len(rows) - 1; the
+    products of the images mod p go through mul_rows, whose prod_idx
+    products carry coefficient one.  None when p divides a denominator."""
+    p, w, n = modular_field(gens + rows)
+    gimages = [row_modp(ell, p, w, n) for ell in gens]
+    rimages = [row_modp(c, p, w, n) for c in rows]
+    if None in gimages or None in rimages:
+        return None
+
+    def equations():
+        for ell in gimages:
+            eps = sum(v for j, v in ell.items() if A.counit[j])
+            eqs: dict[int, dict[int, int]] = {}
+            for ci, cand in enumerate(rimages):
+                for slot, v in mul_rows(A, ell, cand).items():
+                    eq = eqs.setdefault(slot, {})
+                    eq[ci] = eq.get(ci, 0) + v
+                for slot, v in cand.items():
+                    eq = eqs.setdefault(slot, {})
+                    eq[ci] = eq.get(ci, 0) - eps * v
+            yield from eqs.values()
+    return rank_modp(equations(), p, len(rows) - 1)
+
+
+def _wrap(A: QTAlgebra, space: Echelon, name: str | None,
+          proposal: Row | None) -> CoidealSubalgebra:
+    """The verified coideal on space, under name (None for none), with
+    its integral; proposal as in coideal_integral."""
     L = CoidealSubalgebra(A, space, {}, name)
     _verify_coideal(A, space, L.label)
-    L.integral = coideal_integral(A, space, L.label)
+    L.integral = coideal_integral(A, space, L.label, proposal)
     return L
 
 
@@ -300,7 +347,12 @@ def build_coideal(A: QTAlgebra, M: Subgroup, H: Subgroup,
     space = Echelon(A.dim, rows)
     if space.dim != len(H.members) * len(cosets):
         fail(A, "twisted sum independence", None, name)
-    return _wrap(A, space, name)
+    # the proposed integral (1/|H|) sum_h f_1^h, which coideal_integral
+    # certifies
+    scale = CycloNumber.rational(Fraction(1, len(H.members)))
+    proposal = {A.pair_index(m, h): bc.values[mpos[m]][hpos[h]] * scale
+                for h in H.members for m in M.members}
+    return _wrap(A, space, name, proposal)
 
 
 def _is_normal(G: Group, S: Subgroup) -> bool:
@@ -328,7 +380,7 @@ def group_coideal(A: QTAlgebra, N: Subgroup) -> CoidealSubalgebra:
         raise PreconditionViolated("subgroup is not normal")
     return memo(A, (group_coideal, N.members), lambda: _wrap(
         A, Echelon(A.dim, [{g: ONE} for g in N.members]),
-        f"k[N={list(N.members)}]"))
+        f"k[N={list(N.members)}]", None))
 
 
 @memoized
@@ -352,7 +404,7 @@ def coideal_from_space(A: QTAlgebra, space: Echelon) -> CoidealSubalgebra:
     for L in enumerate_coideals(A):
         if L.dim == space.dim and L.space == space:
             return L
-    return _wrap(A, space)
+    return _wrap(A, space, None, None)
 
 
 # --- derived constructions ----------------------------------------------
@@ -532,21 +584,40 @@ def _left_quotients(A: QTAlgebra) -> list[list[int]]:
     return memo(A, _left_quotients, build)
 
 
+@memoized
+def _left_factors(A: QTAlgebra) -> list[list[int]]:
+    """cols[j]: the ascending k with e_k e_j != 0, column j of prod_idx."""
+    cols: list[list[int]] = [[] for _ in range(A.dim)]
+    for k, row in enumerate(A.prod_idx):
+        for j, m in enumerate(row):
+            if m >= 0:
+                cols[j].append(k)
+    return cols
+
+
 def _direct_rank_modp(A: QTAlgebra, gens: list[Row]) -> int | None:
     """The rank mod p of the direct route's equations e_k l - eps(l) e_k,
     each the relabel of its generator l's image mod p through row k of
     prod_idx; run to the end, not stopped at any smaller target.  None
-    when p divides a denominator of a generator."""
+    when p divides a denominator of a generator.
+
+    When eps(l) = 0 mod p, the equation of e_k is zero unless e_k e_j !=
+    0 for some j in the support of l, so only those k are formed
+    (_left_factors); a zero row adds nothing to a rank.
+    """
     p, w, n = modular_field(gens)
     images = [row_modp(ell, p, w, n) for ell in gens]
     if None in images:
         return None
     prod = A.prod_idx
+    cols = _left_factors(A)
 
     def equations():
         for img in images:
-            eps = sum(v for j, v in img.items() if A.counit[j])
-            for k in range(A.dim):
+            eps = sum(v for j, v in img.items() if A.counit[j]) % p
+            ks = (sorted({k for j in img for k in cols[j]}) if not eps
+                  else range(A.dim))
+            for k in ks:
                 pk = prod[k]
                 row = {m: v for j, v in img.items() if (m := pk[j]) >= 0}
                 row[k] = row.get(k, 0) - eps
@@ -587,12 +658,23 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     def build() -> Echelon:
         gens = _generators(A, L.space, L.label)
         # Lambda_L -> e_k^* is a |-> e_k^*(a Lambda_L): on e_m it reads
-        # the coefficient of Lambda_L at the j with e_m e_j = e_k
+        # the coefficient of Lambda_L at the j with e_m e_j = e_k.  Each
+        # distinct row is inserted once (a repeat reduces to zero): row k
+        # is fixed by its pairs (m, class of the value at j) over equal
+        # values of Lambda_L, each pair coded as one integer
+        value_class: dict[tuple, int] = {}
+        cls = {j: value_class.setdefault(v, len(value_class))
+               for j, v in row_keys([L.integral])[0]}
+        ncls = len(value_class)
         lq = _left_quotients(A)
-        shifted = Echelon(A.dim, [
-            dict(sorted(((lq[k][j], v) for j, v in L.integral.items()
-                         if lq[k][j] >= 0), key=itemgetter(0)))
-            for k in range(A.dim)])
+        rows: dict[tuple, Row] = {}
+        for k in range(A.dim):
+            terms = sorted((m, j) for j in L.integral
+                           if (m := lq[k][j]) >= 0)
+            key = tuple(m * ncls + cls[j] for m, j in terms)
+            if key and key not in rows:
+                rows[key] = {m: L.integral[j] for m, j in terms}
+        shifted = Echelon(A.dim, rows.values())
         premise = all(
             mul_rows(A, ell, L.integral)
             == row_scale(L.integral, counit_value(A, ell)) for ell in gens)
@@ -612,7 +694,11 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
         if not (A.dim % L.dim == 0 and shifted.dim == A.dim // L.dim):
             fail(A, "(A//L)* dimension", None, L.label())
         return shifted
-    return memo(A, (quotient_dual, L.key()), build)
+    # the premise above reads the integral: the cached (A//L)* is served
+    # only to an L carrying the integral it was built from
+    integral, dual = memo(A, (quotient_dual, L.key()),
+                          lambda: (L.integral, build()))
+    return dual if integral == L.integral else build()
 
 
 def dual_coideal(A: QTAlgebra, L: CoidealSubalgebra) -> CoidealSubalgebra:

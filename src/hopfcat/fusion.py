@@ -21,13 +21,14 @@ from .coideal import (Bicharacter, CoidealSubalgebra, bichar_label,
                       group_coideal, quotient_dual, triple_coideal)
 from .cyclo import CycloNumber, ONE, ZERO, fmt_cyclo
 from .errors import MethodPreconditionViolated, PreconditionViolated, fail
-from .groups import (Subgroup, center_subgroup, centralizer_subgroup,
+from .groups import (Subgroup, center_subgroup, centralizer_subgroup, memo,
                      memoized, normal_subgroups)
 from .hopf import (QTAlgebra, all_classes, char_ring_idempotents, coinvariants,
                    convolve, delta_of, drinfeld_map, dual_character,
                    generators, harpoon_right, integrals, mul_rows,
                    noncentral_generator, pair_eval, rmul)
-from .linalg import Echelon, Row, acc, intersect, row_rank, row_scale
+from .linalg import (Echelon, Row, acc, intersect, row_keys, row_rank,
+                     row_scale)
 from .reps import Matrix, mat_mul, matrix_irrep
 
 S_BOUND_TOL = 1e-9
@@ -98,28 +99,46 @@ def _verify_module(A: QTAlgebra, s: SimpleObject) -> None:
     if tuple(tuple(r) for r in s.act(A.unit_row)) != _identity(s.dim):
         fail(A, "module unit", None, f"V{s.index}")
     mats = s.matrices
+    # a product with a zero factor must land on a zero matrix: an index
+    # test against the nonzero ones; only products of two nonzero
+    # matrices are formed
+    nonzero = {k for k, m in mats.items() if not _zero_matrix(m)}
+    zeros = [l for l in range(A.dim) if l not in nonzero]
     for k in generators(A):
-        mk = mats.get(k)
         row = A.prod_idx[k]
-        for l in range(A.dim):
-            ml = mats.get(l)
-            t = row[l]
-            mt = mats.get(t) if t >= 0 else None
-            if mk is None or ml is None:
-                ok = _zero_matrix(mt)
-            else:
-                prod = mat_mul(mk, ml)
+        if k not in nonzero:
+            ok = nonzero.isdisjoint(row)
+        else:
+            mk = mats[k]
+            ok = nonzero.isdisjoint(map(row.__getitem__, zeros))
+            for l in nonzero:
+                if not ok:
+                    break
+                prod = mat_mul(mk, mats[l])
+                mt = mats.get(row[l])
                 ok = _zero_matrix(prod) if mt is None else prod == mt
-            if not ok:
-                fail(A, "module multiplicativity", k, f"V{s.index}")
+        if not ok:
+            fail(A, "module multiplicativity", k, f"V{s.index}")
 
 
 def _induced_simples(A: QTAlgebra, ci: int, a: int,
                      start: int) -> list[SimpleObject]:
+    """The simples induced from the class ci of a and the irreducible
+    characters of its centralizer C_G(a).
+
+    The character-table rows of C_G(a) are computed once per Cayley
+    table of the centralizer (on D(Z7) all seven are Z7), and each named
+    centralizer group still builds and verifies its own CharacterTable
+    from them, so a failure names that group.  The rows depend on the
+    table only: classes, their order and the canonical row order are
+    all read off it.
+    """
     G = A.group
     C = centralizer_subgroup(G, a)
     CG, pos = C.as_group(f"cent{ci}of{G.name}")
-    ctab = character_table(CG)
+    rows = memo(A, (_induced_simples, CG.table),
+                lambda: character_table(CG).rows)
+    ctab = CharacterTable(CG, rows)
     coset_of: dict[int, int] = {}
     reps: list[int] = []
     class_elt: list[int] = []
@@ -199,7 +218,17 @@ def _frobenius_check(A: QTAlgebra, s: SimpleObject, reps: list[int],
 
 @memoized
 def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
-    """The simple modules in a fixed canonical order."""
+    """The simple modules in a fixed canonical order.
+
+    Orthonormality of the characters, <chi_i*, chi_j> = delta_ij with
+    <f, g> = f(Lambda_1) g(Lambda_2), is checked on the diagonal, then
+    the characters are checked pairwise distinct (row_keys).  Lemma:
+    chi_i*(Lambda_1) chi_j(Lambda_2) is the trace of Lambda on V_i* x
+    V_j, and Lambda (eps(Lambda) = 1) acts there as the projection onto
+    the invariants, Hom_A(V_i, V_j); so it is dim Hom_A(V_i, V_j).  A is
+    semisimple, so a module with a one-dimensional End is simple, and two
+    simples with distinct characters are not isomorphic: Hom = 0 by Schur.
+    """
     G = A.group
     simples: list[SimpleObject] = []
     if A.kind == "double":
@@ -221,13 +250,15 @@ def simple_objects(A: QTAlgebra) -> list[SimpleObject]:
         fail(A, "sum of squared dimensions", None, f"{len(simples)} simples")
     # f(Lambda_1) g(Lambda_2) = f(g -> Lambda), one harpoon per simple
     lam, _ = integrals(A)
-    ws = [harpoon_right(A, s.character, lam) for s in simples]
-    for i, si in enumerate(simples):
-        dchar = dual_character(A, si.character)
-        for j, w in enumerate(ws):
-            want = ONE if i == j else ZERO
-            if pair_eval(dchar, w) != want:
-                fail(A, "character orthonormality", None, f"V{i} against V{j}")
+    for i, s in enumerate(simples):
+        w = harpoon_right(A, s.character, lam)
+        if pair_eval(dual_character(A, s.character), w) != ONE:
+            fail(A, "character orthonormality", None, f"V{i} against V{i}")
+    first: dict[tuple, int] = {}
+    for j, key in enumerate(row_keys([s.character for s in simples])):
+        i = first.setdefault(key, j)
+        if i != j:
+            fail(A, "character orthonormality", None, f"V{i} against V{j}")
     return simples
 
 

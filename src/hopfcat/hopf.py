@@ -27,8 +27,10 @@ noncentral_generator, whose docstrings hold the lemmas.  verify_axioms
 checks the multiplicative axioms and R's intertwining of the coproducts
 the same way, once an integer search has shown that products of
 generators reach every basis element; the central
-idempotents are checked on the diagonal only, and phi's multiplicativity
-on the dual basis.  A subalgebra, such as a coideal or K_A, is checked on
+idempotents and their character values are checked on the diagonal
+only, and phi's multiplicativity on the dual basis.  A class span is
+read off one coproduct (conjugacy_class) and the class-equation
+integers off ranks mod p (_ideal_dims).  A subalgebra, such as a coideal or K_A, is checked on
 a small generating set of its own, certified once per space by
 subalgebra_generators: its product closure, the left coideal property
 (is_left_coideal) and ad-stability (ad_escape).  Each such check states
@@ -61,8 +63,8 @@ from .cyclo import CycloNumber, ONE, ZERO, as_cyclo, dot
 from .errors import BoundExceeded, fail
 from .groups import (DOUBLE_DIM_BOUND, Group, check_double_dim, double_name,
                      memo, memoized)
-from .linalg import (Echelon, Row, acc, apply_pairs, nullspace, row_rank,
-                     row_scale, row_sum)
+from .linalg import (Echelon, Row, acc, apply_pairs, modular_field, nullspace,
+                     rank_modp, row_modp, row_rank, row_scale, row_sum)
 
 
 class QTAlgebra:
@@ -866,7 +868,8 @@ def central_idempotents(A: QTAlgebra, chars: list[Row]) -> list[Row]:
 def _check_central_idempotents(A: QTAlgebra, chars: list[Row],
                                E: list[Row]) -> None:
     """E are orthogonal idempotents summing to 1, central, and chi_i(E_j)
-    is chi_i(1) when i = j and 0 otherwise.
+    is chi_i(1) when i = j and 0 otherwise, for the characters chi_i of
+    A-modules (simple_objects verifies each module).
 
     Orthogonality is checked on the diagonal only, E_j^2 = E_j, with the
     sum.  Lemma (characteristic 0): left multiplication by an idempotent
@@ -875,21 +878,23 @@ def _check_central_idempotents(A: QTAlgebra, chars: list[Row],
     direct sum; E_i E_j lies in the image of E_i and E_j E_j = E_j in
     that of E_j, so E_i E_j = 0 for i != j.  Centrality is checked on the
     algebra generators only; see noncentral_generator for the lemma.
+
+    The character values are checked on the diagonal only, chi_i(E_i) =
+    chi_i(1).  Lemma: rho_i(E_j) is an idempotent matrix, so chi_i(E_j)
+    is its rank, at least 0; and the E_j sum to 1, so the chi_i(E_j) sum
+    to chi_i(1).  One of them equal to chi_i(1) forces all the others to 0.
     """
-    degrees = [pair_eval(chi, A.unit_row) for chi in chars]
     for j, ej in enumerate(E):
         if mul_rows(A, ej, ej) != ej:
             fail(A, "central idempotent square", None, f"idempotent {j}")
         x = noncentral_generator(A, ej)
         if x is not None:
             fail(A, "idempotent centrality", x, f"idempotent {j}")
-        for i, chi in enumerate(chars):
-            want_val = degrees[i] if i == j else ZERO
-            if pair_eval(chi, ej) != want_val:
-                fail(A, "character value", None,
-                     f"character {i} on idempotent {j}")
     if row_sum(E) != A.unit_row:
         fail(A, "central idempotent sum")
+    for i, chi in enumerate(chars):
+        if pair_eval(chi, E[i]) != pair_eval(chi, A.unit_row):
+            fail(A, "character value", None, f"character {i} on idempotent {i}")
 
 
 @dataclass
@@ -913,7 +918,13 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
     """The central idempotents E_j of the characters and the F_j of the
     character ring.  In the factorizable case F_j = phi^-1(E_j), every
     one read off the one memoized elimination of the matrix of phi
-    (DrinfeldMap.invert), and phi(F_j) = E_j is checked for each."""
+    (DrinfeldMap.invert), and phi(F_j) = E_j is checked for each.
+
+    In the factorizable case block j of the partition is {j}, with no
+    scan: phi(F_j) = E_j is checked here, and chi_s(E_j) = delta_sj d_s
+    by _check_central_idempotents.  For kG every phi(F_j) is read off
+    the characters.
+    """
     E = central_idempotents(A, chars)
     dm = drinfeld_map(A)
     r = len(chars)
@@ -933,15 +944,37 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
 
     lam, t = integrals(A)
     _check_char_ring_idempotents(A, chars, F, t)
+    partition = ([[j] for j in range(r)] if dm.is_factorizable
+                 else _partition(A, chars, F, E))
+    j_of = [-1] * r
+    for j, block in enumerate(partition):
+        for s in block:
+            j_of[s] = j
 
+    n_values: list[int] = []
+    for j, (fj, size) in enumerate(zip(F, _ideal_dims(A, F))):
+        if not (size > 0 and A.dim % size == 0):
+            fail(A, f"dim(A* F_j) = {size} divides {A.dim}", None, f"F_{j}")
+        nj = A.dim // size
+        if pair_eval(fj, lam) != as_cyclo(Fraction(1, nj)):
+            fail(A, f"F_j(Lambda) = 1/{nj}", None, f"F_{j}")
+        n_values.append(nj)
+    return CharRing(F, E, partition, j_of, n_values)
+
+
+def _partition(A: QTAlgebra, chars: list[Row], F: list[Row],
+               E: list[Row]) -> list[list[int]]:
+    """For each F_j, the s with E_s in phi(F_j), read off the characters:
+    chi_s(phi(F_j)) / d_s is 1 or 0; the blocks must tile the simples."""
+    dm = drinfeld_map(A)
     degrees = [pair_eval(chi, A.unit_row) for chi in chars]
     partition: list[list[int]] = []
     seen: set[int] = set()
     for j, fj in enumerate(F):
         image = dm.phi(fj)
         block: list[int] = []
-        for s in range(r):
-            c = pair_eval(chars[s], image) / degrees[s]
+        for s, chi in enumerate(chars):
+            c = pair_eval(chi, image) / degrees[s]
             if c == ZERO:
                 continue
             if c != ONE:
@@ -954,24 +987,43 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
             fail(A, "partition block disjointness", None, f"F_{j}")
         seen.update(block)
         partition.append(block)
-    if len(seen) != r:
+    if len(seen) != len(chars):
         fail(A, "partition cover of the simples")
-    j_of = [-1] * r
-    for j, block in enumerate(partition):
-        for s in block:
-            j_of[s] = j
+    return partition
 
-    n_values: list[int] = []
-    for j, fj in enumerate(F):
-        size = Echelon(A.dim, (convolve(A, {k: ONE}, fj)
-                               for k in range(A.dim))).dim
-        if not (size > 0 and A.dim % size == 0):
-            fail(A, f"dim(A* F_j) = {size} divides {A.dim}", None, f"F_{j}")
-        nj = A.dim // size
-        if pair_eval(fj, lam) != as_cyclo(Fraction(1, nj)):
-            fail(A, f"F_j(Lambda) = 1/{nj}", None, f"F_{j}")
-        n_values.append(nj)
-    return CharRing(F, E, partition, j_of, n_values)
+
+def _ideal_dims(A: QTAlgebra, F: list[Row]) -> list[int]:
+    """dim A* F_j for each F_j, the span of the e_k^* * F_j.
+
+    (e_k^* * f)(e_m) sums f(e_l) over the terms (k, l) of Delta(e_m), so
+    each e_k^* * F_j is a relabel of F_j through delta_by_left (summed
+    where two terms land on one index), and its image mod p the same
+    relabel of F_j's image.  The ranks mod p are certified by their sum.
+    Lemma: the F_j are orthogonal idempotents of A* summing to eps
+    (_check_char_ring_idempotents), so A* = (+)_j A* F_j and the exact
+    dimensions sum to dim A; reduction mod p is a ring map, so each rank
+    mod p is at most its exact dimension.  Ranks mod p summing to dim A
+    are therefore the exact dimensions.  A shortfall, or a p dividing a
+    denominator, runs the exact Echelon for every F_j.
+    """
+    by_left = A.delta_by_left()
+    p, w, n = modular_field(F)
+    images = [row_modp(fj, p, w, n) for fj in F]
+
+    def relabels(img: dict[int, int]):
+        for terms in by_left:
+            row: dict[int, int] = {}
+            for m, l in terms:
+                v = img.get(l)
+                if v:
+                    row[m] = row.get(m, 0) + v
+            yield row
+    if None not in images:
+        dims = [rank_modp(relabels(img), p, A.dim) for img in images]
+        if sum(dims) == A.dim:
+            return dims
+    return [Echelon(A.dim, (convolve(A, {k: ONE}, fj)
+                            for k in range(A.dim))).dim for fj in F]
 
 
 def _check_char_ring_idempotents(A: QTAlgebra, chars: list[Row],
@@ -1003,15 +1055,31 @@ class ConjClass:
 
 
 def conjugacy_class(A: QTAlgebra, j: int, ring: CharRing) -> ConjClass:
-    """C^j = Lambda <- F_j A* together with C_j = Lambda <- (dim A) F_j."""
+    """C^j = Lambda <- F_j A* together with C_j = Lambda <- (dim A) F_j.
+
+    C^j is spanned by the left slices of Delta(Lambda <- F_j)
+    (leg_slices), with no convolution.  Lemma: the harpoon is an action,
+    a <- (f * g) = f(a_1) g(a_2) a_3 = (a <- f) <- g, so Lambda <- (F_j *
+    e_k^*) = b <- e_k^* for b = Lambda <- F_j; and b <- e_k^* = e_k^*(b_1)
+    b_2 is the slice l_k of Delta(b) = sum_k e_k x l_k.  As the e_k^*
+    span A*, these span C^j.
+
+    Its dimension is checked against n_j, which char_ring_idempotents
+    reads off A* F_j with no harpoon.  Lemma: f |-> Lambda <- f is
+    injective (Lambda is a nondegenerate integral), so dim C^j = dim F_j
+    A*; and A* is semisimple (the cointegral t has t(1) = 1), where a
+    left and a right ideal of one idempotent have one dimension, dim F_j
+    A* = dim A* F_j = dim A / n_j.
+    """
     lam, _ = integrals(A)
-    fj = ring.idempotents[j]
-    space = Echelon(A.dim, [harpoon_left(A, lam, convolve(A, fj, {k: ONE}))
-                            for k in range(A.dim)])
-    class_sum = row_scale(harpoon_left(A, lam, fj), as_cyclo(A.dim))
+    b = harpoon_left(A, lam, ring.idempotents[j])
+    space = Echelon(A.dim, leg_slices(A, b)[0])
+    nj = ring.n_values[j]
+    if space.dim * nj != A.dim:
+        fail(A, f"dim C^j = {A.dim}/{nj}", None, f"class {j}")
+    class_sum = row_scale(b, as_cyclo(A.dim))
     if not space.contains(class_sum):
         fail(A, "class sum in its class span", None, f"class {j}")
-    nj = ring.n_values[j]
     if counit_value(A, class_sum) != as_cyclo(Fraction(A.dim, nj)):
         fail(A, f"eps(C_j) = {A.dim}/{nj}", None, f"class {j}")
     return ConjClass(space, class_sum)

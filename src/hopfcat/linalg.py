@@ -26,8 +26,7 @@ The hot kernels keep their loops inline, as a call per term costs
 measurably there: row_addmul under every Echelon reduction, hopf.mul_rows
 under every general x general product (a product by a basis element is
 a relabel, hopf.lmul or hopf.rmul, with no scalar operation), and
-hopf.convolve, run r^2 times per fusion table and once per basis
-functional in the character ring and class spans.
+hopf.convolve, run r^2 times per fusion table.
 Accumulation order is part of the output: the stored order of a
 CycloNumber depends on the chain of operations that built it (zeta(3)
 and the equal zeta(12, 4) are stored at orders 3 and 6, see cyclo), and
@@ -185,11 +184,7 @@ class Echelon:
         """Canonical hashable key, read off the reduced rows; kept until
         an insert grows the space, the only change to its rows."""
         if self._key is None:
-            rows = self.rows
-            n = common_order(rows)
-            self._key = tuple(
-                tuple(sorted((j, v.key(n)) for j, v in r.items()))
-                for r in rows)
+            self._key = tuple(row_keys(self.rows))
         return self._key
 
     def __le__(self, other: "Echelon") -> bool:
@@ -251,6 +246,14 @@ def intersect(x: Echelon, y: Echelon) -> Echelon:
         if vec:
             out.append(vec)
     return Echelon(n, out)
+
+
+def row_keys(rows: list[Row]) -> list[tuple]:
+    """Canonical hashable keys of the rows, each value read at the rows'
+    common order (CycloNumber.key): rows are equal exactly when their
+    keys are."""
+    n = common_order(rows)
+    return [tuple(sorted((j, v.key(n)) for j, v in r.items())) for r in rows]
 
 
 def common_order(rows: list[Row]) -> int:

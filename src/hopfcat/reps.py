@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .chartab import CharacterTable
-from .cyclo import CycloNumber, ONE, as_cyclo
+from .cyclo import CycloNumber, ONE, ZERO, as_cyclo
 from .errors import fail
 from .groups import Group, Subgroup, abelian_coordinates, all_subgroups
 from .linalg import Echelon, Row, acc
@@ -107,15 +107,17 @@ def _verify(G: Group, table: CharacterTable, i: int, mats: list[Matrix]) -> None
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0])
+    """a b, forming only the products of nonzero entries: module matrices
+    are mostly zero, and the product is only compared with ==."""
+    p = len(b[0])
+    b_rows = [[(c, v) for c, v in enumerate(row) if v] for row in b]
     out = []
-    for r in range(n):
-        row = []
-        for c in range(p):
-            acc = a[r][0] * b[0][c]
-            for t in range(1, m):
-                acc = acc + a[r][t] * b[t][c]
-            row.append(acc)
+    for ar in a:
+        row = [ZERO] * p
+        for t, x in enumerate(ar):
+            if x:
+                for c, v in b_rows[t]:
+                    row[c] = row[c] + x * v
         out.append(tuple(row))
     return tuple(out)
 

@@ -463,7 +463,7 @@ def test_integral_check_refuses_a_defect_off_the_generators(double_s3,
     monkeypatch.setattr(coideal, "nullspace",
                         lambda eqs, d: Echelon(d, [combo]))
     with pytest.raises(InvariantViolation) as exc:
-        coideal_integral(A, L.space, L.label)
+        coideal_integral(A, L.space, L.label, None)
     assert str(exc.value) == f"D(S3): coideal left integral fails on {_TWISTED}"
 
 

@@ -1,10 +1,12 @@
 """coideal_product and coideal_intersect certify their answer against the
-coideal catalog with a rank mod p, and quotient_dual its direct route
-against the shifted one; the exact spans and nullspace are the fallback.
+coideal catalog with a rank mod p, quotient_dual its direct route
+against the shifted one, and coideal_integral a proposed integral; the
+exact spans and nullspaces are the fallback.
 
 Each test compares the answer with the exact route: the span of every
-product l1 l2, the exact intersection, looked up in the catalog, or the
-exact nullspace of the direct route's equations."""
+product l1 l2, the exact intersection, looked up in the catalog, the
+exact nullspace of the direct route's equations, or the integral
+solved exactly."""
 
 import pytest
 
@@ -14,10 +16,10 @@ from hopfcat.coideal import (CoidealSubalgebra, coideal_from_space,
                              coideal_intersect, coideal_product,
                              enumerate_coideals, quotient_dual)
 from hopfcat.cyclo import ONE
-from hopfcat.hopf import (counit_value, left_quotients, lmul,
+from hopfcat.hopf import (QTAlgebra, counit_value, left_quotients, lmul,
                           subalgebra_generators)
-from hopfcat.linalg import (Echelon, intersect, nullspace, rank_modp,
-                            row_addmul)
+from hopfcat.linalg import (Echelon, intersect, modular_field, nullspace,
+                            rank_modp, row_addmul, row_modp)
 
 
 def _exact_product(A, L1, L2):
@@ -245,8 +247,79 @@ def test_quotient_dual_refuses_an_integral_of_another_coideal(double_s3,
     assert (coideal._direct_rank_modp(A, gens)
             == A.dim - quotient_dual(A, K).dim)
     bad = CoidealSubalgebra(A, L.space, K.integral, "L with K's integral")
-    monkeypatch.setattr(coideal, "memo", lambda A, key, build: build())
     with pytest.raises(InvariantViolation) as err:
         quotient_dual(A, bad)
     assert str(err.value) == ("D(S3): agreement of the two (A//L)* routes "
                               "fails on L with K's integral")
+
+
+@pytest.mark.parametrize("name", ["S3", "D4"])
+def test_direct_rank_forms_only_rows_that_can_be_nonzero(name):
+    """With eps(l) = 0 mod p the direct route forms the equation of e_k
+    only for the k with e_k e_j != 0 for some j in the support of l; its
+    rank is that of every equation, formed over the whole basis."""
+    A = build_double(parse_group_spec(name))
+    for L in enumerate_coideals(A):
+        gens = subalgebra_generators(A, L.space)
+        p, w, n = modular_field(gens)
+        images = [row_modp(ell, p, w, n) for ell in gens]
+        if not gens or None in images:
+            continue
+        rows = []
+        for img in images:
+            eps = sum(v for j, v in img.items() if A.counit[j])
+            for k in range(A.dim):
+                row = {m: v for j, v in img.items()
+                       if (m := A.prod_idx[k][j]) >= 0}
+                row[k] = row.get(k, 0) - eps
+                rows.append(row)
+        assert (coideal._direct_rank_modp(A, gens)
+                == rank_modp(rows, p, A.dim)), (name, L.label())
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
+def test_triple_integrals_are_certified_without_a_nullspace(
+        name, monkeypatch):
+    """build_coideal proposes (1/|H|) sum over h in H and m in M of
+    lambda(m, h) p_m x h; coideal_integral certifies it with no exact
+    nullspace, and it is the exact route's integral, stored form too."""
+    A = build_double(parse_group_spec(name))
+    fresh = QTAlgebra(A.name, A.kind, A.group, A.labels, A.prod_idx,
+                      A.delta, A.counit, A.s_idx, A.r_terms, A.unit_row)
+    with monkeypatch.context() as m:
+        m.setattr(coideal, "nullspace", _refuse)
+        certified = enumerate_coideals(fresh)
+    for L in certified:
+        exact = coideal.coideal_integral(A, L.space, L.label, None)
+        assert ({k: v.to_json() for k, v in L.integral.items()}
+                == {k: v.to_json() for k, v in exact.items()}), L.label()
+
+
+@pytest.mark.parametrize("defect", ["another-integral", "rank-one-short",
+                                    "prime-divides-a-denominator"])
+def test_a_failed_integral_certificate_takes_the_exact_route(
+        defect, double_s3, monkeypatch):
+    """A proposal that is another coideal's integral, a rank mod p one
+    short of d - 1, or no image mod p: the exact nullspace runs once and
+    gives the coideal's own integral."""
+    A = double_s3
+    cos = enumerate_coideals(A)
+    L, K = next((L, K) for L in cos for K in cos
+                if K is not L and K.dim == L.dim > 1)
+    proposal = L.integral
+    if defect == "another-integral":
+        proposal = K.integral
+    elif defect == "rank-one-short":
+        monkeypatch.setattr(coideal, "rank_modp", lambda rows, p, target:
+                            rank_modp(rows, p, target) - 1)
+    else:
+        monkeypatch.setattr(coideal, "row_modp", lambda row, p, w, n: None)
+    calls = [0]
+
+    def counted(eqs, n):
+        calls[0] += 1
+        return nullspace(eqs, n)
+    monkeypatch.setattr(coideal, "nullspace", counted)
+    assert coideal.coideal_integral(A, L.space, L.label, proposal) == \
+        L.integral
+    assert calls[0] == 1

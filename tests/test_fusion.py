@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcat import (build_double, build_triangular, coideal, fusion, linalg,
-                     parse_group_spec)
+from hopfcat import (build_double, build_triangular, coideal, fusion, hopf,
+                     linalg, parse_group_spec)
 from hopfcat.coideal import (coideal_triples, enumerate_coideals,
                              quotient_dual, triple_coideal)
 from hopfcat.cyclo import ONE, ZERO, CycloNumber, as_cyclo, dot
@@ -526,6 +526,27 @@ def test_module_checked_on_generators_rejects_a_corrupted_non_generator(
     assert checked == len(simple_objects(A))
 
 
+
+@pytest.mark.parametrize("defect", ["dropped", "added"])
+def test_module_check_reads_zero_matrices_by_index(double_s3, defect):
+    """A product with a zero factor is checked by index, against the
+    basis elements with a nonzero matrix: a nonzero matrix dropped, or
+    one added where the module acts as zero, is still refused."""
+    A = double_s3
+    gens = set(generators(A))
+    s = simple_objects(A)[3]
+    bad = dict(s.matrices)
+    if defect == "dropped":
+        del bad[next(k for k in s.matrices if k not in gens)]
+    else:
+        k = next(k for k in range(A.dim)
+                 if k not in s.matrices and k not in A.unit_row)
+        bad[k] = fusion._identity(s.dim)
+    with pytest.raises(InvariantViolation,
+                       match=r"^D\(S3\): module multiplicativity fails on V3 "
+                             r"at "):
+        _verify_module(A, dataclasses.replace(s, matrices=bad))
+
 # --- settled work skipped: central charges, diagonal traces, counts -------
 
 
@@ -597,6 +618,95 @@ def test_exact_counts_of_the_settled_work(doubles, name, want, monkeypatch):
         _counted(m, DrinfeldMap, "_eliminate", got["eliminations"])
         fusion.char_ring(A)
     assert {key: c[0] for key, c in got.items()} == want
+
+
+
+@pytest.mark.parametrize("name, want", [
+    ("Z6", {"simple_objects": {"pair_eval": 38, "convolve": 0,
+                               "harpoon_left": 36, "insert": 0},
+            "char_ring": {"pair_eval": 144, "convolve": 36,
+                          "harpoon_left": 36, "insert": 72},
+            "all_classes": {"pair_eval": 0, "convolve": 0,
+                            "harpoon_left": 36, "insert": 216}}),
+    ("D4", {"simple_objects": {"pair_eval": 24, "convolve": 0,
+                               "harpoon_left": 64, "insert": 16},
+            "char_ring": {"pair_eval": 88, "convolve": 22,
+                          "harpoon_left": 22, "insert": 86},
+            "all_classes": {"pair_eval": 0, "convolve": 0,
+                            "harpoon_left": 22, "insert": 272}}),
+])
+def test_exact_counts_of_the_character_layer(doubles, name, want,
+                                             monkeypatch):
+    """pair_eval, convolve, harpoon_left and Echelon.insert calls inside
+    simple_objects, char_ring and all_classes, in turn, on a fresh memo.
+    With every character paired with every idempotent and every class
+    span and A* F_j read off dim A convolutions, they were: on D(Z6)
+    1,298 pair_eval in simple_objects; 2,736 pair_eval, 1,332 convolve
+    and 1,368 inserts in char_ring; 1,296 convolve, 1,332 harpoon_left
+    and 1,296 inserts in all_classes.  On D(D4): 486; 1,056, 1,430 and
+    1,494; 1,408, 1,430 and 1,408."""
+    A = _fresh_copy(doubles[name])
+    stages = {"simple_objects": lambda: simple_objects(A),
+              "char_ring": lambda: fusion.char_ring(A),
+              "all_classes": lambda: hopf.all_classes(A, fusion.char_ring(A))}
+    got = {}
+    for stage, run in stages.items():
+        cells = {key: [0] for key in want[stage]}
+        with monkeypatch.context() as m:
+            for owner in (hopf, fusion):
+                _counted(m, owner, "pair_eval", cells["pair_eval"])
+                _counted(m, owner, "convolve", cells["convolve"])
+            _counted(m, hopf, "harpoon_left", cells["harpoon_left"])
+            _counted(m, linalg.Echelon, "insert", cells["insert"])
+            run()
+        got[stage] = {key: c[0] for key, c in cells.items()}
+    assert got == want
+
+
+def test_duplicated_character_fails_orthonormality(doubles, monkeypatch):
+    """Orthonormality is checked on the diagonal, then the characters are
+    checked distinct: a simple replaced by a copy of another of its
+    dimension passes the diagonal and the dimension count, and fails
+    naming both."""
+    A = _fresh_copy(doubles["S3"])
+    original = fusion._induced_simples
+
+    def copied(A, ci, a, start):
+        out = original(A, ci, a, start)
+        if ci == 0:
+            assert out[0].dim == out[1].dim == 1
+            out[1] = dataclasses.replace(out[0], index=out[1].index,
+                                         rep_index=1)
+        return out
+    monkeypatch.setattr(fusion, "_induced_simples", copied)
+    with pytest.raises(InvariantViolation) as exc:
+        simple_objects(A)
+    assert str(exc.value) == ("D(S3): character orthonormality fails on V0 "
+                              "against V1")
+
+
+def test_shared_centralizer_table_is_verified_per_group(doubles,
+                                                        monkeypatch):
+    """The three centralizers in D(Z3) are all Z3: their character-table
+    rows are computed once, and each named group verifies them anew, so
+    rows corrupted after the first use fail naming the second group."""
+    A = _fresh_copy(doubles["Z3"])
+    original = fusion.character_table
+    tables = []
+
+    def recorded(G):
+        tables.append(original(G))
+        return tables[-1]
+    monkeypatch.setattr(fusion, "character_table", recorded)
+    classes = A.group.conjugacy_classes()
+    first = fusion._induced_simples(A, 0, classes[0].representative, 0)
+    assert [s.ctab.group.name for s in first] == ["cent0ofZ3"] * 3
+    rows = tables[0].rows
+    rows[2] = list(rows[1])
+    with pytest.raises(InvariantViolation) as exc:
+        fusion._induced_simples(A, 1, classes[1].representative, 3)
+    assert str(exc.value) == "cent1ofZ3: orthogonality fails on rows 1,2"
+    assert len(tables) == 1
 
 
 def _sha256(obj) -> str:

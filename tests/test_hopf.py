@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hopfcat import hopf
 from hopfcat.cyclo import CycloNumber, as_cyclo
 from hopfcat.errors import BoundExceeded, InvariantViolation
 from hopfcat.groups import parse_group_spec
@@ -832,3 +833,77 @@ def test_pair_eval_falls_back_to_the_chain_off_prime_powers():
     a = {0: ONE, 1: ONE, 2: ONE}
     assert pair_eval(f, a).to_json() == {"n": 3, "c": [[1, 1, 1]]}
     assert _chain_pair_eval(f, a).to_json() == {"n": 3, "c": [[1, 1, 1]]}
+
+
+# --- the character layer: each scan replaced by the statement it stands
+# --- for, and each replacement still refuses a broken input
+
+def test_character_values_checked_on_the_diagonal(double_s3):
+    """chi_i(E_i) = d_i is checked; with E_0 and E_1 swapped chi_0(E_0)
+    reads chi_0(E_1) = 0, and the check names the diagonal entry."""
+    A = double_s3
+    chars = [s.character for s in simple_objects(A)]
+    E = central_idempotents(A, chars)
+    swapped = [E[1], E[0], *E[2:]]
+    with pytest.raises(InvariantViolation) as exc:
+        _check_central_idempotents(A, chars, swapped)
+    assert str(exc.value) == ("D(S3): character value fails on character 0 "
+                              "on idempotent 0")
+
+
+def test_class_span_missing_slices_is_refused(double_s3, monkeypatch):
+    """Each class span is the span of the left slices of Delta(Lambda <-
+    F_j).  On D(S3) every slice lies in the span of the others, so with
+    only the first slice kept the first class of dimension above 1 fails
+    the dimension check against n_j, which is read off A* F_j."""
+    A = _fresh(double_s3)
+    ring = char_ring_idempotents(A, [s.character for s in simple_objects(A)])
+    lam, _ = integrals(A)
+    original = hopf.leg_slices
+    spans = [Echelon(A.dim, original(A, harpoon_left(A, lam, fj))[0])
+             for fj in ring.idempotents]
+    j = next(j for j, space in enumerate(spans) if space.dim > 1)
+    monkeypatch.setattr(hopf, "leg_slices",
+                        lambda A, a: (original(A, a)[0][:1],
+                                      original(A, a)[1]))
+    with pytest.raises(InvariantViolation) as exc:
+        all_classes(A, ring)
+    assert str(exc.value) == (f"D(S3): dim C^j = 36/{ring.n_values[j]} "
+                              f"fails on class {j}")
+
+
+@pytest.mark.parametrize("defect", ["rank-one-short",
+                                    "prime-divides-a-denominator"])
+def test_ideal_dims_take_the_exact_route_without_a_certificate(
+        double_s3, monkeypatch, defect):
+    """The dimensions of A* F_j are read mod p and certified by their sum
+    dim A; a rank mod p one short of it, or an F_j with no image mod p,
+    runs the exact Echelon of the e_k^* * F_j for every F_j, which gives
+    the same n_j."""
+    A = double_s3
+    chars = [s.character for s in simple_objects(A)]
+    want = char_ring_idempotents(A, chars).n_values
+    B = _fresh(A)
+    simple_objects(B)
+    if defect == "rank-one-short":
+        original = hopf.rank_modp
+        calls = []
+
+        def rank(rows, p, target):
+            calls.append(1)
+            return original(rows, p, target) - (len(calls) == 1)
+        monkeypatch.setattr(hopf, "rank_modp", rank)
+    else:
+        monkeypatch.setattr(hopf, "row_modp", lambda row, p, w, n: None)
+    original_convolve = hopf.convolve
+    formed = [0]
+
+    def counted(A, f, g):
+        formed[0] += 1
+        return original_convolve(A, f, g)
+    monkeypatch.setattr(hopf, "convolve", counted)
+    ring = char_ring_idempotents(B, chars)
+    assert ring.n_values == want
+    # r idempotent squares, then dim A products per F_j on the exact route
+    r = len(chars)
+    assert formed[0] == r + r * B.dim

@@ -118,7 +118,7 @@ _SHARED_NAME_CALLERS = {
     "CycloNumber.inverse": "coideal.coideal_integral",
     "Bicharacter.key": "coideal.bichar_label",
     "CoidealSubalgebra.key": "coideal.enumerate_coideals",
-    "CycloNumber.key": "linalg.Echelon.key",
+    "CycloNumber.key": "linalg.row_keys",
     "Echelon.key": "hopf.subalgebra_generators",
     "CoidealSubalgebra.dim": "cli._coideal_payload",
     "Echelon.dim": "reps.matrix_irrep",

@@ -155,9 +155,12 @@ def _coinvariant_verdicts(A, cos) -> list[bool]:
     return [ok for _, ok, _ in _check_coinvariants(ctx)]
 
 
-def test_coinvariants_refuse_a_noncentral_idempotent(double_s3):
+def test_coinvariants_refuse_a_noncentral_idempotent(double_s3,
+                                                     monkeypatch):
     # p_g (x) 1 is idempotent and, for g not central, not central: A L+ =
-    # A (1 - e) would then be no two-sided ideal
+    # A (1 - e) would then be no two-sided ideal.  quotient_dual refuses
+    # such an integral itself, so it is served the (A//L)* of the entry
+    # with the same space, and the check's own verdict is read
     A = double_s3
     G = A.group
     g = next(g for g in range(G.n)
@@ -166,6 +169,11 @@ def test_coinvariants_refuse_a_noncentral_idempotent(double_s3):
     assert all(_coinvariant_verdicts(A, cos))
     bad = [dataclasses.replace(L, integral={A.pair_index(g, 0): ONE})
            for L in cos]
+    with pytest.raises(InvariantViolation, match="agreement of the two"):
+        quotient_dual(A, bad[1])
+    entry = {L.key(): L for L in cos}
+    monkeypatch.setattr(verify, "quotient_dual",
+                        lambda A, L: quotient_dual(A, entry[L.key()]))
     assert not any(_coinvariant_verdicts(A, bad))
 
 
