@@ -9,7 +9,12 @@ defining coideal axioms rather than trusted.  A product or intersection
 of two catalog entries is certified to be a given entry by a rank mod p
 (lemmas at _certified_product and _certified_intersection); the exact
 spans are the fallback.  The two routes to (A//L)* are certified equal
-the same way, with the exact nullspace as the fallback (quotient_dual).
+the same way, with the exact nullspace as the fallback (quotient_dual),
+and so is a proposed integral (coideal_integral).  Each of the last two
+forms its equations in one generator (_direct_equations,
+_integral_equations), run over exact values for the exact route and
+over their images mod p (linalg.rows_modp; the linalg docstring states
+the reduction lemma) for the certificate.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from .hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode, convolve,
                    counit_value, drinfeld_map, is_left_coideal, left_quotients,
                    leg_slices, lmul, mul_rows, pair_eval, right_adjoint,
                    subalgebra_generators)
-from .linalg import (Echelon, Row, acc, intersect, modular_field, nullspace,
-                     rank_modp, row_addmul, row_keys, row_modp, row_scale)
+from .linalg import (Echelon, Row, acc, intersect, nullspace, rank_modp,
+                     row_addmul, row_keys, row_scale, rows_modp)
 
 
 @dataclass(frozen=True)
@@ -215,10 +220,10 @@ def coideal_integral(A: QTAlgebra, space: Echelon, label,
     returned when it passes the checks the computed integral passes (in
     L, eps = 1, idempotent, l u = eps(l) u on the generators) and the
     equations over the d reduced rows of L have rank d - 1 mod p
-    (_integral_rank_modp).  Lemma: reduction mod p is a ring map, so the
-    exact rank is at least d - 1 and the solutions form at most a line;
-    the proposal's coordinates lie in it, so it is the one solution with
-    eps = 1.  Otherwise the exact nullspace below decides.
+    (_integral_rank_modp).  Lemma: the exact rank is then at least d - 1,
+    so the solutions form at most a line; the proposal's coordinates lie
+    in it, so it is the one solution with eps = 1.  Otherwise the exact
+    nullspace below decides.
     """
     gens = _generators(A, space, label)
     rows = space.rows
@@ -231,15 +236,8 @@ def coideal_integral(A: QTAlgebra, space: Echelon, label,
                     for ell in gens)
             and _integral_rank_modp(A, gens, rows) == d - 1):
         return proposal
-    eqs: dict[tuple[int, int], Row] = {}
-    for li, ell in enumerate(gens):
-        neg_epsl = -counit_value(A, ell)
-        for ci, cand in enumerate(rows):
-            prod = mul_rows(A, ell, cand)
-            diff = row_addmul(prod, cand, neg_epsl)
-            for slot, c in diff.items():
-                acc(eqs.setdefault((li, slot), {}), ci, c)
-    kernel = nullspace(list(eqs.values()), d)
+    epsilons = [counit_value(A, ell) for ell in gens]
+    kernel = nullspace(list(_integral_equations(A, gens, rows, epsilons)), d)
     best = None
     for combo in kernel.rows:
         u: Row = {}
@@ -259,32 +257,40 @@ def coideal_integral(A: QTAlgebra, space: Echelon, label,
     return best
 
 
+def _integral_equations(A: QTAlgebra, gens: list, rows: list,
+                        epsilons: list):
+    """coideal_integral's equations l c - eps(l) c = 0 in the coefficients
+    of the rows c, one per generator l (with eps(l) in epsilons) and slot,
+    a generator at a time.  The same code runs over exact rows and over
+    their images mod p: the products go through mul_rows, whose prod_idx
+    products carry coefficient one."""
+    for ell, eps in zip(gens, epsilons):
+        eqs: dict[int, dict] = {}
+        for ci, cand in enumerate(rows):
+            diff = row_addmul(mul_rows(A, ell, cand), cand, -eps)
+            for slot, c in diff.items():
+                acc(eqs.setdefault(slot, {}), ci, c)
+        yield from eqs.values()
+
+
+def _counits_modp(A: QTAlgebra, images: list[dict[int, int]],
+                  p: int) -> list[int]:
+    """eps of each image mod p, reduced mod p."""
+    return [sum(v for j, v in img.items() if A.counit[j]) % p
+            for img in images]
+
+
 def _integral_rank_modp(A: QTAlgebra, gens: list[Row],
                         rows: list[Row]) -> int | None:
-    """The rank mod p, up to len(rows) - 1, of coideal_integral's
-    equations l c - eps(l) c in the coefficients of the rows c, formed
-    one generator l at a time until the rank reaches len(rows) - 1; the
-    products of the images mod p go through mul_rows, whose prod_idx
-    products carry coefficient one.  None when p divides a denominator."""
-    p, w, n = modular_field(gens + rows)
-    gimages = [row_modp(ell, p, w, n) for ell in gens]
-    rimages = [row_modp(c, p, w, n) for c in rows]
-    if None in gimages or None in rimages:
+    """The rank mod p of _integral_equations over the images of gens and
+    rows, stopped at len(rows) - 1; None when p divides a denominator."""
+    p, images = rows_modp(gens + rows)
+    if images is None:
         return None
-
-    def equations():
-        for ell in gimages:
-            eps = sum(v for j, v in ell.items() if A.counit[j])
-            eqs: dict[int, dict[int, int]] = {}
-            for ci, cand in enumerate(rimages):
-                for slot, v in mul_rows(A, ell, cand).items():
-                    eq = eqs.setdefault(slot, {})
-                    eq[ci] = eq.get(ci, 0) + v
-                for slot, v in cand.items():
-                    eq = eqs.setdefault(slot, {})
-                    eq[ci] = eq.get(ci, 0) - eps * v
-            yield from eqs.values()
-    return rank_modp(equations(), p, len(rows) - 1)
+    g = len(gens)
+    return rank_modp(_integral_equations(A, images[:g], images[g:],
+                                         _counits_modp(A, images[:g], p)),
+                     p, len(rows) - 1)
 
 
 def _wrap(A: QTAlgebra, space: Echelon, name: str | None,
@@ -415,15 +421,15 @@ class _Catalog:
     """What the certificates of coideal_product and coideal_intersect read,
     built once per algebra from enumerate_coideals: each entry's position
     by key, the containment order (below[i][j] when entry i lies in entry
-    j, by exact Echelon.__le__), a prime p = 1 (mod n) for n the common
-    order of the entries' values, with p > 2^20, and each entry's reduced
-    rows mod p (None when p divides one of their denominators)."""
+    j, by exact Echelon.__le__), and the prime p and each entry's reduced
+    rows mod p of one rows_modp over all entries (None when p divides one
+    of their denominators)."""
 
     entries: list[CoidealSubalgebra]
     index: dict[tuple, int]
     below: list[list[bool]]
     p: int
-    rows: list[list[dict[int, int]] | None]
+    rows: list[list[dict[int, int]]] | None
 
 
 @memoized
@@ -433,11 +439,11 @@ def _catalog(A: QTAlgebra) -> _Catalog:
     # are incomparable
     below = [[i == j or (L.dim < M.dim and L.space <= M.space)
               for j, M in enumerate(cos)] for i, L in enumerate(cos)]
-    p, w, n = modular_field([r for L in cos for r in L.space.rows])
-    rows = []
-    for L in cos:
-        images = [row_modp(r, p, w, n) for r in L.space.rows]
-        rows.append(None if None in images else images)
+    p, images = rows_modp([r for L in cos for r in L.space.rows])
+    rows = None
+    if images is not None:
+        it = iter(images)
+        rows = [list(itertools.islice(it, L.dim)) for L in cos]
     return _Catalog(cos, {L.key(): i for i, L in enumerate(cos)}, below, p,
                     rows)
 
@@ -466,17 +472,15 @@ def _certified_product(A: QTAlgebra, cat: _Catalog, i: int,
     holds.
 
     Lemma: C is the smallest entry containing L1 and L2.  C is a
-    subalgebra, so L1 L2 <= C.  Reduction mod p (p = 1 mod n, prime to
-    the denominators) is a ring map, so the products mod p are the images
-    of the exact products, and rank_p{a b} <= dim L1 L2.  So rank_p =
-    dim C gives L1 L2 = C; and when L1 L2 is an entry, it is C, the
-    smallest entry containing both.  The products of the integer rows
-    mod p go through mul_rows, whose prod_idx products all carry
-    coefficient one; rank_modp reduces their sums mod p.
+    subalgebra, so L1 L2 <= C.  The products of the rows mod p are the
+    images of the exact products (mul_rows, whose prod_idx products all
+    carry coefficient one, runs on the integer rows), so rank_p{a b} <=
+    dim L1 L2, and rank_p = dim C gives L1 L2 = C; and when L1 L2 is an
+    entry, it is C, the smallest entry containing both.
     """
     k = next((k for k in range(len(cat.entries))
               if cat.below[i][k] and cat.below[j][k]), None)
-    if k is None or cat.rows[i] is None or cat.rows[j] is None:
+    if k is None or cat.rows is None:
         return None
     C = cat.entries[k]
     orders = [(i, j)] if C.dim == A.dim else [(i, j), (j, i)]
@@ -495,13 +499,13 @@ def _certified_intersection(cat: _Catalog, i: int,
 
     Lemma: D is the largest entry inside L1 and L2, so D <= L1 & L2.
     dim(L1 & L2) = dim L1 + dim L2 - dim(L1 + L2), and the rank mod p of
-    the rows of L1 and L2 together is at most dim(L1 + L2) (reduction
-    mod p is a ring map).  So a rank mod p of dim L1 + dim L2 - dim D
-    bounds dim(L1 & L2) by dim D, and L1 & L2 = D.
+    the rows of L1 and L2 together is at most dim(L1 + L2).  So a rank
+    mod p of dim L1 + dim L2 - dim D bounds dim(L1 & L2) by dim D, and
+    L1 & L2 = D.
     """
     k = next((k for k in reversed(range(len(cat.entries)))
               if cat.below[k][i] and cat.below[k][j]), None)
-    if k is None or cat.rows[i] is None or cat.rows[j] is None:
+    if k is None or cat.rows is None:
         return None
     D = cat.entries[k]
     target = cat.entries[i].dim + cat.entries[j].dim - D.dim
@@ -595,34 +599,37 @@ def _left_factors(A: QTAlgebra) -> list[list[int]]:
     return cols
 
 
-def _direct_rank_modp(A: QTAlgebra, gens: list[Row]) -> int | None:
-    """The rank mod p of the direct route's equations e_k l - eps(l) e_k,
-    each the relabel of its generator l's image mod p through row k of
-    prod_idx; run to the end, not stopped at any smaller target.  None
-    when p divides a denominator of a generator.
+def _direct_equations(A: QTAlgebra, gens: list, epsilons: list):
+    """The direct route's nonzero equations e_k l - eps(l) e_k, each the
+    relabel of its generator l (with eps(l) in epsilons) through row k of
+    prod_idx, a generator at a time and by ascending k.  The same code
+    runs over exact generators and over their images mod p.
 
-    When eps(l) = 0 mod p, the equation of e_k is zero unless e_k e_j !=
-    0 for some j in the support of l, so only those k are formed
-    (_left_factors); a zero row adds nothing to a rank.
+    When eps(l) = 0, the equation of e_k is zero unless e_k e_j != 0 for
+    some j in the support of l, so only those k are formed
+    (_left_factors).
     """
-    p, w, n = modular_field(gens)
-    images = [row_modp(ell, p, w, n) for ell in gens]
-    if None in images:
-        return None
-    prod = A.prod_idx
     cols = _left_factors(A)
-
-    def equations():
-        for img in images:
-            eps = sum(v for j, v in img.items() if A.counit[j]) % p
-            ks = (sorted({k for j in img for k in cols[j]}) if not eps
-                  else range(A.dim))
-            for k in ks:
-                pk = prod[k]
-                row = {m: v for j, v in img.items() if (m := pk[j]) >= 0}
-                row[k] = row.get(k, 0) - eps
+    for ell, eps in zip(gens, epsilons):
+        ks = (range(A.dim) if eps
+              else sorted({k for j in ell for k in cols[j]}))
+        for k in ks:
+            row = lmul(A, k, ell)
+            acc(row, k, -eps)
+            if row:
                 yield row
-    return rank_modp(equations(), p, A.dim)
+
+
+def _direct_rank_modp(A: QTAlgebra, gens: list[Row]) -> int | None:
+    """The rank mod p of _direct_equations over the images of gens, run
+    to the end, not stopped at any smaller target; None when p divides a
+    denominator of a generator."""
+    p, images = rows_modp(gens)
+    if images is None:
+        return None
+    return rank_modp(_direct_equations(A, images,
+                                       _counits_modp(A, images, p)),
+                     p, A.dim)
 
 
 def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
@@ -642,13 +649,13 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     Lambda_L (coideal_integral checks it, and it is checked again here),
     so e_k^*(a l Lambda_L) = eps(l) e_k^*(a Lambda_L); and the shifted
     rows read Lambda_L through left_quotients, scanned once per algebra
-    to invert prod_idx (_left_quotients).  Reduction mod p is a ring map,
-    so rank_p <= rank of the equations, and dim direct = dim A - rank <=
-    dim A - rank_p.  A rank mod p of dim A - dim shifted therefore gives
-    dim direct <= dim shifted, and direct = shifted.  The rank is run to
-    the end, so a rank above that, which shifted <= direct rules out,
-    shows; a prime dividing a denominator, a shortfall, an excess or a
-    generator failing the premise runs the exact nullspace and compares.
+    to invert prod_idx (_left_quotients).  dim direct = dim A - rank of
+    the equations <= dim A - rank_p, so a rank mod p of dim A - dim
+    shifted gives dim direct <= dim shifted, and direct = shifted.  The
+    rank is run to the end, so a rank above that, which shifted <= direct
+    rules out, shows; a prime dividing a denominator, a shortfall, an
+    excess or a generator failing the premise runs the exact nullspace of
+    the same equations (_direct_equations) and compares.
 
     Together the two routes certify A L+ = A (1 - Lambda_L), of dimension
     dim A - dim A/dim L.  Lemma: the direct route is the annihilator of
@@ -680,15 +687,9 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
             == row_scale(L.integral, counit_value(A, ell)) for ell in gens)
         if not (premise and _direct_rank_modp(A, gens)
                 == A.dim - shifted.dim):
-            eqs: list[Row] = []
-            for ell in gens:
-                neg_epsl = -counit_value(A, ell)
-                for k in range(A.dim):
-                    row = lmul(A, k, ell)
-                    acc(row, k, neg_epsl)
-                    if row:
-                        eqs.append(row)
-            if nullspace(eqs, A.dim) != shifted:
+            eqs = _direct_equations(
+                A, gens, [counit_value(A, ell) for ell in gens])
+            if nullspace(list(eqs), A.dim) != shifted:
                 fail(A, "agreement of the two (A//L)* routes", None,
                      L.label())
         if not (A.dim % L.dim == 0 and shifted.dim == A.dim // L.dim):

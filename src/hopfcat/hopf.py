@@ -63,8 +63,8 @@ from .cyclo import CycloNumber, ONE, ZERO, as_cyclo, dot
 from .errors import BoundExceeded, fail
 from .groups import (DOUBLE_DIM_BOUND, Group, check_double_dim, double_name,
                      memo, memoized)
-from .linalg import (Echelon, Row, acc, apply_pairs, modular_field, nullspace,
-                     rank_modp, row_modp, row_rank, row_scale, row_sum)
+from .linalg import (Echelon, Row, acc, apply_pairs, nullspace, rank_modp,
+                     row_rank, row_scale, row_sum, rows_modp)
 
 
 class QTAlgebra:
@@ -1001,14 +1001,13 @@ def _ideal_dims(A: QTAlgebra, F: list[Row]) -> list[int]:
     relabel of F_j's image.  The ranks mod p are certified by their sum.
     Lemma: the F_j are orthogonal idempotents of A* summing to eps
     (_check_char_ring_idempotents), so A* = (+)_j A* F_j and the exact
-    dimensions sum to dim A; reduction mod p is a ring map, so each rank
-    mod p is at most its exact dimension.  Ranks mod p summing to dim A
-    are therefore the exact dimensions.  A shortfall, or a p dividing a
-    denominator, runs the exact Echelon for every F_j.
+    dimensions sum to dim A, while each rank mod p is at most its exact
+    dimension.  Ranks mod p summing to dim A are therefore the exact
+    dimensions.  A shortfall, or a p dividing a denominator, runs the
+    exact Echelon for every F_j.
     """
     by_left = A.delta_by_left()
-    p, w, n = modular_field(F)
-    images = [row_modp(fj, p, w, n) for fj in F]
+    p, images = rows_modp(F)
 
     def relabels(img: dict[int, int]):
         for terms in by_left:
@@ -1018,7 +1017,7 @@ def _ideal_dims(A: QTAlgebra, F: list[Row]) -> list[int]:
                 if v:
                     row[m] = row.get(m, 0) + v
             yield row
-    if None not in images:
+    if images is not None:
         dims = [rank_modp(relabels(img), p, A.dim) for img in images]
         if sum(dims) == A.dim:
             return dims

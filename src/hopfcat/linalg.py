@@ -11,13 +11,18 @@ intersect(x, y) meets two Echelons, reading their reduced rows as they
 are.
 
 The mod-p section at the end holds the one F_p kernel of the package:
-a prime p = 1 (mod n) with a primitive n-th root of unity, dense RREF
-and kernels (chartab's eigenspaces), the image of a cyclotomic row in
-F_p, and a sparse rank that stops at a target (coideal's certificates).
-Reduction mod p is a ring map on the values it accepts, so a rank mod p
-is at most the exact rank; no result of this section is trusted beyond
-that bound.  row_rank reads an exact rank off it only where it reaches
-the rank's upper bound, and runs Echelon otherwise.
+dense RREF and kernels over chartab's own small prime, and the one
+reduction of cyclotomic rows, rows_modp, with rank_modp, a sparse rank
+that stops at a target.  rows_modp reads a field memoized on the common
+order n of its rows: the smallest prime p > 2^20 with p = 1 (mod n), and
+the powers of a primitive n-th root of unity w, checked when the field
+is built.  Lemma: zeta_m -> w^(n/m), with denominators inverted, is a
+ring map Z[zeta_n][1/N] -> F_p where p divides no denominator N, so a
+rank mod p is at most the exact rank (Dixon, Numer. Math. 40, 1982).
+Every certificate of the package is a rank mod p that reaches an upper
+bound of the exact rank (row_rank here; coideal and hopf._ideal_dims);
+a shortfall, or a p dividing a denominator, proves nothing, and the
+exact route runs.
 
 Sparse accumulation goes through three helpers: acc adds one term into a
 row, row_sum adds whole rows, and apply_pairs applies a fixed (src, dst,
@@ -35,9 +40,11 @@ to_json writes that order.
 
 from __future__ import annotations
 
+import functools
 from math import lcm
 
 from .cyclo import CycloNumber, ZERO, ONE
+from .errors import fail
 
 Row = dict[int, CycloNumber]
 
@@ -267,25 +274,6 @@ def common_order(rows: list[Row]) -> int:
 # --- linear algebra over F_p ---------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def find_prime(modulus: int, lower: int) -> int:
-    """The smallest prime p > lower with p = 1 (mod modulus)."""
-    p = lower + 1 + (-lower) % modulus
-    while not _is_prime(p):
-        p += modulus
-    return p
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -298,6 +286,14 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def find_prime(modulus: int, lower: int) -> int:
+    """The smallest prime p > lower with p = 1 (mod modulus)."""
+    p = lower + 1 + (-lower) % modulus
+    while _prime_factors(p) != [p]:
+        p += modulus
+    return p
 
 
 def primitive_root_of_unity(p: int, n: int) -> int:
@@ -351,29 +347,48 @@ def kernel_modp(mat: list[list[int]], p: int) -> list[list[int]]:
     return out
 
 
-def modular_field(rows: list[Row]) -> tuple[int, int, int]:
-    """(p, w, n) for reducing the rows mod p: n the common order of their
-    values, p the smallest prime above 2^20 with p = 1 (mod n), and w a
-    primitive n-th root of unity mod p."""
-    n = common_order(rows)
+class _Field:
+    """F_p with the powers w^0, ..., w^(n-1) of a primitive n-th root of
+    unity w mod p.  Lemma: w^n = 1 and w^(n/q) != 1 for each prime q | n
+    say that w has order exactly n, so the field is refused unless both
+    hold."""
+
+    def __init__(self, n: int, p: int, w: int):
+        self.name, self.p = f"F_{p}", p
+        self.powers = tuple(pow(w, e, p) for e in range(n))
+        if (pow(w, n, p) != 1
+                or any(self.powers[n // q] == 1 for q in _prime_factors(n))):
+            fail(self, f"primitive {n}-th root of unity", None, f"w = {w}")
+
+
+@functools.cache
+def _field(n: int) -> _Field:
+    """The field of rows_modp for the common order n, built once per n:
+    p the smallest prime above 2^20 with p = 1 (mod n)."""
     p = find_prime(n, 1 << 20)
-    return p, primitive_root_of_unity(p, n), n
+    return _Field(n, p, primitive_root_of_unity(p, n))
 
 
-def row_modp(row: Row, p: int, w: int, n: int) -> dict[int, int] | None:
-    """The image of row in F_p under zeta_m -> w^(n/m), for w a primitive
-    n-th root of unity mod p and every order m of row dividing n; None
-    when p divides a denominator, where the map is not defined."""
-    out: dict[int, int] = {}
-    for j, v in row.items():
-        if v.den % p == 0:
-            return None
-        step = n // v.order
-        x = sum(c * pow(w, step * e, p) for e, c in v.nums.items())
-        x = x * pow(v.den, -1, p) % p
-        if x:
-            out[j] = x
-    return out
+def rows_modp(rows: list[Row]) -> tuple[int, list[dict[int, int]] | None]:
+    """(p, images) for n the common order of the rows' values: the
+    field's prime, and the image of each row in F_p under zeta_m ->
+    w^(n/m); images is None when p divides a denominator, where the map
+    is not defined."""
+    n = common_order(rows)
+    field = _field(n)
+    p, powers = field.p, field.powers
+    images = []
+    for row in rows:
+        out: dict[int, int] = {}
+        for j, v in row.items():
+            if v.den % p == 0:
+                return p, None
+            step = n // v.order
+            x = sum(c * powers[step * e] for e, c in v.nums.items())
+            if x := x * pow(v.den, -1, p) % p:
+                out[j] = x
+        images.append(out)
+    return p, images
 
 
 def rank_modp(rows, p: int, target: int) -> int:
@@ -405,17 +420,11 @@ def rank_modp(rows, p: int, target: int) -> int:
 
 
 def row_rank(rows: list[Row], ncols: int) -> int:
-    """The exact rank of the rows, certified mod p where it can be.
-
-    Lemma: reduction mod p is a ring map on the values row_modp accepts,
-    so rank mod p <= exact rank <= min(len(rows), ncols).  A rank mod p
-    that reaches that bound is therefore the exact rank (Dixon, Numer.
-    Math. 40, 1982).  A shortfall, or a prime that divides a denominator,
-    proves nothing, and the exact Echelon decides.
-    """
+    """The exact rank of the rows, certified mod p where it can be: the
+    exact rank is at most min(len(rows), ncols), so a rank mod p that
+    reaches that bound is the exact rank; otherwise Echelon decides."""
     bound = min(len(rows), ncols)
-    p, w, n = modular_field(rows)
-    images = [row_modp(r, p, w, n) for r in rows]
-    if None not in images and rank_modp(images, p, bound) == bound:
+    p, images = rows_modp(rows)
+    if images is not None and rank_modp(images, p, bound) == bound:
         return bound
     return Echelon(ncols, rows).dim

@@ -18,8 +18,8 @@ from hopfcat.coideal import (CoidealSubalgebra, coideal_from_space,
 from hopfcat.cyclo import ONE
 from hopfcat.hopf import (QTAlgebra, counit_value, left_quotients, lmul,
                           subalgebra_generators)
-from hopfcat.linalg import (Echelon, intersect, modular_field, nullspace,
-                            rank_modp, row_addmul, row_modp)
+from hopfcat.linalg import (Echelon, intersect, nullspace, rank_modp,
+                            row_addmul, rows_modp)
 
 
 def _exact_product(A, L1, L2):
@@ -32,6 +32,11 @@ def _exact_intersection(A, L1, L2):
 
 def _refuse(*args):
     raise AssertionError("the exact route ran")
+
+
+def _no_images(rows):
+    """rows_modp as if p divided a denominator of the rows."""
+    return rows_modp(rows)[0], None
 
 
 def _certified_answers(A, monkeypatch):
@@ -91,7 +96,7 @@ def _fallback_answers(A, monkeypatch, patches):
 
 
 @pytest.mark.parametrize("patches", [
-    [("row_modp", lambda row, p, w, n: None)],
+    [("rows_modp", _no_images)],
     [("rank_modp", lambda rows, p, target:
       rank_modp(rows, p, target) - 1)],
 ], ids=["prime-divides-a-denominator", "rank-one-short"])
@@ -211,7 +216,8 @@ def test_quotient_dual_refuses_a_corrupted_left_quotient(corrupt, double_s3,
 @pytest.mark.parametrize("name, value", [
     ("rank_modp", lambda rows, p, target: rank_modp(rows, p, target) - 1),
     ("rank_modp", lambda rows, p, target: rank_modp(rows, p, target) + 1),
-    ("row_modp", lambda row, p, w, n: None),
+    # no generators, as for k1, still have their (empty) images
+    ("rows_modp", lambda rows: _no_images(rows) if rows else rows_modp(rows)),
 ], ids=["rank-one-short", "rank-one-over", "prime-divides-a-denominator"])
 def test_a_failed_quotient_dual_certificate_takes_the_exact_route(
         name, value, double_s3, monkeypatch):
@@ -261,9 +267,8 @@ def test_direct_rank_forms_only_rows_that_can_be_nonzero(name):
     A = build_double(parse_group_spec(name))
     for L in enumerate_coideals(A):
         gens = subalgebra_generators(A, L.space)
-        p, w, n = modular_field(gens)
-        images = [row_modp(ell, p, w, n) for ell in gens]
-        if not gens or None in images:
+        p, images = rows_modp(gens)
+        if not gens or images is None:
             continue
         rows = []
         for img in images:
@@ -275,6 +280,47 @@ def test_direct_rank_forms_only_rows_that_can_be_nonzero(name):
                 rows.append(row)
         assert (coideal._direct_rank_modp(A, gens)
                 == rank_modp(rows, p, A.dim)), (name, L.label())
+
+
+def _nonzero_mod(rows, p):
+    """The rows with their residues mod p, zero residues and then empty
+    rows dropped."""
+    out = []
+    for row in rows:
+        if reduced := {k: r for k, v in row.items() if (r := v % p)}:
+            out.append(reduced)
+    return out
+
+
+@pytest.mark.parametrize("name", ["S3", "D4"])
+def test_equation_builders_commute_with_reduction_mod_p(name):
+    """Reduction mod p is a ring map, checked on the equations: each
+    builder, run over the images mod p of a coideal's generators and
+    rows, yields the images of the equations it yields over the exact
+    values, in the same order (rows that vanish mod p dropped on both
+    sides)."""
+    A = build_double(parse_group_spec(name))
+    formed = 0
+    for L in enumerate_coideals(A):
+        gens = subalgebra_generators(A, L.space)
+        rows = L.space.rows
+        eps = [counit_value(A, ell) for ell in gens]
+        integral = list(coideal._integral_equations(A, gens, rows, eps))
+        direct = list(coideal._direct_equations(A, gens, eps))
+        # one field for the inputs and the exact equations
+        p, images = rows_modp(gens + rows + integral + direct)
+        assert images is not None
+        n1 = len(gens)
+        n2 = n1 + len(rows)
+        n3 = n2 + len(integral)
+        g, r, i, d = images[:n1], images[n1:n2], images[n2:n3], images[n3:]
+        eps_p = coideal._counits_modp(A, g, p)
+        assert (_nonzero_mod(coideal._integral_equations(A, g, r, eps_p), p)
+                == _nonzero_mod(i, p)), (name, L.label())
+        assert (_nonzero_mod(coideal._direct_equations(A, g, eps_p), p)
+                == _nonzero_mod(d, p)), (name, L.label())
+        formed += len(integral) + len(direct)
+    assert formed
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
@@ -313,7 +359,7 @@ def test_a_failed_integral_certificate_takes_the_exact_route(
         monkeypatch.setattr(coideal, "rank_modp", lambda rows, p, target:
                             rank_modp(rows, p, target) - 1)
     else:
-        monkeypatch.setattr(coideal, "row_modp", lambda row, p, w, n: None)
+        monkeypatch.setattr(coideal, "rows_modp", _no_images)
     calls = [0]
 
     def counted(eqs, n):

@@ -468,13 +468,14 @@ def test_fusion_table_matches_full_scan_large(name):
 
 
 _rank_modp = linalg.rank_modp
+_rows_modp = linalg.rows_modp
 
 
 @pytest.mark.parametrize("patches, exact_spans", [
     ([], []),
     ([("rank_modp", lambda rows, p, target: _rank_modp(rows, p, target)
        - 1)], [8]),
-    ([("row_modp", lambda row, p, w, n: None)], [8]),
+    ([("rows_modp", lambda rows: (_rows_modp(rows)[0], None))], [8]),
 ], ids=["certified", "rank-one-short", "prime-divides-a-denominator"])
 def test_smatrix_rank_falls_back_to_the_exact_path(double_s3, monkeypatch,
                                                    patches, exact_spans):

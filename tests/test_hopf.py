@@ -45,7 +45,7 @@ from hopfcat.hopf import (
     verify_quasitriangular,
 )
 from hopfcat.fusion import simple_objects
-from hopfcat.linalg import Echelon, row_addmul
+from hopfcat.linalg import Echelon, row_addmul, rows_modp
 
 ONE = as_cyclo(1)
 ZERO = as_cyclo(0)
@@ -894,7 +894,8 @@ def test_ideal_dims_take_the_exact_route_without_a_certificate(
             return original(rows, p, target) - (len(calls) == 1)
         monkeypatch.setattr(hopf, "rank_modp", rank)
     else:
-        monkeypatch.setattr(hopf, "row_modp", lambda row, p, w, n: None)
+        monkeypatch.setattr(hopf, "rows_modp",
+                            lambda rows: (rows_modp(rows)[0], None))
     original_convolve = hopf.convolve
     formed = [0]
 

@@ -1,11 +1,16 @@
+import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfcat import linalg
 from hopfcat.cyclo import CycloNumber
+from hopfcat.errors import InvariantViolation
 from hopfcat.linalg import (
     Echelon,
     acc,
@@ -13,14 +18,13 @@ from hopfcat.linalg import (
     find_prime,
     intersect,
     kernel_modp,
-    modular_field,
     nullspace,
     primitive_root_of_unity,
     rank_modp,
     row_addmul,
-    row_modp,
     row_rank,
     row_scale,
+    rows_modp,
 )
 
 ONE = CycloNumber.rational(1)
@@ -261,46 +265,40 @@ def test_kernel_modp():
     assert all(sum(a * b for a, b in zip(r, ker[0])) % p == 0 for r in mat)
 
 
-def _images(rows, p, w, n):
-    return [row_modp(r, p, w, n) for r in rows]
+# a row of order 12 that sets the common order of the rows beside it
+_ORDER_12 = {9: CycloNumber.zeta(12, 1)}
 
 
-def test_row_modp_is_a_ring_map():
+def test_rows_modp_is_a_ring_map():
     rng = random.Random(11)
-    n = 12
-    p = find_prime(n, 1 << 20)
-    w = primitive_root_of_unity(p, n)
     for _ in range(40):
         order = rng.choice((1, 2, 3, 4, 6, 12))
         x, y = (CycloNumber(order, {rng.randrange(order): Fraction(
             rng.randrange(-5, 6), rng.randrange(1, 5))}) for _ in range(2))
-        fx, fy = (row_modp({0: v}, p, w, n).get(0, 0) if v else 0
-                  for v in (x, y))
-        for value, want in ((x * y, fx * fy), (x + y, fx + fy)):
-            got = row_modp({0: value}, p, w, n).get(0, 0) if value else 0
-            assert got == want % p
+        p, images = rows_modp([{0: v} for v in (x, y, x * y, x + y)]
+                              + [_ORDER_12])
+        fx, fy, fxy, fsum = (img.get(0, 0) for img in images[:4])
+        assert fxy == fx * fy % p
+        assert fsum == (fx + fy) % p
 
 
-def test_row_modp_refuses_a_denominator_divisible_by_p():
-    p = find_prime(4, 10)
-    w = primitive_root_of_unity(p, 4)
-    assert row_modp({0: CycloNumber.rational(Fraction(1, p))}, p, w, 4) is None
-    assert row_modp({0: CycloNumber.rational(Fraction(1, 2 * p)),
-                     1: ONE}, p, w, 4) is None
-    assert row_modp({0: CycloNumber.rational(Fraction(3, 2))}, p, w, 4) \
-        == {0: 3 * pow(2, -1, p) % p}
+def test_rows_modp_refuses_a_denominator_divisible_by_p():
+    p = rows_modp([_ORDER_12])[0]
+    assert rows_modp([{0: CycloNumber.rational(Fraction(1, p))},
+                      _ORDER_12]) == (p, None)
+    assert rows_modp([_ORDER_12, {0: CycloNumber.rational(Fraction(1, 2 * p)),
+                                  1: ONE}]) == (p, None)
+    assert rows_modp([{0: CycloNumber.rational(Fraction(3, 2))},
+                      _ORDER_12])[1][0] == {0: 3 * pow(2, -1, p) % p}
 
 
 def test_rank_modp_matches_the_exact_rank_and_stops_at_target():
     rng = random.Random(7)
-    n = 4
-    p = find_prime(n, 1 << 20)
-    w = primitive_root_of_unity(p, n)
     for _ in range(30):
         ncols = rng.randrange(2, 7)
         rows = [_random_row(rng, ncols) for _ in range(rng.randrange(1, 8))]
         dim = Echelon(ncols, rows).dim
-        images = _images(rows, p, w, n)
+        p, images = rows_modp(rows)
         assert rank_modp(images, p, ncols) == dim
         read = []
 
@@ -316,12 +314,36 @@ def test_rank_modp_drops_zero_residues():
     assert rank_modp([{0: 7, 1: 3}, {0: 14, 1: 6}, {1: 7}], 7, 3) == 1
 
 
-def test_modular_field_reads_the_common_order():
+def test_rows_modp_reads_the_common_order():
     rows = [{0: CycloNumber.zeta(3, 1)}, {1: CycloNumber.zeta(4, 1), 2: ONE}]
-    p, w, n = modular_field(rows)
-    assert n == 12 and p == find_prime(12, 1 << 20)
-    assert w == primitive_root_of_unity(p, 12)
-    assert modular_field([])[2] == 1
+    p, images = rows_modp(rows)
+    assert p == find_prime(12, 1 << 20)
+    w = primitive_root_of_unity(p, 12)
+    assert images == [{0: pow(w, 4, p)}, {1: pow(w, 3, p), 2: 1}]
+    assert rows_modp([]) == (find_prime(1, 1 << 20), [])
+
+
+@pytest.mark.parametrize("power", [2, 3, 4, 6, None],
+                         ids=["order-6", "order-4", "order-3", "order-2",
+                              "not-a-root"])
+def test_a_field_with_a_non_primitive_root_is_refused(power, monkeypatch):
+    """A root of order 6, 4, 3 or 2 instead of 12, or no 12-th root of
+    unity at all: the field refuses it when it is built, before any row
+    is reduced."""
+    p = find_prime(12, 1 << 20)
+    w = primitive_root_of_unity(p, 12)
+    assert linalg._Field(12, p, w).powers[1] == w
+    bad = pow(w, power, p) if power else w + 1
+    if not power:
+        assert pow(bad, 12, p) != 1
+    monkeypatch.setattr(linalg, "primitive_root_of_unity", lambda p, n: bad)
+    linalg._field.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match=(
+                rf"^F_{p}: primitive 12-th root of unity fails on w = {bad}$")):
+            rows_modp([_ORDER_12])
+    finally:
+        linalg._field.cache_clear()
 
 
 @st.composite
@@ -353,6 +375,58 @@ def test_row_rank_is_the_exact_rank(case):
 
 
 def test_row_rank_refuses_a_prime_that_divides_a_denominator():
-    p, _, _ = modular_field([])
+    p, _ = rows_modp([])
     rows = [{0: CycloNumber.rational(Fraction(1, p))}, {1: ONE}]
     assert row_rank(rows, 2) == 2
+
+
+# --- one mod-p layer: who may find a prime or build a field -------------
+
+_SRC = Path(linalg.__file__).parent
+# the names that find a prime or build a field
+_FIELD_MAKERS = {"find_prime", "primitive_root_of_unity", "_field", "_Field"}
+# calls allowed outside linalg: chartab's own small prime p > |G|, whose
+# eigenvalue scan is O(p)
+_OUTSIDE_LINALG = {"chartab": {"find_prime": 1, "primitive_root_of_unity": 1}}
+# mod-p helpers that only linalg defines, the removed ones included
+_MODP_HELPERS = {"is_prime", "find_prime", "prime_factors",
+                 "primitive_root_of_unity", "rref_modp", "kernel_modp",
+                 "rank_modp", "rows_modp", "row_modp", "modular_field",
+                 "field", "Field"}
+
+
+def _field_work(tree: ast.Module) -> tuple[Counter, set[str]]:
+    """The calls, bare or as an attribute, of the names that find a prime
+    or build a field, counted by name; and the mod-p helpers defined."""
+    calls: Counter = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            f = n.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            if name in _FIELD_MAKERS:
+                calls[name] += 1
+    defined = {n.name.lstrip("_") for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    return calls, defined & _MODP_HELPERS
+
+
+@pytest.mark.parametrize("path", sorted(p for p in _SRC.glob("*.py")
+                                        if p.stem != "linalg"),
+                         ids=lambda p: p.name)
+def test_only_linalg_finds_a_prime_or_builds_a_field(path):
+    calls, defined = _field_work(ast.parse(path.read_text()))
+    assert calls == Counter(_OUTSIDE_LINALG.get(path.stem, {}))
+    assert defined == set()
+
+
+def test_a_stray_prime_or_field_is_found():
+    tree = ast.parse("def _row_modp(row, p): pass\n"
+                     "class Field: pass\n"
+                     "p = find_prime(12, 1 << 20)\n"
+                     "w = linalg.primitive_root_of_unity(p, 12)\n"
+                     "F = linalg._Field(12, p, w)\n"
+                     "G = _field(12)\n")
+    assert _field_work(tree) == (
+        Counter({"find_prime": 1, "primitive_root_of_unity": 1, "_Field": 1,
+                 "_field": 1}), {"row_modp", "Field"})
