@@ -208,19 +208,20 @@ def _subcat_payload(D) -> dict:
 
 
 def _lattice_payload(A) -> dict:
-    from .fusion import centralizer, enumerate_subcats
-    subs = enumerate_subcats(A)
-    sets = [set(D.indices) for D in subs]
-    covers = []
-    for i, si in enumerate(sets):
-        for j, sj in enumerate(sets):
-            if si < sj and not any(si < sets[k] < sj
-                                   for k in range(len(sets))):
-                covers.append([i, j])
+    from .fusion import centralizer, subcat_mask, subcat_table
+    table = subcat_table(A)
+    subs = list(table.values())
+    pos = {m: i for i, m in enumerate(table)}
+
+    def below(a: int, b: int) -> bool:
+        return a != b and a | b == b
+
+    covers = [[i, j] for i, a in enumerate(table) for j, b in enumerate(table)
+              if below(a, b) and not any(below(a, c) and below(c, b)
+                                         for c in table)]
     inv = []
     for i, D in enumerate(subs):
-        c = centralizer(A, D, "smatrix")
-        j = next(k for k, E in enumerate(subs) if E.indices == c.indices)
+        j = pos[subcat_mask(centralizer(A, D, "smatrix").indices)]
         if i <= j:
             inv.append([i, j])
     return {

@@ -427,8 +427,6 @@ def dot(pairs: list[tuple[CycloNumber, CycloNumber]]) -> CycloNumber:
     nums: dict[int, int] = {}
     for x, y in pairs:
         a, b = x.nums, y.nums
-        if not a or not b:
-            continue
         ka, kb = m // x.order, m // y.order
         s = den // (x.den * y.den)
         bl = [(e * kb, c * s) for e, c in b.items()]

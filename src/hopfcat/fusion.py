@@ -8,6 +8,11 @@ closure enumeration; the two are always cross-checked.  Centralizers
 of subcategories can be computed three ways (S-matrix test, image of
 the Drinfeld map, class sum membership) which the acceptance suite
 requires to agree.
+
+The catalog is read through one table per algebra, subcat_table: the
+subcategories in (fpdim, indices) order, keyed by the bitmask of their
+simples (subcat_mask).  Lookup by index set, containment and the first
+superset are integer operations on its keys.
 """
 
 from __future__ import annotations
@@ -700,11 +705,33 @@ def enumerate_subcats(A: QTAlgebra) -> list[FusionSubcat]:
 # --- centralizers ---------------------------------------------------------
 
 
+def subcat_mask(indices) -> int:
+    """The bitmask of a set of simples: bit i for V_i."""
+    return sum(1 << i for i in set(indices))
+
+
+@memoized
+def subcat_table(A: QTAlgebra) -> dict[int, FusionSubcat]:
+    """enumerate_subcats(A), in its (fpdim, indices) order, keyed by the
+    bitmask of each subcategory's simples.  The first entry whose key
+    contains a mask is, as the table is in fpdim order, the first of the
+    least-fpdim subcategories containing those simples."""
+    return {subcat_mask(D.indices): D for D in enumerate_subcats(A)}
+
+
 def _catalog_lookup(A: QTAlgebra, indices: tuple[int, ...]) -> FusionSubcat:
-    for sub in enumerate_subcats(A):
-        if sub.indices == indices:
-            return sub
-    fail(A, "catalog membership", None, f"simple set {list(indices)}")
+    sub = subcat_table(A).get(subcat_mask(indices))
+    if sub is None:
+        fail(A, "catalog membership", None, f"simple set {list(indices)}")
+    return sub
+
+
+def blocks_inside(A: QTAlgebra, L: CoidealSubalgebra) -> set[int]:
+    """The blocks j whose class span C^j lies in L, memoized on L's space,
+    the only thing the criterion reads."""
+    return memo(A, (blocks_inside, L.key()), lambda: {
+        j for j, cls in enumerate(all_classes(A, char_ring(A)))
+        if cls.space <= L.space})
 
 
 def centralizer(A: QTAlgebra, D: FusionSubcat, method: str) -> FusionSubcat:
@@ -742,12 +769,8 @@ def centralizer(A: QTAlgebra, D: FusionSubcat, method: str) -> FusionSubcat:
             raise MethodPreconditionViolated(
                 "classes method is only valid in the factorizable case")
         ring = char_ring(A)
-        classes = all_classes(A, ring)
-        sel = []
-        for i in range(len(simples)):
-            j = ring.j_of[i]
-            if classes[j].space <= L.space:
-                sel.append(i)
+        inside = blocks_inside(A, L)
+        sel = [i for i in range(len(simples)) if ring.j_of[i] in inside]
         sel2 = [i for i in range(len(simples))
                 if pair_eval(ring.idempotents[ring.j_of[i]], L.integral)]
         if sel != sel2:

@@ -18,8 +18,9 @@ from .coideal import (CoidealSubalgebra, coideal_from_space,
                       quotient_dual)
 from .cyclo import CycloNumber
 from .errors import InvariantViolation
-from .fusion import (centralizer, char_ring, enumerate_subcats, left_kernel,
-                     quotient_integral, simple_objects, smatrix)
+from .fusion import (blocks_inside, centralizer, char_ring, left_kernel,
+                     quotient_integral, simple_objects, smatrix, subcat_mask,
+                     subcat_table)
 from .groups import memo
 from .hopf import (QTAlgebra, all_classes, coinvariants, compute_K_A,
                    convolve, drinfeld_map, integrals, lmul, mul_rows,
@@ -33,14 +34,17 @@ MONODROMY_DIM_BOUND = 36
 
 
 class _Context:
-    """Everything the individual checks share, computed once."""
+    """Everything the individual checks share, built once per run or read
+    from the per-algebra memo.  Subcategories are read through fusion's
+    table (subcat_table), keyed by the bitmask of their simples."""
 
     def __init__(self, A: QTAlgebra):
         self.A = A
         self.simples = simple_objects(A)
         self.r = len(self.simples)
         self.dims = [s.dim for s in self.simples]
-        self.subs = enumerate_subcats(A)
+        self.table = subcat_table(A)
+        self.subs = list(self.table.values())
         self.cos = enumerate_coideals(A)
         self.sm = smatrix(A)
         self.dm = drinfeld_map(A)
@@ -49,14 +53,14 @@ class _Context:
         self.classes = all_classes(A, self.ring)
         self.lam, self.t = integrals(A)
         self.KA = compute_K_A(A)
-        self.sub_by_idx = {D.indices: D for D in self.subs}
-        self.full = self.sub_by_idx[tuple(range(self.r))]
+        self.full = self.table[subcat_mask(range(self.r))]
         self.cent = {D.indices: centralizer(A, D, "smatrix")
                      for D in self.subs}
         # indices of Rep(A//L) for every cataloged coideal: each one is
         # the coideal of a subcategory, C(M,H,lambda^-1) of S(M,H,lambda)
         # and k[N] of Rep(G/N)
         self.idx = {D.coideal.key(): D.indices for D in self.subs}
+        self.mask = {D.coideal.key(): m for m, D in self.table.items()}
         self.Lstar = {L.key(): dual_coideal(A, L) for L in self.cos}
 
     def fpdim_of(self, indices) -> int:
@@ -65,6 +69,9 @@ class _Context:
     def idx_of(self, L: CoidealSubalgebra) -> tuple[int, ...]:
         return self.idx[L.key()]
 
+    def mask_of(self, L: CoidealSubalgebra) -> int:
+        return self.mask[L.key()]
+
     def star(self, L: CoidealSubalgebra) -> CoidealSubalgebra:
         return self.Lstar[L.key()]
 
@@ -72,24 +79,20 @@ class _Context:
         return self.cent[self.idx_of(L)]
 
     def join(self, a, b) -> tuple[int, ...]:
-        """Smallest cataloged subcategory containing both index sets."""
-        want = set(a) | set(b)
-        best = None
-        for D in self.subs:
-            if want <= set(D.indices):
-                if best is None or D.fpdim < best.fpdim:
-                    best = D
-        return best.indices
+        """The first subcategory of the table containing both index sets:
+        the first least-fpdim one, as the table is in fpdim order."""
+        want = subcat_mask(a) | subcat_mask(b)
+        return next(D.indices for m, D in self.table.items()
+                    if m & want == want)
 
     def lker(self, i: int) -> Echelon:
         return memo(self.A, (left_kernel, i),
                     lambda: left_kernel(self.A, self.simples[i]))
 
     def blocks_in(self, L: CoidealSubalgebra) -> set[int]:
-        """Blocks j with C^j contained in L."""
-        return memo(self.A, (_Context.blocks_in, L.key()), lambda: {
-            j for j, cls in enumerate(self.classes)
-            if cls.space <= L.space})
+        """Blocks j with C^j contained in L, the criterion of the classes
+        centralizer route (blocks_inside)."""
+        return blocks_inside(self.A, L)
 
     def is_normal(self, L: CoidealSubalgebra) -> bool:
         return memo(self.A, (is_normal_hopf_subalgebra, L.key()),
@@ -141,14 +144,13 @@ def _check_double_centralizer(ctx: _Context) -> Verdicts:
 
 def _check_centralizer_exchange(ctx: _Context) -> Verdicts:
     """fpdim(B meet D') fpdim(D) = fpdim(B' meet D) fpdim(B), all pairs."""
-    for B in ctx.subs:
-        bset = set(B.indices)
-        bp = set(ctx.cent[B.indices].indices)
+    sets = [set(D.indices) for D in ctx.subs]
+    cents = [set(ctx.cent[D.indices].indices) for D in ctx.subs]
+    for B, bset, bp in zip(ctx.subs, sets, cents):
         bad = None
-        for D in ctx.subs:
-            dp = set(ctx.cent[D.indices].indices)
+        for D, dset, dp in zip(ctx.subs, sets, cents):
             lhs = ctx.fpdim_of(bset & dp) * D.fpdim
-            rhs = ctx.fpdim_of(bp & set(D.indices)) * B.fpdim
+            rhs = ctx.fpdim_of(bp & dset) * B.fpdim
             if lhs != rhs:
                 bad = f"against {D.label()}: {lhs} != {rhs}"
                 break
@@ -164,7 +166,7 @@ def _check_lattice_duality(ctx: _Context) -> Verdicts:
         for L2 in ctx.cos[i:]:
             P = coideal_product(A, L1, L2)
             I = coideal_intersect(A, L1, L2)
-            if set(ctx.idx_of(P)) != set(ctx.idx_of(L1)) & set(ctx.idx_of(L2)):
+            if ctx.mask_of(P) != ctx.mask_of(L1) & ctx.mask_of(L2):
                 bad = f"product vs meet fails against {L2.label()}"
                 break
             if ctx.idx_of(I) != ctx.join(ctx.idx_of(L1), ctx.idx_of(L2)):
@@ -327,25 +329,25 @@ def _check_centralizing_pairs(ctx: _Context) -> Verdicts:
     A = ctx.A
     r = ctx.r
     jof = ctx.ring.j_of
-    nblocks = len(ctx.ring.idempotents)
-    chars = [s.character for s in ctx.simples]
-    # alpha[m][j]: coefficient of chi_m over the idempotent F_j
-    alpha = [[pair_eval(convolve(A, chars[m], ctx.ring.idempotents[j]),
-                        ctx.lam) * CycloNumber.rational(ctx.ring.n_values[j])
-              for j in range(nblocks)] for m in range(r)]
+    fs = ctx.ring.idempotents
+    # each chi_m * F_j formed once: alpha[m][j], the coefficient of chi_m
+    # over F_j, reads it at Lambda; fixed[m][j] is chi_m * F_j = d_m F_j
+    alpha, fixed = [], []
+    for s in ctx.simples:
+        prods = [convolve(A, s.character, f) for f in fs]
+        alpha.append([pair_eval(p, ctx.lam) * CycloNumber.rational(n)
+                      for p, n in zip(prods, ctx.ring.n_values)])
+        d = CycloNumber.rational(s.dim)
+        fixed.append([p == row_scale(f, d) for p, f in zip(prods, fs)])
     block_in_lker = [[ctx.classes[j].space <= ctx.lker(m) for m in range(r)]
-                     for j in range(nblocks)]
+                     for j in range(len(fs))]
     for i in range(r):
         bad = None
-        fi = ctx.ring.idempotents[jof[i]]
         for m in range(r):
             di, dm_ = ctx.dims[i], ctx.dims[m]
             c1 = ctx.sm.entries[i][m] == CycloNumber.rational(di * dm_)
-            c2 = (convolve(A, chars[m], fi)
-                  == row_scale(fi, CycloNumber.rational(dm_)))
-            c3 = (convolve(A, chars[i], ctx.ring.idempotents[jof[m]])
-                  == row_scale(ctx.ring.idempotents[jof[m]],
-                               CycloNumber.rational(di)))
+            c2 = fixed[m][jof[i]]
+            c3 = fixed[i][jof[m]]
             c4 = block_in_lker[jof[i]][m]
             c5 = block_in_lker[jof[m]][i]
             if not c1 == c2 == c3 == c4 == c5:

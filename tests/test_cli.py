@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcat
-from hopfcat import build_double, enumerate_coideals, enumerate_subcats
-from hopfcat.cli import parse_triple, run
+from hopfcat import (build_double, centralizer, enumerate_coideals,
+                     enumerate_subcats)
+from hopfcat.cli import _lattice_payload, parse_triple, run
 from hopfcat.cyclo import CycloNumber
 from hopfcat.errors import BoundExceeded, ParseError
 from hopfcat.groups import check_double_dim, parse_group_spec
@@ -251,6 +252,30 @@ def test_coideals_built_once():
     assert trace["counts"]["coideal.build_coideal_calls"] == len(coideals) == 8
     # every space is an Echelon built through insert, which the tracer counts
     assert trace["counts"]["linalg.echelon_insert_calls"] > 0
+
+
+@pytest.mark.parametrize("name", ["D(D4)", "k[S3]"])
+def test_lattice_payload_matches_the_set_computation(doubles, triangular_s3,
+                                                     name):
+    """covers and centralizer_pairs, read off the subcategory table's
+    masks, against strict inclusion of index sets and a scan of the
+    catalog for each smatrix centralizer."""
+    A = triangular_s3 if name == "k[S3]" else doubles["D4"]
+    subs = enumerate_subcats(A)
+    sets = [set(D.indices) for D in subs]
+    covers = [[i, j] for i, a in enumerate(sets) for j, b in enumerate(sets)
+              if a < b and not any(a < c < b for c in sets)]
+    pairs = []
+    for i, D in enumerate(subs):
+        c = centralizer(A, D, "smatrix")
+        j = next(k for k, E in enumerate(subs) if E.indices == c.indices)
+        if i <= j:
+            pairs.append([i, j])
+    payload = _lattice_payload(A)
+    assert payload["covers"] == sorted(covers)
+    assert payload["centralizer_pairs"] == sorted(pairs)
+    assert [n["indices"] for n in payload["nodes"]] == [
+        list(D.indices) for D in subs]
 
 
 def test_max_dim_can_only_lower_the_bound(tmp_path, capsys):

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcat.cyclo import CycloNumber, as_cyclo, cyclotomic_polynomial, fmt_cyclo
+from hopfcat.cyclo import (CycloNumber, as_cyclo, cyclotomic_polynomial, dot,
+                          fmt_cyclo)
 
 GOLDEN_OPS = Path(__file__).parent / "golden" / "cyclo_ops.json"
 
@@ -177,6 +178,23 @@ def test_results_are_in_normal_form(a, b, i):
         results.append(a / b)
     for x in results:
         _assert_normal(x)
+
+
+@pytest.mark.parametrize("orders", [(8, 4), (3, 9), (4, 6)],
+                         ids=["prime-power", "prime-power-3", "mixed"])
+def test_dot_with_zero_operands_is_the_chain(orders):
+    """A ZERO operand, on either side, adds no term: dot equals the chain
+    acc = acc + x * y from ZERO, stored form included."""
+    p, q = orders
+    x, y = CycloNumber.zeta(p, 1), CycloNumber(q, {1: Fraction(2, 3), 0: 1})
+    pairs = [(ZERO, x), (x, y), (y, ZERO), (ZERO, ZERO), (y, x)]
+    chain = ZERO
+    for a, b in pairs:
+        chain = chain + a * b
+    got = dot(pairs)
+    assert (got.order, got.den, got.nums) == (chain.order, chain.den,
+                                              chain.nums)
+    assert dot([(ZERO, x), (y, ZERO)]).to_json() == ZERO.to_json()
 
 
 def test_immutability():

@@ -225,6 +225,8 @@ def test_generated_subcategory(double_s3):
     # single nontrivial generator
     g = generated_subcategory(A, [1])
     assert g.indices == (0, 1)
+    # no generator: Vec, from the whole algebra as kernel
+    assert generated_subcategory(A, []).indices == (0,)
 
 
 def test_not_closed_rejected(double_s3):
@@ -313,6 +315,25 @@ def test_catalog_lookup_names_the_algebra(double_s3):
         fusion._catalog_lookup(double_s3, (99,))
     assert str(err.value) == (
         "D(S3): catalog membership fails on simple set [99]")
+
+
+def test_catalog_lookup_refuses_a_table_key_with_a_dropped_bit(double_s3,
+                                                               monkeypatch):
+    """The whole category keyed by its mask without the top simple: the
+    smatrix centralizer of Vec, which is everything, is then no longer
+    found.  The per-algebra table is copied, never written."""
+    A = double_s3
+    table = fusion.subcat_table(A)
+    full = max(table)
+    vec = table[1]
+    assert centralizer(A, vec, "smatrix") is table[full]
+    bad = {(m & ~(1 << (full.bit_length() - 1)) if m == full else m): D
+           for m, D in table.items()}
+    monkeypatch.setattr(fusion, "subcat_table", lambda A: bad)
+    with pytest.raises(InvariantViolation) as err:
+        centralizer(A, vec, "smatrix")
+    assert str(err.value) == ("D(S3): catalog membership fails on simple "
+                              f"set {list(range(full.bit_length()))}")
 
 
 def _double_character(s):

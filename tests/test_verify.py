@@ -3,12 +3,14 @@ import json
 
 import pytest
 
-from hopfcat import coideal, hopf, verify
+from hopfcat import (build_double, centralizer, coideal, fusion, hopf,
+                     parse_group_spec, verify)
 from hopfcat.coideal import (dual_coideal, enumerate_coideals,
                              is_normal_hopf_subalgebra, quotient_dual)
 from hopfcat.cyclo import ONE, ZERO
 from hopfcat.errors import InvariantViolation
-from hopfcat.hopf import ConjClass, drinfeld_map, subalgebra_generators
+from hopfcat.hopf import (ConjClass, convolve, drinfeld_map,
+                          subalgebra_generators)
 from hopfcat.linalg import Echelon, nullspace
 from hopfcat.verify import (SMOKE_CHECKS, _REGISTRY, _Context,
                             _check_block_divisibility,
@@ -246,10 +248,7 @@ def _failures(check, ctx) -> list[tuple[str, bool, str]]:
 
 @pytest.fixture
 def ctx_s3(double_s3):
-    ctx = _Context(double_s3)
-    for L in ctx.cos:   # memoized before any test corrupts ctx.classes
-        ctx.blocks_in(L)
-    return ctx
+    return _Context(double_s3)
 
 
 @pytest.mark.parametrize("corrupt, detail", [
@@ -351,3 +350,84 @@ def test_centralizing_pairs_fail_on_a_changed_smatrix_entry(ctx_s3,
                             dataclasses.replace(sm, entries=entries))
         assert _failures(_check_centralizing_pairs, ctx_s3)[0] == (
             ctx_s3.simples[a].label(), False, detail)
+
+
+class _WrongDim:
+    """A coideal stand-in: the key of L, its dimension plus one."""
+
+    def __init__(self, L):
+        self.key, self.dim = L.key, L.dim + 1
+
+
+def test_lattice_duality_fails_on_a_wrong_product_dimension(ctx_s3,
+                                                            monkeypatch):
+    """A product with the right index set but one dimension too many:
+    the meet and the join still agree, the dimension identity does not,
+    first on k1 against itself."""
+    product = verify.coideal_product
+    monkeypatch.setattr(verify, "coideal_product", lambda A, L1, L2:
+                        _WrongDim(product(A, L1, L2)))
+    k1 = ctx_s3.cos[0]
+    assert _failures(_check_lattice_duality, ctx_s3)[0] == (
+        k1.label(), False, f"dim 2*1 != 1*1 against {k1.label()}")
+
+
+def _join_by_sets(subs, a, b) -> tuple[int, ...]:
+    """Reference: the first least-fpdim subcategory containing a and b,
+    by a scan of their index sets."""
+    want = set(a) | set(b)
+    best = None
+    for D in subs:
+        if want <= set(D.indices) and (best is None or D.fpdim < best.fpdim):
+            best = D
+    return best.indices
+
+
+@pytest.mark.parametrize("name", ["D(D4)", "k[S3]"])
+def test_join_is_the_least_superset_of_the_set_scan(
+        doubles, triangular_s3, name):
+    A = triangular_s3 if name == "k[S3]" else doubles["D4"]
+    ctx = _Context(A)
+    for D in ctx.subs:
+        for E in ctx.subs:
+            assert ctx.join(D.indices, E.indices) == _join_by_sets(
+                ctx.subs, D.indices, E.indices)
+
+
+def test_blocks_in_reads_the_classes_centralizer_memo(monkeypatch):
+    """centralizer(..., "classes") fills the blocks memo of a fresh
+    algebra, and _Context.blocks_in reads it: with the class spans out
+    of fusion's reach, it still answers for every coideal."""
+    A = build_double(parse_group_spec("S3"))
+    for D in fusion.subcat_table(A).values():
+        centralizer(A, D, "classes")
+    ctx = _Context(A)
+    monkeypatch.setattr(fusion, "all_classes", None)
+    for L in ctx.cos:
+        assert ctx.blocks_in(L) == {j for j, cls in enumerate(ctx.classes)
+                                    if cls.space <= L.space}
+
+
+@pytest.mark.parametrize("name, group, want", [
+    ("D(S3)", "S3", 64), ("D(D4)", "D4", 484), ("k[S3]", "S3", 9),
+    pytest.param("D(Z12)", "Z12", 20736, marks=pytest.mark.large),
+])
+def test_centralizing_pairs_form_each_product_once(doubles, triangular_s3,
+                                                   name, group, want,
+                                                   monkeypatch):
+    """convolve runs r * nblocks times inside _check_centralizing_pairs,
+    once per chi_m * F_j; forming them again for c2 and c3 made 192,
+    1,452, 27 and 62,208."""
+    if name == "k[S3]":
+        A = triangular_s3
+    else:
+        A = doubles.get(group) or build_double(parse_group_spec(group))
+    ctx = _Context(A)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return convolve(*args)
+    monkeypatch.setattr(verify, "convolve", counted)
+    assert not _failures(_check_centralizing_pairs, ctx)
+    assert calls[0] == want == ctx.r * len(ctx.ring.idempotents)

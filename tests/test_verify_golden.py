@@ -23,7 +23,7 @@ SMALL = (("D(S3)", build_double, "S3"), ("D(Z2xZ2)", build_double, "Z2xZ2"),
          ("D(Q8)", build_double, "Q8"), ("D(D4)", build_double, "D4"),
          ("k[S3]", build_triangular, "S3"))
 LARGE = (("D(A4)", build_double, "A4"), ("D(D6)", build_double, "D6"),
-         ("D(Z7)", build_double, "Z7"))
+         ("D(Z7)", build_double, "Z7"), ("D(Z12)", build_double, "Z12"))
 
 
 def report_digest(build, group: str) -> str:
