@@ -1,7 +1,8 @@
 """Exact character tables of finite groups.
 
 Characters are found as common eigenvectors of the class-sum matrices
-over a prime field F_p with p = 1 mod exp(G) and p > |G|, then lifted
+over a prime field F_p with p = 1 mod exp(G) and p > |G| (linalg's
+_field, which checks its primitive exp(G)-th root of unity), then lifted
 to exact cyclotomic values by computing root-of-unity multiplicities.
 The lifted table is verified against orthogonality before it is
 returned, so the modular arithmetic never leaks into results.
@@ -14,11 +15,10 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .cyclo import CycloNumber, ONE, ZERO, as_cyclo
+from .cyclo import CycloNumber, ONE, ZERO, as_cyclo, dot
 from .errors import fail
 from .groups import Group
-from .linalg import (find_prime, kernel_modp, primitive_root_of_unity,
-                     rref_modp)
+from .linalg import _field, kernel_modp, rref_modp
 
 
 class CharacterTable:
@@ -56,10 +56,9 @@ class CharacterTable:
                     fail(G, "conjugate/inverse agreement", None,
                          f"row {i}, class {k}")
             for j in range(i, r):
-                tot = ZERO
-                for k in range(r):
-                    tot = tot + as_cyclo(sizes[k]) * self.rows[i][k] \
-                        * self.rows[j][self.inv_class[k]]
+                tot = dot([(as_cyclo(sizes[k]) * self.rows[i][k],
+                            self.rows[j][self.inv_class[k]])
+                           for k in range(r)])
                 want = G.n if i == j else 0
                 if tot != want:
                     fail(G, "orthogonality", None, f"rows {i},{j}")
@@ -165,8 +164,9 @@ def character_table(G: Group) -> CharacterTable:
     r = len(classes)
     sizes = [c.size for c in classes]
     N = G.exponent()
-    p = find_prime(N, G.n)
-    w = primitive_root_of_unity(p, N)
+    # w^e = roots[e] for the field's checked primitive N-th root w
+    field = _field(N, G.n)
+    p, roots = field.p, field.powers
     omegas = _central_characters(G, p)
     class_of = G.class_of()
     inv_class = [class_of[G.inv[c.representative]] for c in classes]
@@ -186,8 +186,7 @@ def character_table(G: Group) -> CharacterTable:
         for k, c in enumerate(classes):
             g = c.representative
             dg = G.element_order(g)
-            z = pow(w, N // dg, p)
-            zinv = pow(z, p - 2, p)
+            step = N // dg
             powers = []
             x = 0
             for _ in range(dg):
@@ -197,7 +196,9 @@ def character_table(G: Group) -> CharacterTable:
             val = ZERO
             total = 0
             for e in range(dg):
-                m = sum(powers[t] * pow(zinv, e * t, p) for t in range(dg)) * dginv % p
+                # z^(-e t) for z = w^(N/dg), a primitive dg-th root
+                m = sum(powers[t] * roots[-step * e * t % N]
+                        for t in range(dg)) * dginv % p
                 if m > d:
                     fail(G, "root multiplicity <= degree", None, f"class {k}")
                 if m:

@@ -15,6 +15,13 @@ forms its equations in one generator (_direct_equations,
 _integral_equations), run over exact values for the exact route and
 over their images mod p (linalg.rows_modp; the linalg docstring states
 the reduction lemma) for the certificate.
+
+A computed space is matched to its catalog entry by key, through one
+key -> position memo per algebra (_catalog_index, read by
+coideal_from_space and the certificates).  The shifted route to (A//L)*
+reads the left-quotient table of hopf (left_quotients), whose slots the
+injectivity scan of verify_axioms makes unique.  What is decided about a
+space alone, such as is_normal_hopf_subalgebra, is memoized on its key.
 """
 
 from __future__ import annotations
@@ -404,10 +411,27 @@ def enumerate_coideals(A: QTAlgebra) -> list[CoidealSubalgebra]:
     return sorted(found.values(), key=lambda L: (L.dim, L.key()))
 
 
+@memoized
+def _catalog_index(A: QTAlgebra) -> dict[tuple, int]:
+    """The position of each entry of enumerate_coideals(A), by its key."""
+    return {L.key(): i for i, L in enumerate(enumerate_coideals(A))}
+
+
 def coideal_from_space(A: QTAlgebra, space: Echelon) -> CoidealSubalgebra:
-    """Wrap a subspace as a verified coideal, reusing a catalog entry when
-    the same space was already enumerated."""
-    for L in enumerate_coideals(A):
+    """Wrap a subspace as a verified coideal, reusing the catalog entry on
+    the same space, looked up by key (_catalog_index).
+
+    A key reads the stored form of each value (Echelon.key), and equal
+    values can be stored at different orders (see cyclo): the kernels of
+    generated_subcategory on D(Z6) hold -1 + z(6) where the catalog holds
+    z(3).  So a space whose key is no entry's is compared exactly with
+    the entries of its dimension before it is wrapped anew.
+    """
+    cos = enumerate_coideals(A)
+    i = _catalog_index(A).get(space.key())
+    if i is not None:
+        return cos[i]
+    for L in cos:
         if L.dim == space.dim and L.space == space:
             return L
     return _wrap(A, space, None, None)
@@ -419,14 +443,13 @@ def coideal_from_space(A: QTAlgebra, space: Echelon) -> CoidealSubalgebra:
 @dataclass
 class _Catalog:
     """What the certificates of coideal_product and coideal_intersect read,
-    built once per algebra from enumerate_coideals: each entry's position
-    by key, the containment order (below[i][j] when entry i lies in entry
-    j, by exact Echelon.__le__), and the prime p and each entry's reduced
-    rows mod p of one rows_modp over all entries (None when p divides one
-    of their denominators)."""
+    built once per algebra from enumerate_coideals: the containment order
+    (below[i][j] when entry i lies in entry j, by exact Echelon.__le__),
+    and the prime p and each entry's reduced rows mod p of one rows_modp
+    over all entries (None when p divides one of their denominators).
+    Entries are found by position (_catalog_index)."""
 
     entries: list[CoidealSubalgebra]
-    index: dict[tuple, int]
     below: list[list[bool]]
     p: int
     rows: list[list[dict[int, int]]] | None
@@ -444,16 +467,15 @@ def _catalog(A: QTAlgebra) -> _Catalog:
     if images is not None:
         it = iter(images)
         rows = [list(itertools.islice(it, L.dim)) for L in cos]
-    return _Catalog(cos, {L.key(): i for i, L in enumerate(cos)}, below, p,
-                    rows)
+    return _Catalog(cos, below, p, rows)
 
 
 def _positions(A: QTAlgebra, L1: CoidealSubalgebra,
                L2: CoidealSubalgebra) -> tuple[_Catalog, int | None, int | None]:
     """The catalog, and the positions of L1 and L2 in it (None for no
     entry)."""
-    cat = _catalog(A)
-    return cat, cat.index.get(L1.key()), cat.index.get(L2.key())
+    index = _catalog_index(A)
+    return _catalog(A), index.get(L1.key()), index.get(L2.key())
 
 
 def _within(cat: _Catalog, i: int | None, j: int | None,
@@ -569,25 +591,6 @@ def coideal_intersect(A: QTAlgebra, L1: CoidealSubalgebra,
     return coideal_from_space(A, intersect(L1.space, L2.space))
 
 
-def _left_quotients(A: QTAlgebra) -> list[list[int]]:
-    """left_quotients(A), scanned once per algebra to invert prod_idx:
-    lq[k][j] = m for every e_m e_j = e_k, and lq holds no other entry
-    (it holds as many as prod_idx)."""
-    def build() -> list[list[int]]:
-        lq = left_quotients(A)
-        held = 0
-        for m, row in enumerate(A.prod_idx):
-            for j, k in enumerate(row):
-                if k >= 0:
-                    held += 1
-                    if lq[k][j] != m:
-                        fail(A, "left-quotient table", k, f"e{m} e{j}")
-        if held != sum(1 for row in lq for m in row if m >= 0):
-            fail(A, "left-quotient table", None, "its entry count")
-        return lq
-    return memo(A, _left_quotients, build)
-
-
 @memoized
 def _left_factors(A: QTAlgebra) -> list[list[int]]:
     """cols[j]: the ascending k with e_k e_j != 0, column j of prod_idx."""
@@ -648,8 +651,8 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     shifted <= direct.  For every generator l, l Lambda_L = eps(l)
     Lambda_L (coideal_integral checks it, and it is checked again here),
     so e_k^*(a l Lambda_L) = eps(l) e_k^*(a Lambda_L); and the shifted
-    rows read Lambda_L through left_quotients, scanned once per algebra
-    to invert prod_idx (_left_quotients).  dim direct = dim A - rank of
+    rows read Lambda_L through left_quotients, which inverts prod_idx
+    (the lemma is in its docstring).  dim direct = dim A - rank of
     the equations <= dim A - rank_p, so a rank mod p of dim A - dim
     shifted gives dim direct <= dim shifted, and direct = shifted.  The
     rank is run to the end, so a rank above that, which shifted <= direct
@@ -673,7 +676,7 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
         cls = {j: value_class.setdefault(v, len(value_class))
                for j, v in row_keys([L.integral])[0]}
         ncls = len(value_class)
-        lq = _left_quotients(A)
+        lq = left_quotients(A)
         rows: dict[tuple, Row] = {}
         for k in range(A.dim):
             terms = sorted((m, j) for j in L.integral
@@ -725,15 +728,18 @@ def recover_from_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
 
 def is_normal_hopf_subalgebra(A: QTAlgebra, L: CoidealSubalgebra) -> bool:
     """Antipode-stable, Delta(L) <= L x L, and closed under both adjoint
-    actions (checked on the generators of A and of L, see ad_escape)."""
-    space = L.space
-    gens = subalgebra_generators(A, space)
-    if gens is None:
-        return False
-    for row in space.rows:
-        left, right = leg_slices(A, row)
-        if not all(space.contains(v)
-                   for v in [apply_antipode(A, row), *left, *right]):
+    actions (checked on the generators of A and of L, see ad_escape);
+    decided once per space, the only thing it reads."""
+    def build() -> bool:
+        space = L.space
+        gens = subalgebra_generators(A, space)
+        if gens is None:
             return False
-    return (ad_escape(A, space, adjoint, gens) is None
-            and ad_escape(A, space, right_adjoint, gens) is None)
+        for row in space.rows:
+            left, right = leg_slices(A, row)
+            if not all(space.contains(v)
+                       for v in [apply_antipode(A, row), *left, *right]):
+                return False
+        return (ad_escape(A, space, adjoint, gens) is None
+                and ad_escape(A, space, right_adjoint, gens) is None)
+    return memo(A, (is_normal_hopf_subalgebra, L.key()), build)

@@ -28,10 +28,10 @@ from .cyclo import CycloNumber, ONE, ZERO, fmt_cyclo
 from .errors import MethodPreconditionViolated, PreconditionViolated, fail
 from .groups import (Subgroup, center_subgroup, centralizer_subgroup, memo,
                      memoized, normal_subgroups)
-from .hopf import (QTAlgebra, all_classes, char_ring_idempotents, coinvariants,
-                   convolve, delta_of, drinfeld_map, dual_character,
-                   generators, harpoon_right, integrals, mul_rows,
-                   noncentral_generator, pair_eval, rmul)
+from .hopf import (QTAlgebra, char_ring_idempotents, coinvariants, convolve,
+                   delta_of, drinfeld_map, dual_character, generators,
+                   harpoon_right, integrals, mul_rows, noncentral_generator,
+                   pair_eval, rmul)
 from .linalg import (Echelon, Row, acc, intersect, row_keys, row_rank,
                      row_scale)
 from .reps import Matrix, mat_mul, matrix_irrep
@@ -187,9 +187,7 @@ def _induced_simples(A: QTAlgebra, ci: int, a: int,
         frozen = {k: tuple(tuple(r) for r in M) for k, M in matrices.items()}
         char: Row = {}
         for k, M in frozen.items():
-            tr = ZERO
-            for r in range(d):
-                tr = tr + M[r][r]
+            tr = sum((M[r][r] for r in range(d)), ZERO)
             if tr:
                 char[k] = tr
         s = SimpleObject(A, start + ri, ci, ri, a, d, dc, char, frozen,
@@ -207,16 +205,10 @@ def _frobenius_check(A: QTAlgebra, s: SimpleObject, reps: list[int],
     members = set(s.csub.members)
     corder = CycloNumber.rational(Fraction(1, len(members)))
     for g in range(G.n):
-        lhs = ZERO
-        for x in range(G.n):
-            v = s.character.get(A.pair_index(x, g))
-            if v:
-                lhs = lhs + v
-        rhs = ZERO
-        for t in range(G.n):
-            y = G.conj(G.inv[t], g)
-            if y in members:
-                rhs = rhs + ctab.value_at(s.rep_index, pos[y])
+        lhs = sum((s.character.get(A.pair_index(x, g), ZERO)
+                   for x in range(G.n)), ZERO)
+        rhs = sum((ctab.value_at(s.rep_index, pos[y]) for t in range(G.n)
+                   if (y := G.conj(G.inv[t], g)) in members), ZERO)
         if lhs != corder * rhs:
             fail(A, "induced character", None, f"V{s.index} at g{g}")
 
@@ -458,10 +450,7 @@ def smatrix(A: QTAlgebra) -> SMatrix:
                     for q, y in enumerate(yb):
                         if y:
                             diag[p * dj + q] = diag[p * dj + q] + c * (x * y)
-            tr = ZERO
-            for v in diag:
-                tr = tr + v
-            if tr != entries[i][j]:
+            if sum(diag, ZERO) != entries[i][j]:
                 fail(A, "S-matrix character/trace agreement", None,
                      f"s[{i}][{j}]")
 
@@ -730,7 +719,7 @@ def blocks_inside(A: QTAlgebra, L: CoidealSubalgebra) -> set[int]:
     """The blocks j whose class span C^j lies in L, memoized on L's space,
     the only thing the criterion reads."""
     return memo(A, (blocks_inside, L.key()), lambda: {
-        j for j, cls in enumerate(all_classes(A, char_ring(A)))
+        j for j, cls in enumerate(char_ring(A).classes)
         if cls.space <= L.space})
 
 
@@ -782,26 +771,31 @@ def centralizer(A: QTAlgebra, D: FusionSubcat, method: str) -> FusionSubcat:
 
 @memoized
 def char_ring(A: QTAlgebra):
+    """The character ring's idempotents and class spans
+    (char_ring_idempotents), built once per algebra."""
     return char_ring_idempotents(A, [s.character for s in simple_objects(A)])
 
 
-def left_kernel(A: QTAlgebra, s: SimpleObject) -> Echelon:
-    """Largest left coideal acting trivially on the first tensor leg:
-    elements a with a_1 (x) a_2 v = a (x) v."""
-    rho: list[Row] = [{} for _ in range(A.dim)]
-    for k, m in s.matrices.items():
-        rho[k] = {(p, q): v for p, row in enumerate(m)
-                  for q, v in enumerate(row) if v}
-    return coinvariants(A, rho, {(p, p): ONE for p in range(s.dim)})
+def left_kernel(A: QTAlgebra, i: int) -> Echelon:
+    """Largest left coideal acting trivially on the first tensor leg of
+    the i-th simple V: elements a with a_1 (x) a_2 v = a (x) v; built
+    once per algebra and simple."""
+    def build() -> Echelon:
+        s = simple_objects(A)[i]
+        rho: list[Row] = [{} for _ in range(A.dim)]
+        for k, m in s.matrices.items():
+            rho[k] = {(p, q): v for p, row in enumerate(m)
+                      for q, v in enumerate(row) if v}
+        return coinvariants(A, rho, {(p, p): ONE for p in range(s.dim)})
+    return memo(A, (left_kernel, i), build)
 
 
 def generated_subcategory(A: QTAlgebra, indices) -> FusionSubcat:
     """Smallest subcategory containing the given simples, computed from
     the left kernel of their direct sum and cross-checked by closure."""
-    simples = simple_objects(A)
     space: Echelon | None = None
     for i in indices:
-        ker = left_kernel(A, simples[i])
+        ker = left_kernel(A, i)
         space = ker if space is None else intersect(space, ker)
     if space is None:
         space = Echelon(A.dim, [A.basis(k) for k in range(A.dim)])

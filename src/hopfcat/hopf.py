@@ -20,7 +20,8 @@ verify_axioms checks once, by an integer scan, that e_k e_j and e_j e_k
 are distinct basis elements for the j they do not kill, so lmul and
 rmul move each coefficient of a row along one row or column of prod_idx
 with no scalar operation, and left_quotients inverts the table for the
-translates of functionals.  mul_rows is left to general x general
+translates of functionals (the same scan writes each of its slots once).
+mul_rows is left to general x general
 products.  Invariance under the adjoint actions and centrality are
 checked on the algebra generators only (`generators`), by ad_escape and
 noncentral_generator, whose docstrings hold the lemmas.  verify_axioms
@@ -28,10 +29,12 @@ checks the multiplicative axioms and R's intertwining of the coproducts
 the same way, once an integer search has shown that products of
 generators reach every basis element; the central
 idempotents and their character values are checked on the diagonal
-only, and phi's multiplicativity on the dual basis.  A class span is
-read off one coproduct (conjugacy_class) and the class-equation
-integers off ranks mod p (_ideal_dims).  A subalgebra, such as a coideal or K_A, is checked on
-a small generating set of its own, certified once per space by
+only, and phi's multiplicativity on the dual basis.  The idempotents
+of the character ring, their class-equation integers (ranks mod p,
+_ideal_dims) and the class spans (each read off one coproduct,
+conjugacy_class) are built together by char_ring_idempotents and kept
+on the CharRing it returns.  A subalgebra, such as a coideal or K_A, is
+checked on a small generating set of its own, certified once per space by
 subalgebra_generators: its product closure, the left coideal property
 (is_left_coideal) and ad-stability (ad_escape).  Each such check states
 its lemma where it runs, and none samples.
@@ -180,8 +183,14 @@ def rmul(A: QTAlgebra, row: Row, k: int) -> Row:
 
 @memoized
 def left_quotients(A: QTAlgebra) -> list[list[int]]:
-    """lq[k][j]: the m with e_m e_j = e_k, or -1; unique, as right
-    multiplication by e_j is injective where it does not kill."""
+    """lq[k][j]: the m with e_m e_j = e_k, or -1.
+
+    Lemma: each slot is written at most once, so lq inverts prod_idx and
+    holds no other entry.  verify_axioms refuses an algebra whose right
+    multiplication by some e_j sends two basis elements to one (its
+    basis-product injectivity scan), so for each (k, j) at most one m
+    has e_m e_j = e_k; and every entry written is such an m.
+    """
     lq = [[-1] * A.dim for _ in range(A.dim)]
     for m, row in enumerate(A.prod_idx):
         for j, k in enumerate(row):
@@ -224,11 +233,7 @@ def apply_antipode(A: QTAlgebra, a: Row) -> Row:
 
 
 def counit_value(A: QTAlgebra, a: Row) -> CycloNumber:
-    acc = ZERO
-    for k, v in a.items():
-        if A.counit[k]:
-            acc = acc + v
-    return acc
+    return sum((v for k, v in a.items() if A.counit[k]), ZERO)
 
 
 def delta_of(A: QTAlgebra, a: Row) -> dict[tuple[int, int], CycloNumber]:
@@ -794,25 +799,16 @@ class DrinfeldMap:
         """p(R^2) R^1."""
         return apply_pairs(self._f_r21, f)
 
-    def matrix_rows(self) -> list[Row]:
-        """Row i of the matrix of phi over the dual basis."""
-        def build() -> list[Row]:
-            rows: list[Row] = [{} for _ in range(self.algebra.dim)]
-            for k, image in enumerate(_phi_dual_basis(self.algebra)):
-                for i, c in image.items():
-                    rows[i][k] = c
-            return rows
-        return memo(self.algebra, DrinfeldMap.matrix_rows, build)
-
     def _eliminate(self) -> Echelon:
-        """[M | I] in reduced form, for M the matrix of phi (matrix_rows):
-        the one elimination of M.  Its pivots in the first dim columns
-        are those of M, so they count its rank; when M is invertible the
-        reduced rows are [I | M^-1], row p of M^-1 in the columns from
-        dim on."""
+        """[M | I] in reduced form, for M the matrix of phi over the dual
+        basis: the one elimination of M.  Row i of M is rphi(e_i^*), as
+        M[i][k] = phi(e_k^*)_i, the coefficient of e_k x e_i in Q, is
+        rphi(e_i^*)_k.  Its pivots in the first dim columns are those of
+        M, so they count its rank; when M is invertible the reduced rows
+        are [I | M^-1], row p of M^-1 in the columns from dim on."""
         dim = self.algebra.dim
-        return Echelon(2 * dim, ({**row, dim + i: ONE}
-                                 for i, row in enumerate(self.matrix_rows())))
+        return Echelon(2 * dim, ({**self.rphi({i: ONE}), dim + i: ONE}
+                                 for i in range(dim)))
 
     def _reduced(self) -> Echelon:
         return memo(self.algebra, DrinfeldMap._eliminate, self._eliminate)
@@ -899,12 +895,14 @@ def _check_central_idempotents(A: QTAlgebra, chars: list[Row],
 
 @dataclass
 class CharRing:
-    """Primitive idempotents F_j of the character ring and their images.
+    """Primitive idempotents F_j of the character ring, their images and
+    the conjugacy classes read off them.
 
     partition[j] lists the central idempotents appearing in phi(F_j);
     the nonempty entries tile the simple indices.  j_of[i] is the block
-    containing the i-th simple, and n_values[j] is the class-equation
-    integer dim(A)/dim(A* F_j).
+    containing the i-th simple, n_values[j] is the class-equation
+    integer dim(A)/dim(A* F_j), and classes[j] is the class C^j of F_j
+    (conjugacy_class).
     """
 
     idempotents: list[Row]
@@ -912,18 +910,21 @@ class CharRing:
     partition: list[list[int]]
     j_of: list[int]
     n_values: list[int]
+    classes: list[ConjClass]
 
 
 def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
-    """The central idempotents E_j of the characters and the F_j of the
-    character ring.  In the factorizable case F_j = phi^-1(E_j), every
-    one read off the one memoized elimination of the matrix of phi
-    (DrinfeldMap.invert), and phi(F_j) = E_j is checked for each.
+    """The central idempotents E_j of the characters, the F_j of the
+    character ring and their conjugacy classes.  In the factorizable case
+    F_j = phi^-1(E_j), every one read off the one memoized elimination of
+    the matrix of phi (DrinfeldMap.invert), and phi(F_j) = E_j is checked
+    for each.
 
     In the factorizable case block j of the partition is {j}, with no
     scan: phi(F_j) = E_j is checked here, and chi_s(E_j) = delta_sj d_s
     by _check_central_idempotents.  For kG every phi(F_j) is read off
-    the characters.
+    the characters.  The class spans must decompose A: their rows, dim A
+    of them, have full rank.
     """
     E = central_idempotents(A, chars)
     dm = drinfeld_map(A)
@@ -959,7 +960,12 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
         if pair_eval(fj, lam) != as_cyclo(Fraction(1, nj)):
             fail(A, f"F_j(Lambda) = 1/{nj}", None, f"F_{j}")
         n_values.append(nj)
-    return CharRing(F, E, partition, j_of, n_values)
+    classes = [conjugacy_class(A, j, fj, nj)
+               for j, (fj, nj) in enumerate(zip(F, n_values))]
+    rows = [row for cls in classes for row in cls.space.rows]
+    if not (len(rows) == A.dim and row_rank(rows, A.dim) == A.dim):
+        fail(A, "class-span decomposition of the algebra")
+    return CharRing(F, E, partition, j_of, n_values, classes)
 
 
 def _partition(A: QTAlgebra, chars: list[Row], F: list[Row],
@@ -1053,8 +1059,10 @@ class ConjClass:
     class_sum: Row
 
 
-def conjugacy_class(A: QTAlgebra, j: int, ring: CharRing) -> ConjClass:
-    """C^j = Lambda <- F_j A* together with C_j = Lambda <- (dim A) F_j.
+def conjugacy_class(A: QTAlgebra, j: int, fj: Row, nj: int) -> ConjClass:
+    """C^j = Lambda <- F_j A* together with C_j = Lambda <- (dim A) F_j,
+    for the j-th idempotent F_j of the character ring and its
+    class-equation integer n_j.
 
     C^j is spanned by the left slices of Delta(Lambda <- F_j)
     (leg_slices), with no convolution.  Lemma: the harpoon is an action,
@@ -1071,9 +1079,8 @@ def conjugacy_class(A: QTAlgebra, j: int, ring: CharRing) -> ConjClass:
     A* = dim A* F_j = dim A / n_j.
     """
     lam, _ = integrals(A)
-    b = harpoon_left(A, lam, ring.idempotents[j])
+    b = harpoon_left(A, lam, fj)
     space = Echelon(A.dim, leg_slices(A, b)[0])
-    nj = ring.n_values[j]
     if space.dim * nj != A.dim:
         fail(A, f"dim C^j = {A.dim}/{nj}", None, f"class {j}")
     class_sum = row_scale(b, as_cyclo(A.dim))
@@ -1082,17 +1089,6 @@ def conjugacy_class(A: QTAlgebra, j: int, ring: CharRing) -> ConjClass:
     if counit_value(A, class_sum) != as_cyclo(Fraction(A.dim, nj)):
         fail(A, f"eps(C_j) = {A.dim}/{nj}", None, f"class {j}")
     return ConjClass(space, class_sum)
-
-
-def all_classes(A: QTAlgebra, ring: CharRing) -> list[ConjClass]:
-    def build() -> list[ConjClass]:
-        classes = [conjugacy_class(A, j, ring)
-                   for j in range(len(ring.idempotents))]
-        rows = [row for cls in classes for row in cls.space.rows]
-        if not (len(rows) == A.dim and row_rank(rows, A.dim) == A.dim):
-            fail(A, "class-span decomposition of the algebra")
-        return classes
-    return memo(A, all_classes, build)
 
 
 def is_left_coideal(A: QTAlgebra, space: Echelon, gens: list[Row]) -> bool:
@@ -1176,7 +1172,7 @@ def verify_quasitriangular(A: QTAlgebra, chars: list[Row],
     if dm.phi(t) != row_sum(ring.central[s] for s in ring.partition[0]):
         fail(A, "phi(t) = block-0 idempotent sum")
 
-    _check_class_spans(A, all_classes(A, ring))
+    _check_class_spans(A, ring.classes)
 
 
 def _check_class_spans(A: QTAlgebra, classes: list[ConjClass]) -> None:

@@ -11,18 +11,19 @@ intersect(x, y) meets two Echelons, reading their reduced rows as they
 are.
 
 The mod-p section at the end holds the one F_p kernel of the package:
-dense RREF and kernels over chartab's own small prime, and the one
-reduction of cyclotomic rows, rows_modp, with rank_modp, a sparse rank
-that stops at a target.  rows_modp reads a field memoized on the common
-order n of its rows: the smallest prime p > 2^20 with p = 1 (mod n), and
-the powers of a primitive n-th root of unity w, checked when the field
-is built.  Lemma: zeta_m -> w^(n/m), with denominators inverted, is a
-ring map Z[zeta_n][1/N] -> F_p where p divides no denominator N, so a
-rank mod p is at most the exact rank (Dixon, Numer. Math. 40, 1982).
-Every certificate of the package is a rank mod p that reaches an upper
-bound of the exact rank (row_rank here; coideal and hopf._ideal_dims);
-a shortfall, or a p dividing a denominator, proves nothing, and the
-exact route runs.
+one constructor of prime fields, _field(n, lower), memoized on both: the
+smallest prime p > lower with p = 1 (mod n), and the powers of a
+primitive n-th root of unity w, checked when the field is built; dense
+RREF and kernels over chartab's own small prime (its field has p > |G|);
+and the one reduction of cyclotomic rows, rows_modp, with rank_modp, a
+sparse rank that stops at a target.  rows_modp reads the field of the
+common order n of its rows with p > 2^20.  Lemma: zeta_m -> w^(n/m),
+with denominators inverted, is a ring map Z[zeta_n][1/N] -> F_p where p
+divides no denominator N, so a rank mod p is at most the exact rank
+(Dixon, Numer. Math. 40, 1982).  Every certificate of the package is a
+rank mod p that reaches an upper bound of the exact rank (row_rank here;
+coideal and hopf._ideal_dims); a shortfall, or a p dividing a
+denominator, proves nothing, and the exact route runs.
 
 Sparse accumulation goes through three helpers: acc adds one term into a
 row, row_sum adds whole rows, and apply_pairs applies a fixed (src, dst,
@@ -362,10 +363,11 @@ class _Field:
 
 
 @functools.cache
-def _field(n: int) -> _Field:
-    """The field of rows_modp for the common order n, built once per n:
-    p the smallest prime above 2^20 with p = 1 (mod n)."""
-    p = find_prime(n, 1 << 20)
+def _field(n: int, lower: int) -> _Field:
+    """F_p for p the smallest prime above lower with p = 1 (mod n), with
+    the powers of a primitive n-th root of unity, built once per (n,
+    lower): rows_modp asks for p > 2^20, chartab for p > |G|."""
+    p = find_prime(n, lower)
     return _Field(n, p, primitive_root_of_unity(p, n))
 
 
@@ -375,7 +377,7 @@ def rows_modp(rows: list[Row]) -> tuple[int, list[dict[int, int]] | None]:
     w^(n/m); images is None when p divides a denominator, where the map
     is not defined."""
     n = common_order(rows)
-    field = _field(n)
+    field = _field(n, 1 << 20)
     p, powers = field.p, field.powers
     images = []
     for row in rows:

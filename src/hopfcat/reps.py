@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .chartab import CharacterTable
-from .cyclo import CycloNumber, ONE, ZERO, as_cyclo
+from .cyclo import CycloNumber, ONE, ZERO, as_cyclo, dot
 from .errors import fail
 from .groups import Group, Subgroup, abelian_coordinates, all_subgroups
 from .linalg import Echelon, Row, acc
@@ -65,11 +65,8 @@ def _splitting_idempotent(G: Group, table: CharacterTable, i: int) -> Row:
             continue
         KG, pos = K.as_group()
         for psi in linear_characters(KG):
-            acc = None
-            for k in K.members:
-                term = table.value_at(i, k) * psi[pos[k]].conjugate()
-                acc = term if acc is None else acc + term
-            mult = acc * as_cyclo(Fraction(1, K.order))
+            mult = dot([(table.value_at(i, k), psi[pos[k]].conjugate())
+                        for k in K.members]) * as_cyclo(Fraction(1, K.order))
             if mult != inv_one:
                 continue
             ek: Row = {}
@@ -92,9 +89,7 @@ def _verify(G: Group, table: CharacterTable, i: int, mats: list[Matrix]) -> None
                 fail(G, "identity matrix at the identity", None,
                      f"character {i}")
     for g in range(G.n):
-        tr = mats[g][0][0]
-        for r in range(1, d):
-            tr = tr + mats[g][r][r]
+        tr = sum((mats[g][r][r] for r in range(1, d)), mats[g][0][0])
         if tr != table.value_at(i, g):
             fail(G, "trace = character value", None,
                  f"character {i} at element {g}")

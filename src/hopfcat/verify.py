@@ -4,6 +4,11 @@ verify_identities recomputes both sides of a family of structural
 identities from scratch and reports one verdict per subject.  Nothing is
 repaired on failure: a red entry means two independently computed
 structures genuinely disagree.
+
+The checks share one _Context.  It writes no per-algebra memo: what is
+built once per algebra (class spans, left kernels, normality, the
+subcategory table) is read from the function that builds and memoizes
+it, and the context holds only what one run assembles from those.
 """
 
 from __future__ import annotations
@@ -21,9 +26,8 @@ from .errors import InvariantViolation
 from .fusion import (blocks_inside, centralizer, char_ring, left_kernel,
                      quotient_integral, simple_objects, smatrix, subcat_mask,
                      subcat_table)
-from .groups import memo
-from .hopf import (QTAlgebra, all_classes, coinvariants, compute_K_A,
-                   convolve, drinfeld_map, integrals, lmul, mul_rows,
+from .hopf import (QTAlgebra, coinvariants, compute_K_A, convolve,
+                   drinfeld_map, integrals, lmul, mul_rows,
                    noncentral_generator, pair_eval, subalgebra_generators,
                    verify_quasitriangular)
 from .linalg import Echelon, Row, acc, intersect, row_scale, row_sum
@@ -35,8 +39,12 @@ MONODROMY_DIM_BOUND = 36
 
 class _Context:
     """Everything the individual checks share, built once per run or read
-    from the per-algebra memo.  Subcategories are read through fusion's
-    table (subcat_table), keyed by the bitmask of their simples."""
+    from the per-algebra memos of the functions that build it: the class
+    spans off the character ring (char_ring), and left kernels and
+    normality read by the checks from fusion.left_kernel and
+    coideal.is_normal_hopf_subalgebra, which memoize themselves.
+    Subcategories are read through fusion's table (subcat_table), keyed
+    by the bitmask of their simples."""
 
     def __init__(self, A: QTAlgebra):
         self.A = A
@@ -50,7 +58,7 @@ class _Context:
         self.dm = drinfeld_map(A)
         self.factorizable = self.dm.is_factorizable
         self.ring = char_ring(A)
-        self.classes = all_classes(A, self.ring)
+        self.classes = self.ring.classes
         self.lam, self.t = integrals(A)
         self.KA = compute_K_A(A)
         self.full = self.table[subcat_mask(range(self.r))]
@@ -85,18 +93,10 @@ class _Context:
         return next(D.indices for m, D in self.table.items()
                     if m & want == want)
 
-    def lker(self, i: int) -> Echelon:
-        return memo(self.A, (left_kernel, i),
-                    lambda: left_kernel(self.A, self.simples[i]))
-
     def blocks_in(self, L: CoidealSubalgebra) -> set[int]:
         """Blocks j with C^j contained in L, the criterion of the classes
         centralizer route (blocks_inside)."""
         return blocks_inside(self.A, L)
-
-    def is_normal(self, L: CoidealSubalgebra) -> bool:
-        return memo(self.A, (is_normal_hopf_subalgebra, L.key()),
-                    lambda: is_normal_hopf_subalgebra(self.A, L))
 
     def nondegenerate(self, indices) -> bool:
         return set(indices) & set(self.cent[tuple(indices)].indices) == {0}
@@ -277,7 +277,7 @@ def _check_normal_commutation(ctx: _Context) -> Verdicts:
     coideal; dually for the two quotient function algebras."""
     A = ctx.A
     for L in ctx.cos:
-        if not ctx.is_normal(L):
+        if not is_normal_hopf_subalgebra(A, L):
             continue
         Ls = ctx.star(L)
         ok = _commutes(A, subalgebra_generators(A, L.space),
@@ -294,10 +294,10 @@ def _check_normal_commutation(ctx: _Context) -> Verdicts:
 
 def _check_normality_transport(ctx: _Context) -> Verdicts:
     for L in ctx.cos:
-        if not ctx.is_normal(L):
+        if not is_normal_hopf_subalgebra(ctx.A, L):
             continue
         Ls = ctx.star(L)
-        yield (L.label(), ctx.is_normal(Ls),
+        yield (L.label(), is_normal_hopf_subalgebra(ctx.A, Ls),
                f"L* = {Ls.label()} is again normal Hopf")
 
 
@@ -339,8 +339,8 @@ def _check_centralizing_pairs(ctx: _Context) -> Verdicts:
                       for p, n in zip(prods, ctx.ring.n_values)])
         d = CycloNumber.rational(s.dim)
         fixed.append([p == row_scale(f, d) for p, f in zip(prods, fs)])
-    block_in_lker = [[ctx.classes[j].space <= ctx.lker(m) for m in range(r)]
-                     for j in range(len(fs))]
+    block_in_lker = [[ctx.classes[j].space <= left_kernel(A, m)
+                      for m in range(r)] for j in range(len(fs))]
     for i in range(r):
         bad = None
         for m in range(r):
@@ -370,7 +370,7 @@ def _check_centralizer_membership(ctx: _Context) -> Verdicts:
         for m in range(ctx.r):
             e1 = m in cent
             e2 = jof[m] in ctx.blocks_in(L)
-            e3 = star <= ctx.lker(m)
+            e3 = star <= left_kernel(ctx.A, m)
             if not e1 == e2 == e3:
                 bad = f"routes disagree on V{m}: {e1}/{e2}/{e3}"
                 break
@@ -383,7 +383,8 @@ def _check_splitting_pairs(ctx: _Context) -> Verdicts:
     normal Hopf subalgebra and Rep(A//A) = Vec is nondegenerate."""
     A = ctx.A
     for K in ctx.cos:
-        if not ctx.is_normal(K) or not ctx.nondegenerate(ctx.idx_of(K)):
+        if (not is_normal_hopf_subalgebra(A, K)
+                or not ctx.nondegenerate(ctx.idx_of(K))):
             continue
         L = ctx.star(K)
         prod = coideal_product(A, K, L)
@@ -392,7 +393,7 @@ def _check_splitting_pairs(ctx: _Context) -> Verdicts:
               and K.dim * L.dim == A.dim
               and _commutes(A, subalgebra_generators(A, K.space),
                             subalgebra_generators(A, L.space))
-              and ctx.is_normal(L)
+              and is_normal_hopf_subalgebra(A, L)
               and ctx.cent_of(K).indices == ctx.idx_of(L))
         yield (K.label(), ok,
                f"dims {K.dim}*{L.dim}={A.dim}, complement {L.label()}")

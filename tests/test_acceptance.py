@@ -45,7 +45,6 @@ from hopfcat.groups import (
     subgroup_generated,
 )
 from hopfcat.hopf import (
-    all_classes,
     compute_K_A,
     drinfeld_map,
     integrals,
@@ -168,7 +167,7 @@ def test_c4_triple_conventions_frozen(doubles):
 def test_c5_class_structure(doubles):
     A = doubles["S3"]
     ring = char_ring(A)
-    classes = all_classes(A, ring)
+    classes = ring.classes
     dims_ok = sorted(c.space.dim for c in classes) == [1, 1, 4, 4, 4, 4, 9, 9]
     lam, _ = integrals(A)
     n_ok = all(isinstance(n, int) and n > 0 and
@@ -177,8 +176,7 @@ def test_c5_class_structure(doubles):
     decomposed = 0
     bad = []
     for name, B in doubles.items():
-        ringb = char_ring(B)
-        cls = all_classes(B, ringb)
+        cls = char_ring(B).classes
         for L in enumerate_coideals(B):
             in_l = [c.class_sum for c in cls
                     if all(L.space.contains(r) for r in c.space.rows)]

@@ -108,16 +108,19 @@ def test_bad_rows_rejected():
 
 
 def test_chartab_defines_no_modp_helper_of_its_own():
-    """The F_p kernel lives in linalg; chartab only imports it."""
+    """The F_p kernel lives in linalg; chartab only imports it, and
+    builds its field through linalg's one constructor, _field."""
     tree = ast.parse(Path(chartab.__file__).read_text())
     defined = {n.name for n in ast.walk(tree)
                if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
     helpers = {"is_prime", "find_prime", "prime_factors",
-               "primitive_root_of_unity", "rref_modp", "kernel_modp"}
+               "primitive_root_of_unity", "rref_modp", "kernel_modp",
+               "field", "Field"}
     assert not defined & (helpers | {"_" + h for h in helpers})
-    for name in ("find_prime", "primitive_root_of_unity", "rref_modp",
-                 "kernel_modp"):
+    for name in ("_field", "rref_modp", "kernel_modp"):
         assert getattr(chartab, name) is getattr(linalg, name)
+    for name in ("find_prime", "primitive_root_of_unity"):
+        assert not hasattr(chartab, name)
 
 
 def test_verify_failure_names_its_group(monkeypatch):
@@ -142,3 +145,21 @@ def test_modular_failure_names_its_group(monkeypatch):
                        match=r"^S3: separation of the characters mod p "
                              r"fails$"):
         character_table(G)
+
+
+def test_chartab_field_refuses_a_non_primitive_root(monkeypatch):
+    """chartab's root of unity is the field's, checked when the field is
+    built: a cube root of unity offered for S3, whose exponent is 6, is
+    refused before any character is lifted."""
+    G = parse_group_spec("S3")
+    p = linalg.find_prime(6, G.n)
+    w = linalg.primitive_root_of_unity(p, 6)
+    bad = pow(w, 2, p)
+    monkeypatch.setattr(linalg, "primitive_root_of_unity", lambda p, n: bad)
+    linalg._field.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match=(
+                rf"^F_{p}: primitive 6-th root of unity fails on w = {bad}$")):
+            character_table(G)
+    finally:
+        linalg._field.cache_clear()

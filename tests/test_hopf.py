@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -19,7 +20,6 @@ from hopfcat.hopf import (
     _check_class_spans,
     _check_integrals,
     adjoint,
-    all_classes,
     apply_antipode,
     build_double,
     build_triangular,
@@ -234,7 +234,8 @@ def test_drinfeld_invert_solves_phi(doubles, triangular_s3):
             assert dm.phi(dm.invert(target)) == target, name
         assert dm.invert({}) == {}
     dm = drinfeld_map(triangular_s3)
-    assert dm.rank == Echelon(triangular_s3.dim, dm.matrix_rows()).dim == 1
+    rows = [dm.rphi({i: ONE}) for i in range(triangular_s3.dim)]
+    assert dm.rank == Echelon(triangular_s3.dim, rows).dim == 1
     assert dm.invert(dict(triangular_s3.unit_row)) is None
 
 
@@ -309,8 +310,7 @@ def test_central_idempotents(double_s3):
 def test_class_dimensions_s3(double_s3):
     A = double_s3
     chars = [s.character for s in simple_objects(A)]
-    ring = char_ring_idempotents(A, chars)
-    classes = all_classes(A, ring)
+    classes = char_ring_idempotents(A, chars).classes
     dims = sorted(c.space.dim for c in classes)
     assert dims == [1, 1, 4, 4, 4, 4, 9, 9]
     total = sum(c.space.dim for c in classes)
@@ -322,6 +322,26 @@ def test_verify_quasitriangular(doubles, triangular_s3):
         chars = [s.character for s in simple_objects(A)]
         ring = char_ring_idempotents(A, chars)
         verify_quasitriangular(A, chars, ring)
+
+
+def test_verify_quasitriangular_reads_the_class_spans_of_its_ring(
+        double_s3):
+    """A copy of the ring whose first class span of dimension above 1 is
+    cut to its first row: verify_quasitriangular checks the spans it is
+    handed, and refuses it."""
+    A = double_s3
+    chars = [s.character for s in simple_objects(A)]
+    ring = char_ring_idempotents(A, chars)
+    j = next(j for j, cls in enumerate(ring.classes) if cls.space.dim > 1)
+    classes = list(ring.classes)
+    classes[j] = ConjClass(Echelon(A.dim, classes[j].space.rows[:1]),
+                           classes[j].class_sum)
+    with pytest.raises(InvariantViolation) as exc:
+        verify_quasitriangular(A, chars,
+                               dataclasses.replace(ring, classes=classes))
+    assert str(exc.value).startswith(
+        f"D(S3): class-span adjoint stability fails on class {j} at ")
+    verify_quasitriangular(A, chars, ring)
 
 
 def test_verify_axioms_catches_broken_antipode(double_s3):
@@ -423,6 +443,24 @@ def test_verify_axioms_rejects_a_non_injective_basis_product(double_s3):
     assert msg.endswith(f" at {A.labels[0]}")
 
 
+def test_verify_axioms_rejects_a_non_injective_right_basis_product(
+        double_s3):
+    """Column 0 of prod_idx made to hold one basis element twice, away
+    from row 0: right multiplication by e_0 is refused before anything
+    else.  This is the premise that makes left_quotients right: each of
+    its slots is written once."""
+    A = double_s3
+    prod = [list(row) for row in A.prod_idx]
+    i1, i2 = [i for i in range(A.dim) if prod[i][0] >= 0][1:3]
+    prod[i2][0] = prod[i1][0]
+    broken = QTAlgebra(A.name, A.kind, A.group, A.labels, prod, A.delta,
+                       A.counit, A.s_idx, A.r_terms, A.unit_row)
+    with pytest.raises(InvariantViolation) as exc:
+        verify_axioms(broken)
+    assert str(exc.value) == ("D(S3): basis-product injectivity (right "
+                              f"multiplication) fails at {A.labels[0]}")
+
+
 def test_verify_axioms_names_the_first_non_associative_triple(double_s3):
     # swap two products in one row, away from the unit: every basis product
     # stays injective and the unit axioms hold, but associativity breaks
@@ -488,7 +526,7 @@ def test_class_span_missing_an_adjoint_image_is_rejected(double_s3):
     ring = char_ring_idempotents(A, [s.character for s in simple_objects(A)])
     broken = 0
     translated = []
-    for cls in all_classes(A, ring):
+    for cls in ring.classes:
         rows = cls.space.rows
         for drop in range(len(rows)):
             space = Echelon(A.dim, rows[:drop] + rows[drop + 1:])
@@ -857,17 +895,15 @@ def test_class_span_missing_slices_is_refused(double_s3, monkeypatch):
     only the first slice kept the first class of dimension above 1 fails
     the dimension check against n_j, which is read off A* F_j."""
     A = _fresh(double_s3)
-    ring = char_ring_idempotents(A, [s.character for s in simple_objects(A)])
-    lam, _ = integrals(A)
+    chars = [s.character for s in simple_objects(A)]
+    ring = char_ring_idempotents(A, chars)
+    j = next(j for j, cls in enumerate(ring.classes) if cls.space.dim > 1)
     original = hopf.leg_slices
-    spans = [Echelon(A.dim, original(A, harpoon_left(A, lam, fj))[0])
-             for fj in ring.idempotents]
-    j = next(j for j, space in enumerate(spans) if space.dim > 1)
     monkeypatch.setattr(hopf, "leg_slices",
                         lambda A, a: (original(A, a)[0][:1],
                                       original(A, a)[1]))
     with pytest.raises(InvariantViolation) as exc:
-        all_classes(A, ring)
+        char_ring_idempotents(A, chars)
     assert str(exc.value) == (f"D(S3): dim C^j = 36/{ring.n_values[j]} "
                               f"fails on class {j}")
 

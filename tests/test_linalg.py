@@ -385,9 +385,9 @@ def test_row_rank_refuses_a_prime_that_divides_a_denominator():
 _SRC = Path(linalg.__file__).parent
 # the names that find a prime or build a field
 _FIELD_MAKERS = {"find_prime", "primitive_root_of_unity", "_field", "_Field"}
-# calls allowed outside linalg: chartab's own small prime p > |G|, whose
-# eigenvalue scan is O(p)
-_OUTSIDE_LINALG = {"chartab": {"find_prime": 1, "primitive_root_of_unity": 1}}
+# calls allowed outside linalg: chartab's field, whose own small prime
+# p > |G| keeps its eigenvalue scan O(p)
+_OUTSIDE_LINALG = {"chartab": {"_field": 1}}
 # mod-p helpers that only linalg defines, the removed ones included
 _MODP_HELPERS = {"is_prime", "find_prime", "prime_factors",
                  "primitive_root_of_unity", "rref_modp", "kernel_modp",

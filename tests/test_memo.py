@@ -10,9 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from hopfcat import groups
+from hopfcat import coideal, groups
+from hopfcat.coideal import (coideal_from_space, enumerate_coideals,
+                             is_normal_hopf_subalgebra)
+from hopfcat.fusion import (char_ring, generated_subcategory, left_kernel,
+                            simple_objects)
 from hopfcat.groups import (Group, all_subgroups, normal_subgroups,
                             parse_group_spec)
+from hopfcat.hopf import left_quotients
 
 _SRC = Path(groups.__file__).parent
 _OWNERS = ("Group", "QTAlgebra")
@@ -62,3 +67,53 @@ def test_group_data_is_built_once():
                   lambda G: normal_subgroups(G)[2].generators()):
         assert build(G) is build(G), build.__name__
     assert G.exponent() == 4
+
+
+# --- each object is memoized by the function that builds it --------------
+
+
+def test_each_owner_returns_its_memo(double_s3, monkeypatch):
+    A = double_s3
+    for i in range(len(simple_objects(A))):
+        assert left_kernel(A, i) is left_kernel(A, i)
+    assert char_ring(A).classes is char_ring(A).classes
+    assert left_quotients(A) is left_quotients(A)
+    verdicts = [is_normal_hopf_subalgebra(A, L) for L in enumerate_coideals(A)]
+    # a second call decides nothing anew
+    monkeypatch.setattr(coideal, "subalgebra_generators", None)
+    assert [is_normal_hopf_subalgebra(A, L)
+            for L in enumerate_coideals(A)] == verdicts
+
+
+@pytest.mark.parametrize("name", ["S3", "D4"])
+def test_a_catalog_space_finds_its_entry(doubles, name):
+    A = doubles[name]
+    for L in enumerate_coideals(A):
+        assert coideal_from_space(A, L.space) is L
+
+
+def test_an_equal_space_under_another_key_finds_its_entry(doubles):
+    """The kernel route of D(Z6) stores z(3) as -1 + z(6), so some of its
+    spaces have a key that no catalog entry has; each still finds the
+    entry on the same space, as the exact comparison after a missed key
+    finds it."""
+    A = doubles["Z6"]
+    keys = {L.key() for L in enumerate_coideals(A)}
+    missed = 0
+    for i in range(len(simple_objects(A))):
+        L = generated_subcategory(A, [i]).coideal
+        assert any(L is K for K in enumerate_coideals(A)), i
+        ker = left_kernel(A, i)
+        missed += ker.key() not in keys and L.space == ker
+    assert missed
+
+
+def test_verify_calls_no_memo():
+    """verify reads what it shares from the functions that build it; it
+    neither calls nor imports memo or memoized."""
+    tree = ast.parse((_SRC / "verify.py").read_text())
+    names = {n.id if isinstance(n, ast.Name) else
+             n.attr if isinstance(n, ast.Attribute) else n.name
+             for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+    assert not names & {"memo", "memoized"}

@@ -396,13 +396,14 @@ def test_join_is_the_least_superset_of_the_set_scan(
 
 def test_blocks_in_reads_the_classes_centralizer_memo(monkeypatch):
     """centralizer(..., "classes") fills the blocks memo of a fresh
-    algebra, and _Context.blocks_in reads it: with the class spans out
-    of fusion's reach, it still answers for every coideal."""
+    algebra, and _Context.blocks_in reads it: with the character ring,
+    which holds the class spans, out of fusion's reach, it still answers
+    for every coideal."""
     A = build_double(parse_group_spec("S3"))
     for D in fusion.subcat_table(A).values():
         centralizer(A, D, "classes")
     ctx = _Context(A)
-    monkeypatch.setattr(fusion, "all_classes", None)
+    monkeypatch.setattr(fusion, "char_ring", None)
     for L in ctx.cos:
         assert ctx.blocks_in(L) == {j for j, cls in enumerate(ctx.classes)
                                     if cls.space <= L.space}
