@@ -13,8 +13,9 @@ the same way, with the exact nullspace as the fallback (quotient_dual),
 and so is a proposed integral (coideal_integral).  Each of the last two
 forms its equations in one generator (_direct_equations,
 _integral_equations), run over exact values for the exact route and
-over their images mod p (linalg.rows_modp; the linalg docstring states
-the reduction lemma) for the certificate.
+over their images mod p for the certificate (linalg.image_rank, whose
+docstring states the reduction lemma).  The pair certificates read the
+images of the catalog's rows, reduced once per algebra (_catalog).
 
 A computed space is matched to its catalog entry by key, through one
 key -> position memo per algebra (_catalog_index, read by
@@ -40,8 +41,8 @@ from .hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode, convolve,
                    counit_value, drinfeld_map, is_left_coideal, left_quotients,
                    leg_slices, lmul, mul_rows, pair_eval, right_adjoint,
                    subalgebra_generators)
-from .linalg import (Echelon, Row, acc, intersect, nullspace, rank_modp,
-                     row_addmul, row_keys, row_scale, rows_modp)
+from .linalg import (Echelon, Row, acc, image_rank, intersect, nullspace,
+                     rank_modp, row_addmul, row_keys, row_scale, rows_modp)
 
 
 @dataclass(frozen=True)
@@ -227,21 +228,23 @@ def coideal_integral(A: QTAlgebra, space: Echelon, label,
     returned when it passes the checks the computed integral passes (in
     L, eps = 1, idempotent, l u = eps(l) u on the generators) and the
     equations over the d reduced rows of L have rank d - 1 mod p
-    (_integral_rank_modp).  Lemma: the exact rank is then at least d - 1,
-    so the solutions form at most a line; the proposal's coordinates lie
-    in it, so it is the one solution with eps = 1.  Otherwise the exact
-    nullspace below decides.
+    (image_rank over the generators and rows).  Lemma: the exact rank is
+    then at least d - 1, so the solutions form at most a line; the
+    proposal's coordinates lie in it, so it is the one solution with
+    eps = 1.  Otherwise the exact nullspace below decides.
     """
     gens = _generators(A, space, label)
     rows = space.rows
-    d = len(rows)
+    d, g = len(rows), len(gens)
     if (proposal is not None and space.contains(proposal)
             and counit_value(A, proposal) == ONE
             and mul_rows(A, proposal, proposal) == proposal
             and all(mul_rows(A, ell, proposal)
                     == row_scale(proposal, counit_value(A, ell))
                     for ell in gens)
-            and _integral_rank_modp(A, gens, rows) == d - 1):
+            and image_rank(gens + rows, lambda im, p: _integral_equations(
+                A, im[:g], im[g:], _counits_modp(A, im[:g], p)), d - 1)
+            == d - 1):
         return proposal
     epsilons = [counit_value(A, ell) for ell in gens]
     kernel = nullspace(list(_integral_equations(A, gens, rows, epsilons)), d)
@@ -285,19 +288,6 @@ def _counits_modp(A: QTAlgebra, images: list[dict[int, int]],
     """eps of each image mod p, reduced mod p."""
     return [sum(v for j, v in img.items() if A.counit[j]) % p
             for img in images]
-
-
-def _integral_rank_modp(A: QTAlgebra, gens: list[Row],
-                        rows: list[Row]) -> int | None:
-    """The rank mod p of _integral_equations over the images of gens and
-    rows, stopped at len(rows) - 1; None when p divides a denominator."""
-    p, images = rows_modp(gens + rows)
-    if images is None:
-        return None
-    g = len(gens)
-    return rank_modp(_integral_equations(A, images[:g], images[g:],
-                                         _counits_modp(A, images[:g], p)),
-                     p, len(rows) - 1)
 
 
 def _wrap(A: QTAlgebra, space: Echelon, name: str | None,
@@ -623,18 +613,6 @@ def _direct_equations(A: QTAlgebra, gens: list, epsilons: list):
                 yield row
 
 
-def _direct_rank_modp(A: QTAlgebra, gens: list[Row]) -> int | None:
-    """The rank mod p of _direct_equations over the images of gens, run
-    to the end, not stopped at any smaller target; None when p divides a
-    denominator of a generator."""
-    p, images = rows_modp(gens)
-    if images is None:
-        return None
-    return rank_modp(_direct_equations(A, images,
-                                       _counits_modp(A, images, p)),
-                     p, A.dim)
-
-
 def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     """(A//L)* as functionals killing the augmentation ideal of L.
 
@@ -647,7 +625,8 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
     share only those generators, certified before either reads them (the
     integral is computed over them too).
 
-    The agreement is certified mod p, with no exact nullspace.  Lemma:
+    The agreement is certified mod p (image_rank), with no exact
+    nullspace.  Lemma:
     shifted <= direct.  For every generator l, l Lambda_L = eps(l)
     Lambda_L (coideal_integral checks it, and it is checked again here),
     so e_k^*(a l Lambda_L) = eps(l) e_k^*(a Lambda_L); and the shifted
@@ -688,7 +667,8 @@ def quotient_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
         premise = all(
             mul_rows(A, ell, L.integral)
             == row_scale(L.integral, counit_value(A, ell)) for ell in gens)
-        if not (premise and _direct_rank_modp(A, gens)
+        if not (premise and image_rank(gens, lambda im, p: _direct_equations(
+                A, im, _counits_modp(A, im, p)), A.dim)
                 == A.dim - shifted.dim):
             eqs = _direct_equations(
                 A, gens, [counit_value(A, ell) for ell in gens])

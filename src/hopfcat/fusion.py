@@ -52,9 +52,6 @@ class SimpleObject:
     cdeg: int
     character: Row
     matrices: dict[int, Matrix]
-    csub: Subgroup | None = None
-    ctab: CharacterTable | None = None
-    cpos: dict[int, int] | None = None
 
     def label(self) -> str:
         return f"V{self.class_index}.{self.rep_index}"
@@ -73,9 +70,6 @@ class SimpleObject:
                     if mr[s]:
                         orow[s] = orow[s] + c * mr[s]
         return out
-
-    def cent_char_value(self, h: int) -> CycloNumber:
-        return self.ctab.value_at(self.rep_index, self.cpos[h])
 
     def __repr__(self) -> str:
         return f"Simple({self.label()}, dim={self.dim})"
@@ -190,19 +184,18 @@ def _induced_simples(A: QTAlgebra, ci: int, a: int,
             tr = sum((M[r][r] for r in range(d)), ZERO)
             if tr:
                 char[k] = tr
-        s = SimpleObject(A, start + ri, ci, ri, a, d, dc, char, frozen,
-                         C, ctab, pos)
+        s = SimpleObject(A, start + ri, ci, ri, a, d, dc, char, frozen)
         _verify_module(A, s)
-        _frobenius_check(A, s, reps, ctab, pos)
+        _frobenius_check(A, s, set(C.members), ctab, pos)
         out.append(s)
     return out
 
 
-def _frobenius_check(A: QTAlgebra, s: SimpleObject, reps: list[int],
+def _frobenius_check(A: QTAlgebra, s: SimpleObject, members: set[int],
                      ctab: CharacterTable, pos: dict[int, int]) -> None:
-    """Restriction to the group part must be the induced character."""
+    """Restriction to the group part must be the induced character, for
+    the centralizer C_G(s.a) given by its members."""
     G = A.group
-    members = set(s.csub.members)
     corder = CycloNumber.rational(Fraction(1, len(members)))
     for g in range(G.n):
         lhs = sum((s.character.get(A.pair_index(x, g), ZERO)
@@ -574,7 +567,15 @@ def _mk_subcat(A: QTAlgebra, indices, name=None,
 def subcat_from_triple(A: QTAlgebra, M: Subgroup, H: Subgroup,
                        bc: Bicharacter) -> FusionSubcat:
     """S(M, H, lambda): simples (a, chi) with a in M and chi restricting
-    to lambda(a, .) on H.  The paired coideal is C(M, H, lambda^{-1})."""
+    to lambda(a, .) on H.  The paired coideal is C(M, H, lambda^{-1}).
+
+    chi(h) is read off the simple's own character: chi_V(p_a x h) = chi(h)
+    for h in C_G(a).  Lemma: p_a x h sends the block of each coset
+    g C_G(a) to that of h g C_G(a), and is 0 there unless that coset is
+    C_G(a), the one block on which p_a is not 0; so its only diagonal
+    block is the block of C_G(a), where it acts as h on chi's module,
+    with trace chi(h).
+    """
     if A.kind != "double":
         raise PreconditionViolated("triples parameterize double subcategories")
     # built first: building it checks the triple
@@ -586,7 +587,8 @@ def subcat_from_triple(A: QTAlgebra, M: Subgroup, H: Subgroup,
         if s.a not in mset:
             continue
         scale = CycloNumber.rational(s.cdeg)
-        if all(s.cent_char_value(h) == bc.value(s.a, h) * scale
+        if all(s.character.get(A.pair_index(s.a, h), ZERO)
+               == bc.value(s.a, h) * scale
                for h in H.members):
             sel.append(s.index)
     name = (f"S(M={list(M.members)},H={list(H.members)},"

@@ -66,8 +66,8 @@ from .cyclo import CycloNumber, ONE, ZERO, as_cyclo, dot
 from .errors import BoundExceeded, fail
 from .groups import (DOUBLE_DIM_BOUND, Group, check_double_dim, double_name,
                      memo, memoized)
-from .linalg import (Echelon, Row, acc, apply_pairs, nullspace, rank_modp,
-                     row_rank, row_scale, row_sum, rows_modp)
+from .linalg import (Echelon, Row, acc, apply_pairs, image_rank, nullspace,
+                     row_rank, row_scale, row_sum)
 
 
 class QTAlgebra:
@@ -207,12 +207,15 @@ def generators(A: QTAlgebra) -> list[int]:
 
     For the double, the p_g x 1 span k^G, and products of the p_g x s
     reach every p_g x h with h a word in S; for kG the words in S are G.
+    The trivial group has S empty, and its only word, the empty one, is
+    the identity e_0 = 1, which then generates kG = k e_0 itself: a
+    reach that starts from the generators must hold it.
     """
     S = A.group.generators()
     if A.kind == "double":
         return [A.pair_index(g, h) for h in (0, *S)
                 for g in range(A.group.n)]
-    return list(S)
+    return list(S) or [0]
 
 
 def noncentral_generator(A: QTAlgebra, z: Row) -> int | None:
@@ -1004,16 +1007,16 @@ def _ideal_dims(A: QTAlgebra, F: list[Row]) -> list[int]:
     (e_k^* * f)(e_m) sums f(e_l) over the terms (k, l) of Delta(e_m), so
     each e_k^* * F_j is a relabel of F_j through delta_by_left (summed
     where two terms land on one index), and its image mod p the same
-    relabel of F_j's image.  The ranks mod p are certified by their sum.
-    Lemma: the F_j are orthogonal idempotents of A* summing to eps
+    relabel of F_j's image.  The ranks mod p (image_rank, each F_j over
+    its own field) are certified by their sum.  Lemma: the F_j are
+    orthogonal idempotents of A* summing to eps
     (_check_char_ring_idempotents), so A* = (+)_j A* F_j and the exact
     dimensions sum to dim A, while each rank mod p is at most its exact
-    dimension.  Ranks mod p summing to dim A are therefore the exact
-    dimensions.  A shortfall, or a p dividing a denominator, runs the
-    exact Echelon for every F_j.
+    dimension, whatever its prime.  Ranks mod p summing to dim A are
+    therefore the exact dimensions.  A shortfall, or a p dividing a
+    denominator, runs the exact Echelon for every F_j.
     """
     by_left = A.delta_by_left()
-    p, images = rows_modp(F)
 
     def relabels(img: dict[int, int]):
         for terms in by_left:
@@ -1023,10 +1026,10 @@ def _ideal_dims(A: QTAlgebra, F: list[Row]) -> list[int]:
                 if v:
                     row[m] = row.get(m, 0) + v
             yield row
-    if images is not None:
-        dims = [rank_modp(relabels(img), p, A.dim) for img in images]
-        if sum(dims) == A.dim:
-            return dims
+    dims = [image_rank([fj], lambda images, p: relabels(images[0]), A.dim)
+            for fj in F]
+    if None not in dims and sum(dims) == A.dim:
+        return dims
     return [Echelon(A.dim, (convolve(A, {k: ONE}, fj)
                             for k in range(A.dim))).dim for fj in F]
 

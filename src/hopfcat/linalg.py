@@ -5,10 +5,12 @@ Echelon, an incremental reduced row echelon form, is the one subspace
 type: every coideal, class span, (A//L)*, K_A and kernel is an Echelon
 built from its rows in one call.  Since the RREF of a subspace is
 unique, spaces compare by their reduced rows (==, <=), which also gives
-cheap canonical keys for deduplication.  Spaces in, spaces out:
-nullspace(rows, ncols) returns the kernel as an Echelon, and
-intersect(x, y) meets two Echelons, reading their reduced rows as they
-are.
+cheap canonical keys for deduplication.  The reduced rows also give
+coordinates: a row of the span has its own values at the pivots as its
+coefficients (coords).  Spaces in, spaces out: nullspace(rows, ncols)
+returns the kernel as an Echelon, and intersect(x, y) reads the meet off
+one Echelon of the doubled rows of x and the rows of y (Zassenhaus; the
+lemma is in its docstring).
 
 The mod-p section at the end holds the one F_p kernel of the package:
 one constructor of prime fields, _field(n, lower), memoized on both: the
@@ -17,19 +19,19 @@ primitive n-th root of unity w, checked when the field is built; dense
 RREF and kernels over chartab's own small prime (its field has p > |G|);
 and the one reduction of cyclotomic rows, rows_modp, with rank_modp, a
 sparse rank that stops at a target.  rows_modp reads the field of the
-common order n of its rows with p > 2^20.  Lemma: zeta_m -> w^(n/m),
-with denominators inverted, is a ring map Z[zeta_n][1/N] -> F_p where p
-divides no denominator N, so a rank mod p is at most the exact rank
-(Dixon, Numer. Math. 40, 1982).  Every certificate of the package is a
-rank mod p that reaches an upper bound of the exact rank (row_rank here;
-coideal and hopf._ideal_dims); a shortfall, or a p dividing a
-denominator, proves nothing, and the exact route runs.
+common order n of its rows with p > 2^20.  Every certificate of the
+package is a rank mod p that reaches an upper bound of the exact rank,
+taken through one helper, image_rank (row_rank here, coideal_integral,
+quotient_dual and hopf._ideal_dims), whose docstring states the
+reduction lemma once; the two catalog certificates of coideal rank the
+images their catalog reduced once per algebra.  A shortfall, or a p
+dividing a denominator, proves nothing, and the exact route runs.
 
 Sparse accumulation goes through three helpers: acc adds one term into a
 row, row_sum adds whole rows, and apply_pairs applies a fixed (src, dst,
 coeff) table to a vector.
 The hot kernels keep their loops inline, as a call per term costs
-measurably there: row_addmul under every Echelon reduction, hopf.mul_rows
+measurably there: _sub_into under every Echelon reduction, hopf.mul_rows
 under every general x general product (a product by a basis element is
 a relabel, hopf.lmul or hopf.rmul, with no scalar operation), and
 hopf.convolve, run r^2 times per fusion table.
@@ -177,16 +179,12 @@ class Echelon:
         return not self.reduce(row)
 
     def coords(self, row: Row) -> list[CycloNumber] | None:
-        """Coefficients of row over the echelon rows, or None."""
-        res = dict(row)
-        piv = sorted(self.pivots)
-        out = [ZERO] * len(piv)
-        for idx, p in enumerate(piv):
-            c = res.get(p)
-            if c:
-                out[idx] = c
-                _sub_into(res, self.pivots[p], c)
-        return out if not res else None
+        """Coefficients of row over the echelon rows, or None off the span.
+        Each reduced row is 1 at its pivot and 0 at every other pivot, so
+        a row of the span has its own value at each pivot as coefficient."""
+        if not self.contains(row):
+            return None
+        return [row.get(p, ZERO) for p in sorted(self.pivots)]
 
     def key(self) -> tuple:
         """Canonical hashable key, read off the reduced rows; kept until
@@ -225,35 +223,20 @@ def nullspace(rows: list[Row], ncols: int) -> Echelon:
 
 
 def intersect(x: Echelon, y: Echelon) -> Echelon:
-    """The space x & y, from the kernel of u.x - v.y on the stacked rows."""
+    """The space x & y, read off one Echelon on 2 ncols columns (Zassenhaus).
+
+    Lemma: the rows (u | u) for u in x and (v | 0) for v in y span the
+    (u + v | u); such a row has first half 0 exactly when u = -v lies in
+    x & y.  A combination of reduced rows is 0 in the first half only if
+    it uses no row with its pivot there, so the reduced rows with their
+    pivot in the second half are (0 | w), and their w are the reduced
+    rows of x & y.
+    """
     n = x.ncols
-    if not x.dim or not y.dim:
-        return Echelon(n)
-    a, b = x.rows, y.rows
-    k = len(a)
-    stacked: list[Row] = []
-    for j in range(n):
-        col: Row = {}
-        for i, r in enumerate(a):
-            c = r.get(j)
-            if c:
-                col[i] = c
-        for i, r in enumerate(b):
-            c = r.get(j)
-            if c:
-                col[k + i] = -c
-        if col:
-            stacked.append(col)
-    out: list[Row] = []
-    for combo in nullspace(stacked, k + y.dim).rows:
-        vec: Row = {}
-        for i in range(k):
-            c = combo.get(i)
-            if c:
-                vec = row_addmul(vec, a[i], c)
-        if vec:
-            out.append(vec)
-    return Echelon(n, out)
+    doubled = [{**u, **{n + j: c for j, c in u.items()}} for u in x.rows]
+    ech = Echelon(2 * n, doubled + y.rows)
+    return Echelon(n, [{j - n: c for j, c in ech.pivots[p].items()}
+                       for p in sorted(ech.pivots) if p >= n])
 
 
 def row_keys(rows: list[Row]) -> list[tuple]:
@@ -421,12 +404,29 @@ def rank_modp(rows, p: int, target: int) -> int:
     return len(pivots)
 
 
+def image_rank(rows: list[Row], form, stop: int) -> int | None:
+    """The rank mod p of form(images, p), stopped at stop, for (p, images)
+    = rows_modp(rows); None when p divides a denominator of the rows.
+
+    Lemma: zeta_m -> w^(n/m), with denominators inverted, is a ring map
+    Z[zeta_n][1/N] -> F_p where p divides no denominator N.  So a form
+    that runs ring operations on the images (the code its caller runs
+    over the exact rows) yields the images of the exact rows it yields
+    there, and their rank mod p is at most their exact rank (Dixon,
+    Numer. Math. 40, 1982).  Each caller states what reaching its target
+    proves there.
+    """
+    p, images = rows_modp(rows)
+    if images is None:
+        return None
+    return rank_modp(form(images, p), p, stop)
+
+
 def row_rank(rows: list[Row], ncols: int) -> int:
     """The exact rank of the rows, certified mod p where it can be: the
     exact rank is at most min(len(rows), ncols), so a rank mod p that
     reaches that bound is the exact rank; otherwise Echelon decides."""
     bound = min(len(rows), ncols)
-    p, images = rows_modp(rows)
-    if images is not None and rank_modp(images, p, bound) == bound:
+    if image_rank(rows, lambda images, p: images, bound) == bound:
         return bound
     return Echelon(ncols, rows).dim

@@ -18,8 +18,8 @@ from hopfcat.coideal import (CoidealSubalgebra, coideal_from_space,
 from hopfcat.cyclo import ONE
 from hopfcat.hopf import (QTAlgebra, counit_value, lmul,
                           subalgebra_generators)
-from hopfcat.linalg import (Echelon, intersect, nullspace, rank_modp,
-                            row_addmul, rows_modp)
+from hopfcat.linalg import (Echelon, image_rank, intersect, nullspace,
+                            rank_modp, row_addmul, rows_modp)
 
 
 def _exact_product(A, L1, L2):
@@ -37,6 +37,23 @@ def _refuse(*args):
 def _no_images(rows):
     """rows_modp as if p divided a denominator of the rows."""
     return rows_modp(rows)[0], None
+
+
+def _short(rows, form, stop):
+    """image_rank one short of its rank."""
+    return image_rank(rows, form, stop) - 1
+
+
+def _no_rank(rows, form, stop):
+    """image_rank as if p divided a denominator of the rows."""
+    return None
+
+
+def _direct_rank(A, gens):
+    """The rank mod p of the direct route's equations over the images of
+    gens, run to dim A, as quotient_dual certifies it."""
+    return image_rank(gens, lambda im, p: coideal._direct_equations(
+        A, im, coideal._counits_modp(A, im, p)), A.dim)
 
 
 def _certified_answers(A, monkeypatch):
@@ -193,14 +210,15 @@ def test_quotient_dual_certificate_carries_every_catalog_entry(
         assert space == _exact_direct_route(A, L), (name, L.label())
 
 
-@pytest.mark.parametrize("name, value", [
-    ("rank_modp", lambda rows, p, target: rank_modp(rows, p, target) - 1),
-    ("rank_modp", lambda rows, p, target: rank_modp(rows, p, target) + 1),
+@pytest.mark.parametrize("every, value", [
+    (True, _short),
+    (True, lambda rows, form, stop: image_rank(rows, form, stop) + 1),
     # no generators, as for k1, still have their (empty) images
-    ("rows_modp", lambda rows: _no_images(rows) if rows else rows_modp(rows)),
+    (False, lambda rows, form, stop:
+     None if rows else image_rank(rows, form, stop)),
 ], ids=["rank-one-short", "rank-one-over", "prime-divides-a-denominator"])
 def test_a_failed_quotient_dual_certificate_takes_the_exact_route(
-        name, value, double_s3, monkeypatch):
+        every, value, double_s3, monkeypatch):
     A = double_s3
     cos = enumerate_coideals(A)
     want = [quotient_dual(A, L) for L in cos]
@@ -211,10 +229,10 @@ def test_a_failed_quotient_dual_certificate_takes_the_exact_route(
         return nullspace(eqs, n)
     monkeypatch.setattr(coideal, "memo", lambda A, key, build: build())
     monkeypatch.setattr(coideal, "nullspace", counted)
-    monkeypatch.setattr(coideal, name, value)
+    monkeypatch.setattr(coideal, "image_rank", value)
     assert [quotient_dual(A, L) for L in cos] == want
     # k1 has no generator, so no equation: no image mod p to refuse
-    assert calls[0] == sum(1 for L in cos if name == "rank_modp"
+    assert calls[0] == sum(1 for L in cos if every
                            or subalgebra_generators(A, L.space))
 
 
@@ -230,8 +248,7 @@ def test_quotient_dual_refuses_an_integral_of_another_coideal(double_s3,
     L, K = next((L, K) for L in cos for K in cos
                 if K is not L and K.dim == L.dim)
     gens = subalgebra_generators(A, L.space)
-    assert (coideal._direct_rank_modp(A, gens)
-            == A.dim - quotient_dual(A, K).dim)
+    assert _direct_rank(A, gens) == A.dim - quotient_dual(A, K).dim
     bad = CoidealSubalgebra(A, L.space, K.integral, "L with K's integral")
     with pytest.raises(InvariantViolation) as err:
         quotient_dual(A, bad)
@@ -258,8 +275,8 @@ def test_direct_rank_forms_only_rows_that_can_be_nonzero(name):
                        if (m := A.prod_idx[k][j]) >= 0}
                 row[k] = row.get(k, 0) - eps
                 rows.append(row)
-        assert (coideal._direct_rank_modp(A, gens)
-                == rank_modp(rows, p, A.dim)), (name, L.label())
+        assert _direct_rank(A, gens) == rank_modp(rows, p, A.dim), (
+            name, L.label())
 
 
 def _nonzero_mod(rows, p):
@@ -336,10 +353,9 @@ def test_a_failed_integral_certificate_takes_the_exact_route(
     if defect == "another-integral":
         proposal = K.integral
     elif defect == "rank-one-short":
-        monkeypatch.setattr(coideal, "rank_modp", lambda rows, p, target:
-                            rank_modp(rows, p, target) - 1)
+        monkeypatch.setattr(coideal, "image_rank", _short)
     else:
-        monkeypatch.setattr(coideal, "rows_modp", _no_images)
+        monkeypatch.setattr(coideal, "image_rank", _no_rank)
     calls = [0]
 
     def counted(eqs, n):

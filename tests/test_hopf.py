@@ -45,7 +45,8 @@ from hopfcat.hopf import (
     verify_quasitriangular,
 )
 from hopfcat.fusion import simple_objects
-from hopfcat.linalg import Echelon, row_addmul, rows_modp
+from hopfcat.linalg import Echelon, image_rank, row_addmul
+from hopfcat.verify import verify_identities
 
 ONE = as_cyclo(1)
 ZERO = as_cyclo(0)
@@ -71,6 +72,19 @@ def test_axioms_all_catalog(doubles, triangular_s3):
     for A in doubles.values():
         verify_axioms(A)
     verify_axioms(triangular_s3)
+
+
+def test_the_trivial_group_algebra_is_generated_by_its_unit():
+    """k[Z1] = k e_0 has no group generator, so its unit generates it:
+    the algebra builds and passes every subject of the full suite; every
+    other group algebra keeps its group's generators."""
+    A = build_triangular(parse_group_spec("Z1"))
+    assert generators(A) == [0] and A.unit_row == {0: ONE}
+    checks = verify_identities(A, "full")["checks"]
+    assert checks and all(c["pass"] for c in checks)
+    for name in ("Z2", "Z6", "S3", "D4", "Q8", "Z2xZ2"):
+        G = parse_group_spec(name)
+        assert generators(build_triangular(G)) == list(G.generators()) != []
 
 
 def test_product_structure_s3(double_s3):
@@ -922,16 +936,15 @@ def test_ideal_dims_take_the_exact_route_without_a_certificate(
     B = _fresh(A)
     simple_objects(B)
     if defect == "rank-one-short":
-        original = hopf.rank_modp
         calls = []
 
-        def rank(rows, p, target):
+        def rank(rows, form, stop):
             calls.append(1)
-            return original(rows, p, target) - (len(calls) == 1)
-        monkeypatch.setattr(hopf, "rank_modp", rank)
+            return image_rank(rows, form, stop) - (len(calls) == 1)
+        monkeypatch.setattr(hopf, "image_rank", rank)
     else:
-        monkeypatch.setattr(hopf, "rows_modp",
-                            lambda rows: (rows_modp(rows)[0], None))
+        monkeypatch.setattr(hopf, "image_rank",
+                            lambda rows, form, stop: None)
     original_convolve = hopf.convolve
     formed = [0]
 

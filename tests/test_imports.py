@@ -2,8 +2,8 @@
 every public function, class and method of the package has a caller in
 the package or the benchmark (perfbench), unless it is listed below with
 its reason, every parameter default of a public function is left unset
-by one of those callers, and every exception class is told apart by
-some code.
+by one of those callers, every named parameter of a function is read by
+it, and every exception class is told apart by some code.
 
 No linter ships with the project, so this reads each module's syntax
 tree with the standard library's ast."""
@@ -248,6 +248,65 @@ def test_a_default_every_caller_passes_is_found():
     callers = [ast.parse("f(1, 2, c=3)\nf(0, c=1)\nK().m(1)\n"
                          "K.s(1, 2)\nK.s(*xs)\n")]
     assert _never_omitted(tree, callers) == ["f(c)", "K.s(y)"]
+
+
+# parameters their function need not read, and why
+_UNREAD_ALLOWED = {
+    "verify.verify_identities(seed)": "perfbench/worker.py passes it; no "
+                                      "check samples (ROADMAP item 19)",
+}
+
+
+def _unread_parameters(tree: ast.Module, module: str) -> list[str]:
+    """module.function(parameter) for each named parameter of a def, at
+    any depth, that its body never reads (self and cls aside).  A lambda
+    takes the signature its caller sets, and *args or **kwargs catch
+    what a protocol passes, so neither is asked to read anything."""
+    out = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for n in ast.iter_child_nodes(node):
+            if isinstance(n, ast.ClassDef):
+                visit(n, f"{prefix}{n.name}.")
+                continue
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = n.args
+                read = {m.id for b in n.body for m in ast.walk(b)
+                        if isinstance(m, ast.Name)}
+                out.extend(f"{module}.{prefix}{n.name}({x.arg})"
+                           for x in a.posonlyargs + a.args + a.kwonlyargs
+                           if x.arg not in read | {"self", "cls"})
+                visit(n, f"{prefix}{n.name}.")
+                continue
+            visit(n, prefix)
+    visit(tree, "")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert [q for q in _unread_parameters(ast.parse(path.read_text()),
+                                          path.stem)
+            if q not in _UNREAD_ALLOWED] == []
+
+
+def test_listed_unread_parameters_are_unread():
+    found = {q for stem, tree in _TREES.items()
+             for q in _unread_parameters(tree, stem)}
+    assert set(_UNREAD_ALLOWED) <= found
+
+
+def test_an_unread_parameter_is_found():
+    tree = ast.parse("def f(a, b, *rest, c=0, **kw):\n"
+                     "    return a + (lambda x, unused: x)(c, 0)\n"
+                     "class K:\n"
+                     "    def m(self, used, idle):\n"
+                     "        def inner(y):\n"
+                     "            return used\n"
+                     "        return inner\n")
+    assert _unread_parameters(tree, "mod") == [
+        "mod.f(b)", "mod.K.m(idle)", "mod.K.m.inner(y)"]
 
 
 def _untold(errors: ast.Module, trees: list[ast.Module]) -> list[str]:

@@ -16,6 +16,7 @@ from hopfcat.linalg import (
     acc,
     apply_pairs,
     find_prime,
+    image_rank,
     intersect,
     kernel_modp,
     nullspace,
@@ -205,18 +206,6 @@ def _rational(raw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_spaces(2))
-def test_intersect_is_the_meet(case):
-    n, raw_x, raw_y = case
-    x, y = Echelon(n, raw_x), Echelon(n, raw_y)
-    meet = intersect(x, y)
-    assert meet <= x and meet <= y
-    assert meet == intersect(y, x)
-    # Grassmann: dim x + dim y = dim (x & y) + dim (x + y)
-    assert x.dim + y.dim == meet.dim + Echelon(n, x.rows + y.rows).dim
-
-
-@settings(max_examples=40, deadline=None)
 @given(_spaces(1))
 def test_nullspace_is_the_annihilator(case):
     n, rows = case
@@ -380,6 +369,101 @@ def test_row_rank_refuses_a_prime_that_divides_a_denominator():
     assert row_rank(rows, 2) == 2
 
 
+def test_image_rank_reads_the_form_over_the_images():
+    rows = [{0: CycloNumber.zeta(3, 1)}, {1: CycloNumber.zeta(4, 1), 2: ONE}]
+    p, images = rows_modp(rows)
+    seen = []
+
+    def form(got, q):
+        seen.append((got, q))
+        return got + [{2: q + 1}]
+    assert image_rank(rows, form, 5) == 3
+    assert seen == [(images, p)]
+    assert image_rank(rows, form, 2) == 2
+    q, _ = rows_modp([])
+    assert image_rank([{0: CycloNumber.rational(Fraction(1, q))}], form,
+                      1) is None
+
+
+# --- cyclotomic spaces: the meet and coordinates -------------------------
+
+_Z3 = CycloNumber.zeta(3, 1)  # z(3), stored at order 3
+_Z3_AT_6 = CycloNumber.zeta(12, 4)  # the same value, stored as -1 + z(6)
+
+
+@st.composite
+def _cyclo_space_pairs(draw):
+    """n <= 5 columns and the rows of two spaces over Q(zeta_order) on
+    them, order 1 giving rational spaces; the second also holds
+    combinations of the first's rows, so that meets are often
+    nonzero."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.sampled_from([1, 3, 4, 6, 12]))
+    value = st.builds(lambda e, q: CycloNumber(order, {e: q}),
+                      st.integers(0, order - 1), _entries)
+
+    def rows(count):
+        return [{j: v for j, v in r.items() if v}
+                for r in draw(st.lists(st.dictionaries(
+                    st.integers(0, n - 1), value, max_size=3),
+                    max_size=count))]
+    x, y = rows(4), rows(3)
+    for coeffs in draw(st.lists(st.lists(value, min_size=len(x),
+                                         max_size=len(x)), max_size=2)):
+        combo = {}
+        for c, r in zip(coeffs, x):
+            combo = row_addmul(combo, r, c)
+        y.append(combo)
+    return n, x, y
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cyclo_space_pairs())
+def test_intersect_is_the_meet(case):
+    n, raw_x, raw_y = case
+    x, y = Echelon(n, raw_x), Echelon(n, raw_y)
+    meet = intersect(x, y)
+    assert meet <= x and meet <= y
+    assert meet == intersect(y, x)
+    # Grassmann: dim x + dim y = dim (x & y) + dim (x + y)
+    assert x.dim + y.dim == meet.dim + Echelon(n, x.rows + y.rows).dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cyclo_matrices())
+def test_coords_rebuild_the_span_and_refuse_the_rest(case):
+    n, rows = case
+    ech = Echelon(n, rows)
+    for row in rows + ech.rows:
+        rebuilt = {}
+        for c, basis in zip(ech.coords(row), ech.rows):
+            rebuilt = row_addmul(rebuilt, basis, c)
+        assert rebuilt == row
+    for j in range(n):
+        off = Echelon(n, rows + [{j: ONE}]).dim > ech.dim
+        assert (ech.coords({j: ONE}) is None) == off
+
+
+def test_meet_and_coords_across_stored_orders():
+    """z(3) at order 3 and the equal -1 + z(6) at order 6 are one value:
+    the spaces they span meet in the line both hold, and coordinates over
+    one read a row written with the other."""
+    assert _Z3 == _Z3_AT_6 and (_Z3.order, _Z3_AT_6.order) == (3, 6)
+    line, line_6 = ({0: ONE, 1: v} for v in (_Z3, _Z3_AT_6))
+    x = Echelon(3, [line, {2: ONE}])
+    y = Echelon(3, [line_6, {0: ONE, 2: ONE}])
+    meet = intersect(x, y)
+    assert meet == intersect(y, x) == Echelon(3, [line]) \
+        == Echelon(3, [line_6])
+    assert x.dim + y.dim == meet.dim + Echelon(3, x.rows + y.rows).dim
+    assert intersect(Echelon(3, [line]), Echelon(3, [line_6])).dim == 1
+    two, five = CycloNumber.rational(2), CycloNumber.rational(5)
+    row = {0: two, 1: two * _Z3_AT_6, 2: five}
+    assert x.coords(row) == [two, five]
+    assert row_addmul(row_scale(x.rows[0], two), x.rows[1], five) == row
+    assert x.coords({1: ONE}) is None and y.coords({1: ONE}) is None
+
+
 # --- one mod-p layer: who may find a prime or build a field -------------
 
 _SRC = Path(linalg.__file__).parent
@@ -430,3 +514,63 @@ def test_a_stray_prime_or_field_is_found():
     assert _field_work(tree) == (
         Counter({"find_prime": 1, "primitive_root_of_unity": 1, "_Field": 1,
                  "_field": 1}), {"row_modp", "Field"})
+
+
+# --- certificates go through image_rank ---------------------------------
+
+# the calls of rows_modp and rank_modp allowed outside linalg, by the
+# function that makes them: the catalog reduces its rows once per algebra,
+# and the two pair certificates rank products and unions of those images;
+# every other rank mod p is image_rank's
+_CERTIFICATE_CALLS = {
+    "coideal": {("_catalog", "rows_modp"): 1,
+                ("_certified_product", "rank_modp"): 1,
+                ("_certified_intersection", "rank_modp"): 1}}
+
+
+def _modp_calls(tree: ast.Module) -> Counter:
+    """The calls of rows_modp and rank_modp, bare or as an attribute,
+    counted by (the top-level function or Class.method making them,
+    name); a call outside any function counts under None."""
+    calls: Counter = Counter()
+
+    def visit(node: ast.AST, owner: str | None, prefix: str) -> None:
+        for n in ast.iter_child_nodes(node):
+            if isinstance(n, ast.ClassDef):
+                visit(n, owner, f"{prefix}{n.name}.")
+                continue
+            if isinstance(n, ast.FunctionDef):
+                visit(n, owner or f"{prefix}{n.name}", prefix)
+                continue
+            if isinstance(n, ast.Call):
+                f = n.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute)
+                        else None)
+                if name in ("rows_modp", "rank_modp"):
+                    calls[owner, name] += 1
+            visit(n, owner, prefix)
+    visit(tree, None, "")
+    return calls
+
+
+@pytest.mark.parametrize("path", sorted(p for p in _SRC.glob("*.py")
+                                        if p.stem != "linalg"),
+                         ids=lambda p: p.name)
+def test_certificates_outside_linalg_go_through_image_rank(path):
+    assert _modp_calls(ast.parse(path.read_text())) == Counter(
+        _CERTIFICATE_CALLS.get(path.stem, {}))
+
+
+def test_a_stray_rank_mod_p_is_found():
+    tree = ast.parse("def _catalog(A):\n"
+                     "    p, images = rows_modp(rows)\n"
+                     "    def inner():\n"
+                     "        return linalg.rank_modp(images, p, 3)\n"
+                     "class K:\n"
+                     "    def dims(self):\n"
+                     "        return [rank_modp(r, 7, 2) for r in rows]\n"
+                     "images = linalg.rows_modp([])\n")
+    assert _modp_calls(tree) == Counter({
+        ("_catalog", "rows_modp"): 1, ("_catalog", "rank_modp"): 1,
+        ("K.dims", "rank_modp"): 1, (None, "rows_modp"): 1})
