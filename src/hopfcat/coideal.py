@@ -37,9 +37,9 @@ from .cyclo import CycloNumber, ONE
 from .errors import PreconditionViolated, fail
 from .groups import (Group, Subgroup, abelian_coordinates, commute_elementwise,
                      memo, memoized, normal_subgroups)
-from .hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode, convolve,
+from .hopf import (QTAlgebra, ad_escape, adjoint, apply_antipode,
                    counit_value, drinfeld_map, is_left_coideal, left_quotients,
-                   leg_slices, lmul, mul_rows, pair_eval, right_adjoint,
+                   leg_slices, lmul, mul_rows, right_adjoint,
                    subalgebra_generators)
 from .linalg import (Echelon, Row, acc, image_rank, intersect, nullspace,
                      rank_modp, row_addmul, row_keys, row_scale, rows_modp)
@@ -690,20 +690,6 @@ def dual_coideal(A: QTAlgebra, L: CoidealSubalgebra) -> CoidealSubalgebra:
     dm = drinfeld_map(A)
     rows = [dm.phi(f) for f in quotient_dual(A, L).rows]
     return coideal_from_space(A, Echelon(A.dim, rows))
-
-
-def recover_from_dual(A: QTAlgebra, L: CoidealSubalgebra) -> Echelon:
-    """L reconstructed as {a : (g * f)(a) = f(1) g(a) for all f, g}."""
-    dual = quotient_dual(A, L)
-    constraints: list[Row] = []
-    for f in dual.rows:
-        f1 = pair_eval(f, A.unit_row)
-        for k in range(A.dim):
-            g = {k: ONE}
-            row = row_addmul(convolve(A, g, f), g, -f1)
-            if row:
-                constraints.append(row)
-    return nullspace(constraints, A.dim)
 
 
 def is_normal_hopf_subalgebra(A: QTAlgebra, L: CoidealSubalgebra) -> bool:

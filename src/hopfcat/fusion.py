@@ -56,21 +56,6 @@ class SimpleObject:
     def label(self) -> str:
         return f"V{self.class_index}.{self.rep_index}"
 
-    def act(self, row: Row) -> list[list[CycloNumber]]:
-        d = self.dim
-        out = [[ZERO] * d for _ in range(d)]
-        for k, c in row.items():
-            m = self.matrices.get(k)
-            if m is None:
-                continue
-            for r in range(d):
-                mr = m[r]
-                orow = out[r]
-                for s in range(d):
-                    if mr[s]:
-                        orow[s] = orow[s] + c * mr[s]
-        return out
-
     def __repr__(self) -> str:
         return f"Simple({self.label()}, dim={self.dim})"
 
@@ -95,9 +80,13 @@ def _verify_module(A: QTAlgebra, s: SimpleObject) -> None:
     multiplicative on all basis pairs, and with the unit check an algebra
     map.
     """
-    if tuple(tuple(r) for r in s.act(A.unit_row)) != _identity(s.dim):
-        fail(A, "module unit", None, f"V{s.index}")
     mats = s.matrices
+    unit = [[ZERO] * s.dim for _ in range(s.dim)]
+    for k, c in A.unit_row.items():
+        for urow, mrow in zip(unit, mats.get(k, ())):
+            urow[:] = [u + c * v for u, v in zip(urow, mrow)]
+    if tuple(map(tuple, unit)) != _identity(s.dim):
+        fail(A, "module unit", None, f"V{s.index}")
     # a product with a zero factor must land on a zero matrix: an index
     # test against the nonzero ones; only products of two nonzero
     # matrices are formed

@@ -30,14 +30,16 @@ the same way, once an integer search has shown that products of
 generators reach every basis element; the central
 idempotents and their character values are checked on the diagonal
 only, and phi's multiplicativity on the dual basis.  The idempotents
-of the character ring, their class-equation integers (ranks mod p,
-_ideal_dims) and the class spans (each read off one coproduct,
-conjugacy_class) are built together by char_ring_idempotents and kept
-on the CharRing it returns.  A subalgebra, such as a coideal or K_A, is
-checked on a small generating set of its own, certified once per space by
-subalgebra_generators: its product closure, the left coideal property
-(is_left_coideal) and ad-stability (ad_escape).  Each such check states
-its lemma where it runs, and none samples.
+of the character ring, the blocks of simples their images cover (in
+closed form for both kinds, checked by one phi per idempotent), their
+class-equation integers (ranks mod p, _ideal_dims) and the class spans
+(each read off one coproduct, conjugacy_class) are built together by
+char_ring_idempotents and kept on the CharRing it returns.  A
+subalgebra, such as a coideal or K_A, is checked on a small generating
+set of its own, certified once per space by subalgebra_generators: its
+product closure, the left coideal property (is_left_coideal) and
+ad-stability (ad_escape).  Each such check states its lemma where it
+runs, and none samples.
 
 The coproduct is QTAlgebra.delta plus one derived index, delta_by_left.
 Constructions reach it through three bilinear maps: convolve (f * g in
@@ -901,59 +903,57 @@ class CharRing:
     """Primitive idempotents F_j of the character ring, their images and
     the conjugacy classes read off them.
 
-    partition[j] lists the central idempotents appearing in phi(F_j);
-    the nonempty entries tile the simple indices.  j_of[i] is the block
-    containing the i-th simple, n_values[j] is the class-equation
-    integer dim(A)/dim(A* F_j), and classes[j] is the class C^j of F_j
-    (conjugacy_class).
+    j_of[s] is the block of the s-th simple: phi(F_j) is the sum of the
+    central idempotents E_s with j_of[s] = j (char_ring_idempotents).
+    n_values[j] is the class-equation integer dim(A)/dim(A* F_j), and
+    classes[j] is the class C^j of F_j (conjugacy_class).
     """
 
     idempotents: list[Row]
     central: list[Row]
-    partition: list[list[int]]
     j_of: list[int]
     n_values: list[int]
     classes: list[ConjClass]
 
 
 def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
-    """The central idempotents E_j of the characters, the F_j of the
-    character ring and their conjugacy classes.  In the factorizable case
-    F_j = phi^-1(E_j), every one read off the one memoized elimination of
-    the matrix of phi (DrinfeldMap.invert), and phi(F_j) = E_j is checked
-    for each.
+    """The central idempotents E_s of the characters, the F_j of the
+    character ring and their conjugacy classes.
 
-    In the factorizable case block j of the partition is {j}, with no
-    scan: phi(F_j) = E_j is checked here, and chi_s(E_j) = delta_sj d_s
-    by _check_central_idempotents.  For kG every phi(F_j) is read off
-    the characters.  The class spans must decompose A: their rows, dim A
+    The blocks are in closed form for both kinds.  In the factorizable
+    case F_j = phi^-1(E_j), every one read off the one memoized
+    elimination of the matrix of phi (DrinfeldMap.invert), and block j is
+    {j}.  For kG, R = 1 (x) 1 gives phi(f) = f(1) 1; the F_j are the
+    class indicators, the identity class first (conjugacy_classes), so
+    F_0 is the only F_j with F_j(1) != 0, and every simple lies in block
+    0.  One loop checks phi(F_j) = sum of the E_s with j_of[s] = j for
+    both kinds.  Lemma: the E_s are nonzero orthogonal idempotents
+    (_check_central_idempotents), hence linearly independent, so phi(F_j)
+    equals at most one sum of them; the check proves the blocks that a
+    scan of chi_s(phi(F_j)) would derive, and j_of tiles the simples by
+    construction.  The class spans must decompose A: their rows, dim A
     of them, have full rank.
     """
     E = central_idempotents(A, chars)
     dm = drinfeld_map(A)
     r = len(chars)
     if dm.is_factorizable:
-        F: list[Row] = []
-        for j, ej in enumerate(E):
-            fj = dm.invert(ej)
-            if fj is None or dm.phi(fj) != ej:
-                fail(A, "Drinfeld-map preimage", None, f"idempotent {j}")
-            F.append(fj)
+        F = [dm.invert(ej) for ej in E]
+        j_of = list(range(r))
     elif A.kind == "group":
         F = [{g: ONE for g in cls.members} for cls in A.group.conjugacy_classes()]
         if len(F) != r:
             fail(A, "class count = character count")
+        j_of = [0] * r
     else:  # a double whose Drinfeld map is not bijective
         fail(A, "factorizability of the double")
+    for j, fj in enumerate(F):
+        if fj is None or dm.phi(fj) != row_sum(
+                E[s] for s in range(r) if j_of[s] == j):
+            fail(A, "Drinfeld-map preimage", None, f"idempotent {j}")
 
     lam, t = integrals(A)
     _check_char_ring_idempotents(A, chars, F, t)
-    partition = ([[j] for j in range(r)] if dm.is_factorizable
-                 else _partition(A, chars, F, E))
-    j_of = [-1] * r
-    for j, block in enumerate(partition):
-        for s in block:
-            j_of[s] = j
 
     n_values: list[int] = []
     for j, (fj, size) in enumerate(zip(F, _ideal_dims(A, F))):
@@ -968,37 +968,7 @@ def char_ring_idempotents(A: QTAlgebra, chars: list[Row]) -> CharRing:
     rows = [row for cls in classes for row in cls.space.rows]
     if not (len(rows) == A.dim and row_rank(rows, A.dim) == A.dim):
         fail(A, "class-span decomposition of the algebra")
-    return CharRing(F, E, partition, j_of, n_values, classes)
-
-
-def _partition(A: QTAlgebra, chars: list[Row], F: list[Row],
-               E: list[Row]) -> list[list[int]]:
-    """For each F_j, the s with E_s in phi(F_j), read off the characters:
-    chi_s(phi(F_j)) / d_s is 1 or 0; the blocks must tile the simples."""
-    dm = drinfeld_map(A)
-    degrees = [pair_eval(chi, A.unit_row) for chi in chars]
-    partition: list[list[int]] = []
-    seen: set[int] = set()
-    for j, fj in enumerate(F):
-        image = dm.phi(fj)
-        block: list[int] = []
-        for s, chi in enumerate(chars):
-            c = pair_eval(chi, image) / degrees[s]
-            if c == ZERO:
-                continue
-            if c != ONE:
-                fail(A, "phi(F_j) 0/1 coefficient", None,
-                     f"F_{j}, idempotent {s}")
-            block.append(s)
-        if row_sum(E[s] for s in block) != image:
-            fail(A, "phi(F_j) is a sum of central idempotents", None, f"F_{j}")
-        if set(block) & seen:
-            fail(A, "partition block disjointness", None, f"F_{j}")
-        seen.update(block)
-        partition.append(block)
-    if len(seen) != len(chars):
-        fail(A, "partition cover of the simples")
-    return partition
+    return CharRing(F, E, j_of, n_values, classes)
 
 
 def _ideal_dims(A: QTAlgebra, F: list[Row]) -> list[int]:
@@ -1171,8 +1141,9 @@ def verify_quasitriangular(A: QTAlgebra, chars: list[Row],
                    for j, m in enumerate(quotients) if m >= 0) != phis[k]:
             fail(A, "phi = f_R21 * f_R", None, f"{A.labels[k]}^*")
 
-    # the image of the dual integral matches block 0 of the partition
-    if dm.phi(t) != row_sum(ring.central[s] for s in ring.partition[0]):
+    # the image of the dual integral is the sum of block 0's idempotents
+    if dm.phi(t) != row_sum(e for e, j in zip(ring.central, ring.j_of)
+                            if j == 0):
         fail(A, "phi(t) = block-0 idempotent sum")
 
     _check_class_spans(A, ring.classes)

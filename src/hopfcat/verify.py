@@ -59,7 +59,7 @@ class _Context:
         self.factorizable = self.dm.is_factorizable
         self.ring = char_ring(A)
         self.classes = self.ring.classes
-        self.lam, self.t = integrals(A)
+        self.lam, _ = integrals(A)
         self.KA = compute_K_A(A)
         self.full = self.table[subcat_mask(range(self.r))]
         self.cent = {D.indices: centralizer(A, D, "smatrix")

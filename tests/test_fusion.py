@@ -548,6 +548,20 @@ def test_module_checked_on_generators_rejects_a_corrupted_non_generator(
     assert checked == len(simple_objects(A))
 
 
+def test_module_unit_rejects_a_corrupted_unit_term(double_s3):
+    """rho(1) is summed over the terms of the unit row: a simple whose
+    matrix at one unit term is doubled fails the unit check, which runs
+    before multiplicativity."""
+    A = _fresh_copy(double_s3)
+    for s in simple_objects(A):
+        k = next(k for k in A.unit_row if k in s.matrices)
+        bad = dict(s.matrices)
+        bad[k] = tuple(tuple(v + v for v in row) for row in bad[k])
+        with pytest.raises(InvariantViolation,
+                           match=rf"^D\(S3\): module unit fails on "
+                                 rf"V{s.index}$"):
+            _verify_module(A, dataclasses.replace(s, matrices=bad))
+
 
 @pytest.mark.parametrize("defect", ["dropped", "added"])
 def test_module_check_reads_zero_matrices_by_index(double_s3, defect):

@@ -44,7 +44,7 @@ from hopfcat.hopf import (
     verify_axioms,
     verify_quasitriangular,
 )
-from hopfcat.fusion import simple_objects
+from hopfcat.fusion import char_ring, simple_objects
 from hopfcat.linalg import Echelon, image_rank, row_addmul
 from hopfcat.verify import verify_identities
 
@@ -271,6 +271,32 @@ def test_char_ring_refuses_a_corrupted_drinfeld_inverse(double_s3,
     with pytest.raises(InvariantViolation,
                        match=r"^D\(S3\): Drinfeld-map preimage fails on "
                              r"idempotent \d+$"):
+        char_ring_idempotents(A, chars)
+
+
+def test_char_ring_blocks_in_closed_form(doubles, triangular_s3):
+    """Block j of a factorizable double is {j}; every simple of kG lies in
+    block 0, the block of the identity class."""
+    for A in (triangular_s3, doubles["S3"], doubles["D4"]):
+        r = len(simple_objects(A))
+        want = list(range(r)) if A.kind == "double" else [0] * r
+        assert char_ring(A).j_of == want, A.name
+
+
+def test_char_ring_refuses_classes_without_the_identity_first(monkeypatch):
+    """On a fresh k[S3] whose classes are listed with the identity class
+    last, built after the characters: phi(F_0) = F_0(1) 1 is 0, not the
+    sum of all the E_s, and the block check fails on F_0 before F_0 = t
+    is tested."""
+    A = build_triangular(parse_group_spec("S3"))
+    chars = [s.character for s in simple_objects(A)]
+    classes = A.group.conjugacy_classes()
+    assert classes[0].members == (0,)
+    monkeypatch.setattr(A.group, "conjugacy_classes",
+                        lambda: classes[1:] + classes[:1])
+    with pytest.raises(InvariantViolation,
+                       match=r"^k\[S3\]: Drinfeld-map preimage fails on "
+                             r"idempotent 0$"):
         char_ring_idempotents(A, chars)
 
 

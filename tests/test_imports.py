@@ -3,7 +3,8 @@ every public function, class and method of the package has a caller in
 the package or the benchmark (perfbench), unless it is listed below with
 its reason, every parameter default of a public function is left unset
 by one of those callers, every named parameter of a function is read by
-it, and every exception class is told apart by some code.
+it, every stored attribute is read by some code, and every exception
+class is told apart by some code.
 
 No linter ships with the project, so this reads each module's syntax
 tree with the standard library's ast."""
@@ -53,7 +54,6 @@ _NO_CALLER_NEEDED = {
     **{name: "public API, exported by hopfcat/__init__.py" for name in _HOMES},
     "generated_subcategory": "reference route: tests compare its kernel "
                              "route with the fusion closure",
-    "recover_from_dual": "reference route: tests recover L from (A//L)*",
 }
 # module name -> syntax tree, for the package and the benchmark
 _TREES = {p.stem: ast.parse(p.read_text()) for p in
@@ -307,6 +307,88 @@ def test_an_unread_parameter_is_found():
                      "        return inner\n")
     assert _unread_parameters(tree, "mod") == [
         "mod.f(b)", "mod.K.m(idle)", "mod.K.m.inner(y)"]
+
+
+# stored attributes that no code in the package or the benchmark reads,
+# and why
+_UNREAD_ATTRIBUTE_ALLOWED = {
+    "errors.ParseError.offset": "callers read the offset of the bad token",
+    "chartab.CharacterTable.N": "public attribute of an exported class",
+    "chartab.CharacterTable.dual_row": "public attribute of an exported "
+                                       "class, written by the "
+                                       "dual-uniqueness self-check",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if (f.id if isinstance(f, ast.Name)
+                else getattr(f, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _unread_attributes(tree: ast.Module, module: str,
+                       readers: list[ast.Module]) -> list[str]:
+    """module.Class.name for each field of a dataclass of tree and each
+    self.name assigned in the __init__ of one of its classes, at any
+    depth, that no reader loads as an attribute of any object."""
+    read = {n.attr for reader in readers for n in ast.walk(reader)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    stored = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for m in node.body:
+            if (_is_dataclass(node) and isinstance(m, ast.AnnAssign)
+                    and isinstance(m.target, ast.Name)):
+                stored.append((node.name, m.target.id))
+            elif isinstance(m, ast.FunctionDef) and m.name == "__init__":
+                stored += [(node.name, n.attr) for n in ast.walk(m)
+                           if isinstance(n, ast.Attribute)
+                           and isinstance(n.ctx, ast.Store)
+                           and isinstance(n.value, ast.Name)
+                           and n.value.id == "self"]
+    return [f"{module}.{cls}.{attr}" for cls, attr in stored
+            if attr not in read]
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_stored_attribute_is_read(path):
+    assert [q for q in _unread_attributes(ast.parse(path.read_text()),
+                                          path.stem, _CALLERS)
+            if q not in _UNREAD_ATTRIBUTE_ALLOWED] == []
+
+
+def test_listed_unread_attributes_are_unread():
+    found = {q for stem, tree in _TREES.items()
+             for q in _unread_attributes(tree, stem, _CALLERS)}
+    assert set(_UNREAD_ATTRIBUTE_ALLOWED) <= found
+
+
+def test_an_unread_attribute_is_found():
+    tree = ast.parse("from dataclasses import dataclass\n"
+                     "import dataclasses\n"
+                     "@dataclass\n"
+                     "class P:\n"
+                     "    used: int\n"
+                     "    idle: int\n"
+                     "@dataclasses.dataclass(frozen=True)\n"
+                     "class F:\n"
+                     "    spare: int\n"
+                     "class K:\n"
+                     "    size = 0\n"
+                     "    def __init__(self, n):\n"
+                     "        self.n, self.stored = n, n\n"
+                     "        self.table = [0] * n\n"
+                     "    def grow(self):\n"
+                     "        self.later = 1\n"
+                     "        self.table[0] = self.n\n")
+    readers = [tree, ast.parse("print(P(1, 2).used)\n")]
+    assert _unread_attributes(tree, "mod", readers) == [
+        "mod.P.idle", "mod.F.spare", "mod.K.stored"]
 
 
 def _untold(errors: ast.Module, trees: list[ast.Module]) -> list[str]:
