@@ -7,15 +7,18 @@ lambda on M x H.  For the group algebra itself they are the spans of
 normal subgroups.  Every constructed object is re-verified against the
 defining coideal axioms rather than trusted.  A product or intersection
 of two catalog entries is certified to be a given entry by a rank mod p
-(lemmas at _certified_product and _certified_intersection); the exact
-spans are the fallback.  The two routes to (A//L)* are certified equal
-the same way, with the exact nullspace as the fallback (quotient_dual),
-and so is a proposed integral (coideal_integral).  Each of the last two
-forms its equations in one generator (_direct_equations,
-_integral_equations), run over exact values for the exact route and
-over their images mod p for the certificate (linalg.image_rank, whose
-docstring states the reduction lemma).  The pair certificates read the
-images of the catalog's rows, reduced once per algebra (_catalog).
+(lemmas at _certified_product and _certified_intersection), or read off
+a certified pair that dominates it (lemmas at coideal_product and
+coideal_intersect); the exact spans are the fallback.  The two routes
+to (A//L)* are certified equal the same way, with the exact nullspace as
+the fallback (quotient_dual), and so is a proposed integral
+(coideal_integral).  Each of the last two forms its equations in one
+generator (_direct_equations, _integral_equations), run over exact
+values for the exact route and over their images mod p for the
+certificate (linalg.image_rank, whose docstring states the reduction
+lemma).  The pair certificates read the images of the catalog's rows,
+reduced once per algebra (_catalog), which also keeps the pairs they
+certified.
 
 A computed space is matched to its catalog entry by key, through one
 key -> position memo per algebra (_catalog_index, read by
@@ -434,30 +437,43 @@ def coideal_from_space(A: QTAlgebra, space: Echelon) -> CoidealSubalgebra:
 class _Catalog:
     """What the certificates of coideal_product and coideal_intersect read,
     built once per algebra from enumerate_coideals: the containment order
-    (below[i][j] when entry i lies in entry j, by exact Echelon.__le__),
-    and the prime p and each entry's reduced rows mod p of one rows_modp
-    over all entries (None when p divides one of their denominators).
-    Entries are found by position (_catalog_index)."""
+    as bitmasks (bit k of up[i] when entry i lies in entry k, by exact
+    Echelon.__le__, and bit i of down[k] likewise), and the prime p and
+    each entry's reduced rows mod p of one rows_modp over all entries
+    (None when p divides one of their denominators).  Entries are found
+    by position (_catalog_index).
+
+    Bit j of products[i] (meets[i]) is set once the product
+    (intersection) of the entries i and j is known: certified, or
+    dominated by a certified pair (lemmas at coideal_product and
+    coideal_intersect, which set and read them)."""
 
     entries: list[CoidealSubalgebra]
-    below: list[list[bool]]
+    up: list[int]
+    down: list[int]
     p: int
     rows: list[list[dict[int, int]]] | None
+    products: list[int]
+    meets: list[int]
 
 
 @memoized
 def _catalog(A: QTAlgebra) -> _Catalog:
     cos = enumerate_coideals(A)
+    n = len(cos)
     # the catalog is deduplicated, so distinct entries of one dimension
     # are incomparable
-    below = [[i == j or (L.dim < M.dim and L.space <= M.space)
-              for j, M in enumerate(cos)] for i, L in enumerate(cos)]
+    up = [sum(1 << k for k, M in enumerate(cos)
+              if i == k or (L.dim < M.dim and L.space <= M.space))
+          for i, L in enumerate(cos)]
+    down = [sum(1 << i for i in range(n) if up[i] >> k & 1)
+            for k in range(n)]
     p, images = rows_modp([r for L in cos for r in L.space.rows])
     rows = None
     if images is not None:
         it = iter(images)
         rows = [list(itertools.islice(it, L.dim)) for L in cos]
-    return _Catalog(cos, below, p, rows)
+    return _Catalog(cos, up, down, p, rows, [0] * n, [0] * n)
 
 
 def _positions(A: QTAlgebra, L1: CoidealSubalgebra,
@@ -474,14 +490,24 @@ def _within(cat: _Catalog, i: int | None, j: int | None,
     positions i and j."""
     if i is None or j is None:
         return L1.space <= L2.space
-    return cat.below[i][j]
+    return bool(cat.up[i] >> j & 1)
 
 
-def _certified_product(A: QTAlgebra, cat: _Catalog, i: int,
-                       j: int) -> CoidealSubalgebra | None:
-    """The catalog entry C equal to L1 L2 (and to L2 L1 unless C = A) for
-    the entries L1, L2 at positions i, j, or None when no certificate
-    holds.
+def _know(known: list[int], xs: int, ys: int) -> None:
+    """Mark the pairs (x, y) and (y, x) as known, for x in the bitmask xs
+    and y in ys."""
+    for mask, other in ((xs, ys), (ys, xs)):
+        while mask:
+            low = mask & -mask
+            known[low.bit_length() - 1] |= other
+            mask ^= low
+
+
+def _certified_product(A: QTAlgebra, cat: _Catalog, i: int, j: int,
+                       k: int) -> CoidealSubalgebra | None:
+    """The catalog entry C at position k, the first containing the
+    entries L1, L2 at positions i, j, when a certificate shows L1 L2 = C
+    (and L2 L1 = C unless C = A), or None.
 
     Lemma: C is the smallest entry containing L1 and L2.  C is a
     subalgebra, so L1 L2 <= C.  The products of the rows mod p are the
@@ -490,9 +516,7 @@ def _certified_product(A: QTAlgebra, cat: _Catalog, i: int,
     dim L1 L2, and rank_p = dim C gives L1 L2 = C; and when L1 L2 is an
     entry, it is C, the smallest entry containing both.
     """
-    k = next((k for k in range(len(cat.entries))
-              if cat.below[i][k] and cat.below[j][k]), None)
-    if k is None or cat.rows is None:
+    if cat.rows is None:
         return None
     C = cat.entries[k]
     orders = [(i, j)] if C.dim == A.dim else [(i, j), (j, i)]
@@ -504,10 +528,10 @@ def _certified_product(A: QTAlgebra, cat: _Catalog, i: int,
     return C
 
 
-def _certified_intersection(cat: _Catalog, i: int,
-                            j: int) -> CoidealSubalgebra | None:
-    """The catalog entry D equal to L1 & L2 for the entries L1, L2 at
-    positions i, j, or None when no certificate holds.
+def _certified_intersection(cat: _Catalog, i: int, j: int,
+                            k: int) -> CoidealSubalgebra | None:
+    """The catalog entry D at position k, the last inside the entries L1,
+    L2 at positions i, j, when a certificate shows L1 & L2 = D, or None.
 
     Lemma: D is the largest entry inside L1 and L2, so D <= L1 & L2.
     dim(L1 & L2) = dim L1 + dim L2 - dim(L1 + L2), and the rank mod p of
@@ -515,9 +539,7 @@ def _certified_intersection(cat: _Catalog, i: int,
     mod p of dim L1 + dim L2 - dim D bounds dim(L1 & L2) by dim D, and
     L1 & L2 = D.
     """
-    k = next((k for k in reversed(range(len(cat.entries)))
-              if cat.below[k][i] and cat.below[k][j]), None)
-    if k is None or cat.rows is None:
+    if cat.rows is None:
         return None
     D = cat.entries[k]
     target = cat.entries[i].dim + cat.entries[j].dim - D.dim
@@ -543,9 +565,23 @@ def coideal_product(A: QTAlgebra, L1: CoidealSubalgebra,
                     L2: CoidealSubalgebra) -> CoidealSubalgebra:
     """The span of all products l1*l2, again a coideal subalgebra.
 
-    Two catalog entries give the catalog entry their product certifies
-    (_certified_product); otherwise, or when the certificate falls short,
-    the exact span is built and checked against L2 L1.
+    Two catalog entries give the catalog entry C, the first containing
+    both: read off the catalog when a certified pair dominates them, or
+    else from a new certificate (_certified_product), after which the
+    catalog marks every pair that it dominates (_Catalog.products);
+    otherwise, or when the certificate falls short, the exact span is
+    built and checked against L2 L1.
+
+    Lemma (propagation): let L L' = C be certified, with L <= L1 <= C and
+    L' <= L2 <= C.  Then C = L L' <= L1 L2 <= C, as C is a subalgebra;
+    and C is then the first entry containing L1 and L2.  The same holds
+    in either order, as the products of two entries do not depend on it:
+    l l' = ad(l_1)(l') l_2, with l_2 in L (a left coideal) and
+    ad(l_1)(l') in L' (ad-stable, _verify_coideal), so L L' <= L' L, and
+    likewise L' L <= L L'.  So both orders of a pair are marked; below
+    C = A the certificate has checked both itself.  Pairs asked in
+    ascending catalog order, as lattice-duality asks them, then need a
+    certificate only where no certified pair with the same C lies below.
     """
     cat, i, j = _positions(A, L1, L2)
     if _within(cat, i, j, L1, L2):
@@ -553,8 +589,16 @@ def coideal_product(A: QTAlgebra, L1: CoidealSubalgebra,
     if _within(cat, j, i, L2, L1):
         return L1
     if i is not None and j is not None:
-        C = _certified_product(A, cat, i, j)
+        # the lowest bit: the first entry containing both, which the full
+        # algebra, the last entry, always is
+        both = cat.up[i] & cat.up[j]
+        k = (both & -both).bit_length() - 1
+        if cat.products[i] >> j & 1:
+            return cat.entries[k]
+        C = _certified_product(A, cat, i, j, k)
         if C is not None:
+            _know(cat.products, cat.up[i] & cat.down[k],
+                  cat.up[j] & cat.down[k])
             return C
     space = _span_product(A, L1, L2)
     if space.dim < A.dim:
@@ -566,17 +610,34 @@ def coideal_product(A: QTAlgebra, L1: CoidealSubalgebra,
 
 def coideal_intersect(A: QTAlgebra, L1: CoidealSubalgebra,
                       L2: CoidealSubalgebra) -> CoidealSubalgebra:
-    """L1 & L2: for two catalog entries the entry it certifies
-    (_certified_intersection); otherwise, or when the certificate falls
-    short, the exact intersection."""
+    """L1 & L2.  Two catalog entries give the catalog entry D, the last
+    inside both: read off the catalog when a certified pair dominates
+    them, or else from a new certificate (_certified_intersection), after
+    which the catalog marks every pair that it dominates (_Catalog.meets);
+    otherwise, or when the certificate falls short, the exact
+    intersection.
+
+    Lemma (propagation): let L & L' = D be certified, with D <= L1 <= L
+    and D <= L2 <= L'.  Then D <= L1 & L2 <= L & L' = D; and D is then
+    the last entry inside L1 and L2.  So pairs asked in descending
+    catalog order, as lattice-duality asks them, need a certificate only
+    where no certified pair with the same D lies above.
+    """
     cat, i, j = _positions(A, L1, L2)
     if _within(cat, i, j, L1, L2):
         return L1
     if _within(cat, j, i, L2, L1):
         return L2
     if i is not None and j is not None:
-        D = _certified_intersection(cat, i, j)
+        # the highest bit: the last entry inside both, which the trivial
+        # coideal, the first entry, always is
+        k = (cat.down[i] & cat.down[j]).bit_length() - 1
+        if cat.meets[i] >> j & 1:
+            return cat.entries[k]
+        D = _certified_intersection(cat, i, j, k)
         if D is not None:
+            _know(cat.meets, cat.down[i] & cat.up[k],
+                  cat.down[j] & cat.up[k])
             return D
     return coideal_from_space(A, intersect(L1.space, L2.space))
 

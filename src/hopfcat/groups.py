@@ -25,9 +25,9 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
 from itertools import permutations
 from math import lcm
+from typing import NamedTuple
 
 from .errors import BoundExceeded, NotAGroup, ParseError, fail
 
@@ -162,8 +162,10 @@ class Group:
         return f"Group({self.name}, order {self.n})"
 
 
-@dataclass(frozen=True)
-class ConjClassG:
+# the two records below are NamedTuples rather than dataclasses: every
+# CLI call imports this module, and typing is loaded already (errors,
+# cache), while dataclasses would bring inspect, ast, dis and tokenize
+class ConjClassG(NamedTuple):
     representative: int
     members: tuple[int, ...]
 
@@ -172,8 +174,7 @@ class ConjClassG:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     parent: Group
     members: tuple[int, ...]  # sorted, includes 0
 

@@ -70,6 +70,8 @@ class _Context:
         self.idx = {D.coideal.key(): D.indices for D in self.subs}
         self.mask = {D.coideal.key(): m for m, D in self.table.items()}
         self.Lstar = {L.key(): dual_coideal(A, L) for L in self.cos}
+        # join's answers, by the union of the two masks
+        self.joins: dict[int, tuple[int, ...]] = {}
 
     def fpdim_of(self, indices) -> int:
         return sum(self.dims[i] ** 2 for i in indices)
@@ -88,10 +90,13 @@ class _Context:
 
     def join(self, a, b) -> tuple[int, ...]:
         """The first subcategory of the table containing both index sets:
-        the first least-fpdim one, as the table is in fpdim order."""
+        the first least-fpdim one, as the table is in fpdim order; found
+        once per union of their masks."""
         want = subcat_mask(a) | subcat_mask(b)
-        return next(D.indices for m, D in self.table.items()
-                    if m & want == want)
+        if want not in self.joins:
+            self.joins[want] = next(D.indices for m, D in self.table.items()
+                                    if m & want == want)
+        return self.joins[want]
 
     def blocks_in(self, L: CoidealSubalgebra) -> set[int]:
         """Blocks j with C^j contained in L, the criterion of the classes
@@ -159,13 +164,24 @@ def _check_centralizer_exchange(ctx: _Context) -> Verdicts:
 
 def _check_lattice_duality(ctx: _Context) -> Verdicts:
     """Products and intersections of coideals against meets and joins of
-    their quotient categories, plus the dimension identity."""
+    their quotient categories, plus the dimension identity.
+
+    The intersections are asked first, from the top of the catalog down,
+    and the products in ascending order: a certified intersection carries
+    over to the pairs below it, a certified product to the pairs above it
+    (coideal_intersect, coideal_product), so in each order one certified
+    pair spares the certificates of the pairs asked after it.  The
+    verdicts are read in ascending order."""
     A = ctx.A
-    for i, L1 in enumerate(ctx.cos):
+    cos = ctx.cos
+    n = len(cos)
+    meets = {(i, j): coideal_intersect(A, cos[i], cos[j])
+             for i in reversed(range(n)) for j in reversed(range(i, n))}
+    for i, L1 in enumerate(cos):
         bad = None
-        for L2 in ctx.cos[i:]:
+        for j, L2 in enumerate(cos[i:], i):
             P = coideal_product(A, L1, L2)
-            I = coideal_intersect(A, L1, L2)
+            I = meets[i, j]
             if ctx.mask_of(P) != ctx.mask_of(L1) & ctx.mask_of(L2):
                 bad = f"product vs meet fails against {L2.label()}"
                 break
@@ -176,8 +192,7 @@ def _check_lattice_duality(ctx: _Context) -> Verdicts:
                 bad = (f"dim {P.dim}*{I.dim} != {L1.dim}*{L2.dim} "
                        f"against {L2.label()}")
                 break
-        yield (L1.label(), bad is None,
-               bad or f"{len(ctx.cos) - i} partners")
+        yield (L1.label(), bad is None, bad or f"{n - i} partners")
 
 
 def _check_kernel_image(ctx: _Context) -> Verdicts:

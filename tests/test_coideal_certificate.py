@@ -57,25 +57,54 @@ def _direct_rank(A, gens):
 
 
 def _certified_answers(A, monkeypatch):
-    """Product and intersection of every ordered catalog pair, with the
-    exact route patched to fail."""
+    """Product and intersection of every ordered catalog pair, on a fresh
+    catalog and with the exact route patched to fail; the intersections
+    asked from the top of the catalog down and the products from the
+    bottom up, as lattice-duality asks them.  Also the certificates
+    formed: (i, j, answer) for the products and for the intersections."""
+    A._cache.pop(coideal._catalog.__wrapped__, None)
+    cos = enumerate_coideals(A)
+    pairs = [(i, j) for i in range(len(cos)) for j in range(len(cos))]
+    formed = {"_certified_product": [], "_certified_intersection": []}
     with monkeypatch.context() as m:
         m.setattr(coideal, "_span_product", _refuse)
         m.setattr(coideal, "intersect", _refuse)
-        cos = enumerate_coideals(A)
-        return {(i, j): (coideal_product(A, L1, L2),
-                         coideal_intersect(A, L1, L2))
-                for i, L1 in enumerate(cos) for j, L2 in enumerate(cos)}
+        for name, fn in [(n, getattr(coideal, n)) for n in formed]:
+            def recorded(*args, name=name, fn=fn):
+                answer = fn(*args)
+                formed[name].append((*args[-3:-1], answer))
+                return answer
+            m.setattr(coideal, name, recorded)
+        meets = {(i, j): coideal_intersect(A, cos[i], cos[j])
+                 for i, j in reversed(pairs)}
+        products = {(i, j): coideal_product(A, cos[i], cos[j])
+                    for i, j in pairs}
+    return ({ij: (products[ij], meets[ij]) for ij in pairs},
+            tuple(formed.values()))
 
 
 def _assert_certificates_match_exact_route(name, monkeypatch):
+    """Each answer is the exact one.  Each incomparable ordered pair was
+    certified, or a certified pair with the same answer dominates it in
+    the exact containment order, in either order: below it for a
+    product, above it for an intersection; and some pairs were."""
     A = build_double(parse_group_spec(name))
-    got = _certified_answers(A, monkeypatch)
+    got, (products, meets) = _certified_answers(A, monkeypatch)
     cos = enumerate_coideals(A)
+    le = [[L.space <= M.space for M in cos] for L in cos]
+    incomparable = 0
     for (i, j), (P, I) in got.items():
         L1, L2 = cos[i], cos[j]
         assert P is _exact_product(A, L1, L2), (name, i, j)
         assert I is _exact_intersection(A, L1, L2), (name, i, j)
+        if le[i][j] or le[j][i]:
+            continue
+        incomparable += 1
+        assert any(C is P and (le[a][i] and le[b][j] or le[b][i] and le[a][j])
+                   for a, b, C in products), (name, i, j)
+        assert any(D is I and (le[i][a] and le[j][b] or le[i][b] and le[j][a])
+                   for a, b, D in meets), (name, i, j)
+    assert len(products) < incomparable and len(meets) < incomparable
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "Z2xZ2"])
@@ -119,7 +148,7 @@ def _fallback_answers(A, monkeypatch, patches):
 ], ids=["prime-divides-a-denominator", "rank-one-short"])
 def test_a_failed_certificate_takes_the_exact_route(patches, monkeypatch):
     A = build_double(parse_group_spec("S3"))
-    want = _certified_answers(A, monkeypatch)
+    want = _certified_answers(A, monkeypatch)[0]
     got, spans = _fallback_answers(A, monkeypatch, patches)
     assert spans > 0
     assert got == want
@@ -178,7 +207,8 @@ def test_catalog_order_is_exact_containment():
     cat = coideal._catalog(A)
     for i, L1 in enumerate(cat.entries):
         for j, L2 in enumerate(cat.entries):
-            assert cat.below[i][j] == (L1.space <= L2.space), (i, j)
+            le = L1.space <= L2.space
+            assert cat.up[i] >> j & 1 == cat.down[j] >> i & 1 == le, (i, j)
 
 
 # --- (A//L)*: the direct route certified mod p against the shifted one

@@ -320,20 +320,22 @@ _UNREAD_ATTRIBUTE_ALLOWED = {
 }
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for d in node.decorator_list:
-        f = d.func if isinstance(d, ast.Call) else d
-        if (f.id if isinstance(f, ast.Name)
-                else getattr(f, "attr", None)) == "dataclass":
-            return True
-    return False
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether node declares its fields by annotation: a dataclass, or a
+    class with NamedTuple among its bases."""
+    named = [d.func if isinstance(d, ast.Call) else d
+             for d in node.decorator_list] + node.bases
+    return any((f.id if isinstance(f, ast.Name)
+                else getattr(f, "attr", None)) in ("dataclass", "NamedTuple")
+               for f in named)
 
 
 def _unread_attributes(tree: ast.Module, module: str,
                        readers: list[ast.Module]) -> list[str]:
-    """module.Class.name for each field of a dataclass of tree and each
-    self.name assigned in the __init__ of one of its classes, at any
-    depth, that no reader loads as an attribute of any object."""
+    """module.Class.name for each field of a dataclass or NamedTuple of
+    tree and each self.name assigned in the __init__ of one of its
+    classes, at any depth, that no reader loads as an attribute of any
+    object."""
     read = {n.attr for reader in readers for n in ast.walk(reader)
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     stored = []
@@ -341,7 +343,7 @@ def _unread_attributes(tree: ast.Module, module: str,
         if not isinstance(node, ast.ClassDef):
             continue
         for m in node.body:
-            if (_is_dataclass(node) and isinstance(m, ast.AnnAssign)
+            if (_is_record(node) and isinstance(m, ast.AnnAssign)
                     and isinstance(m.target, ast.Name)):
                 stored.append((node.name, m.target.id))
             elif isinstance(m, ast.FunctionDef) and m.name == "__init__":
@@ -371,6 +373,7 @@ def test_listed_unread_attributes_are_unread():
 def test_an_unread_attribute_is_found():
     tree = ast.parse("from dataclasses import dataclass\n"
                      "import dataclasses\n"
+                     "import typing\n"
                      "@dataclass\n"
                      "class P:\n"
                      "    used: int\n"
@@ -378,6 +381,9 @@ def test_an_unread_attribute_is_found():
                      "@dataclasses.dataclass(frozen=True)\n"
                      "class F:\n"
                      "    spare: int\n"
+                     "class T(typing.NamedTuple):\n"
+                     "    kept: int\n"
+                     "    unread: int\n"
                      "class K:\n"
                      "    size = 0\n"
                      "    def __init__(self, n):\n"
@@ -386,9 +392,9 @@ def test_an_unread_attribute_is_found():
                      "    def grow(self):\n"
                      "        self.later = 1\n"
                      "        self.table[0] = self.n\n")
-    readers = [tree, ast.parse("print(P(1, 2).used)\n")]
+    readers = [tree, ast.parse("print(P(1, 2).used, T(1, 2).kept)\n")]
     assert _unread_attributes(tree, "mod", readers) == [
-        "mod.P.idle", "mod.F.spare", "mod.K.stored"]
+        "mod.P.idle", "mod.F.spare", "mod.T.unread", "mod.K.stored"]
 
 
 def _untold(errors: ast.Module, trees: list[ast.Module]) -> list[str]:

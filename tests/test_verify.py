@@ -372,6 +372,103 @@ def test_lattice_duality_fails_on_a_wrong_product_dimension(ctx_s3,
         k1.label(), False, f"dim 2*1 != 1*1 against {k1.label()}")
 
 
+# --- lattice-duality's certificates -----------------------------------
+# A certified product carries over to the pairs above it and a certified
+# intersection to the pairs below it (coideal_product, coideal_intersect).
+# The certified pairs live in the coideal catalog, so each test below
+# starts from a fresh one and drops the one it leaves.
+
+
+def _drop_catalog(A):
+    """Drop the coideal catalog of A, and with it the certified pairs."""
+    A._cache.pop(coideal._catalog.__wrapped__, None)
+
+
+def _lattice_certificates(A, monkeypatch):
+    """The certificates that lattice-duality forms on a fresh catalog of
+    A, (i, j, answer) for the products and for the intersections, and
+    its failed verdicts."""
+    ctx = _Context(A)
+    formed = {"_certified_product": [], "_certified_intersection": []}
+    _drop_catalog(A)
+    with monkeypatch.context() as m:
+        for name, fn in [(n, getattr(coideal, n)) for n in formed]:
+            def recorded(*args, name=name, fn=fn):
+                answer = fn(*args)
+                formed[name].append((*args[-3:-1], answer))
+                return answer
+            m.setattr(coideal, name, recorded)
+        bad = _failures(_check_lattice_duality, ctx)
+    return tuple(formed.values()), bad
+
+
+@pytest.mark.parametrize("name, most", [
+    ("D4", 252), ("Z2xZ2", 925),
+    pytest.param("D6", 331, marks=pytest.mark.large),
+    pytest.param("Z12", 934, marks=pytest.mark.large),
+])
+def test_lattice_duality_certifies_only_undominated_pairs(doubles, name,
+                                                          most, monkeypatch):
+    """Each incomparable pair took a certificate of each kind before the
+    certified pairs carried over: 525 on D(D4), 1765 on D(Z2xZ2), 847 on
+    D(D6) and 3060 on D(Z12)."""
+    A = doubles.get(name) or build_double(parse_group_spec(name))
+    (products, meets), bad = _lattice_certificates(A, monkeypatch)
+    assert bad == []
+    assert len(products) <= most and len(meets) <= most
+
+
+def test_lattice_duality_fails_on_a_wrong_certificate_that_propagates(
+        doubles, monkeypatch):
+    """The certificate of the first product of D(D4) that carries over to
+    another pair returns k1, the first entry: the pair it was asked for
+    fails."""
+    A = doubles["D4"]
+    (products, _), bad = _lattice_certificates(A, monkeypatch)
+    assert bad == []
+    certified = {(i, j) for i, j, _ in products}
+    cos = enumerate_coideals(A)
+    le = [[L.space <= M.space for M in cos] for L in cos]
+    a, b = next((a, b) for a, b, C in products if any(
+        le[a][i] and le[b][j] and (i, j) not in certified
+        and coideal.coideal_product(A, cos[i], cos[j]) is C
+        for i in range(len(cos)) for j in range(i, len(cos))
+        if not le[i][j] and not le[j][i]))
+    certify = coideal._certified_product
+
+    def wrong(A, cat, i, j, k):
+        C = certify(A, cat, i, j, k)
+        return cos[0] if (i, j) == (a, b) else C
+    monkeypatch.setattr(coideal, "_certified_product", wrong)
+    _drop_catalog(A)
+    try:
+        bad = _failures(_check_lattice_duality, _Context(A))
+    finally:
+        _drop_catalog(A)
+    assert bad[0] == (cos[a].label(), False,
+                      f"product vs meet fails against {cos[b].label()}")
+
+
+def test_lattice_duality_fails_on_a_flipped_containment(doubles):
+    """The first incomparable pair x, y of D(D4), x of smaller dimension,
+    set to x <= y in a fresh catalog order: the propagation and the
+    certificates read that order, and lattice-duality fails on x."""
+    A = doubles["D4"]
+    ctx = _Context(A)
+    _drop_catalog(A)
+    cat = coideal._catalog(A)
+    cos = cat.entries
+    x, y = next((x, y) for x in range(len(cos)) for y in range(len(cos))
+                if cos[x].dim < cos[y].dim and not cat.up[x] >> y & 1)
+    cat.up[x] |= 1 << y
+    cat.down[y] |= 1 << x
+    try:
+        bad = _failures(_check_lattice_duality, ctx)
+    finally:
+        _drop_catalog(A)
+    assert cos[x].label() in {subject for subject, _, _ in bad}
+
+
 def _join_by_sets(subs, a, b) -> tuple[int, ...]:
     """Reference: the first least-fpdim subcategory containing a and b,
     by a scan of their index sets."""
